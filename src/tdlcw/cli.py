@@ -165,7 +165,7 @@ def cmd_scale(cfg, args):
     rows = []
     for model in battery_models(cfg):
         g = _element_arg(model, args) or default_g(model)
-        value = tidy.scale_index(model, g)
+        value = tidy.scale_index(model, g, cfg.resolution)
         if model.name == "linear":
             formula = scale_formula(g)
         else:
@@ -198,8 +198,13 @@ def cmd_tidy(cfg, args):
         parts = tidy.u_parts(model, V, g)
         below, below_witness = tidy.is_tidy_below(model, V, g, parts, K=K)
         witness = None
+        ok = True
         if below is False:
             witness = model.format_element(below_witness)
+            # U_-- meets V beyond U_-: the witness must lie in V, not in U_-.
+            ok = V.contains(below_witness) and not parts.u_minus.contains(
+                below_witness
+            )
         rows.append({
             "experiment": "tidy",
             "model": model.name,
@@ -212,7 +217,7 @@ def cmd_tidy(cfg, args):
             "V": format_subgroup(model, V),
             "tidy_below": _verdict(below),
             "witness": witness,
-            "pass": True,
+            "pass": ok,
         })
     return rows
 
@@ -236,7 +241,8 @@ def cmd_con_test(cfg, args):
             },
             "in_con": _verdict(in_con),
             "in_par": _verdict(in_par),
-            "pass": True,
+            # con(g) <= par(g): a contracted element has a bounded orbit.
+            "pass": not (in_con is True and in_par is False),
         })
     return rows
 

@@ -7,13 +7,19 @@ equal elements always have identical encodings and reports are diffable.
 
 Subgroups of a window are materialized as explicit code sets
 (:class:`SubgroupImage`); everything here is immutable and pure.
+
+Subgroup questions are decided by group theory rather than enumeration
+wherever it is exact.  A subgroup of the abelian, exponent-p vector window
+F_p^length is the F_p-span of its generators, built one cyclic factor at a
+time; matrix windows keep breadth-first closure.  For subgroups A, B, T the
+product AB equals T exactly when A, B <= T and |A||B| = |T||A n B|;
+products are enumerated only to name a witness when that fails.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from tdlcw import backend, _kernel_pure
 
@@ -81,9 +87,6 @@ class VectorWindow:
     def decode(self, code):
         return tuple(_kernel_pure._vec_decode(code, self.p, self.length))
 
-    def encode_bytes(self, code):
-        return bytes(self.decode(code))
-
     def elements(self, cap=DEFAULT_CAP):
         if self.order > cap:
             raise ResolutionError("vector window too large", cap)
@@ -136,10 +139,6 @@ class MatrixWindow:
 
     def decode(self, code):
         return tuple(_kernel_pure._mat_decode(code, self.n, self.modulus))
-
-    def encode_bytes(self, code):
-        width = (self.modulus - 1).bit_length() // 8 + 1
-        return b"".join(e.to_bytes(width, "big") for e in self.decode(code))
 
     def det(self, code):
         e = self.decode(code)
@@ -221,6 +220,8 @@ def subgroup_closure(window, gens, cap=DEFAULT_CAP):
     small subgroup of a huge window is still computable exactly.
     """
     gens = list(gens)
+    if isinstance(window, VectorWindow):
+        return SubgroupImage(window, frozenset(_span(window, gens, cap)))
     try:
         codes = backend.closure(window.desc, gens, cap)
     except ValueError as exc:
@@ -228,27 +229,50 @@ def subgroup_closure(window, gens, cap=DEFAULT_CAP):
     return SubgroupImage(window, frozenset(codes))
 
 
-def product_set_equals(a, b, t):
-    """Decide {xy : x in A, y in B} == T; on failure return a witness in T.
+def _span(window, gens, cap):
+    """F_p-span of `gens`: each generator outside the span so far extends it
+    by the cyclic factor {c * g : 0 <= c < p}, multiplying its size by p."""
+    seen = {0}
+    for g in gens:
+        if g in seen:
+            continue
+        if len(seen) * window.p > cap:
+            raise ResolutionError(f"closure exceeded cap {cap}", cap)
+        coset = list(seen)
+        for _ in range(window.p - 1):
+            coset = [window.mul(x, g) for x in coset]
+            seen.update(coset)
+    return seen
 
-    Returns (True, None) or (False, witness_code).  The product of two
-    subgroups always sits inside their join, so the interesting witness is
-    an element of T missed by the product set (the tidy-above obstruction).
+
+def product_is(a, b, t):
+    """Decide AB == T for subgroup images by |A||B| = |T||A n B|.
+
+    For subgroups, AB sits inside T whenever A and B do, and has exactly
+    |A||B| / |A n B| elements, so no product is formed.
     """
-    window = _same_window(a, b, t)
-    # When one factor is all of T (a subgroup) and the other sits inside T,
-    # the product is T without enumeration.
-    if a.elements == t.elements and b.elements <= t.elements:
+    _same_window(a, b, t)
+    return (
+        a.elements <= t.elements
+        and b.elements <= t.elements
+        and a.order * b.order == t.order * len(a.elements & b.elements)
+    )
+
+
+def product_set_equals(a, b, t):
+    """Decide {xy : x in A, y in B} == T; on failure return a witness.
+
+    Returns (True, None) or (False, witness_code).  Equality is decided by
+    :func:`product_is`; only a failure enumerates the product, to report the
+    first element of T it misses (the tidy-above obstruction) or, when it
+    misses none, its first element outside T.
+    """
+    if product_is(a, b, t):
         return True, None
-    if b.elements == t.elements and a.elements <= t.elements:
-        return True, None
-    prod = backend.product_set(window.desc, a.sorted_codes(), b.sorted_codes())
-    if prod == t.elements:
-        return True, None
+    prod = backend.product_set(a.window.desc, a.sorted_codes(), b.sorted_codes())
     missing = sorted(t.elements - prod)
     if missing:
         return False, missing[0]
-    # Product strictly larger than T: report the first excess element.
     return False, sorted(prod - t.elements)[0]
 
 

@@ -13,7 +13,7 @@ The filtration is B_k = W(k) = lamps vanishing on [-k, k].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from tdlcw.epseq import EPSeq
 from tdlcw.kernel import (
@@ -188,53 +188,6 @@ class ShiftOpen:
         return other.vanish <= self.vanish
 
 
-@dataclass(frozen=True)
-class LampSubspace:
-    """Compact open cut out by a linear condition on a window of coordinates.
-
-    The subgroup is {(a, 0): a's restriction to [-K, K] lies in the span of
-    `basis`} (mod W(K), which is always included).  When the subspace is a
-    coordinate-vanishing set the interval form is recorded, which unlocks
-    the symbolic dynamics path.
-    """
-
-    p: int
-    K: int
-    basis: tuple
-    interval: object = None  # (a, b) when coordinate-vanishing on [a, b]
-
-    @classmethod
-    def from_vanish_interval(cls, p, K, a, b):
-        basis = []
-        for i in range(-K, K + 1):
-            if not (a <= i <= b):
-                digits = [0] * (2 * K + 1)
-                digits[i + K] = 1
-                basis.append(tuple(digits))
-        return cls(p, K, tuple(basis), (a, b))
-
-    def as_open(self):
-        if self.interval is None:
-            raise UnsupportedElementError("subspace has no interval form")
-        return ShiftOpen(self.p, VanishSet.interval(*self.interval))
-
-    def contains(self, x):
-        if x.shift != 0:
-            return False
-        window = VectorWindow(self.p, 2 * self.K + 1)
-        target = window.encode(list(x.lamp.window(self.K)))
-        span = subgroup_closure(window, [window.encode(list(b)) for b in self.basis])
-        return target in span.elements
-
-    def window_image(self, K, cap=DEFAULT_CAP):
-        if self.interval is not None:
-            return self.as_open().window_image(K, cap)
-        if K != self.K:
-            raise UnsupportedElementError("subspace image only at its own level")
-        window = VectorWindow(self.p, 2 * K + 1)
-        return subgroup_closure(window, [window.encode(list(b)) for b in self.basis], cap)
-
-
 def w_subgroup(p, k):
     """The filtration subgroup W(k): lamps vanishing on [-k, k]."""
     return ShiftOpen(p, VanishSet.interval(-k, k))
@@ -243,10 +196,6 @@ def w_subgroup(p, k):
 def reference_open(p):
     """The full compact lamp group, the model's reference compact open."""
     return ShiftOpen(p, VanishSet.empty())
-
-
-def shift_mul(x, y):
-    return x.mul(y)
 
 
 def con_oracle_shift(g, x):

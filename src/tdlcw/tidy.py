@@ -27,13 +27,12 @@ from dataclasses import dataclass
 from tdlcw.kernel import (
     DEFAULT_CAP,
     INF_LEVEL,
-    SubgroupImage,
     UnsupportedElementError,
     index,
     intersect,
+    product_is,
     product_set_equals,
 )
-from tdlcw import backend
 
 #: Three-valued "don't know" marker for semi-decisions.
 INCONCLUSIVE = "inconclusive"
@@ -69,53 +68,9 @@ class UParts:
     u_pp: object
 
 
-@dataclass(frozen=True)
-class TidyReport:
-    model: str
-    tidy_above: object  # True/False/INCONCLUSIVE
-    above_k_failed: object
-    above_witness: object
-    tidy_below: object
-    below_witness: object
-    k_used: int
-    resolution: int
-
-
 def u_parts(model, U, g):
     """Symbolic parts when the model supports (U, g); raises otherwise."""
     return model.u_parts_symbolic(U, g)
-
-
-def u_parts_images(model, U, g, K, horizon=12, cap=DEFAULT_CAP):
-    """Window-level (image_K(U_+), image_K(U_-)) via stabilizing intersections.
-
-    Fallback for (U, g) without symbolic parts.  Intersections of window
-    images are monotone decreasing, so two equal successive horizons certify
-    stabilization; if the horizon is exhausted first, returns None
-    (inconclusive) rather than a possibly-wrong answer.
-    """
-
-    def stabilized(direction):
-        acc = U.window_image(K, cap)
-        prev = None
-        for i in range(1, horizon + 1):
-            acc = intersect(acc, model.conj_open(U, g, direction * i).window_image(K, cap))
-            if prev is not None and acc.elements == prev:
-                return acc
-            prev = acc.elements
-        return None
-
-    plus = stabilized(+1)
-    minus = stabilized(-1)
-    if plus is None or minus is None:
-        return None
-    return plus, minus
-
-
-def image_product(a: SubgroupImage, b: SubgroupImage) -> SubgroupImage:
-    window = a.window
-    codes = backend.product_set(window.desc, a.sorted_codes(), b.sorted_codes())
-    return SubgroupImage(window, frozenset(codes))
 
 
 def is_tidy_above(model, U, g, K, cap=DEFAULT_CAP, parts=None):
@@ -206,17 +161,21 @@ def scale_index(model, g, K=None, cap=DEFAULT_CAP):
     Since g U_+ g^-1 need not sit inside the reference compact open, the
     index is evaluated in the conjugation-equivalent form
     [U_+ : g^-1 U_+ g], whose terms are both inside U_+.
+
+    K is the resolution of the tidy search (the model's default when None)
+    and of window-image indices (3 when None).  Closed-form image orders
+    are compared no coarser than both shapes resolve, so that index is
+    exact whatever K is.
     """
-    U = find_tidy(model, g)
+    U = find_tidy(model, g, K, cap=cap)
     parts = u_parts(model, U, g)
     up = parts.u_plus
     down = model.conj_open(up, g, -1)
     if not down <= up:
         raise ValueError("g^-1 U_+ g escapes U_+; U is not tidy (internal bug)")
     if hasattr(up, "image_order") and hasattr(up, "finite_entry_max"):
-        if K is None:
-            K = max(1, up.finite_entry_max(), down.finite_entry_max())
-        a, b = up.image_order(K), down.image_order(K)
+        level = max(K or 1, up.finite_entry_max(), down.finite_entry_max())
+        a, b = up.image_order(level), down.image_order(level)
         if a % b:
             raise ValueError("image orders not nested (internal bug)")
         return a // b
@@ -363,43 +322,15 @@ def tidy_identity_report(model, U, g, K, cap=DEFAULT_CAP, include_tidy_form=None
         up = parts.u_plus.window_image(k, cap)
         row = {
             "k": k,
-            "mm": parts.u_mm.window_image(k, cap).elements
-            == image_product(con_img, u0).elements,
-            "pp": parts.u_pp.window_image(k, cap).elements
-            == image_product(con_inv_img, u0).elements,
-            "minus": um.elements
-            == image_product(intersect(con_img, um), u0).elements,
-            "plus": up.elements
-            == image_product(intersect(con_inv_img, up), u0).elements,
+            "mm": product_is(con_img, u0, parts.u_mm.window_image(k, cap)),
+            "pp": product_is(con_inv_img, u0, parts.u_pp.window_image(k, cap)),
+            "minus": product_is(intersect(con_img, um), u0, um),
+            "plus": product_is(intersect(con_inv_img, up), u0, up),
         }
         if include_tidy_form:
             u_img = U.window_image(k, cap)
-            row["tidy_minus"] = um.elements == image_product(
-                intersect(con_img, u_img), u0
-            ).elements
-            row["tidy_plus"] = up.elements == image_product(
-                intersect(con_inv_img, u_img), u0
-            ).elements
+            row["tidy_minus"] = product_is(intersect(con_img, u_img), u0, um)
+            row["tidy_plus"] = product_is(intersect(con_inv_img, u_img), u0, up)
         levels.append(row)
     ok = all(v for row in levels for key, v in row.items() if key != "k")
     return {"levels": levels, "tidy_form_checked": include_tidy_form, "pass": ok}
-
-
-def tidy_report(model, U, g, K=3, horizon=6, max_k=10, cap=DEFAULT_CAP):
-    """Full tidiness diagnosis of (U, g) for the CLI."""
-    try:
-        parts = u_parts(model, U, g)
-    except UnsupportedElementError:
-        imgs = u_parts_images(model, U, g, K, cap=cap)
-        if imgs is None:
-            return TidyReport(model.name, INCONCLUSIVE, None, None,
-                              INCONCLUSIVE, None, 0, K)
-        a, b = imgs
-        t = U.window_image(K, cap)
-        ok, witness = product_set_equals(a, b, t)
-        return TidyReport(model.name, ok, None if ok else K, witness,
-                          INCONCLUSIVE, None, 0, K)
-    above, k_failed, witness = is_tidy_above(model, U, g, K, cap, parts)
-    below, below_witness = is_tidy_below(model, U, g, parts, horizon, K, cap)
-    return TidyReport(model.name, above, k_failed, witness,
-                      below, below_witness, 0, K)

@@ -170,7 +170,8 @@ def normal_closure_witness(b):
 
         ((a,0)(0,1)(a,0)^{-1}) (0,1)^{-1} = (b, 0).
 
-    Returns (a, True) after verifying the identity by exact multiplication.
+    Returns (a, ok), where ok says whether the identity holds when replayed
+    by exact multiplication.
     """
     if not isinstance(b, EPSeq):
         raise TypeError("expected an eventually periodic sequence")
@@ -196,6 +197,4 @@ def normal_closure_witness(b):
     g = shift_generator(p, 1)
     a_elem = ShiftElement(a, 0)
     product = a_elem.mul(g).mul(a_elem.inv()).mul(g.inv())
-    if product != ShiftElement(b, 0):
-        raise AssertionError("witness replay failed")
-    return a, True
+    return a, product == ShiftElement(b, 0)

@@ -125,6 +125,68 @@ class TestCommands:
         assert path.read_text().count("\n") == 1
 
 
+class TestChecksCanFail:
+    """Each command check rejects a wrong input fed in by a patched oracle."""
+
+    def test_con_test_rejects_con_outside_par(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.tidy, "par_membership", lambda *args: False)
+        code, rows, _ = run(
+            ["con-test", "--model", "shift", "--x", "lamp:4"], capsys
+        )
+        assert rows[0]["in_con"] is True and rows[0]["in_par"] is False
+        assert code == 1 and rows[0]["pass"] is False
+
+    def test_tidy_rechecks_below_witness(self, capsys, monkeypatch):
+        # The identity lies in U_-, so it cannot witness U_-- escaping it.
+        monkeypatch.setattr(
+            cli.tidy, "is_tidy_below",
+            lambda model, *args, **kwargs: (False, model.identity),
+        )
+        code, rows, _ = run(["tidy", "--model", "shift"], capsys)
+        assert rows[0]["tidy_below"] is False
+        assert code == 1 and rows[0]["pass"] is False
+
+    def test_normal_closure_counts_replay_failures(self, capsys, monkeypatch):
+        # Conjugating by the wrong shift breaks the telescoping identity.
+        monkeypatch.setattr(
+            cli.verify, "shift_generator",
+            lambda p, m=1: cli.shift_generator(p, 2 * m),
+        )
+        code, rows, _ = run(
+            ["theorem-check", "--which", "normal-closure"], capsys
+        )
+        assert code == 1
+        assert all(row["failures"] > 0 and row["pass"] is False for row in rows)
+
+
+class TestScaleResolution:
+    def _spy(self, monkeypatch):
+        seen = []
+        real = cli.tidy.find_tidy
+
+        def find_tidy(model, g, K=None, *args, **kwargs):
+            seen.append(K)
+            return real(model, g, K, *args, **kwargs)
+
+        monkeypatch.setattr(cli.tidy, "find_tidy", find_tidy)
+        return seen
+
+    def test_resolution_reaches_find_tidy(self, capsys, monkeypatch):
+        seen = self._spy(monkeypatch)
+        code, rows, _ = run(
+            ["scale", "--model", "linear", "--g", "2,0;0,1/2",
+             "--resolution", "1"],
+            capsys,
+        )
+        assert seen == [1]
+        assert code == 0 and rows[0]["scale"] == rows[0]["formula"] == 4
+
+    def test_default_resolution_left_to_the_model(self, capsys, monkeypatch):
+        seen = self._spy(monkeypatch)
+        code, _, _ = run(["scale", "--model", "shift"], capsys)
+        assert code == 0 and seen == [None]
+
+
 class TestTheoremCheck:
     def test_unknown_check_exits_2(self, capsys):
         code, rows, err = run(["theorem-check", "--which", "nonsense"], capsys)

@@ -5,7 +5,10 @@ enumeration on windows small enough to materialize completely.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tdlcw import _kernel_pure
 from tdlcw.kernel import (
     DEFAULT_CAP,
     ContainmentError,
@@ -16,6 +19,7 @@ from tdlcw.kernel import (
     WindowMismatchError,
     index,
     intersect,
+    product_is,
     product_set_equals,
     subgroup_closure,
 )
@@ -198,3 +202,113 @@ class TestIndexAndIntersect:
     def test_default_image_is_trivial(self, vec):
         assert SubgroupImage(vec).elements == {vec.identity}
         assert SubgroupImage(vec).order == 1
+
+
+# -- structural shortcuts against their brute-force oracles -----------------
+
+
+def _scaled_sum(window, terms):
+    """sum c * v over (c, v) in terms, by repeated window multiplication."""
+    out = window.identity
+    for c, v in terms:
+        for _ in range(c % window.p):
+            out = window.mul(out, v)
+    return out
+
+
+@st.composite
+def vector_generators(draw):
+    """A vector window with a generator list mixing independent-looking
+    vectors, 0, duplicates and linear combinations of earlier entries."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    length = draw(st.integers(1, 6))
+    window = VectorWindow(p, length)
+    code = st.integers(0, window.order - 1)
+    # At most three free vectors keep the BFS oracle cheap (|H| <= 7^3).
+    gens = draw(st.lists(code, min_size=0, max_size=3))
+    extras = []
+    if gens and draw(st.booleans()):
+        extras.append(draw(st.sampled_from(gens)))
+    if draw(st.booleans()):
+        extras.append(0)
+    for _ in range(draw(st.integers(0, 2)) if gens else 0):
+        terms = [(draw(st.integers(0, p - 1)), draw(st.sampled_from(gens)))
+                 for _ in range(2)]
+        extras.append(_scaled_sum(window, terms))
+    return window, draw(st.permutations(gens + extras))
+
+
+class TestSpanClosureOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(vector_generators())
+    def test_span_matches_bfs(self, case):
+        window, gens = case
+        bfs = _kernel_pure.closure(window.desc, gens, DEFAULT_CAP)
+        assert subgroup_closure(window, gens).elements == frozenset(bfs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(vector_generators())
+    def test_cap_boundary_matches_bfs(self, case):
+        window, gens = case
+        order = len(_kernel_pure.closure(window.desc, gens, DEFAULT_CAP))
+        # |H| = cap materializes on both paths.
+        assert subgroup_closure(window, gens, cap=order).order == order
+        assert len(_kernel_pure.closure(window.desc, gens, order)) == order
+        if order == 1:
+            return
+        # |H| > cap raises the same message on both paths.
+        cap = order - 1
+        with pytest.raises(ValueError) as bfs:
+            _kernel_pure.closure(window.desc, gens, cap)
+        with pytest.raises(ResolutionError) as span:
+            subgroup_closure(window, gens, cap=cap)
+        assert str(span.value) == str(ResolutionError(str(bfs.value), cap))
+        assert span.value.cap == cap
+
+
+def _enumerated(a, b, t):
+    """(AB == T, witness) by forming every product, as product_set_equals
+    promises: the first element of T missed, else the first excess one."""
+    w = a.window
+    prod = {w.mul(x, y) for x in a.elements for y in b.elements}
+    if prod == t.elements:
+        return True, None
+    missing = sorted(t.elements - prod)
+    return False, (missing or sorted(prod - t.elements))[0]
+
+
+@st.composite
+def subgroup_triples(draw):
+    """Subgroup images A, B, T of one vector or matrix window; T is often
+    the join of A and B, so that both outcomes occur."""
+    window = draw(st.sampled_from([
+        VectorWindow(2, 4), VectorWindow(3, 3), VectorWindow(5, 2),
+        MatrixWindow(2, 2, 1), MatrixWindow(2, 3, 1), MatrixWindow(2, 2, 2),
+    ]))
+    elems = sorted(window.elements())
+    gens = st.lists(st.sampled_from(elems), max_size=2)
+    ga, gb = draw(gens), draw(gens)
+    gt = ga + gb if draw(st.booleans()) else draw(gens)
+    return tuple(subgroup_closure(window, g) for g in (ga, gb, gt))
+
+
+class TestProductFormulaOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(subgroup_triples())
+    def test_matches_enumeration(self, triple):
+        a, b, t = triple
+        expected = _enumerated(a, b, t)
+        assert product_is(a, b, t) is expected[0]
+        assert product_set_equals(a, b, t) == expected
+
+    def test_failing_product_of_two_reflections(self):
+        # GL_2(F_2) is S_3: two reflections generate it, but their product
+        # set has |A||B| / |A n B| = 4 < 6 elements.
+        w = MatrixWindow(2, 2, 1)
+        a = subgroup_closure(w, [w.encode([0, 1, 1, 0])])
+        b = subgroup_closure(w, [w.encode([1, 1, 0, 1])])
+        t = subgroup_closure(w, [w.encode([0, 1, 1, 0]), w.encode([1, 1, 0, 1])])
+        assert t.order == 6 and not product_is(a, b, t)
+        ok, witness = product_set_equals(a, b, t)
+        assert (ok, witness) == _enumerated(a, b, t)
+        assert not ok and witness in t.elements

@@ -172,13 +172,6 @@ class TestIdentityReport:
 
 
 class TestSemiDecisionHonesty:
-    def test_u_parts_images_stabilize(self, shift):
-        g = shift_generator(2, 1)
-        out = tidy.u_parts_images(shift, w_subgroup(2, 1), g, K=2)
-        assert out is not None
-        plus, minus = out
-        assert plus.is_subgroup() and minus.is_subgroup()
-
     def test_horizon_exhaustion_is_loud(self, linear):
         g = linear.parse_element("2,0;0,1")
         with pytest.raises(tidy.HorizonExceededError):
