@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from tdlcw import backend, _kernel_pure
+from tdlcw import backend
 
 #: Sentinel for "inside every filtration level", i.e. the identity.
 INF_LEVEL = math.inf
@@ -74,18 +74,18 @@ class VectorWindow:
         return 0
 
     def mul(self, a, b):
-        return _kernel_pure.mul(self.desc, a, b)
+        return backend.mul(self.desc, a, b)
 
     def inv(self, a):
-        return _kernel_pure.inv(self.desc, a)
+        return backend.inv(self.desc, a)
 
     def encode(self, digits):
         if len(digits) != self.length:
             raise ValueError("digit vector has wrong length")
-        return _kernel_pure._vec_encode([d % self.p for d in digits], self.p)
+        return backend._vec_encode([d % self.p for d in digits], self.p)
 
     def decode(self, code):
-        return tuple(_kernel_pure._vec_decode(code, self.p, self.length))
+        return tuple(backend._vec_decode(code, self.p, self.length))
 
     def elements(self, cap=DEFAULT_CAP):
         if self.order > cap:
@@ -111,7 +111,9 @@ class MatrixWindow:
 
     @property
     def order(self):
-        # |GL_n(Z/p^K)| = p^((K-1) n^2) * |GL_n(F_p)|
+        # |GL_n(Z/p^K)| = p^((K-1) n^2) * |GL_n(F_p)|; GL_n(Z/p^0) is trivial.
+        if self.K == 0:
+            return 1
         n, p = self.n, self.p
         glnp = 1
         for i in range(n):
@@ -120,25 +122,25 @@ class MatrixWindow:
 
     @property
     def identity(self):
-        return _kernel_pure.identity(self.desc)
+        return backend.identity(self.desc)
 
     def mul(self, a, b):
-        return _kernel_pure.mul(self.desc, a, b)
+        return backend.mul(self.desc, a, b)
 
     def inv(self, a):
-        return _kernel_pure.inv(self.desc, a)
+        return backend.inv(self.desc, a)
 
     def encode(self, entries):
         if len(entries) != self.n * self.n:
             raise ValueError("entry vector has wrong length")
         m = self.modulus
-        code = _kernel_pure._mat_encode([e % m for e in entries], m)
+        code = backend._mat_encode([e % m for e in entries], m)
         if not self.is_invertible(code):
             raise ValueError("matrix is not invertible modulo p")
         return code
 
     def decode(self, code):
-        return tuple(_kernel_pure._mat_decode(code, self.n, self.modulus))
+        return tuple(backend._mat_decode(code, self.n, self.modulus))
 
     def det(self, code):
         e = self.decode(code)
@@ -156,7 +158,7 @@ class MatrixWindow:
         raise ValueError(f"unsupported matrix size n={self.n}")
 
     def is_invertible(self, code):
-        return self.det(code) % self.p != 0
+        return self.K == 0 or self.det(code) % self.p != 0
 
     def elements(self, cap=DEFAULT_CAP):
         if self.order > cap:

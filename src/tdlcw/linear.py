@@ -311,10 +311,6 @@ def _primitive_p_vector(vec, p):
 # -- valuation shapes --------------------------------------------------------
 
 
-def shape_from_rows(rows):
-    return tuple(tuple(e for e in row) for row in rows)
-
-
 def validate_shape(shape):
     """Check the subgroup-defining inequalities on a valuation shape."""
     n = len(shape)
@@ -438,6 +434,8 @@ class ShapeSubgroup:
     def image_order(self, K):
         """|image in GL_n(Z/p^K)| in closed form where the determinant
         condition splits; falls back to enumeration below the cap."""
+        if K == 0:
+            return 1
         n, p = self.n, self.p
         clamped = self._clamped(K)
         if all(e == 0 for row in clamped for e in row):

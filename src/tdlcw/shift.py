@@ -125,9 +125,6 @@ class VanishSet:
             return True
         return i in self.fin
 
-    def positions_in(self, lo, hi):
-        return [i for i in range(lo, hi + 1) if i in self]
-
     def __le__(self, other):
         """Subset test (self a subset of other)."""
         if other.everything:

@@ -5,6 +5,7 @@ stated tolerance (exact unless a runtime bound is part of the guarantee).
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -351,8 +352,12 @@ def test_chabauty_distance_is_an_ultrametric_on_the_battery():
 def test_theorem_check_is_deterministic_and_green():
     argv = [sys.executable, "-m", "tdlcw.cli", "theorem-check", "--which", "all",
             "--seed", "7"]
-    first = subprocess.run(argv, capture_output=True, text=True)
-    second = subprocess.run(argv, capture_output=True, text=True)
+    # The child imports the same tdlcw as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    first = subprocess.run(argv, capture_output=True, text=True, env=env)
+    second = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
     rows = [json.loads(line) for line in first.stdout.splitlines()]

@@ -99,6 +99,12 @@ class TestCommands:
         assert code == 0
         assert rows[0]["order"] == 1
 
+    def test_nub_command_at_level_zero(self, capsys):
+        # GL_n(Z/p^0) is trivial, so every subgroup image has order 1.
+        code, rows, _ = run(["nub", "--model", "linear", "--resolution", "0"], capsys)
+        assert code == 0
+        assert rows[0]["order"] == 1
+
     def test_conjugator_command(self, capsys):
         code, rows, _ = run(
             ["conjugator", "--model", "shift", "--two-sided", "--horizon", "8"],

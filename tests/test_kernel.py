@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdlcw import _kernel_pure
+from tdlcw import backend
 from tdlcw.kernel import (
     DEFAULT_CAP,
     ContainmentError,
@@ -102,6 +102,13 @@ class TestMatrixWindow:
         with pytest.raises(ValueError):
             mat.encode([2, 0, 0, 1])
 
+    def test_level_zero_window_is_trivial(self):
+        w = MatrixWindow(2, 2, 0)
+        assert w.order == 1 and type(w.order) is int
+        assert list(w.elements()) == [w.identity]
+        assert w.encode([1, 0, 0, 1]) == w.identity
+        assert subgroup_closure(w, [w.identity]).order == 1
+
     def test_gl3_order_formula(self):
         w = MatrixWindow(3, 2, 1)
         # |GL_3(F_2)| = 168
@@ -135,16 +142,24 @@ class TestSubgroupClosure:
         assert subgroup_closure(vec, []).elements == {0}
 
     def test_cap_exceeded_is_loud(self):
-        window = VectorWindow(2, 13)
-        gens = [1 << i for i in range(13)]
-        with pytest.raises(ResolutionError):
-            subgroup_closure(window, gens, cap=100)
+        mat = MatrixWindow(2, 2, 3)
+        cases = [
+            (VectorWindow(2, 13), [1 << i for i in range(13)]),
+            # Elementary unipotents generate SL_2(Z/8), of order 384.
+            (mat, [mat.encode([1, 1, 0, 1]), mat.encode([1, 0, 1, 1])]),
+        ]
+        for window, gens in cases:
+            with pytest.raises(ResolutionError):
+                subgroup_closure(window, gens, cap=100)
 
     def test_cap_bounds_subgroup_not_window(self):
-        # A small subgroup of a window far larger than the cap.
-        window = VectorWindow(2, 30)
-        small = subgroup_closure(window, [1, 2], cap=16)
-        assert small.order == 4
+        # A small subgroup of a window far larger than the cap; at length 70
+        # the codes exceed 2^63.
+        for length, gens in [(30, [1, 2]), (70, [1, 1 << 69])]:
+            window = VectorWindow(2, length)
+            small = subgroup_closure(window, gens, cap=16)
+            assert small.order == 4
+            assert small.elements == backend.closure(window.desc, gens, 16)
 
 
 class TestProductSetEquals:
@@ -243,23 +258,23 @@ class TestSpanClosureOracle:
     @given(vector_generators())
     def test_span_matches_bfs(self, case):
         window, gens = case
-        bfs = _kernel_pure.closure(window.desc, gens, DEFAULT_CAP)
+        bfs = backend.closure(window.desc, gens, DEFAULT_CAP)
         assert subgroup_closure(window, gens).elements == frozenset(bfs)
 
     @settings(max_examples=100, deadline=None)
     @given(vector_generators())
     def test_cap_boundary_matches_bfs(self, case):
         window, gens = case
-        order = len(_kernel_pure.closure(window.desc, gens, DEFAULT_CAP))
+        order = len(backend.closure(window.desc, gens, DEFAULT_CAP))
         # |H| = cap materializes on both paths.
         assert subgroup_closure(window, gens, cap=order).order == order
-        assert len(_kernel_pure.closure(window.desc, gens, order)) == order
+        assert len(backend.closure(window.desc, gens, order)) == order
         if order == 1:
             return
         # |H| > cap raises the same message on both paths.
         cap = order - 1
         with pytest.raises(ValueError) as bfs:
-            _kernel_pure.closure(window.desc, gens, cap)
+            backend.closure(window.desc, gens, cap)
         with pytest.raises(ResolutionError) as span:
             subgroup_closure(window, gens, cap=cap)
         assert str(span.value) == str(ResolutionError(str(bfs.value), cap))

@@ -170,6 +170,12 @@ class TestShapes:
         # Each of the 4 entries of x - I ranges over 2Z/8Z.
         assert cong.image_order(3) == cong.window_image(3).order == 4**4
 
+    def test_level_zero_image_is_trivial(self):
+        model = LinearModel(2, 2)
+        for sub in (model.reference(), model.filtration(1)):
+            assert sub.image_order(0) == 1 and type(sub.image_order(0)) is int
+            assert sub.window_image(0).order == 1
+
     def test_reference_image_is_full_window(self):
         model = LinearModel(3, 2)
         assert model.reference().window_image(1).order == model.window(1).order
