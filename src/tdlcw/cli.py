@@ -158,6 +158,20 @@ def _verdict(value):
     return value if isinstance(value, (bool, str)) else str(value)
 
 
+#: Library errors that fail the row they arise in, not the whole command.
+ROW_ERRORS = (limits.TransportError, tidy.HorizonExceededError)
+
+
+def _failed(row, model, exc):
+    """Mark `row` failed by `exc`: its message and, for a transport
+    failure, the counterexample (a nub mismatch carries two code lists)."""
+    row["error"] = str(exc)
+    if isinstance(exc, limits.TransportError):
+        c = exc.counterexample
+        row["counterexample"] = c if isinstance(c, tuple) else model.format_element(c)
+    row["pass"] = False
+
+
 # -- commands ---------------------------------------------------------------
 
 
@@ -194,7 +208,21 @@ def cmd_tidy(cfg, args):
         else:
             U = default_subgroup(model, g)
         K = cfg.resolution if cfg.resolution is not None else model.default_resolution
-        V, k = tidy.tidy_above_procedure(model, U, g, cfg.max_k, K)
+        row = {
+            "experiment": "tidy",
+            "model": model.name,
+            "params": {
+                "g": model.format_element(g),
+                "U": format_subgroup(model, U),
+                "resolution": K,
+            },
+        }
+        rows.append(row)
+        try:
+            V, k = tidy.tidy_above_procedure(model, U, g, cfg.max_k, K)
+        except ROW_ERRORS as exc:
+            _failed(row, model, exc)
+            continue
         parts = tidy.u_parts(model, V, g)
         below, below_witness = tidy.is_tidy_below(model, V, g, parts, K=K)
         witness = None
@@ -205,14 +233,7 @@ def cmd_tidy(cfg, args):
             ok = V.contains(below_witness) and not parts.u_minus.contains(
                 below_witness
             )
-        rows.append({
-            "experiment": "tidy",
-            "model": model.name,
-            "params": {
-                "g": model.format_element(g),
-                "U": format_subgroup(model, U),
-                "resolution": K,
-            },
+        row.update({
             "k": k,
             "V": format_subgroup(model, V),
             "tidy_below": _verdict(below),
@@ -424,15 +445,21 @@ def _check_tidy_identities(cfg, rng):
             U0 = ShapeSubgroup(model.eigen_data(g)[0],
                                tuple(tuple(0 for _ in range(model.n))
                                      for _ in range(model.n)))
-            V, k = tidy.tidy_above_procedure(model, U0, g, cfg.max_k)
-            expected = iwahori_shape(model.n)
-            rows.append({
+            row = {
                 "check": "tidy-identities",
                 "model": model.name,
                 "params": {"g": model.format_element(g), "U": "level-0"},
+            }
+            rows.append(row)
+            try:
+                V, k = tidy.tidy_above_procedure(model, U0, g, cfg.max_k)
+            except ROW_ERRORS as exc:
+                _failed(row, model, exc)
+                continue
+            row.update({
                 "k": k,
                 "V": format_subgroup(model, V),
-                "pass": k == 1 and V.shape == expected,
+                "pass": k == 1 and V.shape == iwahori_shape(model.n),
             })
         else:
             for k in range(4):
@@ -522,14 +549,7 @@ def _check_transport(cfg, rng):
             u2 = model.conjugate(basis, model.parse_element(
                 _unipotent_text(model, model.p ** 2)))
             U2 = U
-        trace = limits.conjugator_forward(model, g, u, U, cfg.horizon)
-        t, _, adjusted = limits.adjust_to_contraction(model, trace.t, U, g)
-        con_report = limits.con_transport_check(
-            model, g, u, U, t, rng, samples=cfg.samples
-        )
-        two = limits.conjugator_two_sided(model, g, u2, U2, min(cfg.horizon, 10))
-        nub_report = limits.nub_transport_check(model, g, u2, U2, two.r, K=3)
-        rows.append({
+        row = {
             "check": "transport",
             "model": model.name,
             "params": {
@@ -537,6 +557,21 @@ def _check_transport(cfg, rng):
                 "u": model.format_element(u),
                 "samples": cfg.samples,
             },
+        }
+        rows.append(row)
+        try:
+            trace = limits.conjugator_forward(model, g, u, U, cfg.horizon)
+            t, _, adjusted = limits.adjust_to_contraction(model, trace.t, U, g)
+            con_report = limits.con_transport_check(
+                model, g, u, U, t, rng, samples=cfg.samples
+            )
+            two = limits.conjugator_two_sided(
+                model, g, u2, U2, min(cfg.horizon, 10))
+            nub_report = limits.nub_transport_check(model, g, u2, U2, two.r, K=3)
+        except ROW_ERRORS as exc:
+            _failed(row, model, exc)
+            continue
+        row.update({
             "replay": trace.replay(model),
             "adjusted": adjusted,
             "con_transport": con_report["pass"],
@@ -609,7 +644,7 @@ def _check_tits_core(cfg, rng):
                     "model": model.name,
                     "params": {"resolution": K},
                     "order": image.order,
-                    "pass": image.image.elements == full.elements,
+                    "pass": image.elements == full.elements,
                 })
         else:
             p = model.p
@@ -630,7 +665,7 @@ def _check_tits_core(cfg, rng):
                 "model": model.name,
                 "params": {"p": p, "resolution": 1},
                 "order": image.order,
-                "pass": sl2.elements <= image.image.elements,
+                "pass": sl2.elements <= image.elements,
             })
     return rows
 

@@ -6,7 +6,10 @@ for the linear model.  Elements are canonical packed-integer codes, so that
 equal elements always have identical encodings and reports are diffable.
 
 Subgroups of a window are materialized as explicit code sets
-(:class:`SubgroupImage`); everything here is immutable and pure.
+(:class:`SubgroupImage`); everything here is immutable and pure.  Each
+window carries its own group law.  `det` and `adjugate` are written once
+for 2x2 and 3x3 matrices over any commutative ring: the matrix window
+inverts modulo p^K with them, the linear model over the rationals.
 
 Subgroup questions are decided by group theory rather than enumeration
 wherever it is exact.  A subgroup of the abelian, exponent-p vector window
@@ -54,15 +57,53 @@ class UnsupportedElementError(ValueError):
     """The element lies outside the class the requested computation supports."""
 
 
+def det(rows):
+    """Determinant of a 2x2 or 3x3 matrix over any commutative ring."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def adjugate(rows):
+    """Adjugate of a 2x2 or 3x3 matrix: rows @ adjugate(rows) = det(rows) I."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return ((d, -b), (-c, a))
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return (
+        (e * i - f * h, c * h - b * i, b * f - c * e),
+        (f * g - d * i, a * i - c * g, c * d - a * f),
+        (d * h - e * g, b * g - a * h, a * e - b * d),
+    )
+
+
+def _pack(digits, base):
+    code = 0
+    for d in reversed(digits):
+        code = code * base + d
+    return code
+
+
+def _unpack(code, count, base):
+    out = []
+    for _ in range(count):
+        code, d = divmod(code, base)
+        out.append(d)
+    return out
+
+
 @dataclass(frozen=True)
 class VectorWindow:
-    """Additive group F_p^length with coordinatewise arithmetic."""
+    """Additive group F_p^length; code = sum d_i * p**i."""
 
     p: int
     length: int
 
     @property
     def desc(self):
+        """Hashable summary (kind, p, length), used as a trace key."""
         return ("vec", self.p, self.length)
 
     @property
@@ -74,18 +115,22 @@ class VectorWindow:
         return 0
 
     def mul(self, a, b):
-        return backend.mul(self.desc, a, b)
+        p = self.p
+        da = _unpack(a, self.length, p)
+        db = _unpack(b, self.length, p)
+        return _pack([(x + y) % p for x, y in zip(da, db)], p)
 
     def inv(self, a):
-        return backend.inv(self.desc, a)
+        p = self.p
+        return _pack([(-d) % p for d in _unpack(a, self.length, p)], p)
 
     def encode(self, digits):
         if len(digits) != self.length:
             raise ValueError("digit vector has wrong length")
-        return backend._vec_encode([d % self.p for d in digits], self.p)
+        return _pack([d % self.p for d in digits], self.p)
 
     def decode(self, code):
-        return tuple(backend._vec_decode(code, self.p, self.length))
+        return tuple(_unpack(code, self.length, self.p))
 
     def elements(self, cap=DEFAULT_CAP):
         if self.order > cap:
@@ -95,7 +140,7 @@ class VectorWindow:
 
 @dataclass(frozen=True)
 class MatrixWindow:
-    """GL_n(Z/p^K) with row-major entry packing in base p^K."""
+    """GL_n(Z/p^K), n in {2, 3}, with row-major entry packing in base p^K."""
 
     n: int
     p: int
@@ -107,6 +152,7 @@ class MatrixWindow:
 
     @property
     def desc(self):
+        """Hashable summary (kind, n, p, p^K), used as a trace key."""
         return ("mat", self.n, self.p, self.modulus)
 
     @property
@@ -122,40 +168,54 @@ class MatrixWindow:
 
     @property
     def identity(self):
-        return backend.identity(self.desc)
+        n, m = self.n, self.modulus
+        # 1 % m: at m = 1 (K = 0) every entry is 0 and the window is trivial.
+        return _pack([1 % m if i % (n + 1) == 0 else 0 for i in range(n * n)], m)
 
     def mul(self, a, b):
-        return backend.mul(self.desc, a, b)
+        n, m = self.n, self.modulus
+        da = _unpack(a, n * n, m)
+        db = _unpack(b, n * n, m)
+        out = [0] * (n * n)
+        for i in range(n):
+            for j in range(n):
+                s = 0
+                for k in range(n):
+                    s += da[i * n + k] * db[k * n + j]
+                out[i * n + j] = s % m
+        return _pack(out, m)
 
     def inv(self, a):
-        return backend.inv(self.desc, a)
+        m = self.modulus
+        rows = self._rows(_unpack(a, self.n * self.n, m))
+        dinv = pow(det(rows), -1, m)
+        return _pack([e * dinv % m for row in adjugate(rows) for e in row], m)
+
+    def _rows(self, entries):
+        n = self.n
+        return [entries[i : i + n] for i in range(0, n * n, n)]
+
+    def pack(self, rows):
+        """Code of the matrix with these rows, whose entries are already
+        reduced mod p^K; unlike `encode`, invertibility is not checked."""
+        return _pack([e for row in rows for e in row], self.modulus)
 
     def encode(self, entries):
+        """Code of the matrix with these row-major entries, reduced mod p^K;
+        raises ValueError when it is not invertible modulo p."""
         if len(entries) != self.n * self.n:
             raise ValueError("entry vector has wrong length")
         m = self.modulus
-        code = backend._mat_encode([e % m for e in entries], m)
-        if not self.is_invertible(code):
+        entries = [e % m for e in entries]
+        if self.K and det(self._rows(entries)) % self.p == 0:
             raise ValueError("matrix is not invertible modulo p")
-        return code
+        return _pack(entries, m)
 
     def decode(self, code):
-        return tuple(backend._mat_decode(code, self.n, self.modulus))
+        return tuple(_unpack(code, self.n * self.n, self.modulus))
 
     def det(self, code):
-        e = self.decode(code)
-        n, m = self.n, self.modulus
-        if n == 1:
-            return e[0] % m
-        if n == 2:
-            return (e[0] * e[3] - e[1] * e[2]) % m
-        if n == 3:
-            return (
-                e[0] * (e[4] * e[8] - e[5] * e[7])
-                - e[1] * (e[3] * e[8] - e[5] * e[6])
-                + e[2] * (e[3] * e[7] - e[4] * e[6])
-            ) % m
-        raise ValueError(f"unsupported matrix size n={self.n}")
+        return det(self._rows(self.decode(code))) % self.modulus
 
     def is_invertible(self, code):
         return self.K == 0 or self.det(code) % self.p != 0
@@ -225,7 +285,7 @@ def subgroup_closure(window, gens, cap=DEFAULT_CAP):
     if isinstance(window, VectorWindow):
         return SubgroupImage(window, frozenset(_span(window, gens, cap)))
     try:
-        codes = backend.closure(window.desc, gens, cap)
+        codes = backend.closure(window, gens, cap)
     except ValueError as exc:
         raise ResolutionError(str(exc), cap) from None
     return SubgroupImage(window, frozenset(codes))
@@ -271,7 +331,7 @@ def product_set_equals(a, b, t):
     """
     if product_is(a, b, t):
         return True, None
-    prod = backend.product_set(a.window.desc, a.sorted_codes(), b.sorted_codes())
+    prod = backend.product_set(a.window, a.sorted_codes(), b.sorted_codes())
     missing = sorted(t.elements - prod)
     if missing:
         return False, missing[0]

@@ -21,8 +21,10 @@ from tdlcw.kernel import (
     MatrixWindow,
     ResolutionError,
     SubgroupImage,
+    UnsupportedElementError,
+    adjugate,
+    det,
 )
-from tdlcw.kernel import UnsupportedElementError
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -61,55 +63,21 @@ def mat_mul(a, b):
     )
 
 
-def mat_det(a):
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if n == 3:
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-    raise ValueError(f"unsupported matrix size n={n}")
-
-
 def mat_inv(a):
-    n = len(a)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [e * inv_p for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [e - factor * f for e, f in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    d = det(a)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(e / d for e in row) for row in adjugate(a))
 
 
 def charpoly(a):
     """Monic characteristic polynomial, returned as [c_0, ..., c_n=1]."""
-    n = len(a)
-    if n == 1:
-        return [-a[0][0], Fraction(1)]
-    if n == 2:
-        tr = a[0][0] + a[1][1]
-        return [mat_det(a), -tr, Fraction(1)]
-    if n == 3:
-        tr = a[0][0] + a[1][1] + a[2][2]
-        m = (
-            a[1][1] * a[2][2] - a[1][2] * a[2][1]
-            + a[0][0] * a[2][2] - a[0][2] * a[2][0]
-            + a[0][0] * a[1][1] - a[0][1] * a[1][0]
-        )
-        return [-mat_det(a), m, -tr, Fraction(1)]
-    raise ValueError(f"unsupported matrix size n={n}")
+    tr = sum(a[i][i] for i in range(len(a)))
+    if len(a) == 2:
+        return [det(a), -tr, Fraction(1)]
+    # c_1 is the sum of the principal 2x2 minors: the trace of the adjugate.
+    adj = adjugate(a)
+    return [-det(a), adj[0][0] + adj[1][1] + adj[2][2], -tr, Fraction(1)]
 
 
 def vp(q, p):
@@ -138,7 +106,7 @@ class QMatrix:
     @classmethod
     def make(cls, rows, p):
         entries = mat_from_rows(rows)
-        if mat_det(entries) == 0:
+        if det(entries) == 0:
             raise ValueError("matrix is not invertible")
         return cls(entries, p)
 
@@ -148,7 +116,7 @@ class QMatrix:
 
     @property
     def det(self):
-        return mat_det(self.entries)
+        return det(self.entries)
 
     def mul(self, other):
         return QMatrix(mat_mul(self.entries, other.entries), self.p)
@@ -395,7 +363,7 @@ class ShapeSubgroup:
     def contains(self, x):
         y = mat_mul(mat_mul(mat_inv(self.basis.entries), x.entries), self.basis.entries)
         p, n = self.p, self.n
-        if vp(mat_det(y), p) != 0:
+        if vp(det(y), p) != 0:
             return False
         for r in range(n):
             for s in range(n):
@@ -464,39 +432,27 @@ class ShapeSubgroup:
         if total > 4 * cap:
             raise ResolutionError(f"shape image of size ~{total}", cap)
         m = window.modulus
-        ranges = []
+        rows = []  # every choice of each row's entries
         for r in range(n):
+            entries = []
             for s in range(n):
                 step = p ** clamped[r][s]
                 base = 1 if r == s else 0
-                ranges.append([(base + step * t) % m for t in range(m // step)])
+                entries.append([(base + step * t) % m for t in range(m // step)])
+            rows.append(list(product(*entries)))
         codes = set()
         basis_code = None
         if not self.basis.is_identity():
             basis_code = project_matrix(self.basis, K)
             basis_inv = window.inv(basis_code)
-        for combo in product(*ranges):
-            code = window.encode(list(combo)) if _unit_det(combo, n, p) else None
-            if code is None:
+        for matrix in product(*rows):
+            if det(matrix) % p == 0:
                 continue
+            code = window.pack(matrix)
             if basis_code is not None:
                 code = window.mul(window.mul(basis_code, code), basis_inv)
             codes.add(code)
         return SubgroupImage(window, frozenset(codes))
-
-
-def _unit_det(entries, n, p):
-    if n == 1:
-        return entries[0] % p != 0
-    if n == 2:
-        return (entries[0] * entries[3] - entries[1] * entries[2]) % p != 0
-    a = entries
-    det = (
-        a[0] * (a[4] * a[8] - a[5] * a[7])
-        - a[1] * (a[3] * a[8] - a[5] * a[6])
-        + a[2] * (a[3] * a[7] - a[4] * a[6])
-    )
-    return det % p != 0
 
 
 def _det_splits(clamped):
@@ -991,7 +947,7 @@ class LinearModel:
                 [rng.randrange(-4, 5) for _ in range(self.n)] for _ in range(self.n)
             ]
             m = mat_from_rows(rows)
-            d = mat_det(m)
+            d = det(m)
             if d != 0 and vp(d, self.p) == 0:
                 out.append(QMatrix(m, self.p))
         return out

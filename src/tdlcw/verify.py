@@ -20,30 +20,12 @@ from tdlcw.kernel import DEFAULT_CAP, UnsupportedElementError, subgroup_closure
 from tdlcw.shift import ShiftElement, shift_generator
 
 
-@dataclass(frozen=True)
-class TitsCoreImage:
-    """Window image of the subgroup generated by contraction-group closures
-    over a finite schedule of elements."""
-
-    model_name: str
-    K: int
-    schedule: tuple
-    image: object
-
-    @property
-    def order(self):
-        return self.image.order
-
-
 def tits_core_image(model, K, schedule, cap=DEFAULT_CAP):
     """Subgroup image generated by the con-closure images of the schedule."""
-    schedule = tuple(schedule)
-    window = model.window(K)
     gens = set()
     for g in schedule:
         gens.update(model.con_closure_image(g, K, cap).elements)
-    image = subgroup_closure(window, sorted(gens), cap)
-    return TitsCoreImage(model.name, K, schedule, image)
+    return subgroup_closure(model.window(K), sorted(gens), cap)
 
 
 @dataclass(frozen=True)
@@ -144,7 +126,7 @@ def quotient_anisotropy_check(q, schedule, K, cap=DEFAULT_CAP):
         rows.append({"element": g, "pushforward": ok})
 
     tits = tits_core_image(model, K, schedule, cap)
-    core_in_n = tits.image <= q.n_image(K, cap)
+    core_in_n = tits <= q.n_image(K, cap)
     all_quotient_trivial = all(
         q.quotient_con_trivial(g, K, cap) for g in schedule
     )

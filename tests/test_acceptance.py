@@ -315,7 +315,7 @@ def test_kernel_matches_exhaustive_enumeration(window):
         product = {window.mul(a, b) for a in brute for b in brute}
         from tdlcw import backend
 
-        assert backend.product_set(window.desc, sorted(brute), sorted(brute)) == product
+        assert backend.product_set(window, sorted(brute), sorted(brute)) == product
         full = subgroup_closure(window, elems)
         from tdlcw.kernel import index
 

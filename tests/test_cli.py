@@ -165,6 +165,45 @@ class TestChecksCanFail:
         assert all(row["failures"] > 0 and row["pass"] is False for row in rows)
 
 
+class TestRowErrors:
+    """A library error inside one row fails that row, not the command."""
+
+    def test_transport_failure_names_its_counterexample(self, capsys):
+        code, rows, err = run(
+            ["theorem-check", "--which", "transport", "--model", "linear",
+             "--horizon", "0"],
+            capsys,
+        )
+        assert code == 1 and not err
+        (row,) = rows
+        assert row["pass"] is False
+        assert row["error"] == "t con(g) t^-1 sample escapes con(gu)"
+        assert cli.LinearModel(2, 2).parse_element(row["counterexample"])
+
+    def test_tidy_horizon_exceeded(self, capsys):
+        code, rows, err = run(
+            ["tidy", "--model", "linear", "--g", "2,0;0,1", "--U", "0,0;0,0",
+             "--max-k", "0"],
+            capsys,
+        )
+        assert code == 1 and not err
+        (row,) = rows
+        assert row["params"]["U"] == "0,0;0,0" and row["pass"] is False
+        assert row["error"] == "no tidy-above intersection within max_k=0"
+
+    def test_tidy_identities_keep_their_other_rows(self, capsys):
+        argv = ["theorem-check", "--which", "tidy-identities"]
+        _, reference, _ = run(argv, capsys)
+        code, rows, err = run(argv + ["--max-k", "0"], capsys)
+        assert code == 1 and not err
+        failed = [row for row in rows if not row["pass"]]
+        assert [row["params"]["U"] for row in failed] == ["level-0"] * 2
+        assert all("max_k=0" in row["error"] for row in failed)
+        assert [row for row in rows if row["pass"]] == [
+            row for row in reference if row["params"]["U"] != "level-0"
+        ]
+
+
 class TestScaleResolution:
     def _spy(self, monkeypatch):
         seen = []

@@ -4,6 +4,8 @@ The closure/index/product-set results are cross-checked against exhaustive
 enumeration on windows small enough to materialize completely.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,8 @@ from tdlcw.kernel import (
     SubgroupImage,
     VectorWindow,
     WindowMismatchError,
+    adjugate,
+    det,
     index,
     intersect,
     product_is,
@@ -115,6 +119,45 @@ class TestMatrixWindow:
         assert w.order == 168
         assert len(list(w.elements())) == 168
 
+    @pytest.mark.parametrize("window", [MatrixWindow(3, 2, 1), MatrixWindow(2, 3, 2)])
+    def test_inverse_exhaustive(self, window):
+        elems = list(window.elements())
+        assert len(elems) == window.order
+        for a in elems:
+            assert window.mul(a, window.inv(a)) == window.identity
+            assert window.mul(window.inv(a), a) == window.identity
+
+
+def square_matrices(entry):
+    return st.integers(2, 3).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+class TestDetAdjugate:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        square_matrices(st.integers(-20, 20)),
+        square_matrices(st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+    ))
+    def test_adjugate_times_matrix_is_det_identity(self, a):
+        n = len(a)
+        d = det(a)
+        adj = adjugate(a)
+        for left, right in ((a, adj), (adj, a)):
+            for i in range(n):
+                for j in range(n):
+                    entry = sum(left[i][k] * right[k][j] for k in range(n))
+                    assert entry == (d if i == j else 0)
+
+    def test_det_by_permutation_expansion(self):
+        a = [[Fraction(2), 3, -1], [4, Fraction(1, 2), 5], [0, -3, 7]]
+        # Leibniz: sum over permutations of sign * product.
+        expected = (2 * Fraction(1, 2) * 7 - 2 * 5 * -3 - 3 * 4 * 7
+                    + 3 * 5 * 0 + -1 * 4 * -3 - -1 * Fraction(1, 2) * 0)
+        assert det(a) == expected
+        assert det([[1, 2], [3, 4]]) == -2
+
 
 class TestSubgroupClosure:
     def test_matches_brute_force_vec(self, vec):
@@ -159,7 +202,7 @@ class TestSubgroupClosure:
             window = VectorWindow(2, length)
             small = subgroup_closure(window, gens, cap=16)
             assert small.order == 4
-            assert small.elements == backend.closure(window.desc, gens, 16)
+            assert small.elements == backend.closure(window, gens, 16)
 
 
 class TestProductSetEquals:
@@ -258,23 +301,23 @@ class TestSpanClosureOracle:
     @given(vector_generators())
     def test_span_matches_bfs(self, case):
         window, gens = case
-        bfs = backend.closure(window.desc, gens, DEFAULT_CAP)
+        bfs = backend.closure(window, gens, DEFAULT_CAP)
         assert subgroup_closure(window, gens).elements == frozenset(bfs)
 
     @settings(max_examples=100, deadline=None)
     @given(vector_generators())
     def test_cap_boundary_matches_bfs(self, case):
         window, gens = case
-        order = len(backend.closure(window.desc, gens, DEFAULT_CAP))
+        order = len(backend.closure(window, gens, DEFAULT_CAP))
         # |H| = cap materializes on both paths.
         assert subgroup_closure(window, gens, cap=order).order == order
-        assert len(backend.closure(window.desc, gens, order)) == order
+        assert len(backend.closure(window, gens, order)) == order
         if order == 1:
             return
         # |H| > cap raises the same message on both paths.
         cap = order - 1
         with pytest.raises(ValueError) as bfs:
-            backend.closure(window.desc, gens, cap)
+            backend.closure(window, gens, cap)
         with pytest.raises(ResolutionError) as span:
             subgroup_closure(window, gens, cap=cap)
         assert str(span.value) == str(ResolutionError(str(bfs.value), cap))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdlcw.kernel import INF_LEVEL, UnsupportedElementError
+from tdlcw.kernel import INF_LEVEL, UnsupportedElementError, det
 from tdlcw.linear import (
     FactorizationError,
     LinearModel,
@@ -19,7 +19,6 @@ from tdlcw.linear import (
     eigenbasis,
     identity_matrix,
     iwahori_shape,
-    mat_det,
     mat_inv,
     mat_mul,
     newton_valuations,
@@ -31,6 +30,30 @@ from tdlcw.linear import (
 )
 
 INF = math.inf
+
+
+def gauss_jordan_inv(a):
+    """Reference inverse by Gauss-Jordan elimination over the rationals."""
+    n = len(a)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = 1 / aug[col][col]
+        aug[col] = [e * inv_p for e in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [e - factor * f for e, f in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def invertible_3x3():
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    rows = st.lists(st.lists(entry, min_size=3, max_size=3), min_size=3, max_size=3)
+    return rows.filter(lambda r: det(r) != 0).map(lambda r: QMatrix.make(r, 2))
 
 
 def invertible_2x2():
@@ -63,12 +86,17 @@ class TestMatrixArithmetic:
     @settings(max_examples=80, deadline=None)
     @given(x=invertible_2x2(), y=invertible_2x2())
     def test_mul_inv_det(self, x, y):
-        assert mat_det(mat_mul(x.entries, y.entries)) == x.det * y.det
+        assert det(mat_mul(x.entries, y.entries)) == x.det * y.det
         assert x.mul(x.inv()).is_identity()
 
     def test_3x3_inverse(self):
         m = QMatrix.make([[2, 1, 0], [0, 1, 1], [1, 0, 1]], 2)
         assert m.mul(m.inv()).is_identity()
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=invertible_3x3())
+    def test_3x3_inverse_matches_gauss_jordan(self, x):
+        assert x.inv().entries == gauss_jordan_inv(x.entries)
 
     def test_singular_rejected(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ class TestTitsCore:
         for K in range(4):
             image = verify.tits_core_image(shift, K, [g, g.inv()])
             full = shift.reference().window_image(K)
-            assert image.image.elements == full.elements
+            assert image.elements == full.elements
 
     def test_linear_core_contains_sl2(self):
         model = LinearModel(2, 2)
@@ -36,7 +36,7 @@ class TestTitsCore:
             window,
             [window.encode([1, 1, 0, 1]), window.encode([1, 0, 1, 1])],
         )
-        assert sl2.elements <= image.image.elements
+        assert sl2.elements <= image.elements
 
     def test_empty_schedule_gives_trivial_core(self, shift):
         image = verify.tits_core_image(shift, 2, [])
