@@ -315,7 +315,11 @@ def cmd_conjugator(cfg, args):
                 model.eigen_data(g)[0],
                 model.parse_element(_unipotent_text(model, model.p ** 2)),
             )
-        trace = limits.conjugator_forward(model, g, u, U, cfg.horizon)
+        if args.two_sided:
+            two = limits.conjugator_two_sided(model, g, u, U, cfg.horizon)
+            trace = two.forward
+        else:
+            trace = limits.conjugator_forward(model, g, u, U, cfg.horizon)
         row = {
             "experiment": "conjugator",
             "model": model.name,
@@ -330,7 +334,6 @@ def cmd_conjugator(cfg, args):
             "replay": trace.replay(model),
         }
         if args.two_sided:
-            two = limits.conjugator_two_sided(model, g, u, U, cfg.horizon)
             row["r"] = model.format_element(two.r)
             row["level_r"] = _level(model.proximity_level(two.r))
             row["replay_two_sided"] = two.replay(model)
@@ -354,15 +357,20 @@ def _unipotent_text(model, scalar):
     return ";".join(rows)
 
 
-def cmd_experiment_limits(cfg, args):
-    rows = []
-    n_max = args.n_max if args.n_max is not None else 8
+def _net_limits(cfg, n_max=None):
+    """Net-limit rows over the battery models; n_max 8 and K 6 by default."""
+    n_max = 8 if n_max is None else n_max
     K = cfg.resolution if cfg.resolution is not None else 6
+    rows = []
     for model in battery_models(cfg):
         g = default_g(model)
         schedule = model.net_schedule(g, n_max)
         rows.extend(limits.net_experiment(model, g, schedule, K))
     return rows
+
+
+def cmd_experiment_limits(cfg, args):
+    return _net_limits(cfg, args.n_max)
 
 
 # -- theorem-check batteries ------------------------------------------------
@@ -571,15 +579,16 @@ def _check_transport(cfg, rng):
         except ROW_ERRORS as exc:
             _failed(row, model, exc)
             continue
+        replay, two_sided_replay = trace.replay(model), two.replay(model)
         row.update({
-            "replay": trace.replay(model),
+            "replay": replay,
             "adjusted": adjusted,
             "con_transport": con_report["pass"],
-            "two_sided_replay": two.replay(model),
+            "two_sided_replay": two_sided_replay,
             "nub_transport": nub_report["pass"],
             "pass": all([
-                trace.replay(model), con_report["pass"],
-                two.replay(model), nub_report["pass"],
+                replay, con_report["pass"],
+                two_sided_replay, nub_report["pass"],
             ]),
         })
     return rows
@@ -671,12 +680,7 @@ def _check_tits_core(cfg, rng):
 
 
 def _check_limits(cfg, rng):
-    rows = []
-    K = cfg.resolution if cfg.resolution is not None else 6
-    for model in battery_models(cfg):
-        g = default_g(model)
-        rows.extend(limits.net_experiment(model, g, model.net_schedule(g, 8), K))
-    return rows
+    return _net_limits(cfg)
 
 
 CHECKS = {

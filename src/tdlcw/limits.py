@@ -5,9 +5,10 @@ algorithm builds a conjugator t in U_+ with
 
     t^-1 (gu)^k t = b_k g^k,   b_k in U,   for 0 <= k <= N,
 
-entirely by exact arithmetic; the per-step data is kept as a replayable
-certificate.  A two-sided variant runs the same induction for g^-1 and
-combines the results into r with the identity holding for |k| <= N.
+entirely by exact arithmetic; the certificates b_k are kept and replay
+independently of the construction.  A two-sided variant runs the same
+induction for g^-1 and combines the results into r with the identity
+holding for |k| <= N.
 
 Because the construction is truncated at stage N rather than passed to a
 limit, the conjugator transports contraction groups exactly at the shift
@@ -44,14 +45,20 @@ class TransportError(RuntimeError):
         self.counterexample = counterexample
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    n: int
-    c: object        # u * t_n * b_{n,n}, the element split at this step
-    w_minus: object
-    w_plus: object
-    y: object        # g^-n w_plus^-1 g^n
-    t_next: object
+def _replay(model, trace, x, pairs):
+    """Check x^-1 (gu)^k x = b_k g^k and b_k in U for every pair (k, b_k).
+
+    The powers come from `model.power`, not from the running products of
+    the construction, so a fault in either makes the replay fail.
+    """
+    gu = model.mul(trace.g, trace.u)
+    x_inv = model.inv(x)
+    return all(
+        model.mul(model.mul(x_inv, model.power(gu, k)), x)
+        == model.mul(b, model.power(trace.g, k))
+        and trace.U.contains(b)
+        for k, b in pairs
+    )
 
 
 @dataclass(frozen=True)
@@ -63,20 +70,12 @@ class ConjugatorTrace:
     u: object
     U: object
     horizon: int
-    steps: tuple
     t: object
     certificates: tuple  # b_k for k = 0..horizon
 
     def replay(self, model):
         """Re-verify every certificate identity by exact multiplication."""
-        gu = model.mul(self.g, self.u)
-        t_inv = model.inv(self.t)
-        ok = True
-        for k, b in enumerate(self.certificates):
-            lhs = model.mul(model.mul(t_inv, model.power(gu, k)), self.t)
-            rhs = model.mul(b, model.power(self.g, k))
-            ok = ok and lhs == rhs and self.U.contains(b)
-        return ok
+        return _replay(model, self, self.t, enumerate(self.certificates))
 
 
 @dataclass(frozen=True)
@@ -87,29 +86,34 @@ class TwoSidedTrace:
     U: object
     horizon: int
     forward: ConjugatorTrace      # for (g, u), yields t in U_+
-    backward: ConjugatorTrace     # for (g^-1, g u^-1 g^-1), yields s in U_-
     r: object
     certificates: dict            # k -> b_k for -horizon <= k <= horizon
 
     def replay(self, model):
-        gu = model.mul(self.g, self.u)
-        r_inv = model.inv(self.r)
-        ok = True
-        for k, b in self.certificates.items():
-            lhs = model.mul(model.mul(r_inv, model.power(gu, k)), self.r)
-            rhs = model.mul(b, model.power(self.g, k))
-            ok = ok and lhs == rhs and self.U.contains(b)
-        return ok
+        return _replay(model, self, self.r, self.certificates.items())
 
 
-def _certificate(model, g, gu, t, U, k):
-    b = model.mul(
-        model.mul(model.mul(model.inv(t), model.power(gu, k)), t),
-        model.power(g, -k),
-    )
-    if not U.contains(b):
-        raise HypothesisError(f"certificate b_{k} escapes U")
-    return b
+def _certify(model, g, gu, U, ks, x):
+    """Yield (k, b_k, g^k, g^-k) for k in ks, a range from 0 with step 1 or
+    -1, where b_k = x^-1 (gu)^k x g^-k for the conjugator x() at that k.
+
+    (gu)^k, g^k and g^-k are running products, one multiplication each per
+    k, so N certificates cost O(N) products.  Raises HypothesisError as
+    soon as a b_k escapes U.
+    """
+    g_inv = model.inv(g)
+    factors = (gu, g, g_inv) if ks.step > 0 else (model.inv(gu), g_inv, g)
+    powers = (model.identity,) * 3
+    x_k = None
+    for k in ks:
+        gu_k, g_k, g_minus_k = powers
+        if x() is not x_k:
+            x_k, x_inv = x(), model.inv(x())
+        b = model.mul(model.mul(model.mul(x_inv, gu_k), x_k), g_minus_k)
+        if not U.contains(b):
+            raise HypothesisError(f"certificate b_{k} escapes U")
+        yield k, b, g_k, g_minus_k
+        powers = tuple(model.mul(p, f) for p, f in zip(powers, factors))
 
 
 def conjugator_forward(model, g, u, U, N, parts=None, check_tidy=True):
@@ -124,20 +128,16 @@ def conjugator_forward(model, g, u, U, N, parts=None, check_tidy=True):
             raise HypothesisError(f"U is not tidy above for g (level {k})")
     gu = model.mul(g, u)
     t = model.identity
-    steps = []
-    for n in range(N):
-        b_nn = _certificate(model, g, gu, t, U, n)
-        c = model.mul(model.mul(u, t), b_nn)
-        w_minus, w_plus = model.split(c, U, g, parts)
-        y = model.mul(
-            model.mul(model.power(g, -n), model.inv(w_plus)), model.power(g, n)
-        )
-        t = model.mul(t, y)
-        steps.append(TraceStep(n, c, w_minus, w_plus, y, t))
+    # Each step sets t <- t y, y = g^-n w_+^-1 g^n; x() reads the new t.
+    for _, b, g_n, g_minus_n in _certify(model, g, gu, U, range(N), lambda: t):
+        c = model.mul(model.mul(u, t), b)
+        _w_minus, w_plus = model.split(c, U, g, parts)
+        t = model.mul(t, model.mul(model.mul(g_minus_n, model.inv(w_plus)), g_n))
     if not parts.u_plus.contains(t):
         raise HypothesisError("constructed conjugator escapes U_+")
-    certs = tuple(_certificate(model, g, gu, t, U, k) for k in range(N + 1))
-    return ConjugatorTrace(model.name, g, u, U, N, tuple(steps), t, certs)
+    certs = tuple(b for _, b, _, _ in _certify(
+        model, g, gu, U, range(N + 1), lambda: t))
+    return ConjugatorTrace(model.name, g, u, U, N, t, certs)
 
 
 def adjust_to_contraction(model, t, U, g, parts=None):
@@ -163,26 +163,20 @@ def conjugator_two_sided(model, g, u, U, N, check_tidy=True):
         raise HypothesisError("u must lie in U")
     if not U.contains(model.conjugate(g, u)):
         raise HypothesisError("u must lie in g^-1 U g")
-    g_inv = model.inv(g)
     u_back = model.conjugate(g, model.inv(u))
     forward = conjugator_forward(model, g, u, U, N, check_tidy=check_tidy)
-    backward = conjugator_forward(model, g_inv, u_back, U, N, check_tidy=check_tidy)
-    t, s = forward.t, backward.t
+    s = conjugator_forward(
+        model, model.inv(g), u_back, U, N, check_tidy=check_tidy).t
+    t = forward.t
     parts = tidy.u_parts(model, U, g)
-    mix = model.mul(model.inv(t), s)
-    w_minus, _w_plus = model.split(mix, U, g, parts)
+    w_minus, _w_plus = model.split(model.mul(model.inv(t), s), U, g, parts)
     r = model.mul(t, w_minus)
     gu = model.mul(g, u)
-    certs = {}
-    for k in range(-N, N + 1):
-        b = model.mul(
-            model.mul(model.mul(model.inv(r), model.power(gu, k)), r),
-            model.power(g, -k),
-        )
-        if not U.contains(b):
-            raise HypothesisError(f"two-sided certificate b_{k} escapes U")
-        certs[k] = b
-    return TwoSidedTrace(model.name, g, u, U, N, forward, backward, r, certs)
+    below, above = (
+        [(k, b) for k, b, _, _ in _certify(model, g, gu, U, ks, lambda: r)]
+        for ks in (range(0, -N - 1, -1), range(N + 1)))
+    certs = dict(below[::-1] + above)  # k = -N..N; b_0 is in both lists
+    return TwoSidedTrace(model.name, g, u, U, N, forward, r, certs)
 
 
 def _transported_member(model, h, x, K, N):
@@ -326,8 +320,8 @@ def _level_json(level):
 def net_experiment(model, g, schedule, K, trace_horizon=None, cap=DEFAULT_CAP):
     """Instrument a shrinking schedule (n, U_n, u_n) of perturbations of g.
 
-    For each n the forward and two-sided conjugators are built (the forward
-    construction asserts t_n in (U_n)_+), and the contraction-closure and
+    For each n the two-sided conjugator is built (its forward construction
+    asserts t_n in (U_n)_+), and the contraction-closure and
     nub approximations of g u_n are compared against those of g with the
     Chabauty instrument.  Returns one JSON-ready row per n.
     """
@@ -344,7 +338,6 @@ def net_experiment(model, g, schedule, K, trace_horizon=None, cap=DEFAULT_CAP):
         if not U_n.contains(u_n):
             raise HypothesisError(f"u_{n} outside U_{n}")
         try:
-            forward = conjugator_forward(model, g, u_n, U_n, trace_horizon)
             two = conjugator_two_sided(model, g, u_n, U_n, trace_horizon)
         except HypothesisError as exc:
             raise HypothesisError(f"schedule fails at n={n}: {exc}") from exc
@@ -357,7 +350,7 @@ def net_experiment(model, g, schedule, K, trace_horizon=None, cap=DEFAULT_CAP):
                 "model": model.name,
                 "n": n,
                 "level_u": _level_json(model.proximity_level(u_n)),
-                "level_t": _level_json(model.proximity_level(forward.t)),
+                "level_t": _level_json(model.proximity_level(two.forward.t)),
                 "level_r": _level_json(model.proximity_level(two.r)),
                 "d_con": d_con.as_json(),
                 "d_nub": d_nub.as_json(),

@@ -118,11 +118,12 @@ def quotient_anisotropy_check(q, schedule, K, cap=DEFAULT_CAP):
             rhs_trivial = q.quotient_con_trivial(g, K, cap)
             ok = lhs_trivial and rhs_trivial
         else:
-            # N = 1: both sides are literally con(g); compare the window
-            # images (syntactically the same computation, recorded anyway).
+            # N = 1: the quotient map is the identity, so both sides are
+            # con(g).  Its level-K image must be the projection of its
+            # level-(K+1) image.
             lhs = model.con_closure_image(g, K, cap)
-            rhs = model.con_closure_image(g, K, cap)
-            ok = lhs.elements == rhs.elements
+            finer = model.con_closure_image(g, K + 1, cap)
+            ok = lhs.elements == model.project_image(finer, K).elements
         rows.append({"element": g, "pushforward": ok})
 
     tits = tits_core_image(model, K, schedule, cap)

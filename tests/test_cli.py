@@ -1,6 +1,8 @@
 """Command-line surface: config handling, determinism, and exit codes."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -265,3 +267,16 @@ class TestTheoremCheck:
 def test_invalid_flag_value_exits_2(capsys):
     code, rows, err = run(["scale", "--p", "9"], capsys)
     assert code == 2 and not rows and "error:" in err
+
+
+#: The benchmark's pinned stdout digests, one per seed-7 command; read only.
+PINNED = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json")
+    .read_text())
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_stdout_matches_pinned_sha256(command, capsys):
+    assert cli.main(command.split(" ")) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED[command]

@@ -1,5 +1,6 @@
 """Conjugator construction, transports, and the convergence instruments."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -53,10 +54,70 @@ class TestForwardConjugator:
         g = shift_generator(2, 1)
         u = lamp_element(2, {2: 1})
         trace = limits.conjugator_forward(shift, g, u, w_subgroup(2, 1), 6)
-        import dataclasses
-
         bad = dataclasses.replace(trace, t=lamp_element(2, {3: 1}))
         assert not bad.replay(shift)
+
+
+#: (model, g, u, a nontrivial element of U) per model; U is W:1 for the
+#: shift model and the Iwahori subgroup for g otherwise, and u lies in both
+#: U and g^-1 U g.
+CASES = {
+    "shift-2": (ShiftModel(2), None, "lamp:2", "lamp:5"),
+    "linear-2-2": (LinearModel(2, 2), "2,0;0,1", "1,0;4,1", "1,2;0,1"),
+    "linear-2-3": (LinearModel(2, 3), "4,0,0;0,2,0;0,0,1",
+                   "-1,2,-2;-2,1,-2;4,-2,-1", "1,2,0;0,1,0;0,0,1"),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    model, g_text, u_text, v_text = CASES[request.param]
+    if g_text is None:
+        g, U = shift_generator(2, 1), w_subgroup(2, 1)
+    else:
+        g = model.parse_element(g_text)
+        U = _iwahori(model, g)
+    u, v = model.parse_element(u_text), model.parse_element(v_text)
+    assert U.contains(v) and not v.is_identity()
+    return model, g, u, U, v
+
+
+class TestCertificates:
+    def test_certificates_match_naive_powers(self, case):
+        model, g, u, U, _ = case
+        gu = model.mul(g, u)
+
+        def naive(x, k):
+            return model.mul(
+                model.mul(model.mul(model.inv(x), model.power(gu, k)), x),
+                model.power(g, -k))
+
+        trace = limits.conjugator_forward(model, g, u, U, 6)
+        assert len(trace.certificates) == 7
+        for k, b in enumerate(trace.certificates):
+            assert b == naive(trace.t, k)
+        two = limits.conjugator_two_sided(model, g, u, U, 5)
+        assert list(two.certificates) == list(range(-5, 6))
+        for k, b in two.certificates.items():
+            assert b == naive(two.r, k)
+
+    def test_replay_detects_a_changed_forward_certificate(self, case):
+        model, g, u, U, v = case
+        trace = limits.conjugator_forward(model, g, u, U, 6)
+        assert trace.replay(model)
+        certs = list(trace.certificates)
+        certs[3] = model.mul(certs[3], v)
+        bad = dataclasses.replace(trace, certificates=tuple(certs))
+        assert not bad.replay(model)
+
+    def test_replay_detects_a_changed_negative_certificate(self, case):
+        model, g, u, U, v = case
+        two = limits.conjugator_two_sided(model, g, u, U, 5)
+        assert two.replay(model)
+        certs = dict(two.certificates)
+        certs[-2] = model.mul(certs[-2], v)
+        bad = dataclasses.replace(two, certificates=certs)
+        assert not bad.replay(model)
 
 
 class TestTwoSidedConjugator:

@@ -6,7 +6,12 @@ import pytest
 
 from tdlcw import verify
 from tdlcw.epseq import EPSeq
-from tdlcw.kernel import UnsupportedElementError, subgroup_closure
+from tdlcw.kernel import (
+    DEFAULT_CAP,
+    SubgroupImage,
+    UnsupportedElementError,
+    subgroup_closure,
+)
 from tdlcw.linear import LinearModel
 from tdlcw.shift import ShiftElement, ShiftModel, lamp_element, shift_generator
 
@@ -89,6 +94,27 @@ class TestQuotientAnisotropy:
         report = verify.quotient_anisotropy_check(triv_q, schedule, K=4)
         assert report["pass"]
         assert not report["core_in_n"] and not report["quotient_con_trivial"]
+
+
+    def test_trivial_pushforward_detects_incoherent_images(
+            self, shift, monkeypatch):
+        # A con-closure image that is wrong at level K + 1 only: projected
+        # to level K it no longer matches, so the N = 1 pushforward fails.
+        g = shift_generator(2, 1)
+        schedule = [g, g.inv(), g.mul(lamp_element(2, {0: 1}))]
+        q = verify.QuotientDescriptor(shift, "trivial")
+        assert verify.quotient_anisotropy_check(q, schedule, K=4)["pass"]
+        true_image = shift.con_closure_image
+
+        def wrong_at_5(h, K, cap=DEFAULT_CAP):
+            if K == 5:
+                return SubgroupImage(shift.window(K))
+            return true_image(h, K, cap)
+
+        monkeypatch.setattr(shift, "con_closure_image", wrong_at_5)
+        report = verify.quotient_anisotropy_check(q, schedule, K=4)
+        assert not any(r["pushforward"] for r in report["pushforward_rows"])
+        assert report["equivalence"] and not report["pass"]
 
 
 class TestNormalClosureWitness:
