@@ -108,10 +108,12 @@ def battery_models(cfg):
 def default_g(model):
     if model.name == "shift":
         return shift_generator(model.p, 1)
+    # diag(p, 1) or diag(p^2, p, 1): distinct eigenvalues, as the
+    # eigenbasis path needs.
+    n = model.n
     entries = ";".join(
-        ",".join(str(model.p if r == s == 0 else (1 if r == s else 0))
-                 for s in range(model.n))
-        for r in range(model.n)
+        ",".join(str(model.p ** (n - 1 - r) if r == s else 0) for s in range(n))
+        for r in range(n)
     )
     return model.parse_element(entries)
 

@@ -117,6 +117,10 @@ class EPSeq:
     def add(self, other):
         if self.p != other.p:
             raise ValueError("prime mismatch")
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         p = self.p
         lo = min(self.offset, other.offset)
         hi = max(self.end, other.end)
@@ -142,6 +146,8 @@ class EPSeq:
 
     def shift(self, m):
         """sigma^m: the shifted sequence has value_at(i) = self.value_at(i-m)."""
+        if m == 0 or self.is_zero():
+            return self
         return EPSeq.make(self.p, self.left, self.core, self.offset + m, self.right)
 
     def min_abs_support(self):

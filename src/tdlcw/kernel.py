@@ -10,6 +10,7 @@ Subgroups of a window are materialized as explicit code sets
 window carries its own group law.  `det` and `adjugate` are written once
 for 2x2 and 3x3 matrices over any commutative ring: the matrix window
 inverts modulo p^K with them, the linear model over the rationals.
+`power` is the one square-and-multiply used by both models.
 
 Subgroup questions are decided by group theory rather than enumeration
 wherever it is exact.  A subgroup of the abelian, exponent-p vector window
@@ -77,6 +78,21 @@ def adjugate(rows):
         (f * g - d * i, a * i - c * g, c * d - a * f),
         (d * h - e * g, b * g - a * h, a * e - b * d),
     )
+
+
+def power(one, g, k):
+    """g^k for an element with `mul` and `inv`, by square-and-multiply:
+    O(log |k|) multiplications."""
+    base = g if k >= 0 else g.inv()
+    k = abs(k)
+    out = one
+    while k:
+        if k & 1:
+            out = out.mul(base)
+        k >>= 1
+        if k:
+            base = base.mul(base)
+    return out
 
 
 def _pack(digits, base):

@@ -48,8 +48,9 @@ class TransportError(RuntimeError):
 def _replay(model, trace, x, pairs):
     """Check x^-1 (gu)^k x = b_k g^k and b_k in U for every pair (k, b_k).
 
-    The powers come from `model.power`, not from the running products of
-    the construction, so a fault in either makes the replay fail.
+    The powers come from `model.power`, square-and-multiply in O(log |k|)
+    products, not from the running products of the construction
+    (`_certify`), so a fault in either makes the replay fail.
     """
     gu = model.mul(trace.g, trace.u)
     x_inv = model.inv(x)

@@ -1,11 +1,13 @@
 """The linear model: GL_n(Q_p) with exact rational matrix arithmetic.
 
-All p-adic statements reduce to valuation arithmetic on Fractions, so
-nothing is ever rounded.  Compact open subgroups are "valuation shapes": a
-change of basis plus an integer matrix of lower bounds on the valuations of
-the entries of x - I.  The dynamics path requires elements with n distinct
-rational eigenvalues (an explicit eigenbasis); the Newton-polygon scale
-needs no eigenbasis and covers every invertible matrix.
+A matrix is stored as integer rows over one positive common denominator in
+lowest terms, so equal matrices are equal as data and every p-adic
+statement reduces to valuations of integers; nothing is ever rounded.
+Compact open subgroups are "valuation shapes": a change of basis plus an
+integer matrix of lower bounds on the valuations of the entries of x - I.
+The dynamics path requires elements with n distinct rational eigenvalues
+(an explicit eigenbasis); the Newton-polygon scale needs no eigenbasis and
+covers every invertible matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from tdlcw.kernel import (
     DEFAULT_CAP,
@@ -24,6 +26,7 @@ from tdlcw.kernel import (
     UnsupportedElementError,
     adjugate,
     det,
+    power,
 )
 
 INF = math.inf
@@ -44,95 +47,150 @@ class FactorizationError(ValueError):
 
 # -- exact rational matrices ------------------------------------------------
 
-
-def mat_from_rows(rows):
-    return tuple(tuple(Fraction(e) for e in row) for row in rows)
-
-
-def mat_identity(n):
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+_IDENTITY = {n: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+             for n in (2, 3)}
 
 
-def mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def mat_inv(a):
-    d = det(a)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    return tuple(tuple(e / d for e in row) for row in adjugate(a))
-
-
-def charpoly(a):
-    """Monic characteristic polynomial, returned as [c_0, ..., c_n=1]."""
-    tr = sum(a[i][i] for i in range(len(a)))
-    if len(a) == 2:
-        return [det(a), -tr, Fraction(1)]
-    # c_1 is the sum of the principal 2x2 minors: the trace of the adjugate.
-    adj = adjugate(a)
-    return [-det(a), adj[0][0] + adj[1][1] + adj[2][2], -tr, Fraction(1)]
+def _vpi(m, p):
+    """p-adic valuation of a nonzero integer."""
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
 
 
 def vp(q, p):
     """Exact p-adic valuation of a rational; 0 maps to the +inf sentinel."""
-    q = Fraction(q)
     if q == 0:
         return INF
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    q = Fraction(q)
+    return _vpi(q.numerator, p) - _vpi(q.denominator, p)
 
 
-@dataclass(frozen=True)
 class QMatrix:
-    """Invertible rational matrix regarded inside GL_n(Q_p)."""
+    """Invertible rational matrix regarded inside GL_n(Q_p).
 
-    entries: tuple
-    p: int
+    `rows` are integer tuples over the positive common denominator `den`,
+    in lowest terms (gcd of all entries and `den` is 1), so `==` and `hash`
+    are exact.  Instances are immutable; the inverse and the `Fraction`
+    view `entries` are computed once, on first use.
+    """
+
+    __slots__ = ("rows", "den", "p", "_inv", "_entries")
+
+    def __init__(self, rows, den, p):
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(rows))
+            if den < 0:
+                g = -g
+            if g != 1:
+                rows = tuple(tuple(e // g for e in row) for row in rows)
+                den //= g
+        self.rows = rows
+        self.den = den
+        self.p = p
+        self._inv = self._entries = None
 
     @classmethod
     def make(cls, rows, p):
-        entries = mat_from_rows(rows)
-        if det(entries) == 0:
+        entries = [[Fraction(e) for e in row] for row in rows]
+        den = math.lcm(*(e.denominator for row in entries for e in row))
+        num = tuple(
+            tuple(e.numerator * (den // e.denominator) for e in row) for row in entries
+        )
+        if det(num) == 0:
             raise ValueError("matrix is not invertible")
-        return cls(entries, p)
+        return cls(num, den, p)
+
+    def __eq__(self, other):
+        return isinstance(other, QMatrix) and (
+            (self.rows, self.den, self.p) == (other.rows, other.den, other.p))
+
+    def __hash__(self):
+        return hash((self.rows, self.den, self.p))
+
+    def __repr__(self):
+        return f"QMatrix({self.rows!r}, {self.den!r}, {self.p!r})"
 
     @property
     def n(self):
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self):
+        """The entries as `Fraction`s, for printing and tests."""
+        if self._entries is None:
+            d = self.den
+            self._entries = tuple(
+                tuple(Fraction(e, d) for e in row) for row in self.rows)
+        return self._entries
 
     @property
     def det(self):
-        return det(self.entries)
+        return Fraction(det(self.rows), self.den**self.n)
+
+    def val(self, r, s):
+        """p-adic valuation of entry (r, s)."""
+        e = self.rows[r][s]
+        return INF if e == 0 else _vpi(e, self.p) - _vpi(self.den, self.p)
 
     def mul(self, other):
-        return QMatrix(mat_mul(self.entries, other.entries), self.p)
+        if len(self.rows) == 2:
+            (a, b), (c, d) = self.rows
+            (e, f), (g, h) = other.rows
+            rows = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+        else:
+            (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = other.rows
+            rows = tuple(
+                (x * b0 + y * b3 + z * b6, x * b1 + y * b4 + z * b7,
+                 x * b2 + y * b5 + z * b8)
+                for x, y, z in self.rows
+            )
+        return QMatrix(rows, self.den * other.den, self.p)
 
     def inv(self):
-        return QMatrix(mat_inv(self.entries), self.p)
+        """den * adjugate(rows) / det(rows)."""
+        if self._inv is None:
+            d = self.den
+            adj = tuple(tuple(d * e for e in row) for row in adjugate(self.rows))
+            self._inv = QMatrix(adj, det(self.rows), self.p)
+        return self._inv
 
     def is_identity(self):
-        return self.entries == mat_identity(self.n)
+        return self.den == 1 and self.rows == _IDENTITY[len(self.rows)]
 
     def is_p_integral(self):
-        return all(vp(e, self.p) >= 0 for row in self.entries for e in row if e)
+        # In lowest terms, p | den leaves p in the denominator of some entry.
+        return self.den % self.p != 0
 
 
 def identity_matrix(n, p):
-    return QMatrix(mat_identity(n), p)
+    return QMatrix(_IDENTITY[n], 1, p)
+
+
+def _coords(basis, x):
+    """basis^-1 x basis: x in the coordinates of the basis columns."""
+    return x if basis.is_identity() else basis.inv().mul(x).mul(basis)
+
+
+def _from_coords(basis, rows, den=1):
+    """basis y basis^-1 for y = rows / den given in basis coordinates."""
+    y = QMatrix(tuple(map(tuple, rows)), den, basis.p)
+    return y if basis.is_identity() else basis.mul(y).mul(basis.inv())
+
+
+def charpoly(g):
+    """Monic characteristic polynomial of g, returned as [c_0, ..., c_n=1]."""
+    a, n = g.rows, g.n
+    tr = sum(a[i][i] for i in range(n))
+    if n == 2:
+        coeffs = [det(a), -tr, 1]
+    else:
+        # c_1 is the sum of the principal 2x2 minors: the trace of the adjugate.
+        adj = adjugate(a)
+        coeffs = [-det(a), adj[0][0] + adj[1][1] + adj[2][2], -tr, 1]
+    return [Fraction(c, g.den ** (n - i)) for i, c in enumerate(coeffs)]
 
 
 def newton_valuations(g):
@@ -141,7 +199,7 @@ def newton_valuations(g):
     Computed as the slopes of the lower convex hull of the characteristic
     polynomial's valuation data; returned sorted descending.
     """
-    coeffs = charpoly(g.entries)
+    coeffs = charpoly(g)
     n = g.n
     pts = [(i, vp(c, g.p)) for i, c in enumerate(coeffs) if c != 0]
     # Lower convex hull from (0, vp(c_0)) to (n, 0); root valuations are the
@@ -213,7 +271,7 @@ def eigenbasis(g):
     descending (ties broken by eigenvalue) so contracting entries sit above
     the diagonal in eigencoordinates.
     """
-    coeffs = charpoly(g.entries)
+    coeffs = charpoly(g)
     roots = _rational_roots(coeffs)
     if len(roots) != g.n:
         raise UnsupportedElementError(
@@ -224,17 +282,18 @@ def eigenbasis(g):
     n = g.n
     columns = []
     for lam in roots:
+        # The kernel of g - lam equals that of den * g - den * lam.
         m = [
-            [g.entries[i][j] - (lam if i == j else 0) for j in range(n)]
+            [Fraction(g.rows[i][j]) - (lam * g.den if i == j else 0) for j in range(n)]
             for i in range(n)
         ]
         vec = _nullspace_vector(m)
         columns.append(_primitive_p_vector(vec, g.p))
-    basis = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
+    basis = QMatrix.make([[columns[j][i] for j in range(n)] for i in range(n)], g.p)
     vals = tuple(vp(lam, g.p) for lam in roots)
-    diag = mat_mul(mat_mul(mat_inv(basis), g.entries), basis)
+    diag = _coords(basis, g).rows
     assert all(i == j or diag[i][j] == 0 for i in range(n) for j in range(n))
-    return QMatrix(basis, g.p), vals
+    return basis, vals
 
 
 def _nullspace_vector(m):
@@ -361,17 +420,17 @@ class ShapeSubgroup:
         return self.basis.n
 
     def contains(self, x):
-        y = mat_mul(mat_mul(mat_inv(self.basis.entries), x.entries), self.basis.entries)
-        p, n = self.p, self.n
-        if vp(det(y), p) != 0:
+        y = _coords(self.basis, x)
+        p, d = self.p, y.den
+        vd = _vpi(d, p)
+        # y = rows / d, so val(y_rs - delta_rs) = val(rows_rs - d delta_rs) - val(d).
+        if _vpi(det(y.rows), p) != self.n * vd:
             return False
-        for r in range(n):
-            for s in range(n):
-                bound = self.shape[r][s]
-                if bound == NEG_INF:
-                    continue
-                val = vp(y[r][s] - (1 if r == s else 0), p)
-                if val < bound:
+        for r, (row, bounds) in enumerate(zip(y.rows, self.shape)):
+            for s, (e, bound) in enumerate(zip(row, bounds)):
+                if r == s:
+                    e -= d
+                if e and bound != NEG_INF and _vpi(e, p) - vd < bound:
                     return False
         return True
 
@@ -379,12 +438,12 @@ class ShapeSubgroup:
         return ShapeSubgroup(self.basis, shape_translate(self.shape, vals, i), validated=False)
 
     def intersect(self, other):
-        if other.basis.entries != self.basis.entries:
+        if other.basis != self.basis:
             raise UnsupportedElementError("shape intersection needs a shared basis")
         return ShapeSubgroup(self.basis, shape_entrywise_max(self.shape, other.shape), validated=False)
 
     def __le__(self, other):
-        if other.basis.entries != self.basis.entries:
+        if other.basis != self.basis:
             raise UnsupportedElementError("shape comparison needs a shared basis")
         return shape_subset(self.shape, other.shape)
 
@@ -469,51 +528,41 @@ def _det_splits(clamped):
 
 def project_matrix(x, K):
     """Residue code of a p-integral, unit-determinant matrix mod p^K."""
-    p, n = x.p, x.n
-    m = p**K
-    entries = []
-    for row in x.entries:
-        for e in row:
-            if vp(e, p) < 0:
-                raise NotPIntegralError(f"entry {e} is not p-integral at p={p}")
-            entries.append(e.numerator * pow(e.denominator, -1, m) % m)
-    window = MatrixWindow(n, p, K)
-    code = window.encode(entries)
-    return code
+    p, m = x.p, x.p**K
+    if not x.is_p_integral():
+        raise NotPIntegralError(f"denominator {x.den} is not a unit at p={p}")
+    scale = pow(x.den, -1, m)
+    return MatrixWindow(x.n, p, K).encode([e * scale % m for row in x.rows for e in row])
 
 
 # -- exact UL factorization --------------------------------------------------
 
 
-def _reverse(mat):
-    n = len(mat)
-    return tuple(tuple(mat[n - 1 - i][n - 1 - j] for j in range(n)) for i in range(n))
-
-
 def ul_factor(y):
     """Factor y = u * l with u unit upper triangular and l lower triangular.
 
-    Exact over the rationals; raises FactorizationError on a zero pivot
-    (the Bruhat obstruction).
+    Clears the entries above the diagonal column by column from the right,
+    each column by one unit upper triangular row operation; raises
+    FactorizationError on a zero pivot (the Bruhat obstruction).
     """
-    n = len(y)
-    rev = [list(row) for row in _reverse(y)]
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    upper = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        lower[i][i] = Fraction(1)
-    for col in range(n):
-        pivot = rev[col][col]
+    n, l = y.n, y
+    u_inv = identity_matrix(n, y.p)
+    for col in range(n - 1, 0, -1):
+        pivot = l.rows[col][col]
         if pivot == 0:
             raise FactorizationError("zero pivot in UL elimination", witness=y)
-        upper[col] = list(rev[col])
-        for r in range(col + 1, n):
-            f = rev[r][col] / pivot
-            lower[r][col] = f
-            rev[r] = [e - f * x for e, x in zip(rev[r], upper[col])]
-    u = _reverse(tuple(tuple(r) for r in lower))
-    l = _reverse(tuple(tuple(r) for r in upper))
-    assert mat_mul(u, l) == tuple(tuple(row) for row in y)
+        # Row r -= (l_r,col / pivot) row col for r < col; den cancels.
+        op = tuple(
+            tuple(
+                -l.rows[r][col] if s == col and r < col else pivot * (r == s)
+                for s in range(n)
+            )
+            for r in range(n)
+        )
+        op = QMatrix(op, pivot, y.p)
+        l, u_inv = op.mul(l), op.mul(u_inv)
+    u = u_inv.inv()
+    assert u.mul(l) == y
     return u, l
 
 
@@ -523,14 +572,14 @@ def ul_factor(y):
 def con_oracle_linear(g_data, x):
     """Exact contraction-group membership for g with eigen-data `g_data`."""
     basis, vals = g_data
-    y = mat_mul(mat_mul(mat_inv(basis.entries), x.entries), basis.entries)
+    y = _coords(basis, x)
     n = len(vals)
     for r in range(n):
         for s in range(n):
             if r == s:
-                if y[r][s] != 1:
+                if y.rows[r][s] != y.den:
                     return False
-            elif vals[r] <= vals[s] and y[r][s] != 0:
+            elif vals[r] <= vals[s] and y.rows[r][s] != 0:
                 return False
     return True
 
@@ -538,7 +587,7 @@ def con_oracle_linear(g_data, x):
 def par_oracle_linear(g_data, x):
     """Exact parabolic-group membership (bounded forward orbit)."""
     basis, vals = g_data
-    y = mat_mul(mat_mul(mat_inv(basis.entries), x.entries), basis.entries)
+    y = _coords(basis, x).rows
     n = len(vals)
     return all(
         y[r][s] == 0
@@ -583,11 +632,7 @@ class LinearModel:
         return x.inv()
 
     def power(self, g, k):
-        out = self.identity
-        base = g if k >= 0 else g.inv()
-        for _ in range(abs(k)):
-            out = out.mul(base)
-        return out
+        return power(self.identity, g, k)
 
     def conjugate(self, g, x):
         return g.mul(x).mul(g.inv())
@@ -595,16 +640,16 @@ class LinearModel:
     def proximity_level(self, x):
         if x.is_identity():
             return INF_LEVEL
-        p = self.p
-        level = INF
-        for r in range(self.n):
-            for s in range(self.n):
-                e = x.entries[r][s] - (1 if r == s else 0)
-                if e:
-                    level = min(level, vp(e, p))
-        if level < 0 or vp(x.det, p) != 0:
+        if not self.in_reference(x):
             return -1
-        return int(level)
+        # x - I = (rows - den I) / den with den a p-adic unit.
+        d = x.den
+        return min(
+            _vpi(e - d * (r == s), self.p)
+            for r, row in enumerate(x.rows)
+            for s, e in enumerate(row)
+            if e != d * (r == s)
+        )
 
     # -- windows ------------------------------------------------------------
 
@@ -612,7 +657,7 @@ class LinearModel:
         return MatrixWindow(self.n, self.p, K)
 
     def in_reference(self, x):
-        return x.is_p_integral() and vp(x.det, self.p) == 0
+        return x.is_p_integral() and det(x.rows) % self.p != 0
 
     def project(self, x, K):
         if vp(x.det, self.p) != 0:
@@ -637,25 +682,24 @@ class LinearModel:
     # -- eigen data ---------------------------------------------------------
 
     def eigen_data(self, g):
-        key = g.entries
-        if key not in self._eigen_cache:
-            self._eigen_cache[key] = self._eigen_data_uncached(g)
-        return self._eigen_cache[key]
+        if g not in self._eigen_cache:
+            self._eigen_cache[g] = self._eigen_data_uncached(g)
+        return self._eigen_cache[g]
 
     def _eigen_data_uncached(self, g):
         n, p = self.n, self.p
-        if all(g.entries[r][s] == 0 for r in range(n) for s in range(n) if r != s):
+        if all(g.rows[r][s] == 0 for r in range(n) for s in range(n) if r != s):
             # Already diagonal: usable even with repeated eigenvalues, as
             # long as the valuations descend so contracting entries sit
             # above the diagonal.
-            vals = [vp(g.entries[r][r], p) for r in range(n)]
+            vals = tuple(g.val(r, r) for r in range(n))
             if all(a >= b for a, b in zip(vals, vals[1:])):
-                return identity_matrix(n, p), tuple(int(v) for v in vals)
+                return identity_matrix(n, p), vals
         return eigenbasis(g)
 
     def _integral_basis(self, g):
         basis, vals = self.eigen_data(g)
-        if not (basis.is_p_integral() and vp(basis.det, self.p) == 0):
+        if not self.in_reference(basis):
             raise UnsupportedElementError(
                 "eigenbasis is not p-integral with unit determinant; window "
                 "computations are unavailable for this element"
@@ -667,7 +711,7 @@ class LinearModel:
     def _bounded(self, x):
         """Does x lie in the reference compact open (so conjugation by x
         preserves every congruence subgroup and all orbits are bounded)?"""
-        return self.proximity_level(x) != -1
+        return self.in_reference(x)
 
     def _invariant_case(self, U, g):
         """Is U a congruence-shape subgroup fixed by conjugation by g?
@@ -679,9 +723,7 @@ class LinearModel:
             return False
         if len({e for row in U.shape for e in row}) != 1:
             return False
-        b = U.basis.entries
-        h = QMatrix(mat_mul(mat_mul(mat_inv(b), g.entries), b), self.p)
-        return self._bounded(h)
+        return self._bounded(_coords(U.basis, g))
 
     def con_oracle(self, g, x):
         if self._bounded(g):
@@ -764,10 +806,10 @@ class LinearModel:
 
     def _require_aligned(self, U, g):
         basis, vals = self.eigen_data(g)
-        if U.basis.entries != basis.entries:
-            d = mat_mul(mat_mul(mat_inv(U.basis.entries), g.entries), U.basis.entries)
-            if all(i == j or d[i][j] == 0 for i in range(self.n) for j in range(self.n)):
-                vals = tuple(vp(d[i][i], self.p) for i in range(self.n))
+        if U.basis != basis:
+            d = _coords(U.basis, g)
+            if all(i == j or d.rows[i][j] == 0 for i in range(self.n) for j in range(self.n)):
+                vals = tuple(d.val(i, i) for i in range(self.n))
                 return U.basis, vals
             raise UnsupportedElementError("subgroup basis does not diagonalize g")
         return basis, vals
@@ -824,26 +866,18 @@ class LinearModel:
             return x, self.identity
         if not U.contains(x):
             raise ValueError("split input must lie in U")
-        b = U.basis.entries
-        binv = mat_inv(b)
-        y = mat_mul(mat_mul(binv, x.entries), b)
         # Sort coordinates by descending valuation so the contracting
         # entries sit strictly above the diagonal, then factor upper*lower.
         perm = sorted(range(self.n), key=lambda r: -vals[r])
-        ys = tuple(tuple(y[perm[r]][perm[s]] for s in range(self.n)) for r in range(self.n))
-        u, low = ul_factor(ys)
-        inv_perm = [0] * self.n
-        for a, r in enumerate(perm):
-            inv_perm[r] = a
+        inv_perm = sorted(range(self.n), key=perm.__getitem__)
 
-        def unsort(m):
-            return tuple(
-                tuple(m[inv_perm[r]][inv_perm[s]] for s in range(self.n))
-                for r in range(self.n)
-            )
+        def permuted(m, order):
+            return tuple(tuple(m.rows[r][s] for s in order) for r in order), m.den
 
-        w_minus = QMatrix(mat_mul(mat_mul(b, unsort(u)), binv), self.p)
-        w_plus = QMatrix(mat_mul(mat_mul(b, unsort(low)), binv), self.p)
+        y = _coords(U.basis, x)
+        u, low = ul_factor(QMatrix(*permuted(y, perm), self.p))
+        w_minus = _from_coords(U.basis, *permuted(u, inv_perm))
+        w_plus = _from_coords(U.basis, *permuted(low, inv_perm))
         if not (parts.u_minus.contains(w_minus) and parts.u_plus.contains(w_plus)):
             raise FactorizationError(
                 "UL factors leave the tidy parts; U is not tidy above here",
@@ -859,18 +893,16 @@ class LinearModel:
         U_0 absorbs because conjugation by g fixes the tie blocks.
         """
         _, vals = self._require_aligned(U, g)
-        b = U.basis.entries
-        binv = mat_inv(b)
-        y = mat_mul(mat_mul(binv, t.entries), b)
-        n = self.n
+        y = _coords(U.basis, t)
+        n, d = self.n, y.den
         v = tuple(
             tuple(
-                y[r][s] if vals[r] == vals[s] else Fraction(int(r == s))
+                y.rows[r][s] if vals[r] == vals[s] else d * (r == s)
                 for s in range(n)
             )
             for r in range(n)
         )
-        v_elem = QMatrix(mat_mul(mat_mul(b, v), binv), self.p)
+        v_elem = _from_coords(U.basis, v, d)
         t_prime = t.mul(v_elem.inv())
         if (
             parts.u_zero.contains(v_elem)
@@ -899,14 +931,9 @@ class LinearModel:
             for s in range(n):
                 if meet[r][s] < parts.u_minus.shape[r][s]:
                     bound = int(max(0, meet[r][s]))
-                    y = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-                    y[r][s] = Fraction(self.p) ** bound
-                    b = U.basis.entries
-                    witness = QMatrix(
-                        mat_mul(mat_mul(b, tuple(tuple(row) for row in y)), mat_inv(b)),
-                        self.p,
-                    )
-                    return False, witness
+                    y = [list(row) for row in _IDENTITY[n]]
+                    y[r][s] = self.p**bound
+                    return False, _from_coords(U.basis, y)
         return True, "U_-- has closed shape form and meets U in U_-"
 
     def net_schedule(self, g, n_max):
@@ -919,8 +946,6 @@ class LinearModel:
                 "the default schedule needs a 2x2 element with distinct "
                 "eigenvalue valuations"
             )
-        b = basis.entries
-        binv = mat_inv(b)
         out = []
         for k in range(1, n_max + 1):
             shape = shape_entrywise_max(
@@ -930,11 +955,7 @@ class LinearModel:
             # One level finer than U_n's congruence depth, so that the
             # conjugate g u_n g^-1 (which loses one level) stays in U_n and
             # the two-sided construction applies at every stage.
-            y = (
-                (Fraction(1), Fraction(0)),
-                (Fraction(self.p) ** (k + 1), Fraction(1)),
-            )
-            u = QMatrix(mat_mul(mat_mul(b, y), binv), self.p)
+            u = _from_coords(basis, ((1, 0), (self.p ** (k + 1), 1)))
             out.append((k, U, u))
         return out
 
@@ -943,31 +964,24 @@ class LinearModel:
     def sample_reference(self, rng, count):
         out = []
         while len(out) < count:
-            rows = [
-                [rng.randrange(-4, 5) for _ in range(self.n)] for _ in range(self.n)
-            ]
-            m = mat_from_rows(rows)
-            d = det(m)
-            if d != 0 and vp(d, self.p) == 0:
-                out.append(QMatrix(m, self.p))
+            rows = tuple(
+                tuple(rng.randrange(-4, 5) for _ in range(self.n)) for _ in range(self.n)
+            )
+            if det(rows) % self.p != 0:
+                out.append(QMatrix(rows, 1, self.p))
         return out
 
     def sample_con_elements(self, g, rng, count):
         basis, vals = self.eigen_data(g)
-        b = basis.entries
-        binv = mat_inv(b)
         n = self.n
         out = []
         for _ in range(count):
-            y = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+            y = [list(row) for row in _IDENTITY[n]]
             for r in range(n):
                 for s in range(n):
                     if vals[r] > vals[s] and rng.random() < 0.8:
-                        y[r][s] = Fraction(
-                            rng.randrange(-3, 4) * self.p ** rng.randrange(0, 3)
-                        )
-            x = mat_mul(mat_mul(b, tuple(tuple(row) for row in y)), binv)
-            out.append(QMatrix(x, self.p))
+                        y[r][s] = rng.randrange(-3, 4) * self.p ** rng.randrange(0, 3)
+            out.append(_from_coords(basis, y))
         return out
 
     def parse_element(self, text):

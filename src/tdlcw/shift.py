@@ -22,6 +22,7 @@ from tdlcw.kernel import (
     SubgroupImage,
     UnsupportedElementError,
     VectorWindow,
+    power,
     subgroup_closure,
 )
 
@@ -320,11 +321,7 @@ class ShiftModel:
         return x.inv()
 
     def power(self, g, n):
-        out = self.identity
-        base = g if n >= 0 else g.inv()
-        for _ in range(abs(n)):
-            out = out.mul(base)
-        return out
+        return power(self.identity, g, n)
 
     def conjugate(self, g, x):
         return g.mul(x).mul(g.inv())

@@ -115,6 +115,15 @@ class TestCommands:
         assert code == 0
         assert rows[0]["replay"] and rows[0]["replay_two_sided"]
 
+    def test_conjugator_linear_n3_default_element(self, capsys):
+        # The n = 3 default is diag(4, 2, 1): distinct eigenvalues.
+        code, rows, _ = run(
+            ["conjugator", "--model", "linear", "--n", "3", "--two-sided"], capsys
+        )
+        assert code == 0
+        assert [row["params"]["g"] for row in rows] == ["4,0,0;0,2,0;0,0,1"]
+        assert all(row["pass"] for row in rows)
+
     def test_experiment_limits(self, capsys):
         code, rows, _ = run(
             ["experiment", "limits", "--model", "shift", "--n-max", "4",

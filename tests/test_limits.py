@@ -83,6 +83,18 @@ def case(request):
 
 
 class TestCertificates:
+    def test_power_is_the_repeated_product(self, case):
+        model, g, u, _, _ = case
+        for base in (g, model.mul(g, u)):
+            expected = {0: model.identity}
+            up = down = model.identity
+            for k in range(1, 31):
+                up = model.mul(up, base)
+                down = model.mul(down, model.inv(base))
+                expected[k], expected[-k] = up, down
+            for k in range(-30, 31):
+                assert model.power(base, k) == expected[k]
+
     def test_certificates_match_naive_powers(self, case):
         model, g, u, U, _ = case
         gu = model.mul(g, u)

@@ -5,10 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tdlcw.kernel import INF_LEVEL, UnsupportedElementError, det
+from tdlcw.kernel import INF_LEVEL, UnsupportedElementError, adjugate, det
 from tdlcw.linear import (
     FactorizationError,
     LinearModel,
@@ -19,8 +19,6 @@ from tdlcw.linear import (
     eigenbasis,
     identity_matrix,
     iwahori_shape,
-    mat_inv,
-    mat_mul,
     newton_valuations,
     project_matrix,
     scale_formula,
@@ -30,6 +28,23 @@ from tdlcw.linear import (
 )
 
 INF = math.inf
+
+
+def mat_mul(a, b):
+    """Reference product of Fraction matrices."""
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def mat_inv(a):
+    """Reference inverse of a Fraction matrix: adjugate over determinant."""
+    d = det(a)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(e / d for e in row) for row in adjugate(a))
 
 
 def gauss_jordan_inv(a):
@@ -61,6 +76,97 @@ def invertible_2x2():
     return st.tuples(entry, entry, entry, entry).filter(
         lambda e: e[0] * e[3] - e[1] * e[2] != 0
     ).map(lambda e: QMatrix.make([[e[0], e[1]], [e[2], e[3]]], 2))
+
+
+@st.composite
+def integer_form_cases(draw):
+    """(p, x, y, basis, shape, x_rows): invertible rational matrices for n
+    in {2, 3} and p in {2, 3}, each either generic or I + p^j M, so that
+    every proximity level and both containment verdicts occur; x_rows are
+    the Fraction entries x was made from."""
+    n = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from([2, 3]))
+
+    def matrix():
+        j = draw(st.sampled_from([None, 0, 1, 2]))
+        entry = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+        rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        if j is not None:
+            rows = [[int(r == s) + p**j * e for s, e in enumerate(row)]
+                    for r, row in enumerate(rows)]
+        assume(det(rows) != 0)
+        return QMatrix.make(rows, p), tuple(map(tuple, rows))
+
+    (x, x_rows), (y, _), (basis, _) = matrix(), matrix(), matrix()
+    bound = st.sampled_from([-INF, 0, 1, 2, INF])
+    shape = tuple(tuple(draw(bound) for _ in range(n)) for _ in range(n))
+    return p, x, y, basis, shape, x_rows
+
+
+def proximity_oracle(x, p):
+    """proximity_level by its definition on the Fraction entries."""
+    n = len(x.entries)
+    diff = [x.entries[r][s] - (r == s) for r in range(n) for s in range(n)]
+    if not any(diff):
+        return INF_LEVEL
+    level = min(vp(e, p) for e in diff if e)
+    return -1 if level < 0 or vp(det(x.entries), p) != 0 else level
+
+
+def contains_oracle(sub, x):
+    """ShapeSubgroup.contains by its definition on the Fraction entries."""
+    b = sub.basis.entries
+    y = mat_mul(mat_mul(mat_inv(b), x.entries), b)
+    if vp(det(y), sub.p) != 0:
+        return False
+    n = len(y)
+    return all(
+        sub.shape[r][s] == -INF or vp(y[r][s] - (r == s), sub.p) >= sub.shape[r][s]
+        for r in range(n)
+        for s in range(n)
+    )
+
+
+class TestIntegerForm:
+    """Integer rows over a common denominator against Fraction oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=integer_form_cases())
+    def test_arithmetic_matches_fractions(self, case):
+        p, x, y, _, _, x_rows = case
+        n = x.n
+        assert x.entries == x_rows
+        assert x.mul(y).entries == mat_mul(x.entries, y.entries)
+        assert x.inv().entries == mat_inv(x.entries)
+        assert x.det == det(x.entries)
+        one = tuple(tuple(Fraction(int(r == s)) for s in range(n)) for r in range(n))
+        assert x.is_identity() == (x.entries == one)
+        assert x.is_p_integral() == all(vp(e, p) >= 0 for row in x.entries for e in row)
+        assert LinearModel(p, n).proximity_level(x) == proximity_oracle(x, p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=integer_form_cases(), conjugate=st.booleans())
+    def test_contains_matches_valuations(self, case, conjugate):
+        p, x, _, basis, shape, _ = case
+        if conjugate:
+            # Read x in basis coordinates, so that x near I often lies in sub.
+            x = QMatrix.make(
+                mat_mul(mat_mul(basis.entries, x.entries), mat_inv(basis.entries)), p)
+        sub = ShapeSubgroup(basis, shape, validated=False)
+        assert sub.contains(x) == contains_oracle(sub, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=integer_form_cases(), scale=st.integers(-30, 30).filter(bool))
+    def test_canonical_form(self, case, scale):
+        p, x, y, _, _, _ = case
+        wide = QMatrix(tuple(tuple(scale * e for e in row) for row in x.rows),
+                       scale * x.den, p)
+        assert wide == x and hash(wide) == hash(x)
+        assert wide.rows == x.rows and wide.den == x.den > 0
+        assert QMatrix.make(x.entries, p) == x
+        assert x.mul(y).mul(y.inv()) == x
+        assert x.mul(x.inv()) == identity_matrix(x.n, p)
+        assert x.inv().mul(x).is_identity()
 
 
 class TestValuation:
@@ -159,17 +265,22 @@ class TestEigenbasis:
 
 class TestULFactor:
     @settings(max_examples=80, deadline=None)
-    @given(x=invertible_2x2())
+    @given(x=st.one_of(invertible_2x2(), invertible_3x3()))
     def test_factors_multiply_back(self, x):
+        n = x.n
         try:
-            u, low = ul_factor(x.entries)
+            u, low = ul_factor(x)
         except FactorizationError:
-            # Bruhat obstruction: the anti-diagonal pivot vanished.
-            assert x.entries[1][1] == 0
+            # Bruhat obstruction: a trailing principal minor vanished.
+            trailing = [x.entries[n - 1][n - 1]]
+            if n == 3:
+                trailing.append(det(tuple(row[1:] for row in x.entries[1:])))
+            assert 0 in trailing
             return
+        u, low = u.entries, low.entries
         assert mat_mul(u, low) == x.entries
-        assert u[0][0] == 1 and u[1][1] == 1 and u[1][0] == 0
-        assert low[0][1] == 0
+        assert all(u[r][s] == (r == s) for r in range(n) for s in range(r + 1))
+        assert all(low[r][s] == 0 for r in range(n) for s in range(r + 1, n))
 
 
 class TestShapes:
