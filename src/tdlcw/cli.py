@@ -20,10 +20,11 @@ from dataclasses import dataclass, fields
 
 from tdlcw import limits, tidy, verify
 from tdlcw.epseq import EPSeq
-from tdlcw.kernel import INF_LEVEL, UnsupportedElementError
+from tdlcw.kernel import INF_LEVEL, UnsupportedElementError, subgroup_closure
 from tdlcw.linear import (
     LinearModel,
     ShapeSubgroup,
+    congruence_shape,
     iwahori_shape,
     scale_formula,
 )
@@ -111,11 +112,9 @@ def default_g(model):
     # diag(p, 1) or diag(p^2, p, 1): distinct eigenvalues, as the
     # eigenbasis path needs.
     n = model.n
-    entries = ";".join(
+    return model.parse_element(";".join(
         ",".join(str(model.p ** (n - 1 - r) if r == s else 0) for s in range(n))
-        for r in range(n)
-    )
-    return model.parse_element(entries)
+        for r in range(n)))
 
 
 def default_subgroup(model, g=None):
@@ -146,10 +145,8 @@ def format_subgroup(model, U):
             if fin == list(range(lo, hi + 1)) and lo == -hi:
                 return f"W:{hi}"
         return f"vanish:{v.left},{fin},{v.right}"
-    return ";".join(
-        ",".join("inf" if e == INF_LEVEL else str(int(e)) for e in row)
-        for row in U.shape
-    )
+    return ";".join(",".join("inf" if e == INF_LEVEL else str(int(e)) for e in row)
+                    for row in U.shape)
 
 
 def _level(value):
@@ -182,12 +179,9 @@ def cmd_scale(cfg, args):
     for model in battery_models(cfg):
         g = _element_arg(model, args) or default_g(model)
         value = tidy.scale_index(model, g, cfg.resolution)
-        if model.name == "linear":
-            formula = scale_formula(g)
-        else:
-            # Conjugation by any shift-model element preserves the lamp
-            # group, so every element is uniscalar.
-            formula = 1
+        # Conjugation by any shift-model element preserves the lamp group,
+        # so every element is uniscalar.
+        formula = scale_formula(g) if model.name == "linear" else 1
         agree = value == formula
         rows.append({
             "experiment": "scale",
@@ -205,10 +199,8 @@ def cmd_tidy(cfg, args):
     rows = []
     for model in battery_models(cfg):
         g = _element_arg(model, args) or default_g(model)
-        if args.subgroup and cfg.model:
-            U = parse_subgroup(model, args.subgroup, g)
-        else:
-            U = default_subgroup(model, g)
+        U = (parse_subgroup(model, args.subgroup, g) if args.subgroup and cfg.model
+             else default_subgroup(model, g))
         K = cfg.resolution if cfg.resolution is not None else model.default_resolution
         row = {
             "experiment": "tidy",
@@ -275,27 +267,15 @@ def cmd_nub(cfg, args):
     for model in battery_models(cfg):
         g = _element_arg(model, args) or default_g(model)
         K = cfg.resolution if cfg.resolution is not None else model.default_resolution
+        row = {"experiment": "nub", "model": model.name,
+               "params": {"g": model.format_element(g), "resolution": K}}
         try:
             image, report = tidy.nub_compute(model, g, K)
-            rows.append({
-                "experiment": "nub",
-                "model": model.name,
-                "params": {"g": model.format_element(g), "resolution": K},
-                "order": image.order,
-                "characterizations": report,
-                "pass": True,
-            })
+            row.update({"order": image.order, "characterizations": report, "pass": True})
         except tidy.NubDisagreementError as exc:
-            rows.append({
-                "experiment": "nub",
-                "model": model.name,
-                "params": {"g": model.format_element(g), "resolution": K},
-                "order": None,
-                "characterizations": {
-                    name: im.order for name, im in exc.images.items()
-                },
-                "pass": False,
-            })
+            orders = {name: im.order for name, im in exc.images.items()}
+            row.update({"order": None, "characterizations": orders, "pass": False})
+        rows.append(row)
     return rows
 
 
@@ -303,20 +283,14 @@ def cmd_conjugator(cfg, args):
     rows = []
     for model in battery_models(cfg):
         g = _element_arg(model, args) or default_g(model)
-        U = (
-            parse_subgroup(model, args.subgroup, g)
-            if args.subgroup and cfg.model
-            else default_subgroup(model, g)
-        )
+        U = (parse_subgroup(model, args.subgroup, g) if args.subgroup and cfg.model
+             else default_subgroup(model, g))
         if args.u:
             u = model.parse_element(args.u)
         elif model.name == "shift":
             u = lamp_element(model.p, {2: 1})
         else:
-            u = model.conjugate(
-                model.eigen_data(g)[0],
-                model.parse_element(_unipotent_text(model, model.p ** 2)),
-            )
+            u = _unipotent(model, g, model.p ** 2)
         if args.two_sided:
             two = limits.conjugator_two_sided(model, g, u, U, cfg.horizon)
             trace = two.forward
@@ -344,19 +318,12 @@ def cmd_conjugator(cfg, args):
     return rows
 
 
-def _unipotent_text(model, scalar):
-    rows = []
-    for r in range(model.n):
-        row = []
-        for s in range(model.n):
-            if r == s:
-                row.append("1")
-            elif (r, s) == (model.n - 1, 0):
-                row.append(str(scalar))
-            else:
-                row.append("0")
-        rows.append(",".join(row))
-    return ";".join(rows)
+def _unipotent(model, g, scalar):
+    """I + scalar E_(n-1, 0), in the eigencoordinates of g."""
+    n = model.n
+    text = ";".join(",".join(str(scalar if (r, s) == (n - 1, 0) else int(r == s))
+                             for s in range(n)) for r in range(n))
+    return model.conjugate(model.eigen_data(g)[0], model.parse_element(text))
 
 
 def _net_limits(cfg, n_max=None):
@@ -452,9 +419,7 @@ def _check_tidy_identities(cfg, rng):
         # The tidying procedure itself: smallest k making the intersection
         # tidy above, with the failure witness at the coarser level.
         if model.name == "linear":
-            U0 = ShapeSubgroup(model.eigen_data(g)[0],
-                               tuple(tuple(0 for _ in range(model.n))
-                                     for _ in range(model.n)))
+            U0 = ShapeSubgroup(model.eigen_data(g)[0], congruence_shape(model.n, 0))
             row = {
                 "check": "tidy-identities",
                 "model": model.name,
@@ -474,13 +439,9 @@ def _check_tidy_identities(cfg, rng):
         else:
             for k in range(4):
                 U = w_subgroup(model.p, k)
-                parts = tidy.u_parts(model, U, shift_generator(model.p, 1))
-                above, _, _ = tidy.is_tidy_above(
-                    model, U, shift_generator(model.p, 1), 3, parts=parts
-                )
-                below, witness = tidy.is_tidy_below(
-                    model, U, shift_generator(model.p, 1), parts
-                )
+                parts = tidy.u_parts(model, U, g)
+                above, _, _ = tidy.is_tidy_above(model, U, g, 3, parts=parts)
+                below, witness = tidy.is_tidy_below(model, U, g, parts)
                 ok = above is True and below is False and witness is not None
                 rows.append({
                     "check": "tidy-identities",
@@ -498,14 +459,9 @@ def _check_tidy_identities(cfg, rng):
 def _nub_battery(model):
     if model.name == "shift":
         p = model.p
-        return [
-            shift_generator(p, 1),
-            shift_generator(p, -1),
-            shift_generator(p, 2),
-            shift_generator(p, 1).mul(lamp_element(p, {0: 1})),
-            lamp_element(p, {1: 1}),
-            model.identity,
-        ]
+        return [shift_generator(p, 1), shift_generator(p, -1), shift_generator(p, 2),
+                shift_generator(p, 1).mul(lamp_element(p, {0: 1})),
+                lamp_element(p, {1: 1}), model.identity]
     p = model.p
     gs = [
         model.parse_element(f"{p},0;0,1"),
@@ -553,11 +509,7 @@ def _check_transport(cfg, rng):
             u2 = lamp_element(model.p, {4: 1})
             U2 = w_subgroup(model.p, 2)
         else:
-            basis = model.eigen_data(g)[0]
-            u = model.conjugate(basis, model.parse_element(
-                _unipotent_text(model, model.p)))
-            u2 = model.conjugate(basis, model.parse_element(
-                _unipotent_text(model, model.p ** 2)))
+            u, u2 = _unipotent(model, g, model.p), _unipotent(model, g, model.p ** 2)
             U2 = U
         row = {
             "check": "transport",
@@ -588,10 +540,8 @@ def _check_transport(cfg, rng):
             "con_transport": con_report["pass"],
             "two_sided_replay": two_sided_replay,
             "nub_transport": nub_report["pass"],
-            "pass": all([
-                replay, con_report["pass"],
-                two_sided_replay, nub_report["pass"],
-            ]),
+            "pass": all([replay, con_report["pass"], two_sided_replay,
+                         nub_report["pass"]]),
         })
     return rows
 
@@ -601,11 +551,8 @@ def _check_normal_closure(cfg, rng):
     for p in ((2, 3) if cfg.model in (None, "shift") else ()):
         failures = 0
         for _ in range(100):
-            support = {
-                i: rng.randrange(1, p)
-                for i in range(-10, 11)
-                if rng.random() < 0.3
-            }
+            support = {i: rng.randrange(1, p) for i in range(-10, 11)
+                       if rng.random() < 0.3}
             b = EPSeq.from_support(p, support)
             _, ok = verify.normal_closure_witness(b)
             failures += 0 if ok else 1
@@ -655,28 +602,23 @@ def _check_tits_core(cfg, rng):
                     "model": model.name,
                     "params": {"resolution": K},
                     "order": image.order,
-                    "pass": image.elements == full.elements,
+                    "pass": image == full,
                 })
         else:
             p = model.p
-            schedule = [
-                model.parse_element(f"{p},0;0,1"),
-                model.parse_element(f"1,0;0,{p}"),
-            ]
+            schedule = [model.parse_element(f"{p},0;0,1"),
+                        model.parse_element(f"1,0;0,{p}")]
             image = verify.tits_core_image(model, 1, schedule)
             window = model.window(1)
             # SL_2(Z/p) is generated by the elementary unipotents.
-            from tdlcw.kernel import subgroup_closure
-            sl2 = subgroup_closure(window, [
-                window.encode([1, 1, 0, 1]),
-                window.encode([1, 0, 1, 1]),
-            ])
+            sl2 = subgroup_closure(
+                window, [window.encode([1, 1, 0, 1]), window.encode([1, 0, 1, 1])])
             rows.append({
                 "check": "tits-core",
                 "model": model.name,
                 "params": {"p": p, "resolution": 1},
                 "order": image.order,
-                "pass": sl2.elements <= image.elements,
+                "pass": sl2 <= image,
             })
     return rows
 

@@ -121,19 +121,21 @@ class EPSeq:
             return self
         if self.is_zero():
             return other
-        p = self.p
         lo = min(self.offset, other.offset)
         hi = max(self.end, other.end)
         ll = lcm(len(self.left), len(other.left))
         rl = lcm(len(self.right), len(other.right))
+        a, b = self._digits(lo - ll, hi + rl), other._digits(lo - ll, hi + rl)
+        s = tuple(x + y for x, y in zip(a, b))
+        return EPSeq.make(self.p, s[:ll], s[ll:ll + hi - lo], lo, s[ll + hi - lo:])
 
-        def s(i):
-            return (self.value_at(i) + other.value_at(i)) % p
-
-        left = tuple(s(lo - ll + j) for j in range(ll))
-        core = tuple(s(i) for i in range(lo, hi))
-        right = tuple(s(hi + j) for j in range(rl))
-        return EPSeq.make(p, left, core, lo, right)
+    def _digits(self, start, stop):
+        """The digits at start..stop-1, for start <= offset and stop >= end:
+        both tails repeated out from the core, then sliced."""
+        left, right = self.left, self.right
+        nl, nr = self.offset - start, stop - self.end
+        return ((left * (nl // len(left) + 1))[len(left) - nl % len(left):]
+                + self.core + (right * (nr // len(right) + 1))[:nr])
 
     def neg(self):
         return EPSeq.make(

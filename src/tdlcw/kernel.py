@@ -5,19 +5,18 @@ resolution: the additive group F_p^length for the shift model, GL_n(Z/p^K)
 for the linear model.  Elements are canonical packed-integer codes, so that
 equal elements always have identical encodings and reports are diffable.
 
-Subgroups of a window are materialized as explicit code sets
-(:class:`SubgroupImage`); everything here is immutable and pure.  Each
-window carries its own group law.  `det` and `adjugate` are written once
-for 2x2 and 3x3 matrices over any commutative ring: the matrix window
-inverts modulo p^K with them, the linear model over the rationals.
+Subgroups of a window are :class:`Image`s: an order, a membership test,
+intersection, containment, equality, projection to a coarser level, and
+their elements, built only when read.  The models describe their images
+structurally (`shift.CoordinateImage`, `linear.ShapeImage`), so the window
+questions are answered from coordinate sets and valuation shapes;
+:class:`SubgroupImage` holds an explicit element set, as the breadth-first
+`subgroup_closure` and the fallbacks between unlike images produce.  For
+subgroups A, B, T the product AB equals T exactly when A, B <= T and
+|A||B| = |T||A n B|; products are enumerated only to name a witness when
+that fails.  Each window carries its own group law.  `det` and `adjugate`
+are written once for 2x2 and 3x3 matrices over any commutative ring, and
 `power` is the one square-and-multiply used by both models.
-
-Subgroup questions are decided by group theory rather than enumeration
-wherever it is exact.  A subgroup of the abelian, exponent-p vector window
-F_p^length is the F_p-span of its generators, built one cyclic factor at a
-time; matrix windows keep breadth-first closure.  For subgroups A, B, T the
-product AB equals T exactly when A, B <= T and |A||B| = |T||A n B|;
-products are enumerated only to name a witness when that fails.
 """
 
 from __future__ import annotations
@@ -140,6 +139,17 @@ class VectorWindow:
         p = self.p
         return _pack([(-d) % p for d in _unpack(a, self.length, p)], p)
 
+    def level(self, K):
+        """The window at level K: the centred coordinates [-K, K]."""
+        if 2 * K + 1 > self.length:
+            raise ValueError("cannot project upward")
+        return VectorWindow(self.p, 2 * K + 1)
+
+    def reduce(self, code, K):
+        """Code of the level-K window's part of `code`."""
+        drop = (self.length - 1) // 2 - K
+        return code // self.p**drop % self.p ** (2 * K + 1)
+
     def encode(self, digits):
         if len(digits) != self.length:
             raise ValueError("digit vector has wrong length")
@@ -207,6 +217,19 @@ class MatrixWindow:
         dinv = pow(det(rows), -1, m)
         return _pack([e * dinv % m for row in adjugate(rows) for e in row], m)
 
+    def level(self, K):
+        """The window GL_n(Z/p^K) at level K <= this one's."""
+        if K > self.K:
+            raise ValueError("cannot project upward")
+        return MatrixWindow(self.n, self.p, K)
+
+    def reduce(self, code, K):
+        """Code of `code` mod p^K."""
+        return self.level(K).encode(self.decode(code))
+
+    def rows(self, code):
+        return self._rows(self.decode(code))
+
     def _rows(self, entries):
         n = self.n
         return [entries[i : i + n] for i in range(0, n * n, n)]
@@ -244,8 +267,64 @@ class MatrixWindow:
         return (c for c in range(total) if self.is_invertible(c))
 
 
-@dataclass(frozen=True)
-class SubgroupImage:
+class Image:
+    """A subgroup of a window group, answered from what describes it.
+
+    Subclasses give `window`, `order`, membership (`code in image`) and
+    `elements`; `_meet` gives the intersection with an image of the same
+    form, or None.  Intersection, containment and equality follow: a
+    meet of unlike forms filters the smaller image's elements through
+    membership in the other, so only that image is materialized.
+    """
+
+    def sorted_codes(self):
+        return sorted(self.elements)
+
+    def _meet(self, other):
+        return None
+
+    def __and__(self, other):
+        window = _same_window(self, other)
+        meet = self._meet(other)
+        if meet is None:
+            small, big = sorted((self, other), key=lambda im: im.order)
+            meet = SubgroupImage(window, frozenset(c for c in small.elements if c in big))
+        return meet
+
+    def __le__(self, other):
+        _same_window(self, other)
+        meet = self._meet(other)
+        if meet is not None:
+            return meet.order == self.order
+        return self.order <= other.order and all(c in other for c in self.elements)
+
+    def __eq__(self, other):
+        return (isinstance(other, Image) and self.window == other.window
+                and self.order == other.order and self <= other)
+
+    def __hash__(self):
+        return hash((self.window, self.order))
+
+    def conjugated(self, code):
+        """The image of x -> code x code^-1."""
+        w = self.window
+        c_inv = w.inv(code)
+        return SubgroupImage(w, frozenset(w.mul(w.mul(code, c), c_inv) for c in self.elements))
+
+    def project(self, K):
+        """The image at level K <= this one's, reduced code by code."""
+        w = self.window
+        return SubgroupImage(w.level(K), frozenset(w.reduce(c, K) for c in self.elements))
+
+    def is_subgroup(self):
+        """Exhaustive closure check; meant for tests and small images."""
+        w, elems = self.window, self.elements
+        return w.identity in elems and all(
+            w.inv(a) in elems and all(w.mul(a, b) in elems for b in elems) for a in elems)
+
+
+@dataclass(frozen=True, eq=False)
+class SubgroupImage(Image):
     """A subgroup of a window group, given by its full element set."""
 
     window: object
@@ -259,28 +338,8 @@ class SubgroupImage:
     def order(self):
         return len(self.elements)
 
-    def sorted_codes(self):
-        return sorted(self.elements)
-
     def __contains__(self, code):
         return code in self.elements
-
-    def __le__(self, other):
-        _same_window(self, other)
-        return self.elements <= other.elements
-
-    def is_subgroup(self):
-        """Exhaustive closure check; meant for tests and small images."""
-        w = self.window
-        if w.identity not in self.elements:
-            return False
-        for a in self.elements:
-            if w.inv(a) not in self.elements:
-                return False
-            for b in self.elements:
-                if w.mul(a, b) not in self.elements:
-                    return False
-        return True
 
 
 def _same_window(*images):
@@ -292,35 +351,17 @@ def _same_window(*images):
 
 
 def subgroup_closure(window, gens, cap=DEFAULT_CAP):
-    """Smallest subgroup of `window` containing `gens`.
+    """Smallest subgroup of `window` containing `gens`, by breadth-first
+    closure.
 
     The cap bounds the materialized subgroup, not the ambient window: a
     small subgroup of a huge window is still computable exactly.
     """
-    gens = list(gens)
-    if isinstance(window, VectorWindow):
-        return SubgroupImage(window, frozenset(_span(window, gens, cap)))
     try:
-        codes = backend.closure(window, gens, cap)
+        codes = backend.closure(window, list(gens), cap)
     except ValueError as exc:
         raise ResolutionError(str(exc), cap) from None
     return SubgroupImage(window, frozenset(codes))
-
-
-def _span(window, gens, cap):
-    """F_p-span of `gens`: each generator outside the span so far extends it
-    by the cyclic factor {c * g : 0 <= c < p}, multiplying its size by p."""
-    seen = {0}
-    for g in gens:
-        if g in seen:
-            continue
-        if len(seen) * window.p > cap:
-            raise ResolutionError(f"closure exceeded cap {cap}", cap)
-        coset = list(seen)
-        for _ in range(window.p - 1):
-            coset = [window.mul(x, g) for x in coset]
-            seen.update(coset)
-    return seen
 
 
 def product_is(a, b, t):
@@ -330,11 +371,7 @@ def product_is(a, b, t):
     |A||B| / |A n B| elements, so no product is formed.
     """
     _same_window(a, b, t)
-    return (
-        a.elements <= t.elements
-        and b.elements <= t.elements
-        and a.order * b.order == t.order * len(a.elements & b.elements)
-    )
+    return a <= t and b <= t and a.order * b.order == t.order * (a & b).order
 
 
 def product_set_equals(a, b, t):
@@ -348,20 +385,23 @@ def product_set_equals(a, b, t):
     if product_is(a, b, t):
         return True, None
     prod = backend.product_set(a.window, a.sorted_codes(), b.sorted_codes())
-    missing = sorted(t.elements - prod)
-    if missing:
-        return False, missing[0]
-    return False, sorted(prod - t.elements)[0]
+    missing = [c for c in t.elements if c not in prod]
+    return False, min(missing or (c for c in prod if c not in t))
+
+
+def first_outside(a, b):
+    """The smallest code of A outside B, or None when A <= B."""
+    return None if a <= b else min(c for c in a.elements if c not in b)
 
 
 def index(u, v):
     """[U : V] for nested subgroup images; errors with a witness otherwise."""
     _same_window(u, v)
-    if not v.elements <= u.elements:
-        raise ContainmentError(sorted(v.elements - u.elements)[0])
+    witness = first_outside(v, u)
+    if witness is not None:
+        raise ContainmentError(witness)
     return u.order // v.order
 
 
 def intersect(a, b):
-    window = _same_window(a, b)
-    return SubgroupImage(window, a.elements & b.elements)
+    return a & b

@@ -217,16 +217,11 @@ def nub_transport_check(model, g, u, U, r, K=3, cap=DEFAULT_CAP):
     gu = model.mul(g, u)
     nub_g, _ = tidy.nub_compute(model, g, K, cap=cap)
     nub_gu, _ = tidy.nub_compute(model, gu, K, cap=cap)
-    window = nub_g.window
-    rc = model.project(r, K)
-    rc_inv = window.inv(rc)
-    conjugated = frozenset(
-        window.mul(window.mul(rc, c), rc_inv) for c in nub_g.elements
-    )
-    if conjugated != nub_gu.elements:
+    conjugated = nub_g.conjugated(model.project(r, K))
+    if conjugated != nub_gu:
         raise TransportError(
             "conjugated nub image differs from nub(gu) image",
-            (sorted(conjugated), nub_gu.sorted_codes()),
+            (conjugated.sorted_codes(), nub_gu.sorted_codes()),
         )
     return {"resolution": K, "order": nub_gu.order, "pass": True}
 
@@ -278,20 +273,17 @@ class ClosedSubgroupApprox:
     def image_at(self, k):
         return self.images[k - self.min_level]
 
-    def coherent(self, model):
+    def coherent(self):
         """Images must project onto each other between adjacent levels."""
-        for k in range(self.min_level, self.top_level):
-            projected = model.project_image(self.image_at(k + 1), k)
-            if projected.elements != self.image_at(k).elements:
-                return False
-        return True
+        return all(self.image_at(k + 1).project(k) == self.image_at(k)
+                   for k in range(self.min_level, self.top_level))
 
 
 def chabauty_distance(a: ClosedSubgroupApprox, b: ClosedSubgroupApprox):
     if a.min_level != b.min_level or a.top_level != b.top_level:
         raise WindowMismatchError("approximations compare only at equal resolution")
     for k in range(a.min_level, a.top_level + 1):
-        if a.image_at(k).elements != b.image_at(k).elements:
+        if a.image_at(k) != b.image_at(k):
             return ChabautyDistance(False, k)
     return ChabautyDistance(True, a.top_level)
 
@@ -318,18 +310,35 @@ def _level_json(level):
     return "inf" if level == INF_LEVEL else level
 
 
+def _transports(model, r, a, b):
+    """r A r^-1 = B at every level of the approximations A and B."""
+    return all(a.image_at(k).conjugated(model.project(r, k)) == b.image_at(k)
+               for k in range(a.min_level, a.top_level + 1))
+
+
 def net_experiment(model, g, schedule, K, trace_horizon=None, cap=DEFAULT_CAP):
     """Instrument a shrinking schedule (n, U_n, u_n) of perturbations of g.
 
-    For each n the two-sided conjugator is built (its forward construction
-    asserts t_n in (U_n)_+), and the contraction-closure and
-    nub approximations of g u_n are compared against those of g with the
+    For each n the two-sided conjugator r is built (its forward construction
+    asserts t_n in (U_n)_+), and the contraction-closure and nub
+    approximations of g u_n are compared against those of g with the
     Chabauty instrument.  Returns one JSON-ready row per n.
+
+    The bound a row is checked against: r lies in U_n, inside the reference
+    compact open, and r = 1 mod p^m for m = level_r (its image at every
+    level k <= m is the identity).  Projection to level k is a homomorphism
+    there, so the level-k image of r H r^-1 is r_k H_k r_k^-1, which is H_k
+    for k <= m.  Hence if r closure(con g) r^-1 = closure(con g u_n), the
+    two closures agree through level m: d_con is indistinguishable or first
+    distinguishes above level_r.  The same holds for the nubs.  A row passes
+    iff the four approximations are coherent, both conjugations by r hold at
+    every level, and d_con and d_nub obey the bound.
     """
     if trace_horizon is None:
         trace_horizon = K + 4
     ref_con = con_closure_approx(model, g, K, cap)
     ref_nub = nub_approx(model, g, K, cap)
+    ref_coherent = ref_con.coherent() and ref_nub.coherent()
     rows = []
     previous_U = None
     for n, U_n, u_n in schedule:
@@ -343,8 +352,14 @@ def net_experiment(model, g, schedule, K, trace_horizon=None, cap=DEFAULT_CAP):
         except HypothesisError as exc:
             raise HypothesisError(f"schedule fails at n={n}: {exc}") from exc
         gu_n = model.mul(g, u_n)
-        d_con = chabauty_distance(ref_con, con_closure_approx(model, gu_n, K, cap))
-        d_nub = chabauty_distance(ref_nub, nub_approx(model, gu_n, K, cap))
+        con = con_closure_approx(model, gu_n, K, cap)
+        nub = nub_approx(model, gu_n, K, cap)
+        d_con, d_nub = chabauty_distance(ref_con, con), chabauty_distance(ref_nub, nub)
+        level_r = model.proximity_level(two.r)
+        ok = (ref_coherent and con.coherent() and nub.coherent()
+              and _transports(model, two.r, ref_con, con)
+              and _transports(model, two.r, ref_nub, nub)
+              and all(d.indistinguishable or d.level > level_r for d in (d_con, d_nub)))
         rows.append(
             {
                 "experiment": "net-limit",
@@ -352,10 +367,10 @@ def net_experiment(model, g, schedule, K, trace_horizon=None, cap=DEFAULT_CAP):
                 "n": n,
                 "level_u": _level_json(model.proximity_level(u_n)),
                 "level_t": _level_json(model.proximity_level(two.forward.t)),
-                "level_r": _level_json(model.proximity_level(two.r)),
+                "level_r": _level_json(level_r),
                 "d_con": d_con.as_json(),
                 "d_nub": d_nub.as_json(),
-                "pass": True,
+                "pass": ok,
             }
         )
     return rows

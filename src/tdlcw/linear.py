@@ -15,14 +15,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, permutations, product
+from operator import mul
 
 from tdlcw.kernel import (
     DEFAULT_CAP,
     INF_LEVEL,
+    Image,
     MatrixWindow,
     ResolutionError,
-    SubgroupImage,
     UnsupportedElementError,
     adjugate,
     det,
@@ -232,11 +234,7 @@ def scale_formula(g):
 
 def _rational_roots(coeffs):
     """All rational roots (with multiplicity ignored) of a rational polynomial."""
-    from math import gcd
-
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
+    denom = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()
@@ -246,22 +244,11 @@ def _rational_roots(coeffs):
 
     def divisors(m):
         m = abs(m)
-        out = set()
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.add(d)
-                out.add(m // d)
-            d += 1
-        return out
+        return {e for d in range(1, math.isqrt(m) + 1) if m % d == 0 for e in (d, m // d)}
 
-    roots = set()
-    for a in divisors(const):
-        for b in divisors(lead):
-            for cand in (Fraction(a, b), Fraction(-a, b)):
-                if sum(c * cand**i for i, c in enumerate(coeffs)) == 0:
-                    roots.add(cand)
-    return sorted(roots)
+    return sorted({cand for a in divisors(const) for b in divisors(lead)
+                   for cand in (Fraction(a, b), Fraction(-a, b))
+                   if sum(c * cand**i for i, c in enumerate(coeffs)) == 0})
 
 
 def eigenbasis(g):
@@ -327,9 +314,7 @@ def _primitive_p_vector(vec, p):
     scale = Fraction(p) ** (-int(shift)) if shift != INF else Fraction(1)
     scaled = [e * scale for e in vec]
     # Clear non-p parts of denominators for tidier bases.
-    denom = 1
-    for e in scaled:
-        denom = denom * e.denominator // math.gcd(denom, e.denominator)
+    denom = math.lcm(*(e.denominator for e in scaled))
     while denom % p == 0:
         denom //= p
     return [e * denom for e in scaled]
@@ -360,18 +345,10 @@ def shape_entrywise_max(a, b):
 
 def shape_translate(shape, vals, i):
     """Shape of f^i(U) when conjugation shifts entry (r,s) by v_r - v_s."""
-    n = len(shape)
-    out = []
-    for r in range(n):
-        row = []
-        for s in range(n):
-            e = shape[r][s]
-            if e in (INF, NEG_INF):
-                row.append(e)
-            else:
-                row.append(e + (vals[r] - vals[s]) * i)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(e if e in (INF, NEG_INF) else e + (vals[r] - vals[s]) * i
+              for s, e in enumerate(row))
+        for r, row in enumerate(shape))
 
 
 def shape_subset(inner, outer):
@@ -390,13 +367,8 @@ def iwahori_shape(n, vals=None):
     With vals given, "above" means pairs with v_r > v_s; by default the
     strict upper triangle.
     """
-    if vals is None:
-        return tuple(
-            tuple(1 if r < s else 0 for s in range(n)) for r in range(n)
-        )
-    return tuple(
-        tuple(1 if vals[r] > vals[s] else 0 for s in range(n)) for r in range(n)
-    )
+    return tuple(tuple(int(r < s if vals is None else vals[r] > vals[s])
+                       for s in range(n)) for r in range(n))
 
 
 @dataclass(frozen=True)
@@ -459,71 +431,141 @@ class ShapeSubgroup:
         return int(max([0] + finite))
 
     def image_order(self, K):
-        """|image in GL_n(Z/p^K)| in closed form where the determinant
-        condition splits; falls back to enumeration below the cap."""
-        if K == 0:
-            return 1
-        n, p = self.n, self.p
-        clamped = self._clamped(K)
-        if all(e == 0 for row in clamped for e in row):
-            return MatrixWindow(n, p, K).order
-        if _det_splits(clamped):
-            count = 1
-            for r in range(n):
-                for s in range(n):
-                    if r == s:
-                        m = clamped[r][r]
-                        count *= p ** (K - m) if m >= 1 else p**K - p ** (K - 1)
-                    else:
-                        count *= p ** (K - clamped[r][s])
-            return count
-        return len(self.window_image(K).elements)
+        """|image in GL_n(Z/p^K)|; see `_shape_order`."""
+        return _shape_order(self._clamped(K), self.p, K)
 
     def window_image(self, K, cap=DEFAULT_CAP):
         """Image of (this subgroup intersected with GL_n(Z_p)) mod p^K."""
-        n, p = self.n, self.p
-        window = MatrixWindow(n, p, K)
-        clamped = self._clamped(K)
-        total = 1
-        for r in range(n):
-            for s in range(n):
-                total *= p ** (K - clamped[r][s])
-        if total > 4 * cap:
-            raise ResolutionError(f"shape image of size ~{total}", cap)
-        m = window.modulus
-        rows = []  # every choice of each row's entries
-        for r in range(n):
-            entries = []
-            for s in range(n):
-                step = p ** clamped[r][s]
-                base = 1 if r == s else 0
-                entries.append([(base + step * t) % m for t in range(m // step)])
-            rows.append(list(product(*entries)))
-        codes = set()
-        basis_code = None
+        window = MatrixWindow(self.n, self.p, K)
+        conj = None
         if not self.basis.is_identity():
-            basis_code = project_matrix(self.basis, K)
-            basis_inv = window.inv(basis_code)
-        for matrix in product(*rows):
-            if det(matrix) % p == 0:
-                continue
-            code = window.pack(matrix)
-            if basis_code is not None:
-                code = window.mul(window.mul(basis_code, code), basis_inv)
-            codes.add(code)
-        return SubgroupImage(window, frozenset(codes))
+            b = project_matrix(self.basis, K)
+            conj = (b, window.inv(b))
+        return ShapeImage(window, self._clamped(K), conj, cap)
+
+
+@dataclass(frozen=True, eq=False)
+class ShapeImage(Image):
+    """The image mod p^K of a shape subgroup: b c b^-1 for b its basis mod
+    p^K and c over `_residues(clamped)`.  `conj` holds the codes of b and
+    b^-1, None for the identity basis.  Images in one basis meet in the
+    entrywise maximum of their shapes (see `_meet` for other bases).
+    Containment and equality compare orders, never shapes: different clamped
+    shapes can give one image (at p = 2 a level-0 diagonal entry is already
+    1 mod 2)."""
+
+    window: MatrixWindow
+    clamped: tuple
+    conj: tuple = None
+    cap: int = DEFAULT_CAP
+
+    @cached_property
+    def order(self):
+        w = self.window
+        return _shape_order(self.clamped, w.p, w.K, self.cap)
+
+    @cached_property
+    def _basis_rows(self):
+        w = self.window
+        return tuple(map(w.rows, self.conj or (w.identity,) * 2))
+
+    def _residue_in(self, y):
+        """Is the residue matrix y (in basis coordinates) one of ours?"""
+        p = self.window.p
+        return all((e - (r == s)) % p**c == 0
+                   for r, (row, bounds) in enumerate(zip(y, self.clamped))
+                   for s, (e, c) in enumerate(zip(row, bounds)))
+
+    def __contains__(self, code):
+        w = self.window
+        y = w.rows(code)
+        if self.conj:
+            b, b_inv = self._basis_rows
+            y = _mulmod(_mulmod(b_inv, y, w.modulus), b, w.modulus)
+        return self._residue_in(y)
+
+    def _meet(self, other):
+        """Structural when the bases agree, or differ by a monomial matrix
+        c = b_other^-1 b (one unit per row r, in column sigma(r)): entry
+        (r, t) of c y c^-1 - I is a unit times entry (sigma(r), sigma(t)) of
+        y - I, so our shape permuted by sigma describes us in other's basis."""
+        if not isinstance(other, ShapeImage) or other.window != self.window:
+            return None
+        a = self.clamped
+        if other.conj != self.conj:
+            c = _mulmod(other._basis_rows[1], self._basis_rows[0], self.window.modulus)
+            support = [[s for s, e in enumerate(row) if e] for row in c]
+            if any(len(cols) != 1 for cols in support):
+                return None
+            sigma = [cols[0] for cols in support]
+            a = tuple(tuple(a[sr][st] for st in sigma) for sr in sigma)
+        return ShapeImage(self.window, shape_entrywise_max(a, other.clamped), other.conj, self.cap)
+
+    def project(self, K):
+        """The image at level K <= this one's, from this image's shape and
+        basis codes reduced mod p^K."""
+        w = self.window
+        conj = self.conj and tuple(w.reduce(c, K) for c in self.conj)
+        clamped = tuple(tuple(min(e, K) for e in row) for row in self.clamped)
+        return ShapeImage(w.level(K), clamped, conj, self.cap)
+
+    def conjugated(self, code):
+        w = self.window
+        b, b_inv = self.conj or (w.identity, w.identity)
+        conj = (w.mul(code, b), w.mul(b_inv, w.inv(code)))
+        return ShapeImage(w, self.clamped, conj, self.cap)
+
+    @cached_property
+    def elements(self):
+        w = self.window
+        residues = _residues(self.clamped, w.p, w.K, self.cap)
+        if self.conj:
+            b, b_inv, m = *self._basis_rows, w.modulus
+            residues = (_mulmod(_mulmod(b, c, m), b_inv, m) for c in residues)
+        return frozenset(map(w.pack, residues))
+
+
+def _mulmod(a, b, m):
+    """The product of two matrices given as rows, reduced mod m."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row in a)
+
+
+def _residues(clamped, p, K, cap):
+    """Every residue matrix c mod p^K with c_rs = delta_rs mod p^clamped_rs
+    and a unit determinant (every one at K = 0), as a tuple of rows."""
+    total = math.prod(p ** (K - e) for row in clamped for e in row)
+    if total > 4 * cap:
+        raise ResolutionError(f"shape image of size ~{total}", cap)
+    m = p**K
+    rows = [
+        list(product(*([(int(r == s) + p**e * t) % m for t in range(p ** (K - e))]
+                       for s, e in enumerate(bounds))))
+        for r, bounds in enumerate(clamped)
+    ]
+    return (c for c in product(*rows) if not K or det(c) % p)
+
+
+def _shape_order(clamped, p, K, cap=DEFAULT_CAP):
+    """The number of `_residues(clamped)`, in closed form where the
+    determinant condition splits; otherwise they are counted, under the cap."""
+    n = len(clamped)
+    if K == 0:
+        return 1
+    if all(e == 0 for row in clamped for e in row):
+        return MatrixWindow(n, p, K).order
+    if not _det_splits(clamped):
+        return sum(1 for _ in _residues(clamped, p, K, cap))
+    return math.prod(p ** (K - e) if r != s or e >= 1 else p**K - p ** (K - 1)
+                     for r, row in enumerate(clamped) for s, e in enumerate(row))
 
 
 def _det_splits(clamped):
     """True when every non-identity permutation crosses a level>=1 entry, so
     the determinant is a unit exactly when all diagonal entries are."""
     n = len(clamped)
-    for perm in permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
-        if all(clamped[r][perm[r]] == 0 for r in range(n) if perm[r] != r):
-            return False
-    return True
+    return all(any(clamped[r][perm[r]] for r in range(n) if perm[r] != r)
+               for perm in permutations(range(n)) if perm != tuple(range(n)))
 
 
 def project_matrix(x, K):
@@ -610,9 +652,7 @@ class LinearModel:
         self.p = p
         self.n = n
         # Default checking resolution: the finest level whose full window
-        # still fits under the enumeration cap.
-        # Finest level whose full window stays cheap to enumerate; explicit
-        # K arguments may still go up to the hard cap.
+        # stays cheap to enumerate; explicit K may go up to the hard cap.
         K = 1
         while MatrixWindow(n, p, K + 1).order <= DEFAULT_CAP // 16:
             K += 1
@@ -657,21 +697,14 @@ class LinearModel:
         return MatrixWindow(self.n, self.p, K)
 
     def in_reference(self, x):
+        """Is x in GL_n(Z_p)?  Conjugation by such x preserves every
+        congruence subgroup, so all its orbits are bounded."""
         return x.is_p_integral() and det(x.rows) % self.p != 0
 
     def project(self, x, K):
         if vp(x.det, self.p) != 0:
             raise ValueError("element outside the reference compact open")
         return project_matrix(x, K)
-
-    def project_image(self, image, K):
-        src = image.window
-        if src.K < K:
-            raise ValueError("cannot project upward")
-        dst = self.window(K)
-        m = dst.modulus
-        codes = {dst.encode([e % m for e in src.decode(c)]) for c in image.elements}
-        return SubgroupImage(dst, frozenset(codes))
 
     def filtration(self, k):
         return ShapeSubgroup(self.identity, congruence_shape(self.n, k))
@@ -708,99 +741,67 @@ class LinearModel:
 
     # -- oracles ------------------------------------------------------------
 
-    def _bounded(self, x):
-        """Does x lie in the reference compact open (so conjugation by x
-        preserves every congruence subgroup and all orbits are bounded)?"""
-        return self.in_reference(x)
-
     def _invariant_case(self, U, g):
         """Is U a congruence-shape subgroup fixed by conjugation by g?
 
         Congruence subgroups are normal in the reference compact open, so
         this holds whenever g is bounded in U's coordinates.
         """
-        if not self._bounded(g):
+        if not self.in_reference(g):
             return False
         if len({e for row in U.shape for e in row}) != 1:
             return False
-        return self._bounded(_coords(U.basis, g))
+        return self.in_reference(_coords(U.basis, g))
 
     def con_oracle(self, g, x):
-        if self._bounded(g):
+        if self.in_reference(g):
             # Conjugation preserves each congruence level, so the orbit of
             # x never approaches the identity unless x is the identity.
             return x.is_identity()
         return con_oracle_linear(self.eigen_data(g), x)
 
     def par_oracle(self, g, x):
-        if self._bounded(g):
+        if self.in_reference(g):
             return True
         return par_oracle_linear(self.eigen_data(g), x)
 
-    def _oracle_shape(self, g, keep):
-        """Shape subgroup for an eigencoordinate entry pattern.
-
-        `keep(r, s)` says which off-diagonal entries range freely over Z_p;
-        every other coordinate of x - I is pinned to zero.
-        """
+    def _eigen_image(self, g, K, cap, entry):
+        """Window image of the shape subgroup in g's eigenbasis whose entry
+        (r, s) is entry(v_r, v_s) for the eigenvalue valuations v."""
         basis, vals = self._integral_basis(g)
-        n = self.n
-        shape = tuple(
-            tuple(
-                INF
-                if r == s or not keep(r, s)
-                else 0
-                for s in range(n)
-            )
-            for r in range(n)
-        )
-        return ShapeSubgroup(basis, shape, validated=False)
+        shape = tuple(tuple(entry(a, b) for b in vals) for a in vals)
+        return ShapeSubgroup(basis, shape, validated=False).window_image(K, cap)
+
+    def _trivial_image(self, K, cap):
+        return self.filtration(INF).window_image(K, cap)
 
     def con_closure_image(self, g, K, cap=DEFAULT_CAP):
-        if self._bounded(g):
-            return SubgroupImage(self.window(K))
-        _, vals = self.eigen_data(g)
-        sub = self._oracle_shape(g, lambda r, s: vals[r] > vals[s])
-        return sub.window_image(K, cap)
+        if self.in_reference(g):
+            return self._trivial_image(K, cap)
+        # The contracting entries of x - I range over Z_p, the rest are 0.
+        return self._eigen_image(g, K, cap, lambda a, b: 0 if a > b else INF)
 
     def bco_image(self, g, K, cap=DEFAULT_CAP):
         # con(g) meets par(g^-1) only in the identity: con is closed here.
-        return SubgroupImage(self.window(K))
+        return self._trivial_image(K, cap)
 
     def par_image(self, g, K, cap=DEFAULT_CAP):
         """Image of par(g^-1) intersected with the reference subgroup."""
-        if self._bounded(g):
+        if self.in_reference(g):
             return self.reference().window_image(K, cap)
-        basis, vals = self._integral_basis(g)
-        n = self.n
-        shape = tuple(
-            tuple(K if vals[r] > vals[s] else 0 for s in range(n))
-            for r in range(n)
-        )
-        return ShapeSubgroup(basis, shape, validated=False).window_image(K, cap)
+        return self._eigen_image(g, K, cap, lambda a, b: K if a > b else 0)
 
     def rbco_image(self, g, v, K, cap=DEFAULT_CAP):
-        if self._bounded(g):
+        if self.in_reference(g):
             # Conjugation fixes each congruence subgroup, so the bounded
             # returns to V = filtration(v) are exactly V itself.
             return self.filtration(v).window_image(K, cap)
-        basis, vals = self._integral_basis(g)
-        n = self.n
-        shape = tuple(
-            tuple(
-                min(v, K)
-                if r == s or vals[r] == vals[s]
-                else K
-                for s in range(n)
-            )
-            for r in range(n)
-        )
-        return ShapeSubgroup(basis, shape, validated=False).window_image(K, cap)
+        return self._eigen_image(g, K, cap, lambda a, b: min(v, K) if a == b else K)
 
     def nub_image(self, g, K, cap=DEFAULT_CAP):
-        if not self._bounded(g):
+        if not self.in_reference(g):
             self.eigen_data(g)  # raises for unsupported elements
-        return SubgroupImage(self.window(K))
+        return self._trivial_image(K, cap)
 
     # -- symbolic subgroup dynamics -----------------------------------------
 
@@ -826,37 +827,21 @@ class LinearModel:
         if self._invariant_case(U, g):
             return UParts(U, U, U, U, U)
         _, vals = self._require_aligned(U, g)
-        n = self.n
-        M = U.shape
+        n, M = self.n, U.shape
 
-        def build(entry, validated=False):
-            return ShapeSubgroup(
-                U.basis,
-                tuple(tuple(entry(r, s) for s in range(n)) for r in range(n)),
-                validated=validated,
-            )
+        def build(above, below):
+            """Entries with v_r > v_s are `above`, with v_r < v_s `below`;
+            U's own entry where the valuations tie or the bound is None."""
+            def entry(r, s):
+                a, b = vals[r], vals[s]
+                bound = above if a > b else below if a < b else None
+                return M[r][s] if bound is None else bound
+            shape = tuple(tuple(entry(r, s) for s in range(n)) for r in range(n))
+            return ShapeSubgroup(U.basis, shape, validated=False)
 
-        u_plus = build(lambda r, s: INF if vals[r] > vals[s] else M[r][s])
-        u_minus = build(lambda r, s: INF if vals[r] < vals[s] else M[r][s])
-        u_zero = build(lambda r, s: INF if vals[r] != vals[s] else M[r][s])
-
-        def mm(r, s):
-            if vals[r] > vals[s]:
-                return NEG_INF
-            if vals[r] < vals[s]:
-                return INF
-            return M[r][s]
-
-        def pp(r, s):
-            if vals[r] < vals[s]:
-                return NEG_INF
-            if vals[r] > vals[s]:
-                return INF
-            return M[r][s]
-
-        u_mm = build(mm)
-        u_pp = build(pp)
-        return UParts(u_plus, u_minus, u_zero, u_mm, u_pp)
+        # u_plus, u_minus, u_zero, u_mm, u_pp
+        return UParts(build(INF, None), build(None, INF), build(INF, INF),
+                      build(NEG_INF, INF), build(INF, NEG_INF))
 
     def split(self, x, U, g, parts):
         if self._invariant_case(U, g):
@@ -913,7 +898,7 @@ class LinearModel:
         return t, self.identity, False
 
     def tidy_candidates(self, g, K):
-        if self._bounded(g):
+        if self.in_reference(g):
             basis = self.identity
         else:
             basis, _ = self._integral_basis(g)

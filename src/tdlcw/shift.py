@@ -14,16 +14,17 @@ The filtration is B_k = W(k) = lamps vanishing on [-k, k].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from tdlcw.epseq import EPSeq
 from tdlcw.kernel import (
     DEFAULT_CAP,
     INF_LEVEL,
-    SubgroupImage,
+    Image,
+    ResolutionError,
     UnsupportedElementError,
     VectorWindow,
     power,
-    subgroup_closure,
 )
 
 
@@ -118,13 +119,9 @@ class VanishSet:
         )
 
     def __contains__(self, i):
-        if self.everything:
-            return True
-        if self.left is not None and i <= self.left:
-            return True
-        if self.right is not None and i >= self.right:
-            return True
-        return i in self.fin
+        return (self.everything or i in self.fin
+                or (self.left is not None and i <= self.left)
+                or (self.right is not None and i >= self.right))
 
     def __le__(self, other):
         """Subset test (self a subset of other)."""
@@ -139,6 +136,48 @@ class VanishSet:
         if not all(i in other for i in self.fin):
             return False
         return True
+
+
+@dataclass(frozen=True, eq=False)
+class CoordinateImage(Image):
+    """The window image of a vanish-set subgroup: the digit vectors of
+    F_p^(2K+1) that are zero off the positions `free` (position i + K holds
+    coordinate i).  The elements are built only when read, within `cap`."""
+
+    window: VectorWindow
+    free: frozenset
+    cap: int = DEFAULT_CAP
+
+    @property
+    def order(self):
+        return self.window.p ** len(self.free)
+
+    def __contains__(self, code):
+        return all(d == 0 or i in self.free for i, d in enumerate(self.window.decode(code)))
+
+    def _meet(self, other):
+        if isinstance(other, CoordinateImage):
+            return CoordinateImage(self.window, self.free & other.free, self.cap)
+        return None
+
+    def project(self, K):
+        """The image at level K <= this one's: the coordinates [-K, K]."""
+        dst = self.window.level(K)
+        drop = (self.window.length - dst.length) // 2
+        free = frozenset(i - drop for i in self.free if 0 <= i - drop < dst.length)
+        return CoordinateImage(dst, free, self.cap)
+
+    def conjugated(self, code):
+        return self  # the lamp window is abelian
+
+    @cached_property
+    def elements(self):
+        if self.order > self.cap:
+            raise ResolutionError(f"coordinate image of order {self.order}", self.cap)
+        p, codes = self.window.p, [0]
+        for i in self.free:
+            codes = [c + d * p**i for c in codes for d in range(p)]
+        return frozenset(codes)
 
 
 @dataclass(frozen=True)
@@ -170,14 +209,8 @@ class ShiftOpen:
         return a.vanishes_on(v.fin)
 
     def window_image(self, K, cap=DEFAULT_CAP):
-        window = VectorWindow(self.p, 2 * K + 1)
-        gens = []
-        for i in range(-K, K + 1):
-            if i not in self.vanish:
-                digits = [0] * (2 * K + 1)
-                digits[i + K] = 1
-                gens.append(window.encode(digits))
-        return subgroup_closure(window, gens, cap)
+        free = (i + K for i in range(-K, K + 1) if i not in self.vanish)
+        return CoordinateImage(VectorWindow(self.p, 2 * K + 1), frozenset(free), cap)
 
     def intersect(self, other):
         return ShiftOpen(self.p, self.vanish.union(other.vanish))
@@ -206,12 +239,10 @@ def con_oracle_shift(g, x):
 
 
 def nub_oracle_shift(g, K, cap=DEFAULT_CAP):
-    """Window image of nub(g): the full lamp window iff g actually shifts."""
-    p = g.p
-    if g.shift != 0:
-        return reference_open(p).window_image(K, cap)
-    window = VectorWindow(p, 2 * K + 1)
-    return SubgroupImage(window)
+    """Window image of nub(g): the full lamp window iff g actually shifts,
+    else trivial (the image of W(K))."""
+    sub = reference_open(g.p) if g.shift != 0 else w_subgroup(g.p, K)
+    return sub.window_image(K, cap)
 
 
 @dataclass(frozen=True)
@@ -227,11 +258,9 @@ class TailZeroSet:
     side: str  # "left" or "right" (which tail must vanish)
 
     def contains(self, x):
-        if x.shift != 0:
-            return False
-        if self.side == "left":
-            return x.lamp.left_tail_is_zero()
-        return x.lamp.right_tail_is_zero()
+        lamp = x.lamp
+        return x.shift == 0 and (
+            lamp.left_tail_is_zero() if self.side == "left" else lamp.right_tail_is_zero())
 
     def window_image(self, K, cap=DEFAULT_CAP):
         return reference_open(self.p).window_image(K, cap)
@@ -248,9 +277,7 @@ def _forward_union(v, step):
         pieces.append(v.right)
     if v.fin:
         lo, hi = min(v.fin), max(v.fin)
-        if set(range(lo, hi + 1)) <= set(v.fin) and hi - lo + 1 >= step:
-            pieces.append(lo)
-        elif step == 1:
+        if step == 1 or (set(range(lo, hi + 1)) <= v.fin and hi - lo + 1 >= step):
             pieces.append(lo)
         else:
             raise UnsupportedElementError("vanish set not contiguous enough for symbolic parts")
@@ -347,20 +374,6 @@ class ShiftModel:
             raise ValueError("element outside the reference compact open")
         return self.window(K).encode(list(x.lamp.window(K)))
 
-    def project_image(self, image, K):
-        """Project a SubgroupImage at some level K' >= K down to level K."""
-        src = image.window
-        K_src = (src.length - 1) // 2
-        if K_src < K:
-            raise ValueError("cannot project upward")
-        dst = self.window(K)
-        drop = K_src - K
-        codes = set()
-        for code in image.elements:
-            digits = src.decode(code)
-            codes.add(dst.encode(list(digits[drop : drop + 2 * K + 1])))
-        return SubgroupImage(dst, frozenset(codes))
-
     def filtration(self, k):
         return w_subgroup(self.p, k)
 
@@ -376,9 +389,9 @@ class ShiftModel:
         return True
 
     def con_closure_image(self, g, K, cap=DEFAULT_CAP):
-        if g.shift != 0:
-            return self.reference().window_image(K, cap)
-        return SubgroupImage(self.window(K))
+        # con(g) is dense in the lamp group when g shifts: its closure is
+        # the nub.
+        return nub_oracle_shift(g, K, cap)
 
     def bco_image(self, g, K, cap=DEFAULT_CAP):
         return self.con_closure_image(g, K, cap)

@@ -28,6 +28,7 @@ from tdlcw.kernel import (
     DEFAULT_CAP,
     INF_LEVEL,
     UnsupportedElementError,
+    first_outside,
     index,
     intersect,
     product_is,
@@ -110,9 +111,7 @@ def tidy_above_procedure(model, U, g, max_k=10, K=None, cap=DEFAULT_CAP):
         verdict, _, _ = is_tidy_above(model, V, g, K, cap)
         if verdict is True:
             return V, k
-    raise HorizonExceededError(
-        f"no tidy-above intersection within max_k={max_k}"
-    )
+    raise HorizonExceededError(f"no tidy-above intersection within max_k={max_k}")
 
 
 def is_tidy_below(model, U, g, parts=None, horizon=6, K=3, cap=DEFAULT_CAP):
@@ -133,9 +132,9 @@ def is_tidy_below(model, U, g, parts=None, horizon=6, K=3, cap=DEFAULT_CAP):
     for j in range(horizon + 1):
         shifted = model.conj_open(parts.u_minus, g, -j)
         inside = intersect(shifted.window_image(K, cap), u_img)
-        extra = inside.elements - u_minus_img.elements
-        if extra:
-            return False, sorted(extra)[0]
+        witness = first_outside(inside, u_minus_img)
+        if witness is not None:
+            return False, witness
     return INCONCLUSIVE, None
 
 
@@ -163,9 +162,9 @@ def scale_index(model, g, K=None, cap=DEFAULT_CAP):
     [U_+ : g^-1 U_+ g], whose terms are both inside U_+.
 
     K is the resolution of the tidy search (the model's default when None)
-    and of window-image indices (3 when None).  Closed-form image orders
-    are compared no coarser than both shapes resolve, so that index is
-    exact whatever K is.
+    and of window-image indices (3 when None).  Shape images are compared
+    no coarser than both shapes resolve, so that index is exact whatever K
+    is; their orders are closed-form.
     """
     U = find_tidy(model, g, K, cap=cap)
     parts = u_parts(model, U, g)
@@ -173,13 +172,9 @@ def scale_index(model, g, K=None, cap=DEFAULT_CAP):
     down = model.conj_open(up, g, -1)
     if not down <= up:
         raise ValueError("g^-1 U_+ g escapes U_+; U is not tidy (internal bug)")
-    if hasattr(up, "image_order") and hasattr(up, "finite_entry_max"):
-        level = max(K or 1, up.finite_entry_max(), down.finite_entry_max())
-        a, b = up.image_order(level), down.image_order(level)
-        if a % b:
-            raise ValueError("image orders not nested (internal bug)")
-        return a // b
-    if K is None:
+    if hasattr(up, "finite_entry_max"):
+        K = max(K or 1, up.finite_entry_max(), down.finite_entry_max())
+    elif K is None:
         K = 3
     return index(up.window_image(K, cap), down.window_image(K, cap))
 
@@ -288,7 +283,7 @@ def nub_compute(model, g, K, J=2, cap=DEFAULT_CAP):
         rbco = img if rbco is None else intersect(rbco, img)
     images["rbco"] = rbco
     reference = images["con-con"]
-    report = {name: im.elements == reference.elements for name, im in images.items()}
+    report = {name: im == reference for name, im in images.items()}
     if not all(report.values()):
         raise NubDisagreementError(images)
     return reference, report

@@ -17,14 +17,18 @@ from dataclasses import dataclass
 from tdlcw import kernel
 from tdlcw.epseq import EPSeq
 from tdlcw.kernel import DEFAULT_CAP, UnsupportedElementError, subgroup_closure
-from tdlcw.shift import ShiftElement, shift_generator
+from tdlcw.shift import CoordinateImage, ShiftElement, shift_generator
 
 
 def tits_core_image(model, K, schedule, cap=DEFAULT_CAP):
-    """Subgroup image generated by the con-closure images of the schedule."""
-    gens = set()
-    for g in schedule:
-        gens.update(model.con_closure_image(g, K, cap).elements)
+    """Subgroup image generated by the con-closure images of the schedule:
+    the union of their free coordinates when all are coordinate images,
+    else the closure of their elements."""
+    images = [model.con_closure_image(g, K, cap) for g in schedule]
+    if all(isinstance(im, CoordinateImage) for im in images):
+        free = frozenset().union(*(im.free for im in images))
+        return CoordinateImage(model.window(K), free, cap)
+    gens = set().union(*(im.elements for im in images))
     return subgroup_closure(model.window(K), sorted(gens), cap)
 
 
@@ -123,7 +127,7 @@ def quotient_anisotropy_check(q, schedule, K, cap=DEFAULT_CAP):
             # level-(K+1) image.
             lhs = model.con_closure_image(g, K, cap)
             finer = model.con_closure_image(g, K + 1, cap)
-            ok = lhs.elements == model.project_image(finer, K).elements
+            ok = lhs == finer.project(K)
         rows.append({"element": g, "pushforward": ok})
 
     tits = tits_core_image(model, K, schedule, cap)

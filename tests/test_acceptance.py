@@ -4,6 +4,7 @@ Each test here pins one externally visible guarantee of the package, at its
 stated tolerance (exact unless a runtime bound is part of the guarantee).
 """
 
+import hashlib
 import json
 import os
 import random
@@ -329,7 +330,7 @@ def test_chabauty_distance_is_an_ultrametric_on_the_battery():
         approxes.append(limits.con_closure_approx(model, g, 3))
         approxes.append(limits.nub_approx(model, g, 3))
     for a in approxes:
-        assert a.coherent(model)
+        assert a.coherent()
     for a in approxes:
         for b in approxes:
             dab = limits.chabauty_distance(a, b)
@@ -349,6 +350,10 @@ def test_chabauty_distance_is_an_ultrametric_on_the_battery():
 # -- 12: CLI determinism -----------------------------------------------------
 
 
+#: stdout digest of default-resolution `theorem-check --which all --seed 7`.
+THEOREM_CHECK_SHA256 = "f923f13f7997dd7db2704d1ba687ed133bf88ed9e9793cb1410a96387174ad82"
+
+
 def test_theorem_check_is_deterministic_and_green():
     argv = [sys.executable, "-m", "tdlcw.cli", "theorem-check", "--which", "all",
             "--seed", "7"]
@@ -360,6 +365,8 @@ def test_theorem_check_is_deterministic_and_green():
     second = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
+    digest = hashlib.sha256(first.stdout.encode("utf-8")).hexdigest()
+    assert digest == THEOREM_CHECK_SHA256
     rows = [json.loads(line) for line in first.stdout.splitlines()]
     assert rows and all(row["pass"] for row in rows)
     # Every battery contributes rows; the limits battery tags its rows with

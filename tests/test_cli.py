@@ -289,3 +289,25 @@ def test_stdout_matches_pinned_sha256(command, capsys):
     assert cli.main(command.split(" ")) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED[command]
+
+
+#: The documented parameter range: the range probe's commands (copied, not
+#: imported, from the benchmark's workloads) plus finer resolutions whose
+#: images exceed the enumeration cap and so must never be materialized.
+RANGE_COMMANDS = [
+    [command, "--model", "shift", "--p", str(p)]
+    for p in (2, 3, 5, 7) for command in ("scale", "nub")
+] + [
+    ["conjugator", "--model", "linear", "--n", "3", "--two-sided"],
+    ["nub", "--model", "shift", "--p", "3", "--resolution", "8"],
+    ["nub", "--model", "linear", "--p", "7", "--resolution", "8"],
+    ["experiment", "limits", "--resolution", "8"],
+    ["scale", "--resolution", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", RANGE_COMMANDS, ids=" ".join)
+def test_documented_range_runs_and_passes(argv, capsys):
+    code, rows, err = run(argv, capsys)
+    assert code == 0 and not err
+    assert rows and all(row["pass"] is True for row in rows)

@@ -52,6 +52,45 @@ def test_addition_is_pointwise(a, b):
         assert c.value_at(i) == (a.value_at(i) + b.value_at(i)) % 3
 
 
+@st.composite
+def unequal_tail_pairs(draw):
+    """Two sequences over one prime whose left and right tail periods
+    differ (each drawn from 1..5, then forced apart), offsets far apart."""
+    p = draw(primes)
+    digits = st.integers(0, p - 1)
+
+    def seq(left_len, right_len):
+        return EPSeq.make(
+            p,
+            tuple(draw(st.lists(digits, min_size=left_len, max_size=left_len))),
+            tuple(draw(st.lists(digits, max_size=8))),
+            draw(st.integers(-12, 12)),
+            tuple(draw(st.lists(digits, min_size=right_len, max_size=right_len))),
+        )
+
+    la, ra = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    lb = draw(st.integers(1, 5).filter(lambda n: n != la))
+    rb = draw(st.integers(1, 5).filter(lambda n: n != ra))
+    return seq(la, ra), seq(lb, rb)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=unequal_tail_pairs())
+def test_addition_matches_digitwise_oracle(pair):
+    a, b = pair
+    p = a.p
+    zero = EPSeq.zero(p)
+    for x, y in ((a, b), (b, a), (a, zero), (zero, b), (zero, zero)):
+        total = x.add(y)
+        lo = min(x.offset, y.offset) - 40
+        hi = max(x.end, y.end) + 40
+        for i in range(lo, hi):
+            assert total.value_at(i) == (x.value_at(i) + y.value_at(i)) % p
+        # The sum is canonical: rebuilding it digit by digit gives equal data.
+        assert total == padded_copy(total, 2, 3, 1, 2)
+    assert a.add(zero) == a and zero.add(b) == b
+
+
 @settings(max_examples=200, deadline=None)
 @given(seq=sequences())
 def test_negation_inverts(seq):

@@ -1,0 +1,276 @@
+"""Structural subgroup images against their materialized element sets.
+
+Every operation of the image protocol (order, membership, containment,
+equality, intersection, projection, conjugation, the product formula,
+index and the product-set witness) is compared with frozenset algebra on
+element sets built independently of the image classes: a coordinate image
+from the lamp elements of its window that its vanish-set subgroup
+contains, a shape image by testing every element of the matrix window
+with exact rational arithmetic in the subgroup's basis.
+"""
+
+import math
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tdlcw.kernel import (
+    ContainmentError,
+    MatrixWindow,
+    VectorWindow,
+    index,
+    product_is,
+    product_set_equals,
+    subgroup_closure,
+)
+from tdlcw.linear import QMatrix, ShapeSubgroup, iwahori_shape, vp
+from tdlcw.shift import ShiftOpen, VanishSet, lamp_element
+
+INF = math.inf
+
+# -- independent element sets -------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def lamp_oracle(p, K, vanish):
+    """Codes of the level-K window whose lamp (zero off [-K, K]) lies in
+    the vanish-set subgroup."""
+    window, U = VectorWindow(p, 2 * K + 1), ShiftOpen(p, vanish)
+    return frozenset(
+        c for c in range(window.order)
+        if U.contains(lamp_element(p, {i - K: d for i, d in enumerate(window.decode(c))})))
+
+
+@lru_cache(maxsize=None)
+def basis_coordinates(basis, p, K):
+    """(code, b^-1 x b as Fractions) for every x in GL_2(Z/p^K)."""
+    b = QMatrix.make(basis, p)
+    w = MatrixWindow(2, p, K)
+    out = []
+    for code in w.elements(cap=10**5):
+        e = w.decode(code)
+        y = b.inv().mul(QMatrix.make([e[:2], e[2:]], p)).mul(b)
+        out.append((code, y.entries))
+    return out
+
+
+@lru_cache(maxsize=None)
+def shape_oracle(basis, shape, p, K):
+    """Codes x of GL_2(Z/p^K) with val(y_rs - delta_rs) >= shape_rs, capped
+    to [0, K], for y = b^-1 x b: the image of the shape subgroup."""
+    def ok(y):
+        return all(vp(y[r][s] - (r == s), p) >= max(0, min(K, shape[r][s]))
+                   for r in range(2) for s in range(2))
+    return frozenset(code for code, y in basis_coordinates(basis, p, K) if ok(y))
+
+
+def materialized(image):
+    return frozenset(image.elements)
+
+
+# -- strategies ---------------------------------------------------------------
+
+#: Integral bases with unit determinant at every p, so shared and mixed
+#: bases both occur; the last two differ from the identity by monomial
+#: matrices (a permutation, a unit scaling).
+BASES = [((1, 0), (0, 1)), ((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 1), (1, 1)),
+         ((0, 1), (1, 0)), ((1, 0), (0, -1))]
+#: Largest matrix-window level per prime that keeps the oracle cheap.
+MAX_K = {2: 3, 3: 2, 5: 1, 7: 1}
+
+
+@st.composite
+def shapes(draw):
+    """Valid 2x2 shapes: diagonal >= 0 and m01 + m10 >= both diagonals."""
+    diag = st.sampled_from([0, 1, 2, INF])
+    off = st.sampled_from([-2, -1, 0, 1, 2, 3, INF])
+    m00, m11 = draw(diag), draw(diag)
+    m01 = draw(off)
+    m10 = draw(off.filter(lambda e: m01 + e >= max(m00, m11)))
+    return ((m00, m01), (m10, m11))
+
+
+@st.composite
+def shape_images(draw, count=3):
+    """`count` shape images at one (p, K), with their oracle sets."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    K = draw(st.integers(1, MAX_K[p]))
+    out = []
+    for _ in range(count):
+        basis, shape = draw(st.sampled_from(BASES)), draw(shapes())
+        image = ShapeSubgroup(QMatrix.make(basis, p), shape).window_image(K)
+        out.append((image, shape_oracle(basis, shape, p, K)))
+    return p, K, out
+
+
+@st.composite
+def vanish_sets(draw):
+    left = draw(st.none() | st.integers(-3, 1))
+    right = draw(st.none() | st.integers(-1, 3))
+    fin = draw(st.frozensets(st.integers(-3, 3)))
+    return VanishSet.make(left, fin, right)
+
+
+@st.composite
+def coordinate_images(draw, count=3):
+    """`count` coordinate images at one (p, K); one may be an explicit
+    closure of random codes instead, to exercise the mixed forms."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    K = draw(st.integers(0, 1 if p == 7 else 2))
+    window = VectorWindow(p, 2 * K + 1)
+    out = []
+    for _ in range(count):
+        if draw(st.integers(0, 3)) == 0:
+            gens = draw(st.lists(st.integers(0, window.order - 1), max_size=2))
+            image = subgroup_closure(window, gens)
+            out.append((image, frozenset(image.elements)))
+        else:
+            v = draw(vanish_sets())
+            out.append((ShiftOpen(p, v).window_image(K), lamp_oracle(p, K, v)))
+    return p, K, out
+
+
+# -- the protocol against the oracles -----------------------------------------
+
+
+def _enumerated(window, a, b, t):
+    prod = {window.mul(x, y) for x in a for y in b}
+    if prod == t:
+        return True, None
+    return False, min(t - prod) if t - prod else min(prod - t)
+
+
+def check_protocol(window, triple, coarser):
+    (a, sa), (b, sb), (t, st_) = triple
+    for image, oracle in triple:
+        assert image.order == len(oracle)
+        assert materialized(image) == oracle
+        assert image.sorted_codes() == sorted(oracle)
+    codes = sorted(sa | sb | st_ | {window.identity})
+    for code in codes:
+        assert (code in a) == (code in sa)
+        assert (code in b) == (code in sb)
+    assert (a <= b) is (sa <= sb)
+    assert (a == b) is (sa == sb)
+    assert (a & b).order == len(sa & sb)
+    assert materialized(a & b) == sa & sb
+    assert materialized(b & a) == sa & sb
+    if sb <= sa:
+        assert index(a, b) == len(sa) // len(sb)
+    else:
+        with pytest.raises(ContainmentError) as exc:
+            index(a, b)
+        assert exc.value.witness == min(sb - sa)
+    if len(sa) * len(sb) <= 40000:
+        expected = _enumerated(window, sa, sb, st_)
+        assert product_is(a, b, t) is expected[0]
+        assert product_set_equals(a, b, t) == expected
+    for k, reduce in coarser:
+        pa, pb = frozenset(map(reduce, sa)), frozenset(map(reduce, sb))
+        assert materialized(a.project(k)) == pa
+        assert (a.project(k) == b.project(k)) is (pa == pb)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape_images())
+def test_shape_images_match_materialized_sets(case):
+    p, K, triple = case
+    window = MatrixWindow(2, p, K)
+
+    def reducer(k):
+        dst = MatrixWindow(2, p, k)
+        return lambda c: dst.encode([e % p**k for e in window.decode(c)])
+
+    check_protocol(window, triple, [(k, reducer(k)) for k in range(K + 1)])
+    (a, sa), _, _ = triple
+    x = sorted(sa)[len(sa) // 2]
+    x_inv = window.inv(x)
+    for image, oracle in triple:
+        conj = {window.mul(window.mul(x, c), x_inv) for c in oracle}
+        assert materialized(image.conjugated(x)) == conj
+
+
+@settings(max_examples=80, deadline=None)
+@given(coordinate_images())
+def test_coordinate_images_match_materialized_sets(case):
+    p, K, triple = case
+    window = VectorWindow(p, 2 * K + 1)
+
+    def reducer(k):
+        dst, drop = VectorWindow(p, 2 * k + 1), K - k
+        return lambda c: dst.encode(list(window.decode(c)[drop:drop + 2 * k + 1]))
+
+    check_protocol(window, triple, [(k, reducer(k)) for k in range(K + 1)])
+    for image, oracle in triple:
+        assert materialized(image.conjugated(window.order - 1)) == oracle
+
+
+@pytest.mark.parametrize("K, order", [(1, 2), (2, 32), (3, 512)])
+def test_distinct_shapes_with_one_image_are_equal(K, order):
+    # At p = 2 a level-0 diagonal entry is already 1 mod 2, so these two
+    # shapes differ but cut out the same subgroup image: equality and
+    # containment must come from orders, never from comparing shapes.
+    basis = QMatrix.make(BASES[0], 2)
+    a = ShapeSubgroup(basis, iwahori_shape(2)).window_image(K)
+    b = ShapeSubgroup(basis, ((1, 1), (0, 1))).window_image(K)
+    assert a.clamped != b.clamped
+    assert a.order == b.order == order
+    assert a == b and a <= b and b <= a
+    assert materialized(a) == materialized(b) == shape_oracle(BASES[0], iwahori_shape(2), 2, K)
+    assert index(a, b) == 1 and product_is(a, b, a)
+
+
+def test_cross_basis_images_compare_by_elements():
+    # Conjugate images under different bases: equal as sets exactly when
+    # the oracle says so, decided without materializing the larger one.
+    p, K = 3, 2
+    u = ShapeSubgroup(QMatrix.make(BASES[1], p), ((0, 1), (1, 0))).window_image(K)
+    v = ShapeSubgroup(QMatrix.make(BASES[2], p), ((0, 1), (1, 0))).window_image(K)
+    su = shape_oracle(BASES[1], ((0, 1), (1, 0)), p, K)
+    sv = shape_oracle(BASES[2], ((0, 1), (1, 0)), p, K)
+    assert (u == v) is (su == sv)
+    assert (u <= v) is (su <= sv)
+    assert materialized(u & v) == su & sv
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_monomial_change_of_basis_stays_structural(p):
+    # The eigenbasis of diag(1, p) swaps the coordinates of diag(p, 1):
+    # images in the two bases meet by permuting the shape, with no
+    # element built, even where the images exceed the enumeration cap.
+    swap = QMatrix.make(BASES[4], p)
+    upper = ((INF, 0), (INF, INF))
+    for K in (1, 8):
+        a = ShapeSubgroup(QMatrix.make(BASES[0], p), upper, validated=False).window_image(K)
+        b = ShapeSubgroup(swap, upper, validated=False).window_image(K)
+        meet = a & b
+        assert type(meet) is type(a) and meet.order == 1
+        assert not a <= b and a != b and a <= a & a
+        assert (a & b.conjugated(b.conj[0])).order == a.order
+    a, b = a.project(1), b.project(1)
+    sa = shape_oracle(BASES[0], upper, p, 1)
+    sb = shape_oracle(BASES[4], upper, p, 1)
+    assert materialized(a & b) == sa & sb and materialized(b & a) == sa & sb
+
+
+def test_upward_projection_is_rejected():
+    image = ShiftOpen(2, VanishSet.empty()).window_image(1)
+    with pytest.raises(ValueError):
+        image.project(2)
+    shape = ShapeSubgroup(QMatrix.make(BASES[0], 2), iwahori_shape(2)).window_image(1)
+    with pytest.raises(ValueError):
+        shape.project(2)
+
+
+
+@pytest.mark.parametrize("p, K", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_non_splitting_determinant_is_counted(p, K):
+    # Both off-diagonal entries free: the determinant condition does not
+    # split, so the order is counted over the residues, not read off.
+    shape = ((1, 0), (0, 1))
+    image = ShapeSubgroup(QMatrix.make(BASES[3], p), shape, validated=False).window_image(K)
+    oracle = shape_oracle(BASES[3], shape, p, K)
+    assert image.order == len(oracle) and materialized(image) == oracle
+    assert all((c in image) == (c in oracle) for c in MatrixWindow(2, p, K).elements())

@@ -296,13 +296,26 @@ def vector_generators(draw):
     return window, draw(st.permutations(gens + extras))
 
 
+def span(window, gens):
+    """F_p-span of `gens`: each generator outside the span so far extends it
+    by the cyclic factor {c * g : 0 <= c < p}, multiplying its size by p."""
+    seen = {0}
+    for g in gens:
+        if g not in seen:
+            coset = list(seen)
+            for _ in range(window.p - 1):
+                coset = [window.mul(x, g) for x in coset]
+                seen.update(coset)
+    return frozenset(seen)
+
+
 class TestSpanClosureOracle:
     @settings(max_examples=150, deadline=None)
     @given(vector_generators())
     def test_span_matches_bfs(self, case):
         window, gens = case
         bfs = backend.closure(window, gens, DEFAULT_CAP)
-        assert subgroup_closure(window, gens).elements == frozenset(bfs)
+        assert subgroup_closure(window, gens).elements == frozenset(bfs) == span(window, gens)
 
     @settings(max_examples=100, deadline=None)
     @given(vector_generators())

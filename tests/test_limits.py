@@ -1,13 +1,14 @@
 """Conjugator construction, transports, and the convergence instruments."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from tdlcw import limits, tidy
-from tdlcw.kernel import WindowMismatchError
+from tdlcw import cli, limits, tidy
+from tdlcw.kernel import DEFAULT_CAP, SubgroupImage, WindowMismatchError
 from tdlcw.linear import LinearModel, ShapeSubgroup, iwahori_shape
 from tdlcw.shift import ShiftModel, lamp_element, shift_generator, w_subgroup
 
@@ -211,7 +212,7 @@ class TestChabauty:
     def test_distance_axioms(self, shift):
         approxes = self._approxes(shift)
         for a in approxes:
-            assert a.coherent(shift)
+            assert a.coherent()
             assert limits.chabauty_distance(a, a).indistinguishable
         for a in approxes:
             for b in approxes:
@@ -271,3 +272,46 @@ class TestNetExperiment:
         ]
         with pytest.raises(limits.HypothesisError):
             limits.net_experiment(shift, g, schedule, K=3)
+
+    def _limits_rows(self, capsys, model_name):
+        code = cli.main(["experiment", "limits", "--model", model_name, "--n-max", "3"])
+        return code, [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+    @pytest.mark.parametrize("model_cls", [ShiftModel, LinearModel])
+    def test_incoherent_con_closure_fails_every_row(self, model_cls, monkeypatch, capsys):
+        # A con-closure image wrong at level 3 only: it is not the
+        # projection of the level-4 image, so no row may pass.
+        true_image = model_cls.con_closure_image
+
+        def wrong_at_3(self, g, K, cap=DEFAULT_CAP):
+            if K == 3:
+                return SubgroupImage(self.window(K))
+            return true_image(self, g, K, cap)
+
+        monkeypatch.setattr(model_cls, "con_closure_image", wrong_at_3)
+        code, rows = self._limits_rows(capsys, model_cls.name)
+        assert code == 1
+        assert len(rows) == 3 and not any(row["pass"] for row in rows)
+
+    def test_overstated_conjugator_level_fails_every_row(self, monkeypatch, capsys):
+        # Report each conjugator r two levels closer to 1 than it is: the
+        # con-closure distance, first distinguishing at the true level_r + 1,
+        # then breaks the bound d_con <= 2^-(level_r + 1).
+        conjugators = []
+        build, true_level = limits.conjugator_two_sided, LinearModel.proximity_level
+
+        def recording(*args, **kwargs):
+            two = build(*args, **kwargs)
+            conjugators.append(two.r)
+            return two
+
+        def overstated(self, x):
+            level = true_level(self, x)
+            return level + 2 if conjugators and x == conjugators[-1] else level
+
+        monkeypatch.setattr(limits, "conjugator_two_sided", recording)
+        monkeypatch.setattr(LinearModel, "proximity_level", overstated)
+        code, rows = self._limits_rows(capsys, "linear")
+        assert code == 1
+        assert [row["level_r"] for row in rows] == [4, 5, 6]
+        assert not any(row["pass"] for row in rows)

@@ -355,8 +355,12 @@ class TestProjection:
     def test_project_image(self):
         model = LinearModel(2, 2)
         img = model.filtration(1).window_image(2)
-        down = model.project_image(img, 1)
+        down = img.project(1)
         assert down.order == 1
+        # Oracle: reduce every level-2 code mod p.
+        fine, coarse = model.window(2), model.window(1)
+        assert down.elements == {
+            coarse.encode([e % 2 for e in fine.decode(c)]) for c in img.elements}
 
 
 class TestModelOracles:

@@ -187,8 +187,12 @@ class TestModelAdapter:
         code = model.project(x, 3)
         assert model.window(3).decode(code) == (0, 0, 1, 0, 0, 1, 0)
         img = w_subgroup(2, 1).window_image(3)
-        down = model.project_image(img, 2)
+        down = img.project(2)
         assert down.elements == w_subgroup(2, 1).window_image(2).elements
+        # Oracle: slice the middle five digits of every level-3 code.
+        fine, coarse = model.window(3), model.window(2)
+        sliced = {coarse.encode(list(fine.decode(c)[1:6])) for c in img.elements}
+        assert down.elements == sliced
 
     def test_parse_format_roundtrip(self):
         model = ShiftModel(2)
