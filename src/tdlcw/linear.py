@@ -395,14 +395,22 @@ class ShapeSubgroup:
         y = _coords(self.basis, x)
         p, d = self.p, y.den
         vd = _vpi(d, p)
-        # y = rows / d, so val(y_rs - delta_rs) = val(rows_rs - d delta_rs) - val(d).
-        if _vpi(det(y.rows), p) != self.n * vd:
+        # det(y) = det(rows) / d^n is a unit iff p^(n vd) exactly divides
+        # det(rows).
+        unit = p ** (self.n * vd)
+        dt = det(y.rows)
+        if dt % unit or not dt % (unit * p):
             return False
+        # y = rows / d, so val(y_rs - delta_rs) >= bound iff
+        # p^(bound + vd) divides rows_rs - d delta_rs.
         for r, (row, bounds) in enumerate(zip(y.rows, self.shape)):
             for s, (e, bound) in enumerate(zip(row, bounds)):
                 if r == s:
                     e -= d
-                if e and bound != NEG_INF and _vpi(e, p) - vd < bound:
+                if bound == INF:
+                    if e:
+                        return False
+                elif bound != NEG_INF and bound + vd > 0 and e % p ** (bound + vd):
                     return False
         return True
 

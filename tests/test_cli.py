@@ -291,6 +291,17 @@ def test_stdout_matches_pinned_sha256(command, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED[command]
 
 
+#: stdout digest of the default `experiment limits` (the net-limit rows).
+EXPERIMENT_LIMITS_SHA256 = (
+    "16b94c5965f04708e4ae48423557d9698107b79ab934d156f6f5888cbdda292d")
+
+
+def test_experiment_limits_stdout_sha256(capsys):
+    assert cli.main(["experiment", "limits"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXPERIMENT_LIMITS_SHA256
+
+
 #: The documented parameter range: the range probe's commands (copied, not
 #: imported, from the benchmark's workloads) plus finer resolutions whose
 #: images exceed the enumeration cap and so must never be materialized.

@@ -83,18 +83,49 @@ def case(request):
     return model, g, u, U, v
 
 
+def repeated(model, b, k):
+    """b^k as the |k|-fold product of b or of b^-1, multiplied on the left:
+    the test-side power oracle."""
+    step = b if k >= 0 else model.inv(b)
+    out = model.identity
+    for _ in range(abs(k)):
+        out = model.mul(step, out)
+    return out
+
+
+class TestPowerTable:
+    def test_columns_are_repeated_products(self, case):
+        model, g, u, _, _ = case
+        gu = model.mul(g, u)
+        table = limits.PowerTable.build(model, g, u, 9)
+        for column in (table.gu, table.gu_inv, table.g, table.g_inv):
+            assert len(column) == 10
+        for k in range(10):
+            assert table.gu[k] == repeated(model, gu, k)
+            assert table.gu_inv[k] == repeated(model, gu, -k)
+            assert table.g[k] == repeated(model, g, k)
+            assert table.g_inv[k] == repeated(model, g, -k)
+
+    def test_backward_columns_are_powers_of_the_inverses(self, case):
+        model, g, u, _, _ = case
+        gu_inv, g_inv = model.inv(model.mul(g, u)), model.inv(g)
+        u_back = model.conjugate(g, model.inv(u))
+        assert model.mul(g_inv, u_back) == gu_inv
+        back = limits.PowerTable.build(model, g, u, 9).backward()
+        assert back == limits.PowerTable.build(model, g_inv, u_back, 9)
+        for k in range(10):
+            assert back.gu[k] == repeated(model, gu_inv, k)
+            assert back.gu_inv[k] == repeated(model, gu_inv, -k)
+            assert back.g[k] == repeated(model, g_inv, k)
+            assert back.g_inv[k] == repeated(model, g_inv, -k)
+
+
 class TestCertificates:
     def test_power_is_the_repeated_product(self, case):
         model, g, u, _, _ = case
         for base in (g, model.mul(g, u)):
-            expected = {0: model.identity}
-            up = down = model.identity
-            for k in range(1, 31):
-                up = model.mul(up, base)
-                down = model.mul(down, model.inv(base))
-                expected[k], expected[-k] = up, down
             for k in range(-30, 31):
-                assert model.power(base, k) == expected[k]
+                assert model.power(base, k) == repeated(model, base, k)
 
     def test_certificates_match_naive_powers(self, case):
         model, g, u, U, _ = case
@@ -102,8 +133,8 @@ class TestCertificates:
 
         def naive(x, k):
             return model.mul(
-                model.mul(model.mul(model.inv(x), model.power(gu, k)), x),
-                model.power(g, -k))
+                model.mul(model.mul(model.inv(x), repeated(model, gu, k)), x),
+                repeated(model, g, -k))
 
         trace = limits.conjugator_forward(model, g, u, U, 6)
         assert len(trace.certificates) == 7
@@ -131,6 +162,110 @@ class TestCertificates:
         certs[-2] = model.mul(certs[-2], v)
         bad = dataclasses.replace(two, certificates=certs)
         assert not bad.replay(model)
+
+    def test_replay_detects_a_changed_first_certificate(self, case):
+        model, g, u, U, v = case
+        trace = limits.conjugator_forward(model, g, u, U, 6)
+        bad = dataclasses.replace(
+            trace, certificates=(v,) + trace.certificates[1:])
+        assert not bad.replay(model)
+        two = limits.conjugator_two_sided(model, g, u, U, 5)
+        assert not dataclasses.replace(
+            two, certificates={**two.certificates, 0: v}).replay(model)
+
+    def test_induction_needs_b0_to_be_one(self, case):
+        # b'_k = c^k v g^-k obeys every step b'_{k+1} = c b'_k g^-1 and lies
+        # in U; only b'_0 = v != 1 is wrong.  (The closed-form check at k = N
+        # would also reject it, so the induction is tested alone.)
+        model, g, u, U, v = case
+        trace = limits.conjugator_forward(model, g, u, U, 6)
+        t = trace.t
+        c = model.mul(model.mul(model.inv(t), model.mul(g, u)), t)
+        shifted = {k: model.mul(model.mul(repeated(model, c, k), v),
+                                repeated(model, g, -k)) for k in range(7)}
+        assert all(U.contains(b) for b in shifted.values())
+        assert limits._induction_holds(
+            model, trace, t, dict(enumerate(trace.certificates)), (1,))
+        assert not limits._induction_holds(model, trace, t, shifted, (1,))
+        bad = dataclasses.replace(
+            trace, certificates=tuple(shifted[k] for k in range(7)))
+        assert not bad.replay(model)
+
+    def test_replay_detects_a_missing_or_extra_key(self, case):
+        model, g, u, U, _ = case
+
+        def next_certificate(x, b):
+            # The true b_{k+1} = c b_k g^-1, c = x^-1 (gu) x.
+            c = model.mul(model.mul(model.inv(x), model.mul(g, u)), x)
+            return model.mul(model.mul(c, b), model.inv(g))
+
+        trace = limits.conjugator_forward(model, g, u, U, 6)
+        certs = trace.certificates
+        b_7 = next_certificate(trace.t, certs[6])
+        assert U.contains(b_7)
+        for bad_certs in (certs[:-1], certs + (b_7,)):
+            assert not dataclasses.replace(
+                trace, certificates=bad_certs).replay(model)
+        two = limits.conjugator_two_sided(model, g, u, U, 5)
+        missing = {k: b for k, b in two.certificates.items() if k != -3}
+        extra = {**two.certificates,
+                 6: next_certificate(two.r, two.certificates[5])}
+        assert U.contains(extra[6])
+        for bad_certs in (missing, extra):
+            assert not dataclasses.replace(
+                two, certificates=bad_certs).replay(model)
+
+    def test_replay_detects_a_changed_conjugator(self, case):
+        model, g, u, U, v = case
+        trace = limits.conjugator_forward(model, g, u, U, 6)
+        assert not dataclasses.replace(
+            trace, t=model.mul(trace.t, v)).replay(model)
+        two = limits.conjugator_two_sided(model, g, u, U, 5)
+        assert not dataclasses.replace(
+            two, r=model.mul(two.r, v)).replay(model)
+
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_escape_names_the_first_failing_k(self, monkeypatch, two_sided):
+        # A split that never corrects t leaves b_k = (gu)^k g^-k, which
+        # first escapes the Iwahori subgroup at k = 3.
+        model = LinearModel(2, 2)
+        g = model.parse_element("2,0;0,1")
+        u = model.parse_element("1,0;4,1")
+        monkeypatch.setattr(LinearModel, "split",
+                            lambda self, x, U, g, parts: (x, self.identity))
+        build = limits.conjugator_two_sided if two_sided else limits.conjugator_forward
+        with pytest.raises(limits.HypothesisError, match=r"^certificate b_3 escapes U$"):
+            build(model, g, u, _iwahori(model, g), 8)
+
+    def test_two_sided_escape_checks_k_below_zero_first(self, monkeypatch):
+        # Both forward constructions succeed; the final split is replaced
+        # by w_- = ((1,8),(0,1)) ((1,0),(1,1)) in U, so r = t w_- gives
+        # certificates escaping at k = -3..-8 and at k = 1..8.  The k <= 0
+        # side is checked first, from k = 0 down.
+        model = LinearModel(2, 2)
+        g = model.parse_element("2,0;0,1")
+        u = model.parse_element("1,0;4,1")
+        U = _iwahori(model, g)
+        w = model.mul(model.parse_element("1,8;0,1"),
+                      model.parse_element("1,0;1,1"))
+        assert U.contains(w)
+        built = []
+        forward, split = limits.conjugator_forward, LinearModel.split
+
+        def counting_forward(*args, **kwargs):
+            built.append(forward(*args, **kwargs))
+            return built[-1]
+
+        def final_split(self, x, U, g, parts):
+            if len(built) == 2:
+                return w, self.identity
+            return split(self, x, U, g, parts)
+
+        monkeypatch.setattr(limits, "conjugator_forward", counting_forward)
+        monkeypatch.setattr(LinearModel, "split", final_split)
+        with pytest.raises(limits.HypothesisError, match=r"^certificate b_-3 escapes U$"):
+            limits.conjugator_two_sided(model, g, u, U, 8)
+        assert len(built) == 2
 
 
 class TestTwoSidedConjugator:

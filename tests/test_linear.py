@@ -103,6 +103,47 @@ def integer_form_cases(draw):
     return p, x, y, basis, shape, x_rows
 
 
+@st.composite
+def deep_valuation_cases(draw):
+    """(basis, x, shape) with entry, denominator and bound valuations up to
+    60, as in long conjugator traces: in basis coordinates x is
+    p^s D^-1 (I + p M) D for D = diag(p^c_r), 0 <= c_r <= 30, and p-integral
+    M with entry valuations up to 30; each bound is the valuation of the
+    entry minus 1, plus 0 or plus 1, or +-inf.  Either scalar factor p^s,
+    s != 0, breaks the unit determinant."""
+    n = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from([2, 3]))
+
+    def unit():
+        return draw(st.integers(1, 20).filter(lambda a: a % p)) * draw(
+            st.sampled_from([1, -1]))
+
+    c = [draw(st.integers(0, 30)) for _ in range(n)]
+    m = [[Fraction(unit(), unit()) * p ** draw(st.integers(0, 30))
+          if draw(st.booleans()) else 0 for _ in range(n)] for _ in range(n)]
+    s = draw(st.sampled_from([0, 0, 0, 1, -1]))
+    y = [[Fraction(p) ** s * (int(r == q) + p * m[r][q] * Fraction(p) ** (c[q] - c[r]))
+          for q in range(n)] for r in range(n)]
+    offset = st.sampled_from([-1, 0, 0, 0, 1, INF, -INF])
+
+    def bound(e):
+        off = draw(offset)
+        return off if off in (INF, -INF) else vp(e, p) + off
+
+    shape = tuple(tuple(bound(y[r][q] - (r == q)) for q in range(n))
+                  for r in range(n))
+    b = draw(st.sampled_from([None, 0, 1]))
+    if b is None:
+        basis = identity_matrix(n, p)
+    else:
+        rows = [[int(r == q) + p**b * draw(st.integers(-3, 3)) for q in range(n)]
+                for r in range(n)]
+        assume(det(rows) != 0)
+        basis = QMatrix.make(rows, p)
+    x = QMatrix.make(mat_mul(mat_mul(basis.entries, y), mat_inv(basis.entries)), p)
+    return basis, x, shape
+
+
 def proximity_oracle(x, p):
     """proximity_level by its definition on the Fraction entries."""
     n = len(x.entries)
@@ -152,6 +193,13 @@ class TestIntegerForm:
             # Read x in basis coordinates, so that x near I often lies in sub.
             x = QMatrix.make(
                 mat_mul(mat_mul(basis.entries, x.entries), mat_inv(basis.entries)), p)
+        sub = ShapeSubgroup(basis, shape, validated=False)
+        assert sub.contains(x) == contains_oracle(sub, x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=deep_valuation_cases())
+    def test_contains_matches_valuations_up_to_60(self, case):
+        basis, x, shape = case
         sub = ShapeSubgroup(basis, shape, validated=False)
         assert sub.contains(x) == contains_oracle(sub, x)
 
