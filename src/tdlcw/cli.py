@@ -60,6 +60,13 @@ class RunConfig:
     }
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # A config file may give any JSON value; only these may be unset.
+            if value is None and f.name in ("model", "resolution", "out"):
+                continue
+            if type(value) is not {"int": int, "str": str}[f.type]:
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.model not in (None, "shift", "linear"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.p not in (2, 3, 5, 7):
@@ -147,10 +154,6 @@ def format_subgroup(model, U):
         return f"vanish:{v.left},{fin},{v.right}"
     return ";".join(",".join("inf" if e == INF_LEVEL else str(int(e)) for e in row)
                     for row in U.shape)
-
-
-def _level(value):
-    return "inf" if value == INF_LEVEL else value
 
 
 def _verdict(value):
@@ -306,12 +309,12 @@ def cmd_conjugator(cfg, args):
                 "horizon": cfg.horizon,
             },
             "t": model.format_element(trace.t),
-            "level_t": _level(model.proximity_level(trace.t)),
+            "level_t": limits.level_json(model.proximity_level(trace.t)),
             "replay": trace.replay(model),
         }
         if args.two_sided:
             row["r"] = model.format_element(two.r)
-            row["level_r"] = _level(model.proximity_level(two.r))
+            row["level_r"] = limits.level_json(model.proximity_level(two.r))
             row["replay_two_sided"] = two.replay(model)
         row["pass"] = row["replay"] and row.get("replay_two_sided", True)
         rows.append(row)
@@ -529,7 +532,7 @@ def _check_transport(cfg, rng):
             )
             two = limits.conjugator_two_sided(
                 model, g, u2, U2, min(cfg.horizon, 10))
-            nub_report = limits.nub_transport_check(model, g, u2, U2, two.r, K=3)
+            nub_report = limits.nub_transport_check(model, g, u2, U2, two.r)
         except ROW_ERRORS as exc:
             _failed(row, model, exc)
             continue

@@ -17,6 +17,12 @@ subgroups A, B, T the product AB equals T exactly when A, B <= T and
 that fails.  Each window carries its own group law.  `det` and `adjugate`
 are written once for 2x2 and 3x3 matrices over any commutative ring, and
 `power` is the one square-and-multiply used by both models.
+
+Enumeration is bounded by one constant, `DEFAULT_CAP`: anything that would
+materialize more elements raises :class:`ResolutionError` instead.  Only
+this layer takes the bound as a parameter (`VectorWindow.elements`,
+`MatrixWindow.elements`, `subgroup_closure` and `backend.closure`), so that
+tests can set it small; every layer above uses the constant.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from tdlcw import backend
 #: Sentinel for "inside every filtration level", i.e. the identity.
 INF_LEVEL = math.inf
 
-#: Default cap on full-window materialization (spec'd loud-failure bound).
+#: The one bound on enumeration: materializing more elements raises
+#: ResolutionError.
 DEFAULT_CAP = 2**16
 
 
@@ -402,6 +409,3 @@ def index(u, v):
         raise ContainmentError(witness)
     return u.order // v.order
 
-
-def intersect(a, b):
-    return a & b

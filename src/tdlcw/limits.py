@@ -38,11 +38,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tdlcw import tidy
-from tdlcw.kernel import (
-    DEFAULT_CAP,
-    INF_LEVEL,
-    WindowMismatchError,
-)
+from tdlcw.kernel import INF_LEVEL, WindowMismatchError
+
+#: Resolution K and horizon N at which transported contraction-group
+#: samples are certified, and resolution of the nub transport.
+TRANSPORT_K = 3
+TRANSPORT_N = 10
 
 
 class HypothesisError(ValueError):
@@ -163,7 +164,7 @@ class TwoSidedTrace:
         return _replay(model, self, self.r, self.certificates, (1, -1))
 
 
-def conjugator_forward(model, g, u, U, N, parts=None, check_tidy=True, powers=None):
+def conjugator_forward(model, g, u, U, N, parts=None, powers=None):
     """Stage-N conjugator for the perturbation g -> gu, with certificates.
 
     `powers` is the `PowerTable` of (g, u) through N, built here when None.
@@ -172,11 +173,9 @@ def conjugator_forward(model, g, u, U, N, parts=None, check_tidy=True, powers=No
         raise HypothesisError("u must lie in U")
     if parts is None:
         parts = tidy.u_parts(model, U, g)
-    if check_tidy:
-        verdict, k, _ = tidy.is_tidy_above(
-            model, U, g, max(model.min_level, 1), parts=parts)
-        if verdict is not True:
-            raise HypothesisError(f"U is not tidy above for g (level {k})")
+    verdict, k, _ = tidy.is_tidy_above(model, U, g, max(model.min_level, 1), parts)
+    if verdict is not True:
+        raise HypothesisError(f"U is not tidy above for g (level {k})")
     if powers is None:
         powers = PowerTable.build(model, g, u, N)
     t = model.identity
@@ -205,7 +204,7 @@ def adjust_to_contraction(model, t, U, g, parts=None):
     return model.adjust_to_contraction(t, U, g, parts)
 
 
-def conjugator_two_sided(model, g, u, U, N, check_tidy=True):
+def conjugator_two_sided(model, g, u, U, N):
     """Conjugator r with certificates on both sides of the horizon.
 
     Requires u in U and in g^-1 U g.  Runs the forward construction for
@@ -220,11 +219,9 @@ def conjugator_two_sided(model, g, u, U, N, check_tidy=True):
     u_back = model.conjugate(g, model.inv(u))
     parts = tidy.u_parts(model, U, g)
     powers = PowerTable.build(model, g, u, N)
-    forward = conjugator_forward(
-        model, g, u, U, N, parts, check_tidy=check_tidy, powers=powers)
+    forward = conjugator_forward(model, g, u, U, N, parts, powers)
     s = conjugator_forward(
-        model, model.inv(g), u_back, U, N, check_tidy=check_tidy,
-        powers=powers.backward()).t
+        model, model.inv(g), u_back, U, N, powers=powers.backward()).t
     t = forward.t
     w_minus, _w_plus = model.split(model.mul(model.inv(t), s), U, g, parts)
     r = model.mul(t, w_minus)
@@ -236,50 +233,54 @@ def conjugator_two_sided(model, g, u, U, N, check_tidy=True):
     return TwoSidedTrace(model.name, g, u, U, N, forward, r, certs)
 
 
-def _transported_member(model, h, x, K, N):
-    """Is x in con(h), exactly or at resolution K over horizon N?"""
+def _transported_member(model, h, x):
+    """Is x in con(h), exactly or at resolution TRANSPORT_K over horizon
+    TRANSPORT_N?"""
+    K, N = TRANSPORT_K, TRANSPORT_N
     verdict = tidy.con_membership(model, h, x, K, N)
     if verdict is True:
         return True
     return tidy.trajectory_contracts(model, h, x, K, N)
 
 
-def con_transport_check(model, g, u, U, t, rng, samples=50, K=3, N=10):
+def con_transport_check(model, g, u, U, t, rng, samples=50):
     """Transport of contraction groups along t: samples of con(g) conjugated
     by t must land in con(gu), and vice versa.
 
-    Membership on the target side is certified at resolution K over horizon
-    N (exact where the model oracle applies); a failure raises
-    TransportError with the counterexample.
+    Membership on the target side is certified at resolution TRANSPORT_K
+    over horizon TRANSPORT_N (exact where the model oracle applies); a
+    failure raises TransportError with the counterexample.
     """
     gu = model.mul(g, u)
     t_inv = model.inv(t)
     checked = 0
     for c in model.sample_con_elements(g, rng, samples):
         x = model.mul(model.mul(t, c), t_inv)
-        if not _transported_member(model, gu, x, K, N):
+        if not _transported_member(model, gu, x):
             raise TransportError("t con(g) t^-1 sample escapes con(gu)", c)
         checked += 1
     for c in model.sample_con_elements(gu, rng, samples):
         x = model.mul(model.mul(t_inv, c), t)
-        if not _transported_member(model, g, x, K, N):
+        if not _transported_member(model, g, x):
             raise TransportError("t^-1 con(gu) t sample escapes con(g)", c)
         checked += 1
-    return {"samples": checked, "resolution": K, "horizon": N, "pass": True}
+    return {"samples": checked, "resolution": TRANSPORT_K, "horizon": TRANSPORT_N,
+            "pass": True}
 
 
-def nub_transport_check(model, g, u, U, r, K=3, cap=DEFAULT_CAP):
-    """Window-image equality of r nub(g) r^-1 and nub(gu) at resolution K."""
+def nub_transport_check(model, g, u, U, r):
+    """Window-image equality of r nub(g) r^-1 and nub(gu) at resolution
+    TRANSPORT_K."""
     gu = model.mul(g, u)
-    nub_g, _ = tidy.nub_compute(model, g, K, cap=cap)
-    nub_gu, _ = tidy.nub_compute(model, gu, K, cap=cap)
-    conjugated = nub_g.conjugated(model.project(r, K))
+    nub_g, _ = tidy.nub_compute(model, g, TRANSPORT_K)
+    nub_gu, _ = tidy.nub_compute(model, gu, TRANSPORT_K)
+    conjugated = nub_g.conjugated(model.project(r, TRANSPORT_K))
     if conjugated != nub_gu:
         raise TransportError(
             "conjugated nub image differs from nub(gu) image",
             (conjugated.sorted_codes(), nub_gu.sorted_codes()),
         )
-    return {"resolution": K, "order": nub_gu.order, "pass": True}
+    return {"resolution": TRANSPORT_K, "order": nub_gu.order, "pass": True}
 
 
 # -- Chabauty instrumentation ------------------------------------------------
@@ -304,23 +305,19 @@ class ChabautyDistance:
             return f"indist@{self.level}"
         return {"num": 1, "log2_denom": self.level}
 
-    def __le__(self, other):
-        return self.value <= other.value
-
 
 @dataclass(frozen=True)
 class ClosedSubgroupApprox:
     """Per-level window images of a closed subgroup of the reference
     compact open; the finite-resolution stand-in for a Chabauty point."""
 
-    label: str
     min_level: int
     images: tuple
 
     @classmethod
-    def build(cls, model, label, image_fn, K):
+    def build(cls, model, image_fn, K):
         images = tuple(image_fn(k) for k in range(model.min_level, K + 1))
-        return cls(label, model.min_level, images)
+        return cls(model.min_level, images)
 
     @property
     def top_level(self):
@@ -344,25 +341,18 @@ def chabauty_distance(a: ClosedSubgroupApprox, b: ClosedSubgroupApprox):
     return ChabautyDistance(True, a.top_level)
 
 
-def con_closure_approx(model, g, K, cap=DEFAULT_CAP, label=None):
-    return ClosedSubgroupApprox.build(
-        model,
-        label or "con-closure",
-        lambda k: model.con_closure_image(g, k, cap),
-        K,
-    )
+def con_closure_approx(model, g, K):
+    return ClosedSubgroupApprox.build(model, lambda k: model.con_closure_image(g, k), K)
 
 
-def nub_approx(model, g, K, cap=DEFAULT_CAP, label=None):
-    return ClosedSubgroupApprox.build(
-        model, label or "nub", lambda k: model.nub_image(g, k, cap), K
-    )
+def nub_approx(model, g, K):
+    return ClosedSubgroupApprox.build(model, lambda k: model.nub_image(g, k), K)
 
 
 # -- the convergence experiment ----------------------------------------------
 
 
-def _level_json(level):
+def level_json(level):
     return "inf" if level == INF_LEVEL else level
 
 
@@ -372,13 +362,14 @@ def _transports(model, r, a, b):
                for k in range(a.min_level, a.top_level + 1))
 
 
-def net_experiment(model, g, schedule, K, trace_horizon=None, cap=DEFAULT_CAP):
+def net_experiment(model, g, schedule, K):
     """Instrument a shrinking schedule (n, U_n, u_n) of perturbations of g.
 
-    For each n the two-sided conjugator r is built (its forward construction
-    asserts t_n in (U_n)_+), and the contraction-closure and nub
-    approximations of g u_n are compared against those of g with the
-    Chabauty instrument.  Returns one JSON-ready row per n.
+    For each n the two-sided conjugator r is built through horizon K + 4
+    (its forward construction asserts t_n in (U_n)_+), and the
+    contraction-closure and nub approximations of g u_n are compared against
+    those of g with the Chabauty instrument.  Returns one JSON-ready row per
+    n.
 
     The bound a row is checked against: r lies in U_n, inside the reference
     compact open, and r = 1 mod p^m for m = level_r (its image at every
@@ -390,10 +381,8 @@ def net_experiment(model, g, schedule, K, trace_horizon=None, cap=DEFAULT_CAP):
     iff the four approximations are coherent, both conjugations by r hold at
     every level, and d_con and d_nub obey the bound.
     """
-    if trace_horizon is None:
-        trace_horizon = K + 4
-    ref_con = con_closure_approx(model, g, K, cap)
-    ref_nub = nub_approx(model, g, K, cap)
+    ref_con = con_closure_approx(model, g, K)
+    ref_nub = nub_approx(model, g, K)
     ref_coherent = ref_con.coherent() and ref_nub.coherent()
     rows = []
     previous_U = None
@@ -404,12 +393,12 @@ def net_experiment(model, g, schedule, K, trace_horizon=None, cap=DEFAULT_CAP):
         if not U_n.contains(u_n):
             raise HypothesisError(f"u_{n} outside U_{n}")
         try:
-            two = conjugator_two_sided(model, g, u_n, U_n, trace_horizon)
+            two = conjugator_two_sided(model, g, u_n, U_n, K + 4)
         except HypothesisError as exc:
             raise HypothesisError(f"schedule fails at n={n}: {exc}") from exc
         gu_n = model.mul(g, u_n)
-        con = con_closure_approx(model, gu_n, K, cap)
-        nub = nub_approx(model, gu_n, K, cap)
+        con = con_closure_approx(model, gu_n, K)
+        nub = nub_approx(model, gu_n, K)
         d_con, d_nub = chabauty_distance(ref_con, con), chabauty_distance(ref_nub, nub)
         level_r = model.proximity_level(two.r)
         ok = (ref_coherent and con.coherent() and nub.coherent()
@@ -421,9 +410,9 @@ def net_experiment(model, g, schedule, K, trace_horizon=None, cap=DEFAULT_CAP):
                 "experiment": "net-limit",
                 "model": model.name,
                 "n": n,
-                "level_u": _level_json(model.proximity_level(u_n)),
-                "level_t": _level_json(model.proximity_level(two.forward.t)),
-                "level_r": _level_json(level_r),
+                "level_u": level_json(model.proximity_level(u_n)),
+                "level_t": level_json(model.proximity_level(two.forward.t)),
+                "level_r": level_json(level_r),
                 "d_con": d_con.as_json(),
                 "d_nub": d_nub.as_json(),
                 "pass": ok,

@@ -438,18 +438,14 @@ class ShapeSubgroup:
         finite = [e for row in self.shape for e in row if e not in (INF, NEG_INF)]
         return int(max([0] + finite))
 
-    def image_order(self, K):
-        """|image in GL_n(Z/p^K)|; see `_shape_order`."""
-        return _shape_order(self._clamped(K), self.p, K)
-
-    def window_image(self, K, cap=DEFAULT_CAP):
+    def window_image(self, K):
         """Image of (this subgroup intersected with GL_n(Z_p)) mod p^K."""
         window = MatrixWindow(self.n, self.p, K)
         conj = None
         if not self.basis.is_identity():
             b = project_matrix(self.basis, K)
             conj = (b, window.inv(b))
-        return ShapeImage(window, self._clamped(K), conj, cap)
+        return ShapeImage(window, self._clamped(K), conj)
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,12 +461,11 @@ class ShapeImage(Image):
     window: MatrixWindow
     clamped: tuple
     conj: tuple = None
-    cap: int = DEFAULT_CAP
 
     @cached_property
     def order(self):
         w = self.window
-        return _shape_order(self.clamped, w.p, w.K, self.cap)
+        return _shape_order(self.clamped, w.p, w.K)
 
     @cached_property
     def _basis_rows(self):
@@ -507,7 +502,7 @@ class ShapeImage(Image):
                 return None
             sigma = [cols[0] for cols in support]
             a = tuple(tuple(a[sr][st] for st in sigma) for sr in sigma)
-        return ShapeImage(self.window, shape_entrywise_max(a, other.clamped), other.conj, self.cap)
+        return ShapeImage(self.window, shape_entrywise_max(a, other.clamped), other.conj)
 
     def project(self, K):
         """The image at level K <= this one's, from this image's shape and
@@ -515,18 +510,18 @@ class ShapeImage(Image):
         w = self.window
         conj = self.conj and tuple(w.reduce(c, K) for c in self.conj)
         clamped = tuple(tuple(min(e, K) for e in row) for row in self.clamped)
-        return ShapeImage(w.level(K), clamped, conj, self.cap)
+        return ShapeImage(w.level(K), clamped, conj)
 
     def conjugated(self, code):
         w = self.window
         b, b_inv = self.conj or (w.identity, w.identity)
         conj = (w.mul(code, b), w.mul(b_inv, w.inv(code)))
-        return ShapeImage(w, self.clamped, conj, self.cap)
+        return ShapeImage(w, self.clamped, conj)
 
     @cached_property
     def elements(self):
         w = self.window
-        residues = _residues(self.clamped, w.p, w.K, self.cap)
+        residues = _residues(self.clamped, w.p, w.K)
         if self.conj:
             b, b_inv, m = *self._basis_rows, w.modulus
             residues = (_mulmod(_mulmod(b, c, m), b_inv, m) for c in residues)
@@ -539,12 +534,12 @@ def _mulmod(a, b, m):
     return tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row in a)
 
 
-def _residues(clamped, p, K, cap):
+def _residues(clamped, p, K):
     """Every residue matrix c mod p^K with c_rs = delta_rs mod p^clamped_rs
     and a unit determinant (every one at K = 0), as a tuple of rows."""
     total = math.prod(p ** (K - e) for row in clamped for e in row)
-    if total > 4 * cap:
-        raise ResolutionError(f"shape image of size ~{total}", cap)
+    if total > 4 * DEFAULT_CAP:
+        raise ResolutionError(f"shape image of size ~{total}", DEFAULT_CAP)
     m = p**K
     rows = [
         list(product(*([(int(r == s) + p**e * t) % m for t in range(p ** (K - e))]
@@ -554,7 +549,7 @@ def _residues(clamped, p, K, cap):
     return (c for c in product(*rows) if not K or det(c) % p)
 
 
-def _shape_order(clamped, p, K, cap=DEFAULT_CAP):
+def _shape_order(clamped, p, K):
     """The number of `_residues(clamped)`, in closed form where the
     determinant condition splits; otherwise they are counted, under the cap."""
     n = len(clamped)
@@ -563,7 +558,7 @@ def _shape_order(clamped, p, K, cap=DEFAULT_CAP):
     if all(e == 0 for row in clamped for e in row):
         return MatrixWindow(n, p, K).order
     if not _det_splits(clamped):
-        return sum(1 for _ in _residues(clamped, p, K, cap))
+        return sum(1 for _ in _residues(clamped, p, K))
     return math.prod(p ** (K - e) if r != s or e >= 1 else p**K - p ** (K - 1)
                      for r, row in enumerate(clamped) for s, e in enumerate(row))
 
@@ -773,43 +768,43 @@ class LinearModel:
             return True
         return par_oracle_linear(self.eigen_data(g), x)
 
-    def _eigen_image(self, g, K, cap, entry):
+    def _eigen_image(self, g, K, entry):
         """Window image of the shape subgroup in g's eigenbasis whose entry
         (r, s) is entry(v_r, v_s) for the eigenvalue valuations v."""
         basis, vals = self._integral_basis(g)
         shape = tuple(tuple(entry(a, b) for b in vals) for a in vals)
-        return ShapeSubgroup(basis, shape, validated=False).window_image(K, cap)
+        return ShapeSubgroup(basis, shape, validated=False).window_image(K)
 
-    def _trivial_image(self, K, cap):
-        return self.filtration(INF).window_image(K, cap)
+    def _trivial_image(self, K):
+        return self.filtration(INF).window_image(K)
 
-    def con_closure_image(self, g, K, cap=DEFAULT_CAP):
+    def con_closure_image(self, g, K):
         if self.in_reference(g):
-            return self._trivial_image(K, cap)
+            return self._trivial_image(K)
         # The contracting entries of x - I range over Z_p, the rest are 0.
-        return self._eigen_image(g, K, cap, lambda a, b: 0 if a > b else INF)
+        return self._eigen_image(g, K, lambda a, b: 0 if a > b else INF)
 
-    def bco_image(self, g, K, cap=DEFAULT_CAP):
+    def bco_image(self, g, K):
         # con(g) meets par(g^-1) only in the identity: con is closed here.
-        return self._trivial_image(K, cap)
+        return self._trivial_image(K)
 
-    def par_image(self, g, K, cap=DEFAULT_CAP):
+    def par_image(self, g, K):
         """Image of par(g^-1) intersected with the reference subgroup."""
         if self.in_reference(g):
-            return self.reference().window_image(K, cap)
-        return self._eigen_image(g, K, cap, lambda a, b: K if a > b else 0)
+            return self.reference().window_image(K)
+        return self._eigen_image(g, K, lambda a, b: K if a > b else 0)
 
-    def rbco_image(self, g, v, K, cap=DEFAULT_CAP):
+    def rbco_image(self, g, v, K):
         if self.in_reference(g):
             # Conjugation fixes each congruence subgroup, so the bounded
             # returns to V = filtration(v) are exactly V itself.
-            return self.filtration(v).window_image(K, cap)
-        return self._eigen_image(g, K, cap, lambda a, b: min(v, K) if a == b else K)
+            return self.filtration(v).window_image(K)
+        return self._eigen_image(g, K, lambda a, b: min(v, K) if a == b else K)
 
-    def nub_image(self, g, K, cap=DEFAULT_CAP):
+    def nub_image(self, g, K):
         if not self.in_reference(g):
             self.eigen_data(g)  # raises for unsupported elements
-        return self._trivial_image(K, cap)
+        return self._trivial_image(K)
 
     # -- symbolic subgroup dynamics -----------------------------------------
 

@@ -142,11 +142,11 @@ class VanishSet:
 class CoordinateImage(Image):
     """The window image of a vanish-set subgroup: the digit vectors of
     F_p^(2K+1) that are zero off the positions `free` (position i + K holds
-    coordinate i).  The elements are built only when read, within `cap`."""
+    coordinate i).  The elements are built only when read, within
+    `DEFAULT_CAP`."""
 
     window: VectorWindow
     free: frozenset
-    cap: int = DEFAULT_CAP
 
     @property
     def order(self):
@@ -157,7 +157,7 @@ class CoordinateImage(Image):
 
     def _meet(self, other):
         if isinstance(other, CoordinateImage):
-            return CoordinateImage(self.window, self.free & other.free, self.cap)
+            return CoordinateImage(self.window, self.free & other.free)
         return None
 
     def project(self, K):
@@ -165,15 +165,15 @@ class CoordinateImage(Image):
         dst = self.window.level(K)
         drop = (self.window.length - dst.length) // 2
         free = frozenset(i - drop for i in self.free if 0 <= i - drop < dst.length)
-        return CoordinateImage(dst, free, self.cap)
+        return CoordinateImage(dst, free)
 
     def conjugated(self, code):
         return self  # the lamp window is abelian
 
     @cached_property
     def elements(self):
-        if self.order > self.cap:
-            raise ResolutionError(f"coordinate image of order {self.order}", self.cap)
+        if self.order > DEFAULT_CAP:
+            raise ResolutionError(f"coordinate image of order {self.order}", DEFAULT_CAP)
         p, codes = self.window.p, [0]
         for i in self.free:
             codes = [c + d * p**i for c in codes for d in range(p)]
@@ -208,9 +208,9 @@ class ShiftOpen:
                 return False
         return a.vanishes_on(v.fin)
 
-    def window_image(self, K, cap=DEFAULT_CAP):
+    def window_image(self, K):
         free = (i + K for i in range(-K, K + 1) if i not in self.vanish)
-        return CoordinateImage(VectorWindow(self.p, 2 * K + 1), frozenset(free), cap)
+        return CoordinateImage(VectorWindow(self.p, 2 * K + 1), frozenset(free))
 
     def intersect(self, other):
         return ShiftOpen(self.p, self.vanish.union(other.vanish))
@@ -238,11 +238,11 @@ def con_oracle_shift(g, x):
     return x.is_identity()
 
 
-def nub_oracle_shift(g, K, cap=DEFAULT_CAP):
+def nub_oracle_shift(g, K):
     """Window image of nub(g): the full lamp window iff g actually shifts,
     else trivial (the image of W(K))."""
     sub = reference_open(g.p) if g.shift != 0 else w_subgroup(g.p, K)
-    return sub.window_image(K, cap)
+    return sub.window_image(K)
 
 
 @dataclass(frozen=True)
@@ -262,8 +262,8 @@ class TailZeroSet:
         return x.shift == 0 and (
             lamp.left_tail_is_zero() if self.side == "left" else lamp.right_tail_is_zero())
 
-    def window_image(self, K, cap=DEFAULT_CAP):
-        return reference_open(self.p).window_image(K, cap)
+    def window_image(self, K):
+        return reference_open(self.p).window_image(K)
 
 
 def _forward_union(v, step):
@@ -388,24 +388,24 @@ class ShiftModel:
     def par_oracle(self, g, x):
         return True
 
-    def con_closure_image(self, g, K, cap=DEFAULT_CAP):
+    def con_closure_image(self, g, K):
         # con(g) is dense in the lamp group when g shifts: its closure is
         # the nub.
-        return nub_oracle_shift(g, K, cap)
+        return nub_oracle_shift(g, K)
 
-    def bco_image(self, g, K, cap=DEFAULT_CAP):
-        return self.con_closure_image(g, K, cap)
+    def bco_image(self, g, K):
+        return self.con_closure_image(g, K)
 
-    def par_image(self, g, K, cap=DEFAULT_CAP):
-        return self.reference().window_image(K, cap)
+    def par_image(self, g, K):
+        return self.reference().window_image(K)
 
-    def rbco_image(self, g, v, K, cap=DEFAULT_CAP):
+    def rbco_image(self, g, v, K):
         if g.shift != 0:
-            return self.reference().window_image(K, cap)
-        return self.filtration(v).window_image(K, cap)
+            return self.reference().window_image(K)
+        return self.filtration(v).window_image(K)
 
-    def nub_image(self, g, K, cap=DEFAULT_CAP):
-        return nub_oracle_shift(g, K, cap)
+    def nub_image(self, g, K):
+        return nub_oracle_shift(g, K)
 
     # -- symbolic subgroup dynamics -----------------------------------------
 
@@ -496,37 +496,27 @@ class ShiftModel:
 
     # -- sampling and parsing -----------------------------------------------
 
-    def sample_reference(self, rng, count, span=6):
-        out = []
-        for _ in range(count):
-            support = {
-                i: rng.randrange(self.p)
-                for i in range(-span, span + 1)
-                if rng.random() < 0.4
-            }
-            out.append(lamp_element(self.p, support))
-        return out
+    def _sample_support(self, rng):
+        """Random lamp values on about 40 % of the positions in [-6, 6]."""
+        return {i: rng.randrange(self.p) for i in range(-6, 7) if rng.random() < 0.4}
 
-    def sample_con_elements(self, g, rng, count, span=6):
+    def sample_reference(self, rng, count):
+        return [lamp_element(self.p, self._sample_support(rng)) for _ in range(count)]
+
+    def sample_con_elements(self, g, rng, count):
         if g.shift == 0:
             return [self.identity] * count
         out = []
         for _ in range(count):
-            support = {
-                i: rng.randrange(self.p)
-                for i in range(-span, span + 1)
-                if rng.random() < 0.4
-            }
-            core = EPSeq.from_support(self.p, support)
+            core = EPSeq.from_support(self.p, self._sample_support(rng))
             if rng.random() < 0.3:
-                # nonzero periodic tail on the non-contracting side
+                # nonzero periodic tail on the non-contracting side, just
+                # past the sampled support [-6, 6]
                 period = tuple(rng.randrange(self.p) for _ in range(rng.randrange(1, 3)))
                 if g.shift > 0:
-                    core = core.add(EPSeq.make(self.p, (0,), (), span + 1, period))
+                    core = core.add(EPSeq.make(self.p, (0,), (), 7, period))
                 else:
-                    core = core.add(
-                        EPSeq.make(self.p, period, (), -span - 1, (0,))
-                    )
+                    core = core.add(EPSeq.make(self.p, period, (), -7, (0,)))
             out.append(ShiftElement(core, 0))
         return out
 

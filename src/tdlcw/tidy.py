@@ -25,12 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from tdlcw.kernel import (
-    DEFAULT_CAP,
     INF_LEVEL,
     UnsupportedElementError,
     first_outside,
     index,
-    intersect,
     product_is,
     product_set_equals,
 )
@@ -74,7 +72,7 @@ def u_parts(model, U, g):
     return model.u_parts_symbolic(U, g)
 
 
-def is_tidy_above(model, U, g, K, cap=DEFAULT_CAP, parts=None):
+def is_tidy_above(model, U, g, K, parts=None):
     """Check image_k(U_+) * image_k(U_-) = image_k(U) for every k <= K.
 
     Returns (True, None, None) or (False, k, witness_code) with the smallest
@@ -86,21 +84,21 @@ def is_tidy_above(model, U, g, K, cap=DEFAULT_CAP, parts=None):
         except UnsupportedElementError as exc:
             return INCONCLUSIVE, str(exc), None
     for k in range(model.min_level, K + 1):
-        a = parts.u_plus.window_image(k, cap)
-        b = parts.u_minus.window_image(k, cap)
-        t = U.window_image(k, cap)
+        a = parts.u_plus.window_image(k)
+        b = parts.u_minus.window_image(k)
+        t = U.window_image(k)
         ok, witness = product_set_equals(a, b, t)
         if not ok:
             return False, k, witness
     return True, None, None
 
 
-def tidy_above_procedure(model, U, g, max_k=10, K=None, cap=DEFAULT_CAP):
+def tidy_above_procedure(model, U, g, max_k=10, K=None):
     """Smallest k <= max_k such that the intersection of the conjugates
     g^i U g^-i for 0 <= i <= k is tidy above; returns (V, k).
 
     Such a k always exists for a compact open U, but no a-priori bound is
-    available, hence the explicit cap.
+    available, hence the search depth max_k.
     """
     if K is None:
         K = model.default_resolution
@@ -108,53 +106,53 @@ def tidy_above_procedure(model, U, g, max_k=10, K=None, cap=DEFAULT_CAP):
     for k in range(max_k + 1):
         if k > 0:
             V = V.intersect(model.conj_open(U, g, k))
-        verdict, _, _ = is_tidy_above(model, V, g, K, cap)
+        verdict, _, _ = is_tidy_above(model, V, g, K)
         if verdict is True:
             return V, k
     raise HorizonExceededError(f"no tidy-above intersection within max_k={max_k}")
 
 
-def is_tidy_below(model, U, g, parts=None, horizon=6, K=3, cap=DEFAULT_CAP):
+def is_tidy_below(model, U, g, parts=None, K=3):
     """Decide whether U_-- is closed, i.e. U_-- meets U in exactly U_-.
 
     Prefers the model's symbolic certificate; otherwise searches window
-    images of the backward conjugates of U_- inside U for an element
-    outside U_-.  Returns (True, reason), (False, witness) or
-    (INCONCLUSIVE, None).
+    images of the backward conjugates g^-j U_- g^j, 0 <= j <= 6, inside U
+    for an element outside U_-.  Returns (True, reason), (False, witness)
+    or (INCONCLUSIVE, None).
     """
     if parts is None:
         parts = u_parts(model, U, g)
     cert = model.tidy_below_certificate(U, g, parts)
     if cert is not None and cert[0] is not None:
         return cert
-    u_minus_img = parts.u_minus.window_image(K, cap)
-    u_img = U.window_image(K, cap)
-    for j in range(horizon + 1):
+    u_minus_img = parts.u_minus.window_image(K)
+    u_img = U.window_image(K)
+    for j in range(7):
         shifted = model.conj_open(parts.u_minus, g, -j)
-        inside = intersect(shifted.window_image(K, cap), u_img)
+        inside = shifted.window_image(K) & u_img
         witness = first_outside(inside, u_minus_img)
         if witness is not None:
             return False, witness
     return INCONCLUSIVE, None
 
 
-def find_tidy(model, g, K=None, max_k=10, horizon=6, cap=DEFAULT_CAP):
+def find_tidy(model, g, K=None):
     """A subgroup tidy above and below for g, from the model's candidates."""
     if K is None:
         K = model.default_resolution
     for U in model.tidy_candidates(g, K):
         try:
-            V, _ = tidy_above_procedure(model, U, g, max_k, K, cap)
+            V, _ = tidy_above_procedure(model, U, g, K=K)
             parts = u_parts(model, V, g)
         except (UnsupportedElementError, HorizonExceededError):
             continue
-        below, _ = is_tidy_below(model, V, g, parts, horizon, K, cap)
+        below, _ = is_tidy_below(model, V, g, parts, K)
         if below is True:
             return V
     raise HorizonExceededError("no tidy subgroup found among the candidates")
 
 
-def scale_index(model, g, K=None, cap=DEFAULT_CAP):
+def scale_index(model, g, K=None):
     """The scale of g as the index [g U_+ g^-1 : U_+] at a tidy U.
 
     Since g U_+ g^-1 need not sit inside the reference compact open, the
@@ -166,7 +164,7 @@ def scale_index(model, g, K=None, cap=DEFAULT_CAP):
     no coarser than both shapes resolve, so that index is exact whatever K
     is; their orders are closed-form.
     """
-    U = find_tidy(model, g, K, cap=cap)
+    U = find_tidy(model, g, K)
     parts = u_parts(model, U, g)
     up = parts.u_plus
     down = model.conj_open(up, g, -1)
@@ -176,7 +174,7 @@ def scale_index(model, g, K=None, cap=DEFAULT_CAP):
         K = max(K or 1, up.finite_entry_max(), down.finite_entry_max())
     elif K is None:
         K = 3
-    return index(up.window_image(K, cap), down.window_image(K, cap))
+    return index(up.window_image(K), down.window_image(K))
 
 
 def trajectory_contracts(model, g, x, K, N):
@@ -228,9 +226,9 @@ def par_membership(model, g, x, K=6, N=40):
     return True
 
 
-def _tidy_intersection_image(model, g, K, J, cap):
+def _tidy_intersection_image(model, g, K):
     """Window image approximating the intersection of all tidy subgroups,
-    via the conjugates g^j V g^-j of each tidy candidate V for |j| <= J."""
+    via the conjugates g^j V g^-j of each tidy candidate V for |j| <= 2."""
     result = None
     for U in model.tidy_candidates(g, K):
         try:
@@ -238,24 +236,23 @@ def _tidy_intersection_image(model, g, K, J, cap):
         except UnsupportedElementError:
             continue
         k_check = min(K, 2, model.default_resolution)
-        above, _, _ = is_tidy_above(model, U, g, k_check, cap, parts)
+        above, _, _ = is_tidy_above(model, U, g, k_check, parts)
         if above is not True:
             continue
-        below, _ = is_tidy_below(model, U, g, parts, K=k_check, cap=cap)
+        below, _ = is_tidy_below(model, U, g, parts, K=k_check)
         if below is not True:
             continue
         V = U
-        for j in range(-J, J + 1):
-            if j:
-                V = V.intersect(model.conj_open(U, g, j))
-        img = V.window_image(K, cap)
-        result = img if result is None else intersect(result, img)
+        for j in (-2, -1, 1, 2):
+            V = V.intersect(model.conj_open(U, g, j))
+        img = V.window_image(K)
+        result = img if result is None else result & img
     if result is None:
         raise HorizonExceededError("no tidy candidate usable for the nub")
     return result
 
 
-def nub_compute(model, g, K, J=2, cap=DEFAULT_CAP):
+def nub_compute(model, g, K):
     """The nub of g at resolution K, cross-validated five ways.
 
     Characterizations computed as window images:
@@ -270,17 +267,17 @@ def nub_compute(model, g, K, J=2, cap=DEFAULT_CAP):
     common image together with the per-characterization report.
     """
     g_inv = model.inv(g)
-    con_img = model.con_closure_image(g, K, cap)
+    con_img = model.con_closure_image(g, K)
     images = {
-        "tidy": _tidy_intersection_image(model, g, K, J, cap),
-        "bco": model.bco_image(g, K, cap),
-        "con-par": intersect(con_img, model.par_image(g, K, cap)),
-        "con-con": intersect(con_img, model.con_closure_image(g_inv, K, cap)),
+        "tidy": _tidy_intersection_image(model, g, K),
+        "bco": model.bco_image(g, K),
+        "con-par": con_img & model.par_image(g, K),
+        "con-con": con_img & model.con_closure_image(g_inv, K),
     }
     rbco = None
     for v in range(K + 1):
-        img = model.rbco_image(g, v, K, cap)
-        rbco = img if rbco is None else intersect(rbco, img)
+        img = model.rbco_image(g, v, K)
+        rbco = img if rbco is None else rbco & img
     images["rbco"] = rbco
     reference = images["con-con"]
     report = {name: im == reference for name, im in images.items()}
@@ -289,7 +286,7 @@ def nub_compute(model, g, K, J=2, cap=DEFAULT_CAP):
     return reference, report
 
 
-def tidy_identity_report(model, U, g, K, cap=DEFAULT_CAP, include_tidy_form=None):
+def tidy_identity_report(model, U, g, K):
     """Window-image identities tying the parts of (U, g) to the contraction
     groups, checked exactly at every level up to K:
 
@@ -304,28 +301,27 @@ def tidy_identity_report(model, U, g, K, cap=DEFAULT_CAP, include_tidy_form=None
     """
     parts = u_parts(model, U, g)
     g_inv = model.inv(g)
-    if include_tidy_form is None:
-        above, _, _ = is_tidy_above(model, U, g, K, cap, parts)
-        below, _ = is_tidy_below(model, U, g, parts, K=min(K, 3), cap=cap)
-        include_tidy_form = above is True and below is True
+    above, _, _ = is_tidy_above(model, U, g, K, parts)
+    below, _ = is_tidy_below(model, U, g, parts, K=min(K, 3))
+    tidy_form = above is True and below is True
     levels = []
     for k in range(model.min_level, K + 1):
-        con_img = model.con_closure_image(g, k, cap)
-        con_inv_img = model.con_closure_image(g_inv, k, cap)
-        u0 = parts.u_zero.window_image(k, cap)
-        um = parts.u_minus.window_image(k, cap)
-        up = parts.u_plus.window_image(k, cap)
+        con_img = model.con_closure_image(g, k)
+        con_inv_img = model.con_closure_image(g_inv, k)
+        u0 = parts.u_zero.window_image(k)
+        um = parts.u_minus.window_image(k)
+        up = parts.u_plus.window_image(k)
         row = {
             "k": k,
-            "mm": product_is(con_img, u0, parts.u_mm.window_image(k, cap)),
-            "pp": product_is(con_inv_img, u0, parts.u_pp.window_image(k, cap)),
-            "minus": product_is(intersect(con_img, um), u0, um),
-            "plus": product_is(intersect(con_inv_img, up), u0, up),
+            "mm": product_is(con_img, u0, parts.u_mm.window_image(k)),
+            "pp": product_is(con_inv_img, u0, parts.u_pp.window_image(k)),
+            "minus": product_is(con_img & um, u0, um),
+            "plus": product_is(con_inv_img & up, u0, up),
         }
-        if include_tidy_form:
-            u_img = U.window_image(k, cap)
-            row["tidy_minus"] = product_is(intersect(con_img, u_img), u0, um)
-            row["tidy_plus"] = product_is(intersect(con_inv_img, u_img), u0, up)
+        if tidy_form:
+            u_img = U.window_image(k)
+            row["tidy_minus"] = product_is(con_img & u_img, u0, um)
+            row["tidy_plus"] = product_is(con_inv_img & u_img, u0, up)
         levels.append(row)
     ok = all(v for row in levels for key, v in row.items() if key != "k")
-    return {"levels": levels, "tidy_form_checked": include_tidy_form, "pass": ok}
+    return {"levels": levels, "tidy_form_checked": tidy_form, "pass": ok}

@@ -16,20 +16,20 @@ from dataclasses import dataclass
 
 from tdlcw import kernel
 from tdlcw.epseq import EPSeq
-from tdlcw.kernel import DEFAULT_CAP, UnsupportedElementError, subgroup_closure
+from tdlcw.kernel import UnsupportedElementError, subgroup_closure
 from tdlcw.shift import CoordinateImage, ShiftElement, shift_generator
 
 
-def tits_core_image(model, K, schedule, cap=DEFAULT_CAP):
+def tits_core_image(model, K, schedule):
     """Subgroup image generated by the con-closure images of the schedule:
     the union of their free coordinates when all are coordinate images,
     else the closure of their elements."""
-    images = [model.con_closure_image(g, K, cap) for g in schedule]
+    images = [model.con_closure_image(g, K) for g in schedule]
     if all(isinstance(im, CoordinateImage) for im in images):
         free = frozenset().union(*(im.free for im in images))
-        return CoordinateImage(model.window(K), free, cap)
+        return CoordinateImage(model.window(K), free)
     gens = set().union(*(im.elements for im in images))
-    return subgroup_closure(model.window(K), sorted(gens), cap)
+    return subgroup_closure(model.window(K), sorted(gens))
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,13 @@ class QuotientDescriptor:
             return x.is_identity()
         return x.shift == 0
 
-    def n_image(self, K, cap=DEFAULT_CAP):
+    def n_image(self, K):
         """Window image of N at resolution K."""
         if self.kind == "trivial":
             return kernel.SubgroupImage(self.model.window(K))
-        return self.model.reference().window_image(K, cap)
+        return self.model.reference().window_image(K)
 
-    def quotient_element(self, x):
-        """The image of x in the quotient, as a comparable value."""
-        if self.kind == "trivial":
-            return x
-        return x.shift
-
-    def quotient_con_trivial(self, g, K, cap=DEFAULT_CAP):
+    def quotient_con_trivial(self, g, K):
         """Is the contraction group of the image of g in G/N trivial?
 
         For the lamp quotient the image group is discrete, so every
@@ -78,7 +72,7 @@ class QuotientDescriptor:
         """
         if self.kind == "lamp":
             return True
-        return self.model.con_closure_image(g, K, cap).order == 1
+        return self.model.con_closure_image(g, K).order == 1
 
     def normal_check(self, rng, samples=50):
         """Sampled normality: gxg^-1 stays in N; returns a report dict."""
@@ -99,7 +93,7 @@ class QuotientDescriptor:
         return self.model.sample_reference(rng, count)
 
 
-def quotient_anisotropy_check(q, schedule, K, cap=DEFAULT_CAP):
+def quotient_anisotropy_check(q, schedule, K):
     """Two checks on the quotient by N.
 
     (a) Pushforward identity per schedule element g: the image of
@@ -117,24 +111,22 @@ def quotient_anisotropy_check(q, schedule, K, cap=DEFAULT_CAP):
             # image in the discrete quotient is trivial; the image of g in
             # the discrete quotient has trivial contraction group.  Verify
             # the containment con(g) <= N at resolution K.
-            con_image = model.con_closure_image(g, K, cap)
-            lhs_trivial = con_image <= q.n_image(K, cap)
-            rhs_trivial = q.quotient_con_trivial(g, K, cap)
+            con_image = model.con_closure_image(g, K)
+            lhs_trivial = con_image <= q.n_image(K)
+            rhs_trivial = q.quotient_con_trivial(g, K)
             ok = lhs_trivial and rhs_trivial
         else:
             # N = 1: the quotient map is the identity, so both sides are
             # con(g).  Its level-K image must be the projection of its
             # level-(K+1) image.
-            lhs = model.con_closure_image(g, K, cap)
-            finer = model.con_closure_image(g, K + 1, cap)
+            lhs = model.con_closure_image(g, K)
+            finer = model.con_closure_image(g, K + 1)
             ok = lhs == finer.project(K)
         rows.append({"element": g, "pushforward": ok})
 
-    tits = tits_core_image(model, K, schedule, cap)
-    core_in_n = tits <= q.n_image(K, cap)
-    all_quotient_trivial = all(
-        q.quotient_con_trivial(g, K, cap) for g in schedule
-    )
+    tits = tits_core_image(model, K, schedule)
+    core_in_n = tits <= q.n_image(K)
+    all_quotient_trivial = all(q.quotient_con_trivial(g, K) for g in schedule)
     return {
         "kind": q.kind,
         "resolution": K,

@@ -278,6 +278,21 @@ def test_invalid_flag_value_exits_2(capsys):
     assert code == 2 and not rows and "error:" in err
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["scale", "--model", "shift"], {"resolution": 2.5}),
+    (["conjugator"], {"horizon": 3.0}),
+    (["scale", "--model", "shift"], {"samples": True}),
+    (["scale", "--model", "shift"], {"p": 2.0}),
+    (["scale", "--model", "shift"], {"out": 5}),
+])
+def test_mistyped_config_value_exits_2(argv, config, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    code, rows, err = run(argv + ["--config", str(path)], capsys)
+    name = next(iter(config))
+    assert code == 2 and not rows and f"error: {name} must be of type" in err
+
+
 #: The benchmark's pinned stdout digests, one per seed-7 command; read only.
 PINNED = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json")

@@ -7,8 +7,13 @@ element sets built independently of the image classes: a coordinate image
 from the lamp elements of its window that its vanish-set subgroup
 contains, a shape image by testing every element of the matrix window
 with exact rational arithmetic in the subgroup's basis.
+
+The last tests check that the enumeration cap is one constant above the
+window-group kernel, and that it still bounds the elements of an image.
 """
 
+import dataclasses
+import inspect
 import math
 from functools import lru_cache
 
@@ -16,17 +21,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdlcw import limits, linear, shift, tidy, verify
 from tdlcw.kernel import (
     ContainmentError,
     MatrixWindow,
+    ResolutionError,
     VectorWindow,
     index,
     product_is,
     product_set_equals,
     subgroup_closure,
 )
-from tdlcw.linear import QMatrix, ShapeSubgroup, iwahori_shape, vp
-from tdlcw.shift import ShiftOpen, VanishSet, lamp_element
+from tdlcw.linear import LinearModel, QMatrix, ShapeImage, ShapeSubgroup, iwahori_shape, vp
+from tdlcw.shift import CoordinateImage, ShiftModel, ShiftOpen, VanishSet, lamp_element
 
 INF = math.inf
 
@@ -274,3 +281,40 @@ def test_non_splitting_determinant_is_counted(p, K):
     oracle = shape_oracle(BASES[3], shape, p, K)
     assert image.order == len(oracle) and materialized(image) == oracle
     assert all((c in image) == (c in oracle) for c in MatrixWindow(2, p, K).elements())
+
+
+# -- the enumeration cap -------------------------------------------------------
+
+
+def _functions(module):
+    """Every function and method defined in `module`."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield from (f for f in vars(obj).values() if inspect.isfunction(f))
+            yield from (f.__func__ for f in vars(obj).values()
+                        if isinstance(f, (classmethod, staticmethod)))
+
+
+@pytest.mark.parametrize("module", [tidy, limits, verify, shift, linear])
+def test_cap_is_a_constant_above_the_kernel(module):
+    takes_cap = [f.__qualname__ for f in _functions(module)
+                 if "cap" in inspect.signature(f).parameters]
+    assert takes_cap == []
+
+
+def test_images_have_no_cap_field():
+    for cls in (ShapeImage, CoordinateImage):
+        assert "cap" not in {f.name for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("image", [
+    lambda: ShiftModel(2).reference().window_image(8),  # 2^17 codes
+    lambda: LinearModel(7, 2).reference().window_image(3),
+], ids=["shift", "linear"])
+def test_reading_elements_past_the_cap_raises(image):
+    with pytest.raises(ResolutionError, match="cap=65536"):
+        image().elements

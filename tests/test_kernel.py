@@ -22,7 +22,6 @@ from tdlcw.kernel import (
     adjugate,
     det,
     index,
-    intersect,
     product_is,
     product_set_equals,
     subgroup_closure,
@@ -254,7 +253,7 @@ class TestIndexAndIntersect:
     def test_intersect(self, vec):
         a = subgroup_closure(vec, [1, 2])
         b = subgroup_closure(vec, [2, 4])
-        both = intersect(a, b)
+        both = a & b
         assert both.elements == subgroup_closure(vec, [2]).elements
 
     def test_default_image_is_trivial(self, vec):

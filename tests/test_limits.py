@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tdlcw import cli, limits, tidy
-from tdlcw.kernel import DEFAULT_CAP, SubgroupImage, WindowMismatchError
+from tdlcw.kernel import SubgroupImage, WindowMismatchError
 from tdlcw.linear import LinearModel, ShapeSubgroup, iwahori_shape
 from tdlcw.shift import ShiftModel, lamp_element, shift_generator, w_subgroup
 
@@ -330,7 +330,7 @@ class TestTransport:
         u = lamp_element(2, {4: 1})
         U = w_subgroup(2, 2)
         two = limits.conjugator_two_sided(shift, g, u, U, 10)
-        report = limits.nub_transport_check(shift, g, u, U, two.r, K=3)
+        report = limits.nub_transport_check(shift, g, u, U, two.r)
         assert report["pass"]
 
 
@@ -418,10 +418,10 @@ class TestNetExperiment:
         # projection of the level-4 image, so no row may pass.
         true_image = model_cls.con_closure_image
 
-        def wrong_at_3(self, g, K, cap=DEFAULT_CAP):
+        def wrong_at_3(self, g, K):
             if K == 3:
                 return SubgroupImage(self.window(K))
-            return true_image(self, g, K, cap)
+            return true_image(self, g, K)
 
         monkeypatch.setattr(model_cls, "con_closure_image", wrong_at_3)
         code, rows = self._limits_rows(capsys, model_cls.name)
