@@ -17,6 +17,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass, fields
+from functools import cache
 
 from tdlcw import limits, tidy, verify
 from tdlcw.epseq import EPSeq
@@ -528,11 +529,11 @@ def _check_transport(cfg, rng):
             trace = limits.conjugator_forward(model, g, u, U, cfg.horizon)
             t, _, adjusted = limits.adjust_to_contraction(model, trace.t, U, g)
             con_report = limits.con_transport_check(
-                model, g, u, U, t, rng, samples=cfg.samples
+                model, g, u, t, rng, samples=cfg.samples
             )
             two = limits.conjugator_two_sided(
                 model, g, u2, U2, min(cfg.horizon, 10))
-            nub_report = limits.nub_transport_check(model, g, u2, U2, two.r)
+            nub_report = limits.nub_transport_check(model, g, u2, two.r)
         except ROW_ERRORS as exc:
             _failed(row, model, exc)
             continue
@@ -735,9 +736,15 @@ def emit(rows, out_path):
             fh.write(text)
 
 
+@cache
+def _parser():
+    """The argument parser, built on the first command of a process and
+    reused by every later one: it holds no state between parses."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = RunConfig.from_args(args)
         rows = args.func(cfg, args)

@@ -11,78 +11,129 @@ Coordinate semantics for ``EPSeq(p, left, core, offset, right)``::
     offset <= i < offset+|c|  -> core[i - offset]
     i >= offset + |core|      -> right[(i - offset - |core|) % len(right)]
 
+Representation: ``left``, ``core`` and ``right`` are ``bytes``, one digit
+per byte, so digit arithmetic runs in bulk.  Two aligned digit strings add
+as two big integers: every digit is below p, so for p <= 127 each digit sum
+is below 256 and no carry crosses a byte; the sum is read back with
+``int.to_bytes`` and reduced mod p by ``bytes.translate`` with a per-p
+table.  Negation is one ``translate``.  That is why p > 127 is rejected.
+
 Canonical form (enforced by :meth:`EPSeq.make`): primitive tail periods,
-core minimal on both ends, and offset 0 whenever the core is empty.  Equal
-sequences therefore compare equal as dataclasses.
+a core that neither starts with the continuation of the left tail nor ends
+with that of the right tail, with an empty core the boundary slid as far
+left as the tails agree, and a purely periodic sequence stored with equal
+tails, an empty core and offset 0.  Equal sequences therefore compare equal
+as dataclasses.  Negation permutes F_p and a shift only moves the offset,
+so both keep the form without re-canonicalising; only the period of a
+purely periodic sequence rotates under a shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import lcm
+
+ZERO = b"\0"
+
+
+@cache
+def _tables(p):
+    """The translate tables of F_p: reduction of any byte mod p, and
+    negation of a reduced digit."""
+    return (bytes(i % p for i in range(256)),
+            bytes(-i % p for i in range(256)))
 
 
 def _primitive(word):
+    """The shortest prefix of `word` whose repetition is `word`."""
     n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and all(word[i] == word[i % d] for i in range(n)):
-            return tuple(word[:d])
-    raise AssertionError("unreachable")
+    for d in range(1, n):
+        if n % d == 0 and word[:n - d] == word[d:]:
+            return word[:d]
+    return word
+
+
+def _cycle(word, phase, n):
+    """n digits of the periodic word repeated, from index `phase` of it."""
+    return (word * ((phase + n) // len(word) + 1))[phase:phase + n]
+
+
+def _word(w, p, reduce):
+    """The digit word w mod p as bytes."""
+    return w.translate(reduce) if isinstance(w, bytes) else bytes(d % p for d in w)
+
+
+def _rotate(word, k):
+    """The word read from index k % len(word)."""
+    k %= len(word)
+    return word[k:] + word[:k] if k else word
+
+
+def _lead(word, tail):
+    """Length of the run at the start of `word` that continues the periodic
+    `tail` read from its first digit."""
+    if len(tail) == 1:
+        return len(word) - len(word.lstrip(tail))
+    x = int.from_bytes(word, "big") ^ int.from_bytes(_cycle(tail, 0, len(word)), "big")
+    return len(word) - (x.bit_length() + 7) // 8
+
+
+def _trail(word, tail):
+    """Length of the run at the end of `word` that continues the periodic
+    `tail` read backwards from its last digit."""
+    if len(tail) == 1:
+        return len(word) - len(word.rstrip(tail))
+    n = len(word)
+    x = int.from_bytes(word, "little") ^ int.from_bytes(_cycle(tail, -n % len(tail), n), "little")
+    return n - (x.bit_length() + 7) // 8
 
 
 @dataclass(frozen=True)
 class EPSeq:
     p: int
-    left: tuple
-    core: tuple
+    left: bytes
+    core: bytes
     offset: int
-    right: tuple
+    right: bytes
 
     @classmethod
     def make(cls, p, left, core, offset, right):
+        """The canonical sequence from digit words given as bytes or as any
+        iterables of ints, each digit taken mod p."""
         if p < 2:
             raise ValueError("p must be at least 2")
-        left = tuple(d % p for d in left) or (0,)
-        right = tuple(d % p for d in right) or (0,)
-        core = tuple(d % p for d in core)
-        left = _primitive(left)
-        right = _primitive(right)
-        changed = True
-        while changed and core:
-            changed = False
-            if core and core[0] == left[0]:
-                left = left[1:] + left[:1]
-                core = core[1:]
-                offset += 1
-                changed = True
-            if core and core[-1] == right[-1]:
-                right = right[-1:] + right[:-1]
-                core = core[:-1]
-                changed = True
+        if p > 127:
+            raise ValueError("p must be at most 127: digit sums must fit in a byte")
+        reduce = _tables(p)[0]
+        left = _primitive(_word(left, p, reduce) or ZERO)
+        right = _primitive(_word(right, p, reduce) or ZERO)
+        core = _word(core, p, reduce)
+        if core:
+            # Cut the run that continues the left tail off the front of the
+            # core, and the run that continues the right tail off its end.
+            j = _lead(core, left)
+            if j:
+                left, core, offset = _rotate(left, j), core[j:], offset + j
+            k = _trail(core, right)
+            if k:
+                core, right = core[:len(core) - k], _rotate(right, -k)
         if not core:
-            # Only the tail boundary at `offset` remains; canonicalize by
-            # sliding it left while the patterns agree across it.  If it
-            # slides through a full common period the sequence is purely
-            # periodic and the boundary is immaterial.
-            steps = lcm(len(left), len(right))
-            slid = 0
-            while slid < steps and left[-1] == right[-1]:
-                left = left[-1:] + left[:-1]
-                right = right[-1:] + right[:-1]
-                offset -= 1
-                slid += 1
-            if slid == steps and left[-1] == right[-1]:
-                period = _primitive(
-                    tuple(left[(j - offset - slid) % len(left)] for j in range(len(left)))
-                )
-                return cls(p, period, (), 0, period)
-            left = _primitive(left)
-            right = _primitive(right)
+            # Only the tail boundary at `offset` remains: slide it left while
+            # the tails agree across it.  If they agree over a common period
+            # the sequence is purely periodic and the boundary is immaterial.
+            m = lcm(len(left), len(right))
+            k = _trail(left * (m // len(left)), right)
+            if k == m:
+                period = _rotate(left, -offset)
+                return cls(p, period, b"", 0, period)
+            if k:
+                left, offset, right = _rotate(left, -k), offset - k, _rotate(right, -k)
         return cls(p, left, core, offset, right)
 
     @classmethod
     def zero(cls, p):
-        return cls.make(p, (0,), (), 0, (0,))
+        return cls.make(p, ZERO, b"", 0, ZERO)
 
     @classmethod
     def from_support(cls, p, support):
@@ -91,8 +142,8 @@ class EPSeq:
         if not support:
             return cls.zero(p)
         lo, hi = min(support), max(support)
-        core = tuple(support.get(i, 0) for i in range(lo, hi + 1))
-        return cls.make(p, (0,), core, lo, (0,))
+        core = bytes(support.get(i, 0) for i in range(lo, hi + 1))
+        return cls.make(p, ZERO, core, lo, ZERO)
 
     @property
     def end(self):
@@ -105,14 +156,28 @@ class EPSeq:
             return self.core[i - self.offset]
         return self.right[(i - self.end) % len(self.right)]
 
+    def digits(self, start, stop):
+        """The digits at start..stop-1, one per byte."""
+        offset, end = self.offset, self.end
+        out = b""
+        if start < offset:
+            top = min(stop, offset)
+            out = _cycle(self.left, (start - offset) % len(self.left), top - start)
+        if start < end and stop > offset:
+            out += self.core[max(start, offset) - offset:min(stop, end) - offset]
+        if stop > end:
+            lo = max(start, end)
+            out += _cycle(self.right, (lo - end) % len(self.right), stop - lo)
+        return out
+
     def is_zero(self):
-        return not self.core and self.left == (0,) and self.right == (0,)
+        return not self.core and self.left == ZERO and self.right == ZERO
 
     def left_tail_is_zero(self):
-        return self.left == (0,)
+        return self.left == ZERO
 
     def right_tail_is_zero(self):
-        return self.right == (0,)
+        return self.right == ZERO
 
     def add(self, other):
         if self.p != other.p:
@@ -126,7 +191,8 @@ class EPSeq:
         ll = lcm(len(self.left), len(other.left))
         rl = lcm(len(self.right), len(other.right))
         a, b = self._digits(lo - ll, hi + rl), other._digits(lo - ll, hi + rl)
-        s = tuple(x + y for x, y in zip(a, b))
+        # Digits are below p <= 127, so no byte of the sum carries.
+        s = (int.from_bytes(a, "big") + int.from_bytes(b, "big")).to_bytes(len(a), "big")
         return EPSeq.make(self.p, s[:ll], s[ll:ll + hi - lo], lo, s[ll + hi - lo:])
 
     def _digits(self, start, stop):
@@ -138,33 +204,38 @@ class EPSeq:
                 + self.core + (right * (nr // len(right) + 1))[:nr])
 
     def neg(self):
-        return EPSeq.make(
-            self.p,
-            tuple(-d for d in self.left),
-            tuple(-d for d in self.core),
-            self.offset,
-            tuple(-d for d in self.right),
-        )
+        negate = _tables(self.p)[1]
+        return EPSeq(self.p, self.left.translate(negate), self.core.translate(negate),
+                     self.offset, self.right.translate(negate))
 
     def shift(self, m):
         """sigma^m: the shifted sequence has value_at(i) = self.value_at(i-m)."""
-        if m == 0 or self.is_zero():
+        if m == 0:
             return self
-        return EPSeq.make(self.p, self.left, self.core, self.offset + m, self.right)
+        if not self.core and self.left == self.right:
+            # Purely periodic: there is no boundary to move; the period rotates.
+            if len(self.left) == 1:
+                return self
+            period = _rotate(self.left, -m)
+            return EPSeq(self.p, period, b"", 0, period)
+        return EPSeq(self.p, self.left, self.core, self.offset + m, self.right)
 
     def min_abs_support(self):
         """Smallest |i| with a nonzero digit, or None for the zero sequence."""
         if self.is_zero():
             return None
         bound = max(abs(self.offset), abs(self.end)) + len(self.left) + len(self.right) + 1
-        for a in range(bound + 1):
-            if self.value_at(a) or self.value_at(-a):
-                return a
-        raise AssertionError("nonzero sequence with no support near zero")
+        upward = self.digits(0, bound + 1)
+        downward = self.digits(-bound, 1)[::-1]
+        return min(len(w) - len(w.lstrip(ZERO)) for w in (upward, downward))
 
     def window(self, k):
         """Digit tuple on [-k, k]."""
-        return tuple(self.value_at(i) for i in range(-k, k + 1))
+        return tuple(self.digits(-k, k + 1))
 
     def vanishes_on(self, positions):
-        return all(self.value_at(i) == 0 for i in positions)
+        """Do the digits at `positions` all vanish?  A range of step 1 is
+        read as one slice."""
+        if isinstance(positions, range) and positions.step == 1:
+            return not self.digits(positions.start, positions.stop).strip(ZERO)
+        return not any(self.value_at(i) for i in positions)

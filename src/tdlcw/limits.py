@@ -243,7 +243,7 @@ def _transported_member(model, h, x):
     return tidy.trajectory_contracts(model, h, x, K, N)
 
 
-def con_transport_check(model, g, u, U, t, rng, samples=50):
+def con_transport_check(model, g, u, t, rng, samples=50):
     """Transport of contraction groups along t: samples of con(g) conjugated
     by t must land in con(gu), and vice versa.
 
@@ -268,7 +268,7 @@ def con_transport_check(model, g, u, U, t, rng, samples=50):
             "pass": True}
 
 
-def nub_transport_check(model, g, u, U, r):
+def nub_transport_check(model, g, u, r):
     """Window-image equality of r nub(g) r^-1 and nub(gu) at resolution
     TRANSPORT_K."""
     gu = model.mul(g, u)

@@ -520,6 +520,8 @@ class ShapeImage(Image):
 
     @cached_property
     def elements(self):
+        if self.order > DEFAULT_CAP:
+            raise ResolutionError(f"shape image of order {self.order}", DEFAULT_CAP)
         w = self.window
         residues = _residues(self.clamped, w.p, w.K)
         if self.conj:

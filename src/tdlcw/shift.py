@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from tdlcw.epseq import EPSeq
+from tdlcw.epseq import ZERO, EPSeq
 from tdlcw.kernel import (
     DEFAULT_CAP,
     INF_LEVEL,
@@ -306,19 +306,15 @@ def forward_vanish_union(v, m):
 def restrict_right(a, cutoff):
     """The sequence agreeing with `a` on [cutoff, inf), zero below."""
     end = max(cutoff, a.end)
-    r = len(a.right)
-    right = tuple(a.right[(j + end - a.end) % r] for j in range(r))
-    core = tuple(a.value_at(i) for i in range(cutoff, end))
-    return EPSeq.make(a.p, (0,), core, cutoff, right)
+    return EPSeq.make(a.p, ZERO, a.digits(cutoff, end), cutoff,
+                      a.digits(end, end + len(a.right)))
 
 
 def restrict_left(a, cutoff):
     """The sequence agreeing with `a` on (-inf, cutoff], zero above."""
     start = min(cutoff + 1, a.offset)
-    l = len(a.left)
-    left = tuple(a.left[(j - (a.offset - start)) % l] for j in range(l))
-    core = tuple(a.value_at(i) for i in range(start, cutoff + 1))
-    return EPSeq.make(a.p, left, core, start, (0,))
+    return EPSeq.make(a.p, a.digits(start - len(a.left), start),
+                      a.digits(start, cutoff + 1), start, ZERO)
 
 
 class ShiftModel:
@@ -561,8 +557,8 @@ class ShiftModel:
             if a.left_tail_is_zero() and a.right_tail_is_zero():
                 support = [
                     str(i)
-                    for i in range(a.offset, a.end)
-                    for _ in range(a.value_at(i))
+                    for i, d in enumerate(a.core, a.offset)
+                    for _ in range(d)
                 ]
                 parts.append("lamp:" + ",".join(support))
             else:

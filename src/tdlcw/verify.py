@@ -13,9 +13,10 @@ normal subgroup containing the shift.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from tdlcw import kernel
-from tdlcw.epseq import EPSeq
+from tdlcw.epseq import ZERO, EPSeq
 from tdlcw.kernel import UnsupportedElementError, subgroup_closure
 from tdlcw.shift import CoordinateImage, ShiftElement, shift_generator
 
@@ -164,14 +165,8 @@ def normal_closure_witness(b):
     tail_period = len(b.right) * p
     lo = b.offset
     hi = b.end + tail_period
-    total = 0
-    values = {}
-    for i in range(lo, hi + tail_period):
-        total = (total + b.value_at(i)) % p
-        values[i] = total
-    core = tuple(values[i] for i in range(lo, hi))
-    right = tuple(values[i] for i in range(hi, hi + tail_period))
-    a = EPSeq.make(p, (0,), core, lo, right)
+    sums = bytes(total % p for total in accumulate(b.digits(lo, hi + tail_period)))
+    a = EPSeq.make(p, ZERO, sums[:hi - lo], lo, sums[hi - lo:])
 
     g = shift_generator(p, 1)
     a_elem = ShiftElement(a, 0)

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -291,6 +294,28 @@ def test_mistyped_config_value_exits_2(argv, config, tmp_path, capsys):
     code, rows, err = run(argv + ["--config", str(path)], capsys)
     name = next(iter(config))
     assert code == 2 and not rows and f"error: {name} must be of type" in err
+
+
+#: Commands run one after another in one process: a flag given to one
+#: (`--two-sided`, `--model`) must not leak into the next, which omits it.
+SEQUENCE = [
+    ["conjugator", "--model", "shift", "--horizon", "4", "--two-sided"],
+    ["conjugator", "--model", "shift", "--horizon", "4"],
+    ["scale", "--p", "9"],
+    ["theorem-check", "--which", "scale", "--seed", "3"],
+]
+
+
+def test_commands_in_one_process_print_as_in_a_fresh_one(capsys):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in SEQUENCE:
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "tdlcw.cli", *argv],
+                               env=env, capture_output=True, text=True)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
 
 
 #: The benchmark's pinned stdout digests, one per seed-7 command; read only.

@@ -4,12 +4,13 @@ The canonical-form property is the load-bearing one: any two constructions
 of the same underlying function Z -> F_p must produce equal dataclasses.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdlcw.epseq import EPSeq
 
-primes = st.sampled_from([2, 3, 5])
+primes = st.sampled_from([2, 3, 5, 7])
 
 
 @st.composite
@@ -147,3 +148,113 @@ def test_window_and_vanishes_on():
     assert seq.window(2) == (0, 1, 0, 0, 1)
     assert seq.vanishes_on([0, 1, 3])
     assert not seq.vanishes_on([2])
+
+
+# -- the byte form against a digit-by-digit oracle ---------------------------
+#
+# A spec is the raw (p, left, core, offset, right) given to `make`, digits
+# any ints; `oracle` reads it by the coordinate semantics alone.
+
+
+def oracle(spec, i):
+    p, left, core, offset, right = spec
+    if i < offset:
+        return left[(i - offset) % len(left)] % p
+    if i < offset + len(core):
+        return core[i - offset] % p
+    return right[(i - offset - len(core)) % len(right)] % p
+
+
+@st.composite
+def specs(draw, p=None):
+    """Raw specs, a third each purely periodic (left = right, no core),
+    with an empty core, and general; digits out of [0, p) on purpose."""
+    p = p if p is not None else draw(primes)
+    digits = st.integers(-p, 3 * p)
+    word = st.lists(digits, min_size=1, max_size=4).map(tuple)
+    kind = draw(st.sampled_from(["periodic", "empty-core", "general"]))
+    left = draw(word)
+    right = left if kind == "periodic" else draw(word)
+    core = () if kind != "general" else tuple(draw(st.lists(digits, max_size=6)))
+    return p, left, core, draw(st.integers(-8, 8)), right
+
+
+def build(spec):
+    return EPSeq.make(*spec)
+
+
+def assert_canonical(seq):
+    """`seq` equals `make` of its own digits and of a padded re-reading."""
+    assert EPSeq.make(seq.p, tuple(seq.left), tuple(seq.core), seq.offset,
+                      tuple(seq.right)) == seq
+    assert padded_copy(seq, 2, 3, 1, 2) == seq
+
+
+SPAN = range(-30, 31)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=specs())
+def test_make_reads_like_the_oracle(spec):
+    seq = build(spec)
+    assert all(seq.value_at(i) == oracle(spec, i) for i in SPAN)
+    assert isinstance(seq.core, bytes)
+    assert_canonical(seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_add_matches_oracle(data):
+    a = data.draw(specs())
+    b = data.draw(specs(p=a[0]))
+    total = build(a).add(build(b))
+    assert all(total.value_at(i) == (oracle(a, i) + oracle(b, i)) % a[0]
+               for i in SPAN)
+    assert_canonical(total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=specs())
+def test_neg_matches_oracle(spec):
+    negated = build(spec).neg()
+    assert all(negated.value_at(i) == -oracle(spec, i) % spec[0] for i in SPAN)
+    assert_canonical(negated)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=specs(), m=st.integers(-9, 9))
+def test_shift_matches_oracle(spec, m):
+    shifted = build(spec).shift(m)
+    assert all(shifted.value_at(i) == oracle(spec, i - m) for i in range(-21, 22))
+    assert_canonical(shifted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=specs(), a=st.integers(-30, 30), n=st.integers(-2, 20))
+def test_digits_match_oracle(spec, a, n):
+    # Many of these ranges lie wholly in one tail, some are empty.
+    got = build(spec).digits(a, a + n)
+    assert got == bytes(oracle(spec, i) for i in range(a, a + n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=specs(), a=st.integers(-20, 20), n=st.integers(0, 12),
+       k=st.integers(0, 10), points=st.sets(st.integers(-20, 20), max_size=4))
+def test_readers_match_oracle(spec, a, n, k, points):
+    seq = build(spec)
+    positions = range(a, a + n)
+    assert seq.vanishes_on(positions) == all(oracle(spec, i) == 0 for i in positions)
+    assert seq.vanishes_on(points) == all(oracle(spec, i) == 0 for i in points)
+    assert seq.window(k) == tuple(oracle(spec, i) for i in range(-k, k + 1))
+    support = [abs(i) for i in range(-40, 41) if oracle(spec, i)]
+    assert seq.min_abs_support() == (min(support) if support else None)
+
+
+def test_primes_above_127_are_rejected():
+    for make in (lambda: EPSeq.make(128, (0,), (1,), 0, (0,)),
+                 lambda: EPSeq.zero(128),
+                 lambda: EPSeq.from_support(128, {0: 1})):
+        with pytest.raises(ValueError, match="127"):
+            make()
+    assert EPSeq.make(127, (126,), (), 0, (1,)).add(
+        EPSeq.make(127, (126,), (), 0, (1,))).value_at(-1) == 125

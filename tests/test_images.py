@@ -314,7 +314,9 @@ def test_images_have_no_cap_field():
 @pytest.mark.parametrize("image", [
     lambda: ShiftModel(2).reference().window_image(8),  # 2^17 codes
     lambda: LinearModel(7, 2).reference().window_image(3),
-], ids=["shift", "linear"])
+    # GL_3(Z/4): 86,016 elements from 4^9 candidates, under 4 * cap.
+    lambda: LinearModel(2, 3).reference().window_image(2),
+], ids=["shift", "linear", "linear-n3"])
 def test_reading_elements_past_the_cap_raises(image):
     with pytest.raises(ResolutionError, match="cap=65536"):
         image().elements

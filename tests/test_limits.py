@@ -301,7 +301,7 @@ class TestTransport:
         u = lamp_element(2, {3: 1})
         U = w_subgroup(2, 1)
         trace = limits.conjugator_forward(shift, g, u, U, 12)
-        report = limits.con_transport_check(shift, g, u, U, trace.t, rng, samples=25)
+        report = limits.con_transport_check(shift, g, u, trace.t, rng, samples=25)
         assert report["pass"]
 
         gl = linear.parse_element("2,0;0,1")
@@ -310,19 +310,18 @@ class TestTransport:
         tr = limits.conjugator_forward(linear, gl, ul, Ul, 12)
         t, _, adjusted = limits.adjust_to_contraction(linear, tr.t, Ul, gl)
         assert adjusted
-        report = limits.con_transport_check(linear, gl, ul, Ul, t, rng, samples=25)
+        report = limits.con_transport_check(linear, gl, ul, t, rng, samples=25)
         assert report["pass"]
 
     def test_transport_error_carries_counterexample(self, linear):
         g = linear.parse_element("2,0;0,1")
         u = linear.parse_element("1,0;2,1")
-        U = _iwahori(linear, g)
         # A deliberately wrong "conjugator": the coordinate swap maps the
         # contracting (upper) unipotents onto the expanding (lower) ones.
         bad_t = linear.parse_element("0,1;1,0")
         rng = random.Random(0)
         with pytest.raises(limits.TransportError) as exc:
-            limits.con_transport_check(linear, g, u, U, bad_t, rng, samples=10)
+            limits.con_transport_check(linear, g, u, bad_t, rng, samples=10)
         assert exc.value.counterexample is not None
 
     def test_nub_transport(self, shift):
@@ -330,7 +329,7 @@ class TestTransport:
         u = lamp_element(2, {4: 1})
         U = w_subgroup(2, 2)
         two = limits.conjugator_two_sided(shift, g, u, U, 10)
-        report = limits.nub_transport_check(shift, g, u, U, two.r)
+        report = limits.nub_transport_check(shift, g, u, two.r)
         assert report["pass"]
 
 
