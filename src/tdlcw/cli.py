@@ -16,7 +16,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, fields
 from functools import cache
 
 from tdlcw import limits, tidy, verify
@@ -37,19 +36,25 @@ from tdlcw.shift import (
 )
 
 
-@dataclass
 class RunConfig:
     """Shared run settings; every field has a documented range."""
 
-    model: str = None          # "shift" | "linear" | None (= both batteries)
-    p: int = 2                 # prime, 2..7
-    n: int = 2                 # matrix size for the linear model, 2..3
-    resolution: int = None     # window level K, 0..8
-    horizon: int = 12          # certificate / experiment horizon N, 0..64
-    max_k: int = 10            # cap on the tidying intersection depth, 0..32
-    seed: int = 0
-    samples: int = 50          # transport sample size, 1..1000
-    out: str = None
+    #: Each setting and the JSON type its value must have.
+    _FIELDS = (("model", str), ("p", int), ("n", int), ("resolution", int),
+              ("horizon", int), ("max_k", int), ("seed", int),
+              ("samples", int), ("out", str))
+
+    def __init__(self, model=None, p=2, n=2, resolution=None, horizon=12,
+                 max_k=10, seed=0, samples=50, out=None):
+        self.model = model              # "shift" | "linear" | None (= both batteries)
+        self.p = p                      # prime, 2..7
+        self.n = n                      # matrix size for the linear model, 2..3
+        self.resolution = resolution    # window level K, 0..8
+        self.horizon = horizon          # certificate / experiment horizon N, 0..64
+        self.max_k = max_k              # cap on the tidying intersection depth, 0..32
+        self.seed = seed
+        self.samples = samples          # transport sample size, 1..1000
+        self.out = out
 
     _RANGES = {
         "p": (2, 7),
@@ -61,13 +66,13 @@ class RunConfig:
     }
 
     def validate(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, kind in self._FIELDS:
+            value = getattr(self, name)
             # A config file may give any JSON value; only these may be unset.
-            if value is None and f.name in ("model", "resolution", "out"):
+            if value is None and name in ("model", "resolution", "out"):
                 continue
-            if type(value) is not {"int": int, "str": str}[f.type]:
-                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if type(value) is not kind:
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
         if self.model not in (None, "shift", "linear"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.p not in (2, 3, 5, 7):
@@ -84,16 +89,15 @@ class RunConfig:
         if getattr(args, "config", None):
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-            known = {f.name for f in fields(cls) if not f.name.startswith("_")}
-            unknown = set(data) - known
+            unknown = set(data) - {name for name, _ in cls._FIELDS}
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
             for key, value in data.items():
                 setattr(cfg, key, value)
-        for f in fields(cls):
-            value = getattr(args, f.name, None)
+        for name, _ in cls._FIELDS:
+            value = getattr(args, name, None)
             if value is not None:
-                setattr(cfg, f.name, value)
+                setattr(cfg, name, value)
         return cfg.validate()
 
 
@@ -128,7 +132,7 @@ def default_g(model):
 def default_subgroup(model, g=None):
     if model.name == "shift":
         return w_subgroup(model.p, 1)
-    basis = model.eigen_data(g if g is not None else default_g(model))[0]
+    basis = model.integral_basis(g if g is not None else default_g(model))[0]
     return ShapeSubgroup(basis, iwahori_shape(model.n))
 
 
@@ -138,7 +142,7 @@ def parse_subgroup(model, text, g=None):
             return w_subgroup(model.p, int(text[2:]))
         raise ValueError(f"cannot parse shift-model subgroup {text!r} (use W:k)")
     shape = model.parse_shape(text).shape
-    basis = model.eigen_data(g if g is not None else default_g(model))[0]
+    basis = model.integral_basis(g if g is not None else default_g(model))[0]
     return ShapeSubgroup(basis, shape)
 
 

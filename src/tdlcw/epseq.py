@@ -22,17 +22,19 @@ Canonical form (enforced by :meth:`EPSeq.make`): primitive tail periods,
 a core that neither starts with the continuation of the left tail nor ends
 with that of the right tail, with an empty core the boundary slid as far
 left as the tails agree, and a purely periodic sequence stored with equal
-tails, an empty core and offset 0.  Equal sequences therefore compare equal
-as dataclasses.  Negation permutes F_p and a shift only moves the offset,
-so both keep the form without re-canonicalising; only the period of a
-purely periodic sequence rotates under a shift.
+tails, an empty core and offset 0.  Equal sequences therefore have equal
+fields, so value equality (`kernel.Value`) is sequence equality.  Negation
+permutes F_p and a shift only moves the offset, so both keep the form
+without re-canonicalising; only the period of a purely periodic sequence
+rotates under a shift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import lcm
+
+from tdlcw.kernel import Value
 
 ZERO = b"\0"
 
@@ -89,13 +91,15 @@ def _trail(word, tail):
     return n - (x.bit_length() + 7) // 8
 
 
-@dataclass(frozen=True)
-class EPSeq:
-    p: int
-    left: bytes
-    core: bytes
-    offset: int
-    right: bytes
+class EPSeq(Value):
+    __slots__ = ("p", "left", "core", "offset", "right")
+
+    def __init__(self, p, left, core, offset, right):
+        EPSeq.p.__set__(self, p)
+        EPSeq.left.__set__(self, left)
+        EPSeq.core.__set__(self, core)
+        EPSeq.offset.__set__(self, offset)
+        EPSeq.right.__set__(self, right)
 
     @classmethod
     def make(cls, p, left, core, offset, right):

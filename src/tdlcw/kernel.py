@@ -23,12 +23,15 @@ materialize more elements raises :class:`ResolutionError` instead.  Only
 this layer takes the bound as a parameter (`VectorWindow.elements`,
 `MatrixWindow.elements`, `subgroup_closure` and `backend.closure`), so that
 tests can set it small; every layer above uses the constant.
+
+:class:`Value` is the base of the package's immutable value types, from
+the windows here to the conjugator traces of `limits`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 from tdlcw import backend
 
@@ -62,6 +65,55 @@ class WindowMismatchError(ValueError):
 
 class UnsupportedElementError(ValueError):
     """The element lies outside the class the requested computation supports."""
+
+
+class Value:
+    """Base of the immutable value types of every layer.
+
+    A subclass names its fields in `__slots__` and stores them in its
+    `__init__` through the slot descriptors, `Cls.field.__set__(self, v)`,
+    which the guard below does not see.  Instances are equal when they are
+    of the same class with equal field tuples, hash as that tuple, print as
+    ``Name(field=value, ...)`` and copy by reconstruction; setting or
+    deleting an attribute raises AttributeError.  These are the semantics
+    of a frozen dataclass without its import cost: `dataclasses` brings in
+    `inspect`, and each decoration compiles methods with `exec`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__dict__.get("__slots__", ())
+        if len(cls._fields) > 1:
+            # attrgetter of two or more names returns their values' tuple.
+            cls._values = property(attrgetter(*cls._fields))
+
+    @property
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def det(rows):
@@ -116,12 +168,14 @@ def _unpack(code, count, base):
     return out
 
 
-@dataclass(frozen=True)
-class VectorWindow:
+class VectorWindow(Value):
     """Additive group F_p^length; code = sum d_i * p**i."""
 
-    p: int
-    length: int
+    __slots__ = ("p", "length")
+
+    def __init__(self, p, length):
+        VectorWindow.p.__set__(self, p)
+        VectorWindow.length.__set__(self, length)
 
     @property
     def desc(self):
@@ -171,13 +225,15 @@ class VectorWindow:
         return range(self.order)
 
 
-@dataclass(frozen=True)
-class MatrixWindow:
+class MatrixWindow(Value):
     """GL_n(Z/p^K), n in {2, 3}, with row-major entry packing in base p^K."""
 
-    n: int
-    p: int
-    K: int
+    __slots__ = ("n", "p", "K")
+
+    def __init__(self, n, p, K):
+        MatrixWindow.n.__set__(self, n)
+        MatrixWindow.p.__set__(self, p)
+        MatrixWindow.K.__set__(self, K)
 
     @property
     def modulus(self):
@@ -274,7 +330,7 @@ class MatrixWindow:
         return (c for c in range(total) if self.is_invertible(c))
 
 
-class Image:
+class Image(Value):
     """A subgroup of a window group, answered from what describes it.
 
     Subclasses give `window`, `order`, membership (`code in image`) and
@@ -282,6 +338,10 @@ class Image:
     form, or None.  Intersection, containment and equality follow: a
     meet of unlike forms filters the smaller image's elements through
     membership in the other, so only that image is materialized.
+
+    Images are immutable `Value`s, but compare and hash as subgroups, not
+    as field tuples.  `Image` declares no `__slots__`, so each image keeps
+    an instance `__dict__` for its `cached_property` attributes.
     """
 
     def sorted_codes(self):
@@ -330,16 +390,15 @@ class Image:
             w.inv(a) in elems and all(w.mul(a, b) in elems for b in elems) for a in elems)
 
 
-@dataclass(frozen=True, eq=False)
 class SubgroupImage(Image):
-    """A subgroup of a window group, given by its full element set."""
+    """A subgroup of a window group, given by its full element set; the
+    trivial subgroup when no element is given."""
 
-    window: object
-    elements: frozenset = field(default_factory=frozenset)
+    __slots__ = ("window", "elements")
 
-    def __post_init__(self):
-        if not self.elements:
-            object.__setattr__(self, "elements", frozenset({self.window.identity}))
+    def __init__(self, window, elements=frozenset()):
+        SubgroupImage.window.__set__(self, window)
+        SubgroupImage.elements.__set__(self, elements or frozenset({window.identity}))
 
     @property
     def order(self):

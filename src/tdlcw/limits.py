@@ -34,11 +34,10 @@ the first level m where they differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from tdlcw import tidy
-from tdlcw.kernel import INF_LEVEL, WindowMismatchError
+from tdlcw.kernel import INF_LEVEL, Value, WindowMismatchError
 
 #: Resolution K and horizon N at which transported contraction-group
 #: samples are certified, and resolution of the nub transport.
@@ -58,14 +57,16 @@ class TransportError(RuntimeError):
         self.counterexample = counterexample
 
 
-@dataclass(frozen=True)
-class PowerTable:
+class PowerTable(Value):
     """(gu)^k, (gu)^-k, g^k and g^-k for 0 <= k <= N, as running products."""
 
-    gu: tuple
-    gu_inv: tuple
-    g: tuple
-    g_inv: tuple
+    __slots__ = ("gu", "gu_inv", "g", "g_inv")
+
+    def __init__(self, gu, gu_inv, g, g_inv):
+        PowerTable.gu.__set__(self, gu)
+        PowerTable.gu_inv.__set__(self, gu_inv)
+        PowerTable.g.__set__(self, g)
+        PowerTable.g_inv.__set__(self, g_inv)
 
     @classmethod
     def build(cls, model, g, u, N):
@@ -132,33 +133,42 @@ def _replay(model, trace, x, certs, signs):
         for k in (s * trace.horizon for s in signs))
 
 
-@dataclass(frozen=True)
-class ConjugatorTrace:
-    """Certificate of the forward construction; replayable independently."""
+class ConjugatorTrace(Value):
+    """Certificate of the forward construction; replayable independently.
+    `certificates` is the tuple of b_k for k = 0..horizon."""
 
-    model_name: str
-    g: object
-    u: object
-    U: object
-    horizon: int
-    t: object
-    certificates: tuple  # b_k for k = 0..horizon
+    __slots__ = ("model_name", "g", "u", "U", "horizon", "t", "certificates")
+
+    def __init__(self, model_name, g, u, U, horizon, t, certificates):
+        ConjugatorTrace.model_name.__set__(self, model_name)
+        ConjugatorTrace.g.__set__(self, g)
+        ConjugatorTrace.u.__set__(self, u)
+        ConjugatorTrace.U.__set__(self, U)
+        ConjugatorTrace.horizon.__set__(self, horizon)
+        ConjugatorTrace.t.__set__(self, t)
+        ConjugatorTrace.certificates.__set__(self, certificates)
 
     def replay(self, model):
         """Re-verify every certificate identity by exact multiplication."""
         return _replay(model, self, self.t, dict(enumerate(self.certificates)), (1,))
 
 
-@dataclass(frozen=True)
-class TwoSidedTrace:
-    model_name: str
-    g: object
-    u: object
-    U: object
-    horizon: int
-    forward: ConjugatorTrace      # for (g, u), yields t in U_+
-    r: object
-    certificates: dict            # k -> b_k for -horizon <= k <= horizon
+class TwoSidedTrace(Value):
+    """Certificate of the two-sided construction: `forward` is the trace
+    for (g, u), whose t lies in U_+, and `certificates` maps k to b_k for
+    -horizon <= k <= horizon."""
+
+    __slots__ = ("model_name", "g", "u", "U", "horizon", "forward", "r", "certificates")
+
+    def __init__(self, model_name, g, u, U, horizon, forward, r, certificates):
+        TwoSidedTrace.model_name.__set__(self, model_name)
+        TwoSidedTrace.g.__set__(self, g)
+        TwoSidedTrace.u.__set__(self, u)
+        TwoSidedTrace.U.__set__(self, U)
+        TwoSidedTrace.horizon.__set__(self, horizon)
+        TwoSidedTrace.forward.__set__(self, forward)
+        TwoSidedTrace.r.__set__(self, r)
+        TwoSidedTrace.certificates.__set__(self, certificates)
 
     def replay(self, model):
         return _replay(model, self, self.r, self.certificates, (1, -1))
@@ -169,6 +179,18 @@ def conjugator_forward(model, g, u, U, N, parts=None, powers=None):
 
     `powers` is the `PowerTable` of (g, u) through N, built here when None.
     """
+    if powers is None:
+        powers = PowerTable.build(model, g, u, N)
+    t = _stage_conjugator(model, g, u, U, N, parts, powers)
+    t_inv = model.inv(t)
+    certs = tuple(powers.certificate(model, U, k, t, t_inv) for k in range(N + 1))
+    return ConjugatorTrace(model.name, g, u, U, N, t, certs)
+
+
+def _stage_conjugator(model, g, u, U, N, parts, powers):
+    """The stage-N conjugator t in U_+ of the forward construction, after
+    its hypothesis checks, with the certificate of each step checked; the
+    final certificates are the caller's."""
     if not U.contains(u):
         raise HypothesisError("u must lie in U")
     if parts is None:
@@ -176,8 +198,6 @@ def conjugator_forward(model, g, u, U, N, parts=None, powers=None):
     verdict, k, _ = tidy.is_tidy_above(model, U, g, max(model.min_level, 1), parts)
     if verdict is not True:
         raise HypothesisError(f"U is not tidy above for g (level {k})")
-    if powers is None:
-        powers = PowerTable.build(model, g, u, N)
     t = model.identity
     # Each step sets t <- t y, y = g^-n w_+^-1 g^n.
     for n in range(N):
@@ -187,9 +207,7 @@ def conjugator_forward(model, g, u, U, N, parts=None, powers=None):
         t = model.mul(t, y)
     if not parts.u_plus.contains(t):
         raise HypothesisError("constructed conjugator escapes U_+")
-    t_inv = model.inv(t)
-    certs = tuple(powers.certificate(model, U, k, t, t_inv) for k in range(N + 1))
-    return ConjugatorTrace(model.name, g, u, U, N, t, certs)
+    return t
 
 
 def adjust_to_contraction(model, t, U, g, parts=None):
@@ -211,6 +229,17 @@ def conjugator_two_sided(model, g, u, U, N):
     (g, u) and for (g^-1, g u^-1 g^-1), both reading one `PowerTable`,
     splits t^-1 s = w_- w_+ in U, and combines r = t w_- (so that also
     r = s w_+^-1).
+
+    The backward run keeps its hypothesis checks and step certificates but
+    forms no final certificates of its own, as r's imply them.  With
+    b_k(x) = x^-1 (gu)^k x g^-k, those would be b_k(s) for -N <= k <= 0,
+    and since r = s w_+^-1 with w_+ in U_+,
+
+        b_k(r) = w_+ b_k(s) (g^k w_+^-1 g^-k),
+
+    whose last factor lies in g^k U_+ g^-k <= U_+ for k <= 0.  So b_k(r)
+    lies in U exactly when b_k(s) does, and the k <= 0 certificates of r,
+    checked first from k = 0 down, fail at the same |k| as s's would.
     """
     if not U.contains(u):
         raise HypothesisError("u must lie in U")
@@ -220,8 +249,7 @@ def conjugator_two_sided(model, g, u, U, N):
     parts = tidy.u_parts(model, U, g)
     powers = PowerTable.build(model, g, u, N)
     forward = conjugator_forward(model, g, u, U, N, parts, powers)
-    s = conjugator_forward(
-        model, model.inv(g), u_back, U, N, powers=powers.backward()).t
+    s = _stage_conjugator(model, model.inv(g), u_back, U, N, None, powers.backward())
     t = forward.t
     w_minus, _w_plus = model.split(model.mul(model.inv(t), s), U, g, parts)
     r = model.mul(t, w_minus)
@@ -286,13 +314,15 @@ def nub_transport_check(model, g, u, r):
 # -- Chabauty instrumentation ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChabautyDistance:
+class ChabautyDistance(Value):
     """Either 2^-level (first window level that distinguishes) or certified
     indistinguishability at the comparison resolution."""
 
-    indistinguishable: bool
-    level: int
+    __slots__ = ("indistinguishable", "level")
+
+    def __init__(self, indistinguishable, level):
+        ChabautyDistance.indistinguishable.__set__(self, indistinguishable)
+        ChabautyDistance.level.__set__(self, level)
 
     @property
     def value(self):
@@ -306,13 +336,15 @@ class ChabautyDistance:
         return {"num": 1, "log2_denom": self.level}
 
 
-@dataclass(frozen=True)
-class ClosedSubgroupApprox:
+class ClosedSubgroupApprox(Value):
     """Per-level window images of a closed subgroup of the reference
     compact open; the finite-resolution stand-in for a Chabauty point."""
 
-    min_level: int
-    images: tuple
+    __slots__ = ("min_level", "images")
+
+    def __init__(self, min_level, images):
+        ClosedSubgroupApprox.min_level.__set__(self, min_level)
+        ClosedSubgroupApprox.images.__set__(self, images)
 
     @classmethod
     def build(cls, model, image_fn, K):

@@ -13,7 +13,6 @@ covers every invertible matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, permutations, product
@@ -26,6 +25,7 @@ from tdlcw.kernel import (
     MatrixWindow,
     ResolutionError,
     UnsupportedElementError,
+    Value,
     adjugate,
     det,
     power,
@@ -371,17 +371,17 @@ def iwahori_shape(n, vals=None):
                        for s in range(n)) for r in range(n))
 
 
-@dataclass(frozen=True)
-class ShapeSubgroup:
+class ShapeSubgroup(Value):
     """Compact open B * {x: val(x_rs - delta_rs) >= M_rs, det a unit} * B^-1."""
 
-    basis: QMatrix
-    shape: tuple
-    validated: bool = True
+    __slots__ = ("basis", "shape", "validated")
 
-    def __post_init__(self):
-        if self.validated:
-            validate_shape(self.shape)
+    def __init__(self, basis, shape, validated=True):
+        if validated:
+            validate_shape(shape)
+        ShapeSubgroup.basis.__set__(self, basis)
+        ShapeSubgroup.shape.__set__(self, shape)
+        ShapeSubgroup.validated.__set__(self, validated)
 
     @property
     def p(self):
@@ -448,7 +448,6 @@ class ShapeSubgroup:
         return ShapeImage(window, self._clamped(K), conj)
 
 
-@dataclass(frozen=True, eq=False)
 class ShapeImage(Image):
     """The image mod p^K of a shape subgroup: b c b^-1 for b its basis mod
     p^K and c over `_residues(clamped)`.  `conj` holds the codes of b and
@@ -458,9 +457,12 @@ class ShapeImage(Image):
     shapes can give one image (at p = 2 a level-0 diagonal entry is already
     1 mod 2)."""
 
-    window: MatrixWindow
-    clamped: tuple
-    conj: tuple = None
+    __slots__ = ("window", "clamped", "conj")
+
+    def __init__(self, window, clamped, conj=None):
+        ShapeImage.window.__set__(self, window)
+        ShapeImage.clamped.__set__(self, clamped)
+        ShapeImage.conj.__set__(self, conj)
 
     @cached_property
     def order(self):
@@ -735,7 +737,9 @@ class LinearModel:
                 return identity_matrix(n, p), vals
         return eigenbasis(g)
 
-    def _integral_basis(self, g):
+    def integral_basis(self, g):
+        """`eigen_data(g)`, after checking that the eigenbasis lies in
+        GL_n(Z_p), as every window computation in that basis needs."""
         basis, vals = self.eigen_data(g)
         if not self.in_reference(basis):
             raise UnsupportedElementError(
@@ -773,7 +777,7 @@ class LinearModel:
     def _eigen_image(self, g, K, entry):
         """Window image of the shape subgroup in g's eigenbasis whose entry
         (r, s) is entry(v_r, v_s) for the eigenvalue valuations v."""
-        basis, vals = self._integral_basis(g)
+        basis, vals = self.integral_basis(g)
         shape = tuple(tuple(entry(a, b) for b in vals) for a in vals)
         return ShapeSubgroup(basis, shape, validated=False).window_image(K)
 
@@ -906,7 +910,7 @@ class LinearModel:
         if self.in_reference(g):
             basis = self.identity
         else:
-            basis, _ = self._integral_basis(g)
+            basis, _ = self.integral_basis(g)
         return [
             ShapeSubgroup(basis, congruence_shape(self.n, k)) for k in range(K + 1)
         ]
@@ -930,7 +934,7 @@ class LinearModel:
         """Default shrinking schedule in g's eigenbasis: U_n is the
         congruence-refined off-diagonal-level subgroup at depth n, and u_n
         perturbs the expanding coordinate at depth n."""
-        basis, vals = self._integral_basis(g)
+        basis, vals = self.integral_basis(g)
         if self.n != 2 or vals[0] <= vals[1]:
             raise UnsupportedElementError(
                 "the default schedule needs a 2x2 element with distinct "

@@ -13,7 +13,6 @@ The filtration is B_k = W(k) = lamps vanishing on [-k, k].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from tdlcw.epseq import ZERO, EPSeq
@@ -23,15 +22,18 @@ from tdlcw.kernel import (
     Image,
     ResolutionError,
     UnsupportedElementError,
+    Value,
     VectorWindow,
     power,
 )
 
 
-@dataclass(frozen=True)
-class ShiftElement:
-    lamp: EPSeq
-    shift: int
+class ShiftElement(Value):
+    __slots__ = ("lamp", "shift")
+
+    def __init__(self, lamp, shift):
+        ShiftElement.lamp.__set__(self, lamp)
+        ShiftElement.shift.__set__(self, shift)
 
     @property
     def p(self):
@@ -61,14 +63,16 @@ def lamp_element(p, support):
     return ShiftElement(EPSeq.from_support(p, support), 0)
 
 
-@dataclass(frozen=True)
-class VanishSet:
+class VanishSet(Value):
     """Subset of Z of the form (-inf, left] + finite + [right, inf)."""
 
-    left: object = None
-    fin: frozenset = frozenset()
-    right: object = None
-    everything: bool = False
+    __slots__ = ("left", "fin", "right", "everything")
+
+    def __init__(self, left=None, fin=frozenset(), right=None, everything=False):
+        VanishSet.left.__set__(self, left)
+        VanishSet.fin.__set__(self, fin)
+        VanishSet.right.__set__(self, right)
+        VanishSet.everything.__set__(self, everything)
 
     @classmethod
     def make(cls, left=None, fin=(), right=None, everything=False):
@@ -138,15 +142,17 @@ class VanishSet:
         return True
 
 
-@dataclass(frozen=True, eq=False)
 class CoordinateImage(Image):
     """The window image of a vanish-set subgroup: the digit vectors of
     F_p^(2K+1) that are zero off the positions `free` (position i + K holds
     coordinate i).  The elements are built only when read, within
     `DEFAULT_CAP`."""
 
-    window: VectorWindow
-    free: frozenset
+    __slots__ = ("window", "free")
+
+    def __init__(self, window, free):
+        CoordinateImage.window.__set__(self, window)
+        CoordinateImage.free.__set__(self, free)
 
     @property
     def order(self):
@@ -180,12 +186,14 @@ class CoordinateImage(Image):
         return frozenset(codes)
 
 
-@dataclass(frozen=True)
-class ShiftOpen:
+class ShiftOpen(Value):
     """Compact open subgroup {(a, 0): a vanishes on the vanish set}."""
 
-    p: int
-    vanish: VanishSet
+    __slots__ = ("p", "vanish")
+
+    def __init__(self, p, vanish):
+        ShiftOpen.p.__set__(self, p)
+        ShiftOpen.vanish.__set__(self, vanish)
 
     def contains(self, x):
         if x.shift != 0:
@@ -245,8 +253,7 @@ def nub_oracle_shift(g, K):
     return sub.window_image(K)
 
 
-@dataclass(frozen=True)
-class TailZeroSet:
+class TailZeroSet(Value):
     """Symbolic non-closed set: lamps whose tail on one side is zero.
 
     This is the shift model's U_-- (or U_++): the union of the backward
@@ -254,8 +261,12 @@ class TailZeroSet:
     only ever exists as this tagged descriptor plus window images.
     """
 
-    p: int
-    side: str  # "left" or "right" (which tail must vanish)
+    __slots__ = ("p", "side")
+
+    def __init__(self, p, side):
+        TailZeroSet.p.__set__(self, p)
+        # "left" or "right": which tail must vanish.
+        TailZeroSet.side.__set__(self, side)
 
     def contains(self, x):
         lamp = x.lamp

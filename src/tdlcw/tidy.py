@@ -22,11 +22,10 @@ guess; exact model oracles upgrade them wherever available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from tdlcw.kernel import (
     INF_LEVEL,
     UnsupportedElementError,
+    Value,
     first_outside,
     index,
     product_is,
@@ -51,8 +50,7 @@ class NubDisagreementError(RuntimeError):
         self.images = images
 
 
-@dataclass(frozen=True)
-class UParts:
+class UParts(Value):
     """The subgroup parts attached to (U, g); see the module docstring.
 
     u_plus / u_minus / u_zero are compact open descriptors; u_mm / u_pp
@@ -60,11 +58,14 @@ class UParts:
     tests plus window images.
     """
 
-    u_plus: object
-    u_minus: object
-    u_zero: object
-    u_mm: object
-    u_pp: object
+    __slots__ = ("u_plus", "u_minus", "u_zero", "u_mm", "u_pp")
+
+    def __init__(self, u_plus, u_minus, u_zero, u_mm, u_pp):
+        UParts.u_plus.__set__(self, u_plus)
+        UParts.u_minus.__set__(self, u_minus)
+        UParts.u_zero.__set__(self, u_zero)
+        UParts.u_mm.__set__(self, u_mm)
+        UParts.u_pp.__set__(self, u_pp)
 
 
 def u_parts(model, U, g):

@@ -12,12 +12,11 @@ normal subgroup containing the shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from tdlcw import kernel
 from tdlcw.epseq import ZERO, EPSeq
-from tdlcw.kernel import UnsupportedElementError, subgroup_closure
+from tdlcw.kernel import UnsupportedElementError, Value, subgroup_closure
 from tdlcw.shift import CoordinateImage, ShiftElement, shift_generator
 
 
@@ -33,8 +32,7 @@ def tits_core_image(model, K, schedule):
     return subgroup_closure(model.window(K), sorted(gens))
 
 
-@dataclass(frozen=True)
-class QuotientDescriptor:
+class QuotientDescriptor(Value):
     """A closed normal subgroup N with a computable quotient.
 
     Supported kinds: "lamp" (shift model; N = the full lamp subgroup, with
@@ -42,14 +40,15 @@ class QuotientDescriptor:
     N = 1, quotient the group itself).
     """
 
-    model: object
-    kind: str
+    __slots__ = ("model", "kind")
 
-    def __post_init__(self):
-        if self.kind not in ("lamp", "trivial"):
-            raise UnsupportedElementError(f"unsupported quotient kind {self.kind!r}")
-        if self.kind == "lamp" and self.model.name != "shift":
+    def __init__(self, model, kind):
+        if kind not in ("lamp", "trivial"):
+            raise UnsupportedElementError(f"unsupported quotient kind {kind!r}")
+        if kind == "lamp" and model.name != "shift":
             raise UnsupportedElementError("the lamp quotient needs the shift model")
+        QuotientDescriptor.model.__set__(self, model)
+        QuotientDescriptor.kind.__set__(self, kind)
 
     def contains(self, x):
         """Membership in N."""

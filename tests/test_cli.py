@@ -296,6 +296,29 @@ def test_mistyped_config_value_exits_2(argv, config, tmp_path, capsys):
     assert code == 2 and not rows and f"error: {name} must be of type" in err
 
 
+def test_mistyped_config_message_names_the_type(tmp_path, capsys):
+    for config, message in (({"resolution": 2.5}, "resolution must be of type int, got 2.5"),
+                            ({"out": 5}, "out must be of type str, got 5")):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        code, rows, err = run(["scale", "--model", "shift", "--config", str(path)], capsys)
+        assert (code, rows, err) == (2, [], f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["tidy", "conjugator"])
+@pytest.mark.parametrize("subgroup", [[], ["--U", "0,1;0,0"]], ids=["default-U", "given-U"])
+def test_non_integral_eigenbasis_is_named(command, subgroup, capsys):
+    # g = ((0,1),(1,0)) lies in GL_2(Z_2), but its eigenbasis ((-1,1),(1,1))
+    # has determinant -2, not a 2-adic unit; at p = 3 it is a unit.
+    argv = [command, "--model", "linear", "--g", "0,1;1,0", *subgroup]
+    code, rows, err = run(argv, capsys)
+    assert (code, rows) == (2, [])
+    assert err == ("error: eigenbasis is not p-integral with unit determinant; "
+                   "window computations are unavailable for this element\n")
+    code, rows, _ = run(argv + ["--p", "3"], capsys)
+    assert code == 0 and len(rows) == 1 and rows[0]["pass"]
+
+
 #: Commands run one after another in one process: a flag given to one
 #: (`--two-sided`, `--model`) must not leak into the next, which omits it.
 SEQUENCE = [

@@ -1,7 +1,7 @@
 """Canonical form and arithmetic of eventually periodic bi-infinite sequences.
 
 The canonical-form property is the load-bearing one: any two constructions
-of the same underlying function Z -> F_p must produce equal dataclasses.
+of the same underlying function Z -> F_p must produce equal values.
 """
 
 import pytest

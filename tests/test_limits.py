@@ -1,6 +1,5 @@
 """Conjugator construction, transports, and the convergence instruments."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -21,6 +20,13 @@ def shift():
 @pytest.fixture
 def linear():
     return LinearModel(2, 2)
+
+
+def replace(value, **changes):
+    """A copy of a value-class instance with some fields changed, rebuilt
+    from its `__slots__`."""
+    fields = {name: getattr(value, name) for name in type(value).__slots__}
+    return type(value)(**{**fields, **changes})
 
 
 def _iwahori(model, g):
@@ -55,7 +61,7 @@ class TestForwardConjugator:
         g = shift_generator(2, 1)
         u = lamp_element(2, {2: 1})
         trace = limits.conjugator_forward(shift, g, u, w_subgroup(2, 1), 6)
-        bad = dataclasses.replace(trace, t=lamp_element(2, {3: 1}))
+        bad = replace(trace, t=lamp_element(2, {3: 1}))
         assert not bad.replay(shift)
 
 
@@ -151,7 +157,7 @@ class TestCertificates:
         assert trace.replay(model)
         certs = list(trace.certificates)
         certs[3] = model.mul(certs[3], v)
-        bad = dataclasses.replace(trace, certificates=tuple(certs))
+        bad = replace(trace, certificates=tuple(certs))
         assert not bad.replay(model)
 
     def test_replay_detects_a_changed_negative_certificate(self, case):
@@ -160,17 +166,17 @@ class TestCertificates:
         assert two.replay(model)
         certs = dict(two.certificates)
         certs[-2] = model.mul(certs[-2], v)
-        bad = dataclasses.replace(two, certificates=certs)
+        bad = replace(two, certificates=certs)
         assert not bad.replay(model)
 
     def test_replay_detects_a_changed_first_certificate(self, case):
         model, g, u, U, v = case
         trace = limits.conjugator_forward(model, g, u, U, 6)
-        bad = dataclasses.replace(
+        bad = replace(
             trace, certificates=(v,) + trace.certificates[1:])
         assert not bad.replay(model)
         two = limits.conjugator_two_sided(model, g, u, U, 5)
-        assert not dataclasses.replace(
+        assert not replace(
             two, certificates={**two.certificates, 0: v}).replay(model)
 
     def test_induction_needs_b0_to_be_one(self, case):
@@ -187,7 +193,7 @@ class TestCertificates:
         assert limits._induction_holds(
             model, trace, t, dict(enumerate(trace.certificates)), (1,))
         assert not limits._induction_holds(model, trace, t, shifted, (1,))
-        bad = dataclasses.replace(
+        bad = replace(
             trace, certificates=tuple(shifted[k] for k in range(7)))
         assert not bad.replay(model)
 
@@ -204,7 +210,7 @@ class TestCertificates:
         b_7 = next_certificate(trace.t, certs[6])
         assert U.contains(b_7)
         for bad_certs in (certs[:-1], certs + (b_7,)):
-            assert not dataclasses.replace(
+            assert not replace(
                 trace, certificates=bad_certs).replay(model)
         two = limits.conjugator_two_sided(model, g, u, U, 5)
         missing = {k: b for k, b in two.certificates.items() if k != -3}
@@ -212,16 +218,16 @@ class TestCertificates:
                  6: next_certificate(two.r, two.certificates[5])}
         assert U.contains(extra[6])
         for bad_certs in (missing, extra):
-            assert not dataclasses.replace(
+            assert not replace(
                 two, certificates=bad_certs).replay(model)
 
     def test_replay_detects_a_changed_conjugator(self, case):
         model, g, u, U, v = case
         trace = limits.conjugator_forward(model, g, u, U, 6)
-        assert not dataclasses.replace(
+        assert not replace(
             trace, t=model.mul(trace.t, v)).replay(model)
         two = limits.conjugator_two_sided(model, g, u, U, 5)
-        assert not dataclasses.replace(
+        assert not replace(
             two, r=model.mul(two.r, v)).replay(model)
 
     @pytest.mark.parametrize("two_sided", [False, True])
@@ -250,10 +256,10 @@ class TestCertificates:
                       model.parse_element("1,0;1,1"))
         assert U.contains(w)
         built = []
-        forward, split = limits.conjugator_forward, LinearModel.split
+        construct, split = limits._stage_conjugator, LinearModel.split
 
-        def counting_forward(*args, **kwargs):
-            built.append(forward(*args, **kwargs))
+        def counting_construct(*args, **kwargs):
+            built.append(construct(*args, **kwargs))
             return built[-1]
 
         def final_split(self, x, U, g, parts):
@@ -261,11 +267,72 @@ class TestCertificates:
                 return w, self.identity
             return split(self, x, U, g, parts)
 
-        monkeypatch.setattr(limits, "conjugator_forward", counting_forward)
+        monkeypatch.setattr(limits, "_stage_conjugator", counting_construct)
         monkeypatch.setattr(LinearModel, "split", final_split)
         with pytest.raises(limits.HypothesisError, match=r"^certificate b_-3 escapes U$"):
             limits.conjugator_two_sided(model, g, u, U, 8)
         assert len(built) == 2
+
+    def test_backward_escape_is_caught_by_r_at_the_same_k(self, monkeypatch):
+        # The split of the backward run's last step (call 2N) is multiplied
+        # by v = ((1,2),(0,1)) in U: its conjugator s passes every step and
+        # the U_+ check, but b_-6(s) escapes U.  The backward run forms no
+        # final certificates; r = s w_+^-1 escapes at the same k.
+        model = LinearModel(2, 2)
+        g = model.parse_element("2,0;0,1")
+        u = model.parse_element("1,0;4,1")
+        U = _iwahori(model, g)
+        v = model.parse_element("1,2;0,1")
+        N = 6
+        built, calls = [], []
+        construct, split = limits._stage_conjugator, LinearModel.split
+
+        def counting_construct(*args, **kwargs):
+            built.append(construct(*args, **kwargs))
+            return built[-1]
+
+        def faulty_split(self, x, U, g, parts):
+            calls.append(x)
+            w_minus, w_plus = split(self, x, U, g, parts)
+            if len(calls) == 2 * N:
+                return w_minus, self.mul(w_plus, v)
+            return w_minus, w_plus
+
+        monkeypatch.setattr(limits, "_stage_conjugator", counting_construct)
+        monkeypatch.setattr(LinearModel, "split", faulty_split)
+        with pytest.raises(limits.HypothesisError, match=r"^certificate b_-6 escapes U$"):
+            limits.conjugator_two_sided(model, g, u, U, N)
+        assert len(built) == 2 and len(calls) == 2 * N + 1
+        s = built[1]
+        s_inv = model.inv(s)
+        powers = limits.PowerTable.build(model, g, u, N)
+        for k in range(0, -N, -1):
+            powers.certificate(model, U, k, s, s_inv)
+        with pytest.raises(limits.HypothesisError, match=r"^certificate b_-6 escapes U$"):
+            powers.certificate(model, U, -N, s, s_inv)
+
+    def test_right_factors_in_u_plus_keep_k_below_zero_membership(self, case):
+        # For k <= 0 and w in U_+, b_k(x w) lies in U exactly when b_k(x)
+        # does: why the backward run needs no final certificates.
+        model, g, u, U, v = case
+        gu = model.mul(g, u)
+
+        def in_u(x, k):
+            b = model.mul(model.mul(model.mul(model.inv(x), repeated(model, gu, k)), x),
+                          repeated(model, g, -k))
+            return U.contains(b)
+
+        u_plus = tidy.u_parts(model, U, g).u_plus
+        candidates = (limits.conjugator_forward(model, g, u, U, 6).t,
+                      model.conjugate(model.power(g, -5), u))
+        ws = [w for w in candidates if u_plus.contains(w) and not w.is_identity()]
+        assert ws
+        verdicts = []
+        for x in (model.identity, v, model.inv(v), u, model.mul(v, u)):
+            for k in range(0, -7, -1):
+                verdicts.append(in_u(x, k))
+                assert all(in_u(model.mul(x, w), k) == verdicts[-1] for w in ws)
+        assert not all(verdicts)
 
 
 class TestTwoSidedConjugator:
