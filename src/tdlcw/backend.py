@@ -14,7 +14,8 @@ BACKEND_NAME = "pure"
 def closure(window, gens, cap):
     """Smallest subgroup of `window` containing `gens`, as a set of codes.
 
-    Raises ValueError when the closure grows past `cap` elements.
+    Raises `kernel.ResolutionError` when the closure grows past `cap`
+    elements.
     """
     mul = window.mul
     one = window.identity
@@ -30,7 +31,9 @@ def closure(window, gens, cap):
                     seen.add(y)
                     nxt.append(y)
         if len(seen) > cap:
-            raise ValueError(f"closure exceeded cap {cap}")
+            # Imported here: the kernel imports this module.
+            from tdlcw.kernel import ResolutionError
+            raise ResolutionError(f"closure exceeded cap {cap}", cap)
         frontier = nxt
     return seen
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import cache
 from math import lcm
 
-from tdlcw.kernel import Value
+from tdlcw.kernel import InputError, Value, WindowMismatchError
 
 ZERO = b"\0"
 
@@ -106,9 +106,9 @@ class EPSeq(Value):
         """The canonical sequence from digit words given as bytes or as any
         iterables of ints, each digit taken mod p."""
         if p < 2:
-            raise ValueError("p must be at least 2")
+            raise InputError("p must be at least 2")
         if p > 127:
-            raise ValueError("p must be at most 127: digit sums must fit in a byte")
+            raise InputError("p must be at most 127: digit sums must fit in a byte")
         reduce = _tables(p)[0]
         left = _primitive(_word(left, p, reduce) or ZERO)
         right = _primitive(_word(right, p, reduce) or ZERO)
@@ -185,7 +185,7 @@ class EPSeq(Value):
 
     def add(self, other):
         if self.p != other.p:
-            raise ValueError("prime mismatch")
+            raise WindowMismatchError("prime mismatch")
         if other.is_zero():
             return self
         if self.is_zero():

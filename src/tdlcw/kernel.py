@@ -25,7 +25,8 @@ this layer takes the bound as a parameter (`VectorWindow.elements`,
 tests can set it small; every layer above uses the constant.
 
 :class:`Value` is the base of the package's immutable value types, from
-the windows here to the conjugator traces of `limits`.
+the windows here to the conjugator traces of `limits`, and
+:class:`TdlcwError` the base of its errors.
 """
 
 from __future__ import annotations
@@ -43,7 +44,32 @@ INF_LEVEL = math.inf
 DEFAULT_CAP = 2**16
 
 
-class ResolutionError(ValueError):
+class TdlcwError(Exception):
+    """Base of the package's errors.
+
+    `kind` names the failure in a failed result row: the class name
+    without "Error", hyphenated (`HorizonExceededError` is
+    "horizon-exceeded").  `witness`, when given, is what shows the failure:
+    an element, a window code, or the data that disagrees.  Each subclass
+    also derives from ValueError or RuntimeError.
+    """
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+    @property
+    def kind(self):
+        name = type(self).__name__.removesuffix("Error")
+        return "".join("-" + c.lower() if c.isupper() else c for c in name)[1:]
+
+
+class InputError(TdlcwError, ValueError):
+    """The command line or the arguments ask for something outside the
+    supported range; the command line interface exits 2 on it."""
+
+
+class ResolutionError(InputError):
     """An operation would enumerate past the configured cap."""
 
     def __init__(self, message, cap):
@@ -51,19 +77,16 @@ class ResolutionError(ValueError):
         self.cap = cap
 
 
-class ContainmentError(ValueError):
-    """V was expected inside U; carries a witness element code."""
-
-    def __init__(self, witness):
-        super().__init__(f"subgroup containment fails, witness code {witness}")
-        self.witness = witness
+class ContainmentError(TdlcwError, ValueError):
+    """Something expected inside a subgroup is not; the witness, when
+    known, is an element or code outside it."""
 
 
-class WindowMismatchError(ValueError):
-    pass
+class WindowMismatchError(TdlcwError, ValueError):
+    """Operands belong to different windows or groups."""
 
 
-class UnsupportedElementError(ValueError):
+class UnsupportedElementError(InputError):
     """The element lies outside the class the requested computation supports."""
 
 
@@ -203,7 +226,7 @@ class VectorWindow(Value):
     def level(self, K):
         """The window at level K: the centred coordinates [-K, K]."""
         if 2 * K + 1 > self.length:
-            raise ValueError("cannot project upward")
+            raise WindowMismatchError("cannot project upward")
         return VectorWindow(self.p, 2 * K + 1)
 
     def reduce(self, code, K):
@@ -213,7 +236,7 @@ class VectorWindow(Value):
 
     def encode(self, digits):
         if len(digits) != self.length:
-            raise ValueError("digit vector has wrong length")
+            raise WindowMismatchError("digit vector has wrong length")
         return _pack([d % self.p for d in digits], self.p)
 
     def decode(self, code):
@@ -283,7 +306,7 @@ class MatrixWindow(Value):
     def level(self, K):
         """The window GL_n(Z/p^K) at level K <= this one's."""
         if K > self.K:
-            raise ValueError("cannot project upward")
+            raise WindowMismatchError("cannot project upward")
         return MatrixWindow(self.n, self.p, K)
 
     def reduce(self, code, K):
@@ -304,13 +327,13 @@ class MatrixWindow(Value):
 
     def encode(self, entries):
         """Code of the matrix with these row-major entries, reduced mod p^K;
-        raises ValueError when it is not invertible modulo p."""
+        raises UnsupportedElementError when it is not invertible modulo p."""
         if len(entries) != self.n * self.n:
-            raise ValueError("entry vector has wrong length")
+            raise WindowMismatchError("entry vector has wrong length")
         m = self.modulus
         entries = [e % m for e in entries]
         if self.K and det(self._rows(entries)) % self.p == 0:
-            raise ValueError("matrix is not invertible modulo p")
+            raise UnsupportedElementError("matrix is not invertible modulo p")
         return _pack(entries, m)
 
     def decode(self, code):
@@ -423,11 +446,7 @@ def subgroup_closure(window, gens, cap=DEFAULT_CAP):
     The cap bounds the materialized subgroup, not the ambient window: a
     small subgroup of a huge window is still computable exactly.
     """
-    try:
-        codes = backend.closure(window, list(gens), cap)
-    except ValueError as exc:
-        raise ResolutionError(str(exc), cap) from None
-    return SubgroupImage(window, frozenset(codes))
+    return SubgroupImage(window, frozenset(backend.closure(window, list(gens), cap)))
 
 
 def product_is(a, b, t):
@@ -465,6 +484,7 @@ def index(u, v):
     _same_window(u, v)
     witness = first_outside(v, u)
     if witness is not None:
-        raise ContainmentError(witness)
+        raise ContainmentError(
+            f"subgroup containment fails, witness code {witness}", witness)
     return u.order // v.order
 

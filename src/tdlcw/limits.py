@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from tdlcw import tidy
-from tdlcw.kernel import INF_LEVEL, Value, WindowMismatchError
+from tdlcw.kernel import INF_LEVEL, InputError, TdlcwError, Value, WindowMismatchError
 
 #: Resolution K and horizon N at which transported contraction-group
 #: samples are certified, and resolution of the nub transport.
@@ -45,16 +45,13 @@ TRANSPORT_K = 3
 TRANSPORT_N = 10
 
 
-class HypothesisError(ValueError):
+class HypothesisError(InputError):
     """A checked precondition of the construction fails."""
 
 
-class TransportError(RuntimeError):
-    """A transported sample escapes the target contraction group."""
-
-    def __init__(self, message, counterexample):
-        super().__init__(message)
-        self.counterexample = counterexample
+class TransportError(TdlcwError, RuntimeError):
+    """A transported sample escapes the target contraction group; the
+    witness is the sample, or the two nub images as code lists."""
 
 
 class PowerTable(Value):
@@ -277,7 +274,7 @@ def con_transport_check(model, g, u, t, rng, samples=50):
 
     Membership on the target side is certified at resolution TRANSPORT_K
     over horizon TRANSPORT_N (exact where the model oracle applies); a
-    failure raises TransportError with the counterexample.
+    failure raises TransportError with the sample as its witness.
     """
     gu = model.mul(g, u)
     t_inv = model.inv(t)

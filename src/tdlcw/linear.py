@@ -21,9 +21,12 @@ from operator import mul
 from tdlcw.kernel import (
     DEFAULT_CAP,
     INF_LEVEL,
+    ContainmentError,
     Image,
+    InputError,
     MatrixWindow,
     ResolutionError,
+    TdlcwError,
     UnsupportedElementError,
     Value,
     adjugate,
@@ -35,16 +38,12 @@ INF = math.inf
 NEG_INF = -math.inf
 
 
-class NotPIntegralError(ValueError):
+class NotPIntegralError(InputError):
     """Window projection requested for a matrix with p in a denominator."""
 
 
-class FactorizationError(ValueError):
+class FactorizationError(TdlcwError, ValueError):
     """UL-split failed; doubles as a not-tidy-above certificate."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 # -- exact rational matrices ------------------------------------------------
@@ -102,7 +101,7 @@ class QMatrix:
             tuple(e.numerator * (den // e.denominator) for e in row) for row in entries
         )
         if det(num) == 0:
-            raise ValueError("matrix is not invertible")
+            raise UnsupportedElementError("matrix is not invertible")
         return cls(num, den, p)
 
     def __eq__(self, other):
@@ -328,14 +327,14 @@ def validate_shape(shape):
     n = len(shape)
     for r in range(n):
         if shape[r][r] < 0:
-            raise ValueError("diagonal shape entries must be non-negative")
+            raise InputError("diagonal shape entries must be non-negative")
     for r in range(n):
         for s in range(n):
             if r != s and shape[r][s] + shape[s][r] < 0:
-                raise ValueError("off-diagonal shape entries must have sum >= 0")
+                raise InputError("off-diagonal shape entries must have sum >= 0")
             for t in range(n):
                 if shape[r][s] + shape[s][t] < shape[r][t]:
-                    raise ValueError("shape violates the triangle inequality")
+                    raise InputError("shape violates the triangle inequality")
 
 
 def shape_entrywise_max(a, b):
@@ -646,6 +645,19 @@ def par_oracle_linear(g_data, x):
     )
 
 
+def _parse_rows(text, entry, n, what):
+    """The n x n entries of `text`, rows split by ";" and entries by ",",
+    each read by `entry`; a malformed text is an InputError."""
+    try:
+        rows = [[entry(part.strip()) for part in row.split(",")]
+                for row in text.split(";")]
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"cannot parse {what} {text!r}") from None
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise InputError(f"expected a {n}x{n} {what}")
+    return rows
+
+
 class LinearModel:
     """Model adapter for GL_n(Q_p); see ShiftModel for the shared surface."""
 
@@ -655,7 +667,7 @@ class LinearModel:
 
     def __init__(self, p=2, n=2):
         if n not in (2, 3):
-            raise ValueError("linear model supports n in {2, 3}")
+            raise InputError("linear model supports n in {2, 3}")
         self.p = p
         self.n = n
         # Default checking resolution: the finest level whose full window
@@ -710,7 +722,7 @@ class LinearModel:
 
     def project(self, x, K):
         if vp(x.det, self.p) != 0:
-            raise ValueError("element outside the reference compact open")
+            raise UnsupportedElementError("element outside the reference compact open")
         return project_matrix(x, K)
 
     def filtration(self, k):
@@ -859,7 +871,7 @@ class LinearModel:
         if len(set(vals)) == 1:
             return x, self.identity
         if not U.contains(x):
-            raise ValueError("split input must lie in U")
+            raise ContainmentError("split input must lie in U", x)
         # Sort coordinates by descending valuation so the contracting
         # entries sit strictly above the diagonal, then factor upper*lower.
         perm = sorted(range(self.n), key=lambda r: -vals[r])
@@ -979,22 +991,12 @@ class LinearModel:
         return out
 
     def parse_element(self, text):
-        rows = []
-        for row_s in text.split(";"):
-            rows.append([Fraction(part.strip()) for part in row_s.split(",")])
-        if len(rows) != self.n or any(len(r) != self.n for r in rows):
-            raise ValueError(f"expected a {self.n}x{self.n} matrix")
-        return QMatrix.make(rows, self.p)
+        return QMatrix.make(_parse_rows(text, Fraction, self.n, "matrix"), self.p)
 
     def parse_shape(self, text):
-        rows = []
-        for row_s in text.split(";"):
-            row = []
-            for part in row_s.split(","):
-                part = part.strip()
-                row.append(INF if part in ("inf", "oo") else int(part))
-            rows.append(tuple(row))
-        shape = tuple(rows)
+        def entry(part):
+            return INF if part in ("inf", "oo") else int(part)
+        shape = tuple(map(tuple, _parse_rows(text, entry, self.n, "shape")))
         return ShapeSubgroup(self.identity, shape)
 
     def format_element(self, x):

@@ -19,11 +19,14 @@ from tdlcw.epseq import ZERO, EPSeq
 from tdlcw.kernel import (
     DEFAULT_CAP,
     INF_LEVEL,
+    ContainmentError,
     Image,
+    InputError,
     ResolutionError,
     UnsupportedElementError,
     Value,
     VectorWindow,
+    WindowMismatchError,
     power,
 )
 
@@ -41,7 +44,7 @@ class ShiftElement(Value):
 
     def mul(self, other):
         if self.p != other.p:
-            raise ValueError("prime mismatch")
+            raise WindowMismatchError("prime mismatch")
         return ShiftElement(self.lamp.add(other.lamp.shift(self.shift)), self.shift + other.shift)
 
     def inv(self):
@@ -339,7 +342,7 @@ class ShiftModel:
 
     def __init__(self, p=2):
         if p > 7:
-            raise ValueError("shift model supports p <= 7")
+            raise InputError("shift model supports p <= 7")
         self.p = p
 
     # -- element arithmetic -------------------------------------------------
@@ -378,7 +381,7 @@ class ShiftModel:
 
     def project(self, x, K):
         if x.shift != 0:
-            raise ValueError("element outside the reference compact open")
+            raise UnsupportedElementError("element outside the reference compact open")
         return self.window(K).encode(list(x.lamp.window(K)))
 
     def filtration(self, k):
@@ -443,7 +446,7 @@ class ShiftModel:
         if g.shift == 0:
             return x, self.identity
         if x.shift != 0 or not U.contains(x):
-            raise ValueError("split input must lie in U")
+            raise ContainmentError("split input must lie in U", x)
         vm = parts.u_minus.vanish
         if vm.everything:
             return self.identity, x
@@ -533,7 +536,10 @@ class ShiftModel:
             token = token.strip()
             if not token:
                 continue
-            x = x.mul(self._parse_token(token))
+            try:
+                x = x.mul(self._parse_token(token))
+            except ValueError:
+                raise InputError(f"cannot parse shift-model element {token!r}") from None
         return x
 
     def _parse_token(self, token):
@@ -559,7 +565,7 @@ class ShiftModel:
                 tuple(int(c) for c in right_s),
             )
             return ShiftElement(seq, 0)
-        raise ValueError(f"cannot parse shift-model element {token!r}")
+        raise InputError(f"cannot parse shift-model element {token!r}")
 
     def format_element(self, x):
         a = x.lamp

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from tdlcw.kernel import (
     INF_LEVEL,
+    ContainmentError,
+    TdlcwError,
     UnsupportedElementError,
     Value,
     first_outside,
@@ -36,18 +38,18 @@ from tdlcw.kernel import (
 INCONCLUSIVE = "inconclusive"
 
 
-class HorizonExceededError(RuntimeError):
+class HorizonExceededError(TdlcwError, RuntimeError):
     """No horizon within the cap produced a conclusive answer."""
 
 
-class NubDisagreementError(RuntimeError):
+class NubDisagreementError(TdlcwError, RuntimeError):
     """The nub characterizations disagree: a correctness tripwire, never a
-    tolerance issue."""
+    tolerance issue.  The witness maps each characterization to its order."""
 
     def __init__(self, images):
-        lines = ", ".join(f"{k}: order {im.order}" for k, im in images.items())
-        super().__init__(f"nub characterizations disagree ({lines})")
-        self.images = images
+        orders = {name: im.order for name, im in images.items()}
+        lines = ", ".join(f"{k}: order {order}" for k, order in orders.items())
+        super().__init__(f"nub characterizations disagree ({lines})", orders)
 
 
 class UParts(Value):
@@ -84,14 +86,22 @@ def is_tidy_above(model, U, g, K, parts=None):
             parts = u_parts(model, U, g)
         except UnsupportedElementError as exc:
             return INCONCLUSIVE, str(exc), None
+    k = untidy_above_level(model, U, K, parts)
+    if k is None:
+        return True, None, None
+    _, witness = product_set_equals(
+        parts.u_plus.window_image(k), parts.u_minus.window_image(k), U.window_image(k))
+    return False, k, witness
+
+
+def untidy_above_level(model, U, K, parts):
+    """The smallest level k <= K at which image_k(U_+) * image_k(U_-) is
+    not image_k(U), or None; decided by orders, so no product is formed."""
     for k in range(model.min_level, K + 1):
-        a = parts.u_plus.window_image(k)
-        b = parts.u_minus.window_image(k)
-        t = U.window_image(k)
-        ok, witness = product_set_equals(a, b, t)
-        if not ok:
-            return False, k, witness
-    return True, None, None
+        if not product_is(parts.u_plus.window_image(k), parts.u_minus.window_image(k),
+                          U.window_image(k)):
+            return k
+    return None
 
 
 def tidy_above_procedure(model, U, g, max_k=10, K=None):
@@ -170,7 +180,7 @@ def scale_index(model, g, K=None):
     up = parts.u_plus
     down = model.conj_open(up, g, -1)
     if not down <= up:
-        raise ValueError("g^-1 U_+ g escapes U_+; U is not tidy (internal bug)")
+        raise ContainmentError("g^-1 U_+ g escapes U_+; U is not tidy (internal bug)")
     if hasattr(up, "finite_entry_max"):
         K = max(K or 1, up.finite_entry_max(), down.finite_entry_max())
     elif K is None:
@@ -237,8 +247,7 @@ def _tidy_intersection_image(model, g, K):
         except UnsupportedElementError:
             continue
         k_check = min(K, 2, model.default_resolution)
-        above, _, _ = is_tidy_above(model, U, g, k_check, parts)
-        if above is not True:
+        if untidy_above_level(model, U, k_check, parts) is not None:
             continue
         below, _ = is_tidy_below(model, U, g, parts, K=k_check)
         if below is not True:

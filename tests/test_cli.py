@@ -1,13 +1,17 @@
 """Command-line surface: config handling, determinism, and exit codes."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdlcw import cli
 
@@ -218,6 +222,105 @@ class TestRowErrors:
         ]
 
 
+class TestFailedRows:
+    """A library error that escaped as a traceback now fails its rows."""
+
+    @pytest.mark.parametrize("argv", [
+        ["nub", "--model", "linear"],
+        ["theorem-check", "--which", "nub-characterizations", "--model", "linear"],
+    ], ids=" ".join)
+    def test_nub_disagreement(self, argv, capsys, monkeypatch):
+        # A wrong characterization: the whole reference group for the nub.
+        monkeypatch.setattr(cli.tidy, "_tidy_intersection_image",
+                            lambda model, g, K: model.reference().window_image(K))
+        code, rows, err = run(argv, capsys)
+        assert code == 1 and not err and rows
+        for row in rows:
+            assert row["pass"] is False and row["kind"] == "nub-disagreement"
+            assert row["error"].startswith("nub characterizations disagree")
+            orders = row["counterexample"]
+            assert orders["tidy"] > orders["con-con"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["scale", "--model", "linear"],
+        ["theorem-check", "--which", "scale"],
+    ], ids=" ".join)
+    def test_no_tidy_subgroup(self, argv, capsys, monkeypatch):
+        def find_tidy(model, g, K=None):
+            raise cli.tidy.HorizonExceededError("no tidy subgroup found among the candidates")
+
+        monkeypatch.setattr(cli.tidy, "find_tidy", find_tidy)
+        code, rows, err = run(argv, capsys)
+        assert code == 1 and not err and rows
+        for row in rows:
+            assert row["pass"] is False and row["kind"] == "horizon-exceeded"
+            assert row["error"] == "no tidy subgroup found among the candidates"
+            assert "counterexample" in row and row["counterexample"] is None
+
+    def test_program_fault_is_not_a_failed_row(self, capsys, monkeypatch):
+        # Only library errors fail a row; a bug in the program stays visible.
+        monkeypatch.setattr(cli.tidy, "scale_index", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            cli.main(["scale", "--model", "shift"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["theorem-check", "--model", "linear", "--n", "3"],
+     "theorem-check --which all runs the linear model at n = 2 only "
+     "(at n = 3: --which transport)"),
+    (["theorem-check", "--which", "limits", "--model", "linear", "--n", "3"],
+     "theorem-check --which limits runs the linear model at n = 2 only "
+     "(at n = 3: --which transport)"),
+    (["theorem-check", "--which", "normal-closure", "--model", "linear"],
+     "theorem-check --which normal-closure runs on the shift model only"),
+    (["theorem-check", "--which", "quotient-anisotropy", "--model", "linear"],
+     "theorem-check --which quotient-anisotropy runs on the shift model only"),
+    (["scale", "--model", "linear", "--n", "3", "--p", "5"],
+     "scale of a 3x3 matrix needs p in {2, 3}"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_narrowed_range_exits_2_before_computing(argv, message, capsys, monkeypatch):
+    for name in cli.CHECKS:
+        monkeypatch.setitem(cli.CHECKS, name, None)
+    monkeypatch.setattr(cli.tidy, "scale_index", None)
+    code, rows, err = run(argv, capsys)
+    assert (code, rows, err) == (2, [], f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tidy", "--model", "linear", "--U", "0,0"], "expected a 2x2 shape"),
+    (["scale", "--model", "linear", "--g", "1/0,0;0,1"], "cannot parse matrix '1/0,0;0,1'"),
+    (["scale", "--model", "shift", "--g", "lamp:x"],
+     "cannot parse shift-model element 'lamp:x'"),
+    (["tidy", "--model", "shift", "--U", "W:x"],
+     "cannot parse shift-model subgroup 'W:x' (use W:k)"),
+    # Met while a row is computed: bad input is not a row failure.
+    (["experiment", "limits", "--model", "linear", "--p", "7", "--resolution", "8"],
+     "shape image of order 117649 (resolution too fine, cap=65536)"),
+    (["conjugator", "--model", "shift", "--u", "lamp:0"], "u must lie in U"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_bad_input_exits_2(argv, message, capsys):
+    assert run(argv, capsys) == (2, [], f"error: {message}\n")
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config "),
+    ("{", "cannot read config "),
+    ("5", "a config file holds one JSON object"),
+])
+def test_unreadable_config_exits_2(content, message, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    if content is not None:
+        path.write_text(content)
+    code, rows, err = run(["scale", "--config", str(path)], capsys)
+    assert (code, rows) == (2, []) and err.startswith(f"error: {message}")
+
+
+def test_transport_runs_at_n3(capsys):
+    argv = ["theorem-check", "--which", "transport", "--model", "linear", "--n", "3"]
+    code, rows, _ = run(argv, capsys)
+    assert code == 0 and [row["params"]["g"] for row in rows] == ["4,0,0;0,2,0;0,0,1"]
+
+
 class TestScaleResolution:
     def _spy(self, monkeypatch):
         seen = []
@@ -375,6 +478,8 @@ RANGE_COMMANDS = [
     ["conjugator", "--model", "linear", "--n", "3", "--two-sided"],
     ["nub", "--model", "shift", "--p", "3", "--resolution", "8"],
     ["nub", "--model", "linear", "--p", "7", "--resolution", "8"],
+    ["nub", "--model", "linear", "--n", "3", "--p", "5"],
+    ["nub", "--model", "linear", "--n", "3", "--p", "7"],
     ["experiment", "limits", "--resolution", "8"],
     ["scale", "--resolution", "4"],
 ]
@@ -385,3 +490,66 @@ def test_documented_range_runs_and_passes(argv, capsys):
     code, rows, err = run(argv, capsys)
     assert code == 0 and not err
     assert rows and all(row["pass"] is True for row in rows)
+
+
+#: Element and subgroup texts per model, and malformed or unsupported ones.
+TEXTS = {
+    "shift": ["shift:1", "shift:-1", "shift:2", "lamp:0,3", "lamp:1*shift:1",
+              "lamp-ep:01|0@0|01", "W:0", "W:1", "W:3"],
+    "linear": ["2,0;0,1", "2,0;0,1/2", "1,1;0,1", "0,1;1,0", "1,2;0,1", "1,0;2,1",
+               "9,0;0,1/3", "4,0,0;0,2,0;0,0,1", "1,0,0;0,1,0;2,0,1", "0,0;0,0",
+               "0,1;0,0", "0,1,1;0,0,1;0,0,0"],
+    None: ["bogus", "1/0,0;0,1", "1,0;0,0", "W:x", "lamp-ep:1", "0,-1;0,0"],
+}
+#: The flags each command takes besides the shared ones.
+COMMAND_FLAGS = {"scale": ["--g", "--matrix"], "tidy": ["--g", "--U"],
+                 "con-test": ["--g", "--x"], "nub": ["--g"],
+                 "conjugator": ["--g", "--u", "--U"], "experiment limits": [],
+                 "theorem-check": []}
+#: The shared flags over their documented ranges (`RunConfig`).
+SHARED = [("--p", st.sampled_from([2, 3, 5, 7])), ("--n", st.integers(2, 3)),
+          ("--resolution", st.integers(0, 8)), ("--horizon", st.integers(0, 64)),
+          ("--max-k", st.integers(0, 32)), ("--seed", st.integers(0, 99)),
+          ("--samples", st.integers(1, 1000))]
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = command.split()
+    if command == "theorem-check":
+        argv += ["--which", draw(st.sampled_from(sorted(cli.CHECKS) + ["all"]))]
+    if command == "conjugator" and draw(st.booleans()):
+        argv.append("--two-sided")
+    if command == "experiment limits" and draw(st.booleans()):
+        argv += ["--n-max", str(draw(st.integers(0, 12)))]
+    model = draw(st.sampled_from([None, "shift", "linear"]))
+    if model:
+        argv += ["--model", model]
+    for flag, values in SHARED:
+        if draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    texts = TEXTS[None] + 3 * TEXTS.get(model, TEXTS["shift"] + TEXTS["linear"])
+    for flag in COMMAND_FLAGS[command]:
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.sampled_from(texts))}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=command_lines())
+def test_every_command_line_keeps_the_exit_contract(argv):
+    """0 when every row passes, 1 when a row failed (and every error row
+    names its kind), 2 on bad input with one error line and no rows; never
+    an exception."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return
+    rows = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert code in (0, 1) and not err.getvalue()
+    assert all("kind" in row and "counterexample" in row for row in rows if "error" in row)
+    assert (code == 1) == any(row["pass"] is not True for row in rows)

@@ -389,7 +389,7 @@ class TestTransport:
         rng = random.Random(0)
         with pytest.raises(limits.TransportError) as exc:
             limits.con_transport_check(linear, g, u, bad_t, rng, samples=10)
-        assert exc.value.counterexample is not None
+        assert exc.value.witness is not None
 
     def test_nub_transport(self, shift):
         g = shift_generator(2, 1)
@@ -465,6 +465,18 @@ class TestNetExperiment:
         for row in rows:
             assert row["level_t"] == "inf" or row["level_t"] >= row["n"] - 1
 
+    @pytest.mark.parametrize("model, g_text", [(ShiftModel(2), "shift:1"),
+                                               (LinearModel(2, 2), "2,0;0,1")])
+    def test_transport_is_checked_at_the_top_level(self, model, g_text):
+        # B differs from A at the top level only, so r = 1 carries A onto B
+        # at every level below it: the check must reach the top level.
+        a = limits.con_closure_approx(model, model.parse_element(g_text), 3)
+        b = limits.ClosedSubgroupApprox(
+            a.min_level, a.images[:-1] + (SubgroupImage(model.window(3)),))
+        assert a.image_at(3).order > 1
+        assert limits._transports(model, model.identity, a, a)
+        assert not limits._transports(model, model.identity, a, b)
+
     def test_non_shrinking_schedule_rejected(self, shift):
         g = shift_generator(2, 1)
         schedule = [
@@ -498,6 +510,20 @@ class TestNetExperiment:
         # Report each conjugator r two levels closer to 1 than it is: the
         # con-closure distance, first distinguishing at the true level_r + 1,
         # then breaks the bound d_con <= 2^-(level_r + 1).
+        code, rows = self._overstated_rows(monkeypatch, capsys, 2)
+        assert code == 1
+        assert [row["level_r"] for row in rows] == [4, 5, 6]
+        assert not any(row["pass"] for row in rows)
+
+    def test_distance_at_level_r_breaks_the_bound(self, monkeypatch, capsys):
+        # One level closer: d_con first distinguishes exactly at the reported
+        # level_r, which the bound (strictly above level_r) rejects.
+        code, rows = self._overstated_rows(monkeypatch, capsys, 1)
+        assert code == 1
+        assert [row["level_r"] for row in rows] == [3, 4, 5]
+        assert not any(row["pass"] for row in rows)
+
+    def _overstated_rows(self, monkeypatch, capsys, by):
         conjugators = []
         build, true_level = limits.conjugator_two_sided, LinearModel.proximity_level
 
@@ -508,11 +534,8 @@ class TestNetExperiment:
 
         def overstated(self, x):
             level = true_level(self, x)
-            return level + 2 if conjugators and x == conjugators[-1] else level
+            return level + by if conjugators and x == conjugators[-1] else level
 
         monkeypatch.setattr(limits, "conjugator_two_sided", recording)
         monkeypatch.setattr(LinearModel, "proximity_level", overstated)
-        code, rows = self._limits_rows(capsys, "linear")
-        assert code == 1
-        assert [row["level_r"] for row in rows] == [4, 5, 6]
-        assert not any(row["pass"] for row in rows)
+        return self._limits_rows(capsys, "linear")

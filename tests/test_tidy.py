@@ -2,7 +2,7 @@
 
 import pytest
 
-from tdlcw import tidy
+from tdlcw import backend, tidy
 from tdlcw.kernel import INF_LEVEL
 from tdlcw.linear import LinearModel, ShapeSubgroup, iwahori_shape, scale_formula
 from tdlcw.shift import ShiftModel, lamp_element, shift_generator, w_subgroup
@@ -40,6 +40,19 @@ class TestTidyAbove:
         # the product of the parts.
         assert witness in U.window_image(k).elements
 
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_first_untidy_level_matches_the_product_sets(self, linear, K):
+        # The level found from orders alone is the first level k <= K whose
+        # enumerated product set misses the image of U.
+        g = linear.parse_element("2,0;0,1")
+        for U in (linear.reference(), ShapeSubgroup(linear.identity, iwahori_shape(2))):
+            parts = tidy.u_parts(linear, U, g)
+            expected = next((k for k in range(linear.min_level, K + 1) if backend.product_set(
+                linear.window(k), parts.u_plus.window_image(k).elements,
+                parts.u_minus.window_image(k).elements) != set(U.window_image(k).elements)),
+                None)
+            assert tidy.untidy_above_level(linear, U, K, parts) == expected
+
     def test_procedure_terminates_at_iwahori(self, linear):
         g = linear.parse_element("2,0;0,1")
         V, k = tidy.tidy_above_procedure(linear, linear.reference(), g)
@@ -63,6 +76,17 @@ class TestTidyBelow:
             assert below is False
             assert witness is not None
             assert not U.contains(witness) or not parts.u_minus.contains(witness)
+
+    def test_window_search_without_a_certificate(self, shift, monkeypatch):
+        # With the symbolic certificate undecided, the search over backward
+        # conjugates of U_- still finds an element of U outside U_-.
+        monkeypatch.setattr(ShiftModel, "tidy_below_certificate", lambda *args: None)
+        g = shift_generator(2, 1)
+        U = w_subgroup(2, 1)
+        parts = tidy.u_parts(shift, U, g)
+        below, witness = tidy.is_tidy_below(shift, U, g, parts)
+        assert below is False
+        assert witness in U.window_image(3) and witness not in parts.u_minus.window_image(3)
 
     def test_full_lamp_group_is_tidy(self, shift):
         g = shift_generator(2, 1)

@@ -1,0 +1,111 @@
+"""Apply one-line faults to a copy of the repository and report which ones
+the Tier-1 suite catches.
+
+    python3 tools/mutants.py                 # every mutant
+    python3 tools/mutants.py shape-sign ...  # the named ones
+
+Each mutant replaces one exact fragment of one source file in a temporary
+copy of the repository, and the suite runs there with `-x`, so a caught
+mutant stops at its first failing test.  The working tree is never
+modified.  A mutant whose fragment does not occur exactly once is reported
+as stale and not run.  The report is a Markdown table on stdout.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Seconds one suite run may take before the mutant counts as hanging.
+TIMEOUT = 900
+
+#: (name, file under src/tdlcw, original fragment, faulty fragment).
+MUTANTS = [
+    ("shape-sign", "linear.py",
+     "else e + (vals[r] - vals[s]) * i",
+     "else e - (vals[r] - vals[s]) * i"),
+    ("forward-union-off-by-one", "shift.py",
+     "return VanishSet.make(right=min(pieces))",
+     "return VanishSet.make(right=min(pieces) + 1)"),
+    ("swap-u-plus-u-minus", "shift.py",
+     "return UParts(u_plus, u_minus, u_zero, u_mm, u_pp)",
+     "return UParts(u_minus, u_plus, u_zero, u_mm, u_pp)"),
+    ("power-table-column", "limits.py",
+     "return PowerTable(self.gu_inv, self.gu, self.g_inv, self.g)",
+     "return PowerTable(self.gu_inv, self.gu, self.g, self.g_inv)"),
+    ("replay-b0-check", "limits.py",
+     "or certs[0] != model.identity",
+     "or certs[0] != certs[0]"),
+    ("lead-trim", "epseq.py",
+     "return len(word) - (x.bit_length() + 7) // 8",
+     "return len(word) - (x.bit_length() + 15) // 8"),
+    ("trail-trim-single-digit", "epseq.py",
+     "return len(word) - len(word.rstrip(tail))",
+     "return 0"),
+    ("transport-top-level", "limits.py",
+     "for k in range(a.min_level, a.top_level + 1))",
+     "for k in range(a.min_level, a.top_level))"),
+    ("net-limit-bound", "limits.py",
+     "d.indistinguishable or d.level > level_r",
+     "d.indistinguishable or d.level >= level_r"),
+    ("untidy-level-range", "tidy.py",
+     "for k in range(model.min_level, K + 1):\n        if not product_is(",
+     "for k in range(model.min_level, K):\n        if not product_is("),
+    ("tidy-below-search", "tidy.py",
+     "for j in range(7):",
+     "for j in range(1):"),
+    ("runner-keeps-input-errors", "cli.py",
+     "if isinstance(exc, InputError):",
+     "if False:"),
+]
+
+
+def run_suite(root):
+    """(outcome, first failing test or "") of the Tier-1 suite in `root`."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return "hangs", ""
+    if proc.returncode == 0:
+        return "survives", ""
+    failed = [line.split(" ", 1)[1].split(" - ")[0] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return "caught", failed[0] if failed else f"exit {proc.returncode}"
+
+
+def main(names):
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "repo"
+        shutil.copytree(ROOT, root, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        print("| mutant | file | outcome | first failing test | seconds |")
+        print("|---|---|---|---|---|")
+        for name, file, old, new in chosen:
+            path = root / "src" / "tdlcw" / file
+            source = path.read_text()
+            if source.count(old) != 1:
+                print(f"| {name} | {file} | stale | | |", flush=True)
+                continue
+            path.write_text(source.replace(old, new))
+            start = time.perf_counter()
+            try:
+                outcome, test = run_suite(root)
+            finally:
+                path.write_text(source)
+            print(f"| {name} | {file} | {outcome} | {test} | "
+                  f"{time.perf_counter() - start:.0f} |", flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
