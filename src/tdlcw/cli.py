@@ -47,10 +47,10 @@ class RunConfig:
     #: Each setting and the JSON type its value must have.
     _FIELDS = (("model", str), ("p", int), ("n", int), ("resolution", int),
               ("horizon", int), ("max_k", int), ("seed", int),
-              ("samples", int), ("out", str))
+              ("samples", int), ("n_max", int), ("out", str))
 
     def __init__(self, model=None, p=2, n=2, resolution=None, horizon=12,
-                 max_k=10, seed=0, samples=50, out=None):
+                 max_k=10, seed=0, samples=50, n_max=8, out=None):
         self.model = model              # "shift" | "linear" | None (= both batteries)
         self.p = p                      # prime, 2..7
         self.n = n                      # matrix size for the linear model, 2..3
@@ -58,7 +58,8 @@ class RunConfig:
         self.horizon = horizon          # certificate / experiment horizon N, 0..64
         self.max_k = max_k              # cap on the tidying intersection depth, 0..32
         self.seed = seed
-        self.samples = samples          # transport sample size, 1..1000
+        self.samples = samples          # echoed in transport rows, 1..1000
+        self.n_max = n_max              # experiment limits schedule length, 1..12
         self.out = out
 
     _RANGES = {
@@ -68,6 +69,7 @@ class RunConfig:
         "horizon": (0, 64),
         "max_k": (0, 32),
         "samples": (1, 1000),
+        "n_max": (1, 12),
     }
 
     def validate(self):
@@ -217,8 +219,7 @@ def cmd_tidy(cfg, args):
     rows = []
     for model in battery_models(cfg):
         g = _element_arg(model, args) or default_g(model)
-        U = (parse_subgroup(model, args.subgroup, g) if args.subgroup and cfg.model
-             else default_subgroup(model, g))
+        U = _subgroup_arg(cfg, model, args, g)
         K = cfg.resolution if cfg.resolution is not None else model.default_resolution
 
         def diagnose():
@@ -281,8 +282,7 @@ def cmd_conjugator(cfg, args):
     rows = []
     for model in battery_models(cfg):
         g = _element_arg(model, args) or default_g(model)
-        U = (parse_subgroup(model, args.subgroup, g) if args.subgroup and cfg.model
-             else default_subgroup(model, g))
+        U = _subgroup_arg(cfg, model, args, g)
         if args.u:
             u = model.parse_element(args.u)
         elif model.name == "shift":
@@ -323,9 +323,8 @@ def _unipotent(model, g, scalar):
     return model.conjugate(model.eigen_data(g)[0], model.parse_element(text))
 
 
-def _net_limits(cfg, n_max=None):
-    """Net-limit rows over the battery models; n_max 8 and K 6 by default."""
-    n_max = 8 if n_max is None else n_max
+def _net_limits(cfg, n_max=8):
+    """Net-limit rows over the battery models; K 6 by default."""
     K = cfg.resolution if cfg.resolution is not None else 6
     rows = []
     for model in battery_models(cfg):
@@ -337,7 +336,7 @@ def _net_limits(cfg, n_max=None):
 
 
 def cmd_experiment_limits(cfg, args):
-    return _net_limits(cfg, args.n_max)
+    return _net_limits(cfg, cfg.n_max)
 
 
 # -- theorem-check batteries ------------------------------------------------
@@ -490,9 +489,7 @@ def _check_transport(cfg, rng):
         def transport():
             trace = limits.conjugator_forward(model, g, u, U, cfg.horizon)
             t, _, adjusted = limits.adjust_to_contraction(model, trace.t, U, g)
-            con_report = limits.con_transport_check(
-                model, g, u, t, rng, samples=cfg.samples
-            )
+            con_report = limits.con_transport_check(model, g, u, t)
             two = limits.conjugator_two_sided(
                 model, g, u2, U2, min(cfg.horizon, 10))
             nub_report = limits.nub_transport_check(model, g, u2, two.r)
@@ -624,6 +621,16 @@ def _element_arg(model, args):
     if text is None:
         return None
     return model.parse_element(text)
+
+
+def _subgroup_arg(cfg, model, args, g):
+    """The subgroup --U, which is read in the one model --model names, or
+    the default subgroup for g."""
+    if not args.subgroup:
+        return default_subgroup(model, g)
+    if not cfg.model:
+        raise InputError("--U needs --model: a subgroup is read in one model")
+    return parse_subgroup(model, args.subgroup, g)
 
 
 def _add_shared(parser):

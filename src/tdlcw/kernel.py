@@ -358,9 +358,11 @@ class Image(Value):
 
     Subclasses give `window`, `order`, membership (`code in image`) and
     `elements`; `_meet` gives the intersection with an image of the same
-    form, or None.  Intersection, containment and equality follow: a
-    meet of unlike forms filters the smaller image's elements through
-    membership in the other, so only that image is materialized.
+    form, or None, and `generators` may name fewer codes than `elements`
+    that generate the image.  Intersection, containment and equality
+    follow: a meet of unlike forms filters the smaller image's elements
+    through membership in the other, so only that image is materialized,
+    and without a meet A <= B iff |A| <= |B| and B holds A's generators.
 
     Images are immutable `Value`s, but compare and hash as subgroups, not
     as field tuples.  `Image` declares no `__slots__`, so each image keeps
@@ -372,6 +374,10 @@ class Image(Value):
 
     def _meet(self, other):
         return None
+
+    @property
+    def generators(self):
+        return self.elements
 
     def __and__(self, other):
         window = _same_window(self, other)
@@ -386,7 +392,7 @@ class Image(Value):
         meet = self._meet(other)
         if meet is not None:
             return meet.order == self.order
-        return self.order <= other.order and all(c in other for c in self.elements)
+        return self.order <= other.order and all(c in other for c in self.generators)
 
     def __eq__(self, other):
         return (isinstance(other, Image) and self.window == other.window

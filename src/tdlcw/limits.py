@@ -22,14 +22,13 @@ implies it, so it catches no fault the induction misses, and it is kept
 only so that the benchmark's `*.power.*` metrics keep measuring
 `model.power`.
 
-Because the construction is truncated at stage N rather than passed to a
-limit, the conjugator transports contraction groups exactly at the shift
-model (where the conjugator is a lamp and lamps commute) and *at finite
-resolution* in the linear model: the transported samples contract to the
-filtration level backed by the certificate horizon.  The Chabauty-distance
-instrument quantifies exactly this: two closed subgroups of the reference
-compact open are compared window-by-window, and the distance is 2^-m for
-the first level m where they differ.
+The transport of contraction groups along a conjugator t is decided on
+window images: t closure(con g) t^-1 and closure(con gu) are compared at
+every level up to TRANSPORT_K, both images structural, and the first level
+where they differ is the witness.  The Chabauty-distance instrument
+compares two closed subgroups of the reference compact open the same way,
+window by window, and the distance is 2^-m for the first level m where
+they differ.
 """
 
 from __future__ import annotations
@@ -39,10 +38,8 @@ from fractions import Fraction
 from tdlcw import tidy
 from tdlcw.kernel import INF_LEVEL, InputError, TdlcwError, Value, WindowMismatchError
 
-#: Resolution K and horizon N at which transported contraction-group
-#: samples are certified, and resolution of the nub transport.
+#: Top window level of the contraction-group and nub transports.
 TRANSPORT_K = 3
-TRANSPORT_N = 10
 
 
 class HypothesisError(InputError):
@@ -50,8 +47,9 @@ class HypothesisError(InputError):
 
 
 class TransportError(TdlcwError, RuntimeError):
-    """A transported sample escapes the target contraction group; the
-    witness is the sample, or the two nub images as code lists."""
+    """A conjugated image differs from its target; the witness is the
+    first level where the contraction-group images differ, or the two nub
+    images as code lists."""
 
 
 class PowerTable(Value):
@@ -258,39 +256,18 @@ def conjugator_two_sided(model, g, u, U, N):
     return TwoSidedTrace(model.name, g, u, U, N, forward, r, certs)
 
 
-def _transported_member(model, h, x):
-    """Is x in con(h), exactly or at resolution TRANSPORT_K over horizon
-    TRANSPORT_N?"""
-    K, N = TRANSPORT_K, TRANSPORT_N
-    verdict = tidy.con_membership(model, h, x, K, N)
-    if verdict is True:
-        return True
-    return tidy.trajectory_contracts(model, h, x, K, N)
-
-
-def con_transport_check(model, g, u, t, rng, samples=50):
-    """Transport of contraction groups along t: samples of con(g) conjugated
-    by t must land in con(gu), and vice versa.
-
-    Membership on the target side is certified at resolution TRANSPORT_K
-    over horizon TRANSPORT_N (exact where the model oracle applies); a
-    failure raises TransportError with the sample as its witness.
-    """
+def con_transport_check(model, g, u, t):
+    """Transport of contraction groups along t: t closure(con g) t^-1 =
+    closure(con gu), as window images at every level from model.min_level
+    to TRANSPORT_K.  Equal images give both inclusions; the first level
+    where they differ raises TransportError with that level as witness."""
     gu = model.mul(g, u)
-    t_inv = model.inv(t)
-    checked = 0
-    for c in model.sample_con_elements(g, rng, samples):
-        x = model.mul(model.mul(t, c), t_inv)
-        if not _transported_member(model, gu, x):
-            raise TransportError("t con(g) t^-1 sample escapes con(gu)", c)
-        checked += 1
-    for c in model.sample_con_elements(gu, rng, samples):
-        x = model.mul(model.mul(t_inv, c), t)
-        if not _transported_member(model, g, x):
-            raise TransportError("t^-1 con(gu) t sample escapes con(g)", c)
-        checked += 1
-    return {"samples": checked, "resolution": TRANSPORT_K, "horizon": TRANSPORT_N,
-            "pass": True}
+    for k in range(model.min_level, TRANSPORT_K + 1):
+        image = model.con_closure_image(g, k).conjugated(model.project(t, k))
+        if image != model.con_closure_image(gu, k):
+            raise TransportError(
+                f"t closure(con g) t^-1 differs from closure(con gu) at level {k}", k)
+    return {"resolution": TRANSPORT_K, "pass": True}
 
 
 def nub_transport_check(model, g, u, r):

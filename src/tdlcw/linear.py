@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, permutations, product
 from operator import mul
 
@@ -451,10 +451,10 @@ class ShapeImage(Image):
     """The image mod p^K of a shape subgroup: b c b^-1 for b its basis mod
     p^K and c over `_residues(clamped)`.  `conj` holds the codes of b and
     b^-1, None for the identity basis.  Images in one basis meet in the
-    entrywise maximum of their shapes (see `_meet` for other bases).
-    Containment and equality compare orders, never shapes: different clamped
-    shapes can give one image (at p = 2 a level-0 diagonal entry is already
-    1 mod 2)."""
+    entrywise maximum of their shapes (see `_meet` for other bases); images
+    in unrelated bases compare by `generators`.  Containment and equality
+    compare orders, never shapes: different clamped shapes can give one
+    image (at p = 2 a level-0 diagonal entry is already 1 mod 2)."""
 
     __slots__ = ("window", "clamped", "conj")
 
@@ -505,6 +505,29 @@ class ShapeImage(Image):
             a = tuple(tuple(a[sr][st] for st in sigma) for sr in sigma)
         return ShapeImage(self.window, shape_entrywise_max(a, other.clamped), other.conj)
 
+    @cached_property
+    def generators(self):
+        """b (I + p^e E_rs) b^-1 off the diagonal and b diag(u) b^-1 on it,
+        u over `_unit_generators(p, e)`, for each entry of level e < K.  They
+        generate the image when the shape is group-valued (m_rt <= m_rs +
+        m_st), as elementary and diagonal matrices generate GL_n of a local
+        ring; otherwise the image is given by its elements."""
+        w, c = self.window, self.clamped
+        p, K, m, n = w.p, w.K, w.modulus, len(c)
+        if any(c[r][t] > c[r][s] + c[s][t] for r, s, t in product(range(n), repeat=3)):
+            return self.elements
+        b, b_inv = self._basis_rows
+        gens = []
+        for r, s in product(range(n), repeat=2):
+            e = c[r][s]
+            if e == K:
+                continue
+            for a in _unit_generators(p, e) if r == s else (p**e,):
+                y = [list(row) for row in _IDENTITY[n]]
+                y[r][s] = a % m
+                gens.append(w.pack(_mulmod(_mulmod(b, y, m), b_inv, m)))
+        return gens
+
     def project(self, K):
         """The image at level K <= this one's, from this image's shape and
         basis codes reduced mod p^K."""
@@ -529,6 +552,19 @@ class ShapeImage(Image):
             b, b_inv, m = *self._basis_rows, w.modulus
             residues = (_mulmod(_mulmod(b, c, m), b_inv, m) for c in residues)
         return frozenset(map(w.pack, residues))
+
+
+@cache
+def _unit_generators(p, e):
+    """Generators of the units = 1 mod p^e of Z/p^K, for every K > e: 3 and
+    -1 at p = 2 and e <= 1, else a primitive root mod p^2 at e = 0, and
+    1 + p^e above."""
+    if p == 2 and e <= 1:
+        return (3, -1)
+    if e == 0:
+        return (next(a for a in range(2, p * p)
+                     if len({pow(a, i, p * p) for i in range(p * p)}) == p * (p - 1)),)
+    return (1 + p**e,)
 
 
 def _mulmod(a, b, m):

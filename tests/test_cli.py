@@ -187,6 +187,8 @@ class TestRowErrors:
     """A library error inside one row fails that row, not the command."""
 
     def test_transport_failure_names_its_counterexample(self, capsys):
+        # At horizon 0 the conjugator is t = 1, which does not carry
+        # closure(con g) onto closure(con gu).
         code, rows, err = run(
             ["theorem-check", "--which", "transport", "--model", "linear",
              "--horizon", "0"],
@@ -194,9 +196,16 @@ class TestRowErrors:
         )
         assert code == 1 and not err
         (row,) = rows
-        assert row["pass"] is False
-        assert row["error"] == "t con(g) t^-1 sample escapes con(gu)"
-        assert cli.LinearModel(2, 2).parse_element(row["counterexample"])
+        level = row["counterexample"]
+        assert row["pass"] is False and row["kind"] == "transport"
+        assert row["error"] == ("t closure(con g) t^-1 differs from closure(con gu) "
+                                f"at level {level}")
+        model = cli.LinearModel(2, 2)
+        g, u = model.parse_element(row["params"]["g"]), model.parse_element(row["params"]["u"])
+        gu = model.mul(g, u)
+        same = [model.con_closure_image(g, k) == model.con_closure_image(gu, k)
+                for k in range(model.min_level, level + 1)]
+        assert same == [True] * (level - model.min_level) + [False]
 
     def test_tidy_horizon_exceeded(self, capsys):
         code, rows, err = run(
@@ -293,9 +302,12 @@ def test_narrowed_range_exits_2_before_computing(argv, message, capsys, monkeypa
      "cannot parse shift-model element 'lamp:x'"),
     (["tidy", "--model", "shift", "--U", "W:x"],
      "cannot parse shift-model subgroup 'W:x' (use W:k)"),
+    (["experiment", "limits", "--n-max", "-1"], "n_max must be in [1, 12], got -1"),
+    (["experiment", "limits", "--n-max", "0"], "n_max must be in [1, 12], got 0"),
+    (["experiment", "limits", "--n-max", "13"], "n_max must be in [1, 12], got 13"),
+    (["tidy", "--U", "W:3"], "--U needs --model: a subgroup is read in one model"),
+    (["conjugator", "--U", "W:3"], "--U needs --model: a subgroup is read in one model"),
     # Met while a row is computed: bad input is not a row failure.
-    (["experiment", "limits", "--model", "linear", "--p", "7", "--resolution", "8"],
-     "shape image of order 117649 (resolution too fine, cap=65536)"),
     (["conjugator", "--model", "shift", "--u", "lamp:0"], "u must lie in U"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_bad_input_exits_2(argv, message, capsys):
@@ -481,6 +493,9 @@ RANGE_COMMANDS = [
     ["nub", "--model", "linear", "--n", "3", "--p", "5"],
     ["nub", "--model", "linear", "--n", "3", "--p", "7"],
     ["experiment", "limits", "--resolution", "8"],
+    # Con-closure images in two unrelated eigenbases, compared by generators.
+    ["experiment", "limits", "--model", "linear", "--p", "7", "--resolution", "8"],
+    ["experiment", "limits", "--n-max", "12"],
     ["scale", "--resolution", "4"],
 ]
 

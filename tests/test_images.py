@@ -6,7 +6,9 @@ index and the product-set witness) is compared with frozenset algebra on
 element sets built independently of the image classes: a coordinate image
 from the lamp elements of its window that its vanish-set subgroup
 contains, a shape image by testing every element of the matrix window
-with exact rational arithmetic in the subgroup's basis.
+with exact rational arithmetic in the subgroup's basis.  The generators
+of a shape image, which decide containment across unrelated bases, are
+checked against the breadth-first closure and the element sets.
 
 The last tests check that the enumeration cap is one constant above the
 window-group kernel, and that it still bounds the elements of an image.
@@ -17,10 +19,10 @@ import math
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tdlcw import limits, linear, shift, tidy, verify
+from tdlcw import backend, limits, linear, shift, tidy, verify
 from tdlcw.kernel import (
     ContainmentError,
     MatrixWindow,
@@ -280,6 +282,90 @@ def test_non_splitting_determinant_is_counted(p, K):
     oracle = shape_oracle(BASES[3], shape, p, K)
     assert image.order == len(oracle) and materialized(image) == oracle
     assert all((c in image) == (c in oracle) for c in MatrixWindow(2, p, K).elements())
+
+
+# -- generators of shape images -----------------------------------------------
+
+#: (n, p, K) of the matrix windows the generator tests draw from.
+GENERATOR_WINDOWS = [(2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 1), (2, 3, 2), (2, 5, 1),
+                     (2, 7, 1), (3, 2, 1), (3, 2, 2), (3, 3, 1)]
+
+
+@st.composite
+def group_shape_images(draw, window):
+    """A shape image in a random basis whose clamped shape is group-valued:
+    entries drawn in [0, K], then closed under m_rt <= m_rs + m_st."""
+    n, p, K = window.n, window.p, window.K
+    m = [[draw(st.integers(0, K)) for _ in range(n)] for _ in range(n)]
+    for s in range(n):
+        for r in range(n):
+            for t in range(n):
+                m[r][t] = min(m[r][t], m[r][s] + m[s][t])
+    if draw(st.integers(0, 4)) == 0:
+        return ShapeImage(window, tuple(map(tuple, m)))
+    # A unit-determinant basis: elementary row operations on a permutation.
+    rows = [list(row) for row in draw(st.permutations(
+        [tuple(int(i == j) for j in range(n)) for i in range(n)]))]
+    for r, s, a in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.integers(1, p**K - 1)), max_size=4)):
+        if r != s:
+            rows[r] = [x + a * y for x, y in zip(rows[r], rows[s])]
+    b = window.encode([e for row in rows for e in row])
+    return ShapeImage(window, tuple(map(tuple, m)), (b, window.inv(b)))
+
+
+@st.composite
+def group_shape_pairs(draw):
+    window = MatrixWindow(*draw(st.sampled_from(GENERATOR_WINDOWS)))
+    a, b = draw(group_shape_images(window)), draw(group_shape_images(window))
+    assume(a.order <= 3000 and b.order <= 3000)
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_shape_pairs())
+def test_generators_generate_and_decide_containment(pair):
+    # A pair in unrelated bases (no `_meet`) is compared by generators alone.
+    a, b = pair
+    assert backend.closure(a.window, a.generators, 10**5) == a.elements
+    assert (a <= b) is (a.elements <= b.elements)
+    assert (a == b) is (a.elements == b.elements)
+
+
+def test_p2_units_need_minus_one(monkeypatch):
+    # The diagonal units mod 8 need -1 besides 3.  No shape image can tell
+    # diag(-1, 1) from diag(3, 1), which both differ from 1 by 2 times a
+    # unit, so the fault shows against an explicit subgroup: the diagonal
+    # {1, 3}^2 extended by the upper unipotents, of order 32.
+    w = MatrixWindow(2, 2, 3)
+    a = ShapeImage(w, ((0, 3), (3, 0)))
+    diag = [w.encode([3, 0, 0, 1]), w.encode([1, 0, 0, 3])]
+    b = subgroup_closure(w, diag + [w.encode([1, 1, 0, 1])])
+    assert (a.order, b.order) == (16, 32) and w.encode([-1, 0, 0, 1]) not in b
+    assert not a <= b and not a.elements <= b.elements
+    real = linear._unit_generators
+    monkeypatch.setattr(linear, "_unit_generators",
+                        lambda p, e: (3,) if p == 2 and e <= 1 else real(p, e))
+    assert ShapeImage(w, a.clamped) <= b
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_unit_generators_generate_the_units(p):
+    m = p**4
+    for e in range(4):
+        units = {x for x in range(m) if x % p and (x - 1) % p**e == 0}
+        group = frontier = {1}
+        while frontier:
+            frontier = {x * g % m for x in frontier for g in linear._unit_generators(p, e)}
+            frontier -= group
+            group = group | frontier
+        assert group == units
+
+
+def test_shape_that_is_not_a_group_gives_its_elements():
+    # m_00 = 1 > m_01 + m_10 = 0: the residues are not closed under products.
+    image = ShapeImage(MatrixWindow(2, 3, 1), ((1, 0), (0, 1)))
+    assert image.generators == image.elements
 
 
 # -- the enumeration cap -------------------------------------------------------

@@ -361,15 +361,28 @@ class TestTwoSidedConjugator:
             limits.conjugator_two_sided(linear, g, u, U, 6)
 
 
+def _battery_transport(model):
+    """(g, u, t) of the transport battery's contraction-group check."""
+    g = cli.default_g(model)
+    U = cli.default_subgroup(model, g)
+    u = (lamp_element(model.p, {3: 1}) if model.name == "shift"
+         else cli._unipotent(model, g, model.p))
+    trace = limits.conjugator_forward(model, g, u, U, 12)
+    t, _, _ = limits.adjust_to_contraction(model, trace.t, U, g)
+    return g, u, t
+
+
+BATTERY_MODELS = cli.battery_models(cli.RunConfig())
+
+
 class TestTransport:
     def test_con_transport_both_models(self, shift, linear):
-        rng = random.Random(11)
         g = shift_generator(2, 1)
         u = lamp_element(2, {3: 1})
         U = w_subgroup(2, 1)
         trace = limits.conjugator_forward(shift, g, u, U, 12)
-        report = limits.con_transport_check(shift, g, u, trace.t, rng, samples=25)
-        assert report["pass"]
+        report = limits.con_transport_check(shift, g, u, trace.t)
+        assert report == {"resolution": limits.TRANSPORT_K, "pass": True}
 
         gl = linear.parse_element("2,0;0,1")
         Ul = _iwahori(linear, gl)
@@ -377,19 +390,61 @@ class TestTransport:
         tr = limits.conjugator_forward(linear, gl, ul, Ul, 12)
         t, _, adjusted = limits.adjust_to_contraction(linear, tr.t, Ul, gl)
         assert adjusted
-        report = limits.con_transport_check(linear, gl, ul, t, rng, samples=25)
+        report = limits.con_transport_check(linear, gl, ul, t)
         assert report["pass"]
 
     def test_transport_error_carries_counterexample(self, linear):
         g = linear.parse_element("2,0;0,1")
         u = linear.parse_element("1,0;2,1")
         # A deliberately wrong "conjugator": the coordinate swap maps the
-        # contracting (upper) unipotents onto the expanding (lower) ones.
+        # contracting (upper) unipotents onto the expanding (lower) ones,
+        # which the level-1 images already tell apart.
         bad_t = linear.parse_element("0,1;1,0")
-        rng = random.Random(0)
         with pytest.raises(limits.TransportError) as exc:
-            limits.con_transport_check(linear, g, u, bad_t, rng, samples=10)
-        assert exc.value.witness is not None
+            limits.con_transport_check(linear, g, u, bad_t)
+        assert exc.value.witness == 1
+        assert str(exc.value) == ("t closure(con g) t^-1 differs from closure(con gu) "
+                                  "at level 1")
+
+    @pytest.mark.parametrize("model", BATTERY_MODELS, ids=lambda m: f"{m.name}-{m.p}")
+    def test_window_transport_agrees_with_sampled_oracle(self, model):
+        # Elements of con(g) carried by t, and of con(gu) carried back, lie
+        # in the other side's images at every level the check compares.
+        g, u, t = _battery_transport(model)
+        assert limits.con_transport_check(model, g, u, t)["pass"]
+        gu, t_inv = model.mul(g, u), model.inv(t)
+        rng = random.Random(5)
+        for h, target, x, x_inv in ((g, gu, t, t_inv), (gu, g, t_inv, t)):
+            for c in model.sample_con_elements(h, rng, 40):
+                moved = model.mul(model.mul(x, c), x_inv)
+                for k in range(model.min_level, limits.TRANSPORT_K + 1):
+                    assert model.project(moved, k) in model.con_closure_image(target, k)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("model", BATTERY_MODELS[1:], ids=lambda m: f"linear-{m.p}")
+    def test_perturbed_conjugator_fails_at_the_next_level(self, model, j):
+        # t x for x = 1 mod p^j (a lower unipotent, which moves the
+        # contracting upper unipotents) first differs at level j + 1; at
+        # j = 2 that is the top level TRANSPORT_K.
+        g, u, t = _battery_transport(model)
+        x = model.parse_element(f"1,0;{model.p ** j},1")
+        assert model.proximity_level(x) == j
+        with pytest.raises(limits.TransportError) as exc:
+            limits.con_transport_check(model, g, u, model.mul(t, x))
+        assert exc.value.witness == j + 1 <= limits.TRANSPORT_K
+
+    def test_level_one_perturbation_fails_the_linear_row(self, monkeypatch, capsys):
+        real = limits.adjust_to_contraction
+
+        def perturbed(model, t, U, g, parts=None):
+            t, v, adjusted = real(model, t, U, g, parts)
+            return model.mul(t, model.parse_element(f"1,0;{model.p},1")), v, adjusted
+
+        monkeypatch.setattr(limits, "adjust_to_contraction", perturbed)
+        code = cli.main(["theorem-check", "--which", "transport", "--model", "linear"])
+        (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 1 and row["pass"] is False
+        assert (row["kind"], row["counterexample"]) == ("transport", 2)
 
     def test_nub_transport(self, shift):
         g = shift_generator(2, 1)

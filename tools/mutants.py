@@ -61,6 +61,12 @@ MUTANTS = [
     ("tidy-below-search", "tidy.py",
      "for j in range(7):",
      "for j in range(1):"),
+    ("transport-level-range", "limits.py",
+     "for k in range(model.min_level, TRANSPORT_K + 1):",
+     "for k in range(model.min_level, TRANSPORT_K):"),
+    ("p2-minus-one-generator", "linear.py",
+     "return (3, -1)",
+     "return (3,)"),
     ("runner-keeps-input-errors", "cli.py",
      "if isinstance(exc, InputError):",
      "if False:"),
