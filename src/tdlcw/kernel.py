@@ -107,30 +107,32 @@ class Value:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = cls.__dict__.get("__slots__", ())
-        if len(cls._fields) > 1:
-            # attrgetter of two or more names returns their values' tuple.
-            cls._values = property(attrgetter(*cls._fields))
-
-    @property
-    def _values(self):
-        return tuple(getattr(self, name) for name in self._fields)
+        cls._fields = fields = cls.__dict__.get("__slots__", ())
+        # `obj._key(obj)` is obj's field tuple.  attrgetter of two or more
+        # names returns their values' tuple; it is no function, so as a
+        # class attribute it binds to no instance.
+        if len(fields) > 1:
+            cls._key = attrgetter(*fields)
+        else:
+            cls._key = staticmethod(
+                lambda obj: tuple(getattr(obj, name) for name in fields))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values == other._values
+            key = self._key
+            return key(self) == key(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values)
+        return hash(self._key(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self._fields, self._values))
+                           for name, value in zip(self._fields, self._key(self)))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values
+        return type(self), self._key(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

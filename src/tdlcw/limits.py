@@ -5,9 +5,15 @@ algorithm builds a conjugator t in U_+ with
 
     t^-1 (gu)^k t = b_k g^k,   b_k in U,   for 0 <= k <= N,
 
-entirely by exact arithmetic.  A two-sided variant runs the same
-induction for g' = g^-1 and u' = g u^-1 g^-1 and combines the results
-into r with the identity holding for |k| <= N.
+entirely by exact arithmetic.  Step n of the induction forms
+h = (gu)^n t g^-n once: its certificate is b_n = t^-1 h, and the element
+it splits, u t b_n, is u h.  A two-sided variant runs the same induction
+for g' = g^-1 and u' = g u^-1 g^-1 and combines the results into r with
+the identity holding for |k| <= N.  That backward run derives what it
+needs from the forward one: the U-parts of g^-1 are those of g swapped
+(U_+ with U_-, U_++ with U_--), and U = U_+ U_- holds exactly when
+U = U_- U_+ (invert both sides), so U is tidy above for g^-1 exactly when
+it is for g, and the forward run's check covers both.
 
 Every power a trace needs comes from one `PowerTable`: the running
 products (gu)^k, (gu)^-k, g^k and g^-k for 0 <= k <= N, about 4N
@@ -172,8 +178,17 @@ class TwoSidedTrace(Value):
 def conjugator_forward(model, g, u, U, N, parts=None, powers=None):
     """Stage-N conjugator for the perturbation g -> gu, with certificates.
 
-    `powers` is the `PowerTable` of (g, u) through N, built here when None.
+    Checks the hypotheses, u in U and U tidy above for g, in that order.
+    `parts` are the U-parts of (U, g) and `powers` the `PowerTable` of
+    (g, u) through N, each built here when None.
     """
+    if not U.contains(u):
+        raise HypothesisError("u must lie in U")
+    if parts is None:
+        parts = tidy.u_parts(model, U, g)
+    verdict, k, _ = tidy.is_tidy_above(model, U, g, max(model.min_level, 1), parts)
+    if verdict is not True:
+        raise HypothesisError(f"U is not tidy above for g (level {k})")
     if powers is None:
         powers = PowerTable.build(model, g, u, N)
     t = _stage_conjugator(model, g, u, U, N, parts, powers)
@@ -183,21 +198,21 @@ def conjugator_forward(model, g, u, U, N, parts=None, powers=None):
 
 
 def _stage_conjugator(model, g, u, U, N, parts, powers):
-    """The stage-N conjugator t in U_+ of the forward construction, after
-    its hypothesis checks, with the certificate of each step checked; the
-    final certificates are the caller's."""
-    if not U.contains(u):
-        raise HypothesisError("u must lie in U")
-    if parts is None:
-        parts = tidy.u_parts(model, U, g)
-    verdict, k, _ = tidy.is_tidy_above(model, U, g, max(model.min_level, 1), parts)
-    if verdict is not True:
-        raise HypothesisError(f"U is not tidy above for g (level {k})")
+    """The stage-N conjugator t in U_+ of the forward construction for
+    (g, u), with the certificate of each step checked; the hypotheses and
+    the final certificates are the caller's.
+
+    Each step forms h = (gu)^n t g^-n once.  Its certificate is
+    b_n = t^-1 h, and the split input u t b_n is u h: four products where
+    forming b_n and u t b_n apart takes five.  The split u h = w_- w_+
+    gives y = g^-n w_+^-1 g^n and t <- t y.
+    """
     t = model.identity
-    # Each step sets t <- t y, y = g^-n w_+^-1 g^n.
     for n in range(N):
-        b = powers.certificate(model, U, n, t, model.inv(t))
-        _w_minus, w_plus = model.split(model.mul(model.mul(u, t), b), U, g, parts)
+        h = model.mul(model.mul(powers.gu[n], t), powers.g_inv[n])
+        if not U.contains(model.mul(model.inv(t), h)):
+            raise HypothesisError(f"certificate b_{n} escapes U")
+        _w_minus, w_plus = model.split(model.mul(u, h), U, g, parts)
         y = model.mul(model.mul(powers.g_inv[n], model.inv(w_plus)), powers.g[n])
         t = model.mul(t, y)
     if not parts.u_plus.contains(t):
@@ -221,12 +236,20 @@ def conjugator_two_sided(model, g, u, U, N):
     """Conjugator r with certificates on both sides of the horizon.
 
     Requires u in U and in g^-1 U g.  Runs the forward construction for
-    (g, u) and for (g^-1, g u^-1 g^-1), both reading one `PowerTable`,
-    splits t^-1 s = w_- w_+ in U, and combines r = t w_- (so that also
-    r = s w_+^-1).
+    (g, u) and the stage for (g^-1, g u^-1 g^-1), both reading one
+    `PowerTable`, splits t^-1 s = w_- w_+ in U, and combines r = t w_- (so
+    that also r = s w_+^-1).
 
-    The backward run keeps its hypothesis checks and step certificates but
-    forms no final certificates of its own, as r's imply them.  With
+    The backward stage reuses the forward run's U-parts and tidy check.
+    Conjugation by g^-1 expands what g contracts, so U_+(g^-1) = U_-(g),
+    U_-(g^-1) = U_+(g), U_0(g^-1) = U_0(g), U_++(g^-1) = U_--(g) and
+    U_--(g^-1) = U_++(g): the backward parts are the forward ones swapped.
+    U tidy above for g^-1 means U = U_-(g) U_+(g), and inverting both sides
+    of U = U_+(g) U_-(g) shows that this holds exactly when U is tidy above
+    for g.  Its u' = g u^-1 g^-1 lies in U as u is in g^-1 U g.
+
+    The backward stage checks its step certificates but forms no final
+    certificates of its own, as r's imply them.  With
     b_k(x) = x^-1 (gu)^k x g^-k, those would be b_k(s) for -N <= k <= 0,
     and since r = s w_+^-1 with w_+ in U_+,
 
@@ -240,11 +263,12 @@ def conjugator_two_sided(model, g, u, U, N):
         raise HypothesisError("u must lie in U")
     if not U.contains(model.conjugate(g, u)):
         raise HypothesisError("u must lie in g^-1 U g")
-    u_back = model.conjugate(g, model.inv(u))
     parts = tidy.u_parts(model, U, g)
     powers = PowerTable.build(model, g, u, N)
     forward = conjugator_forward(model, g, u, U, N, parts, powers)
-    s = _stage_conjugator(model, model.inv(g), u_back, U, N, None, powers.backward())
+    backward = tidy.UParts(parts.u_minus, parts.u_plus, parts.u_zero, parts.u_pp, parts.u_mm)
+    s = _stage_conjugator(model, model.inv(g), model.conjugate(g, model.inv(u)), U, N,
+                          backward, powers.backward())
     t = forward.t
     w_minus, _w_plus = model.split(model.mul(model.inv(t), s), U, g, parts)
     r = model.mul(t, w_minus)
@@ -260,7 +284,12 @@ def con_transport_check(model, g, u, t):
     """Transport of contraction groups along t: t closure(con g) t^-1 =
     closure(con gu), as window images at every level from model.min_level
     to TRANSPORT_K.  Equal images give both inclusions; the first level
-    where they differ raises TransportError with that level as witness."""
+    where they differ raises TransportError with that level as witness.
+
+    On the shift model the check holds for every t, so it cannot fail
+    there: for a shifting g, closure(con g) is the whole lamp group, which
+    is normal in G, and gu shifts as g does.  A shift row with a wrong t
+    still fails, through the replay of its certificates."""
     gu = model.mul(g, u)
     for k in range(model.min_level, TRANSPORT_K + 1):
         image = model.con_closure_image(g, k).conjugated(model.project(t, k))

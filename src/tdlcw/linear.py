@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, permutations, product
+from itertools import permutations, product
 from operator import mul
 
 from tdlcw.kernel import (
@@ -82,12 +82,22 @@ class QMatrix:
 
     def __init__(self, rows, den, p):
         if den != 1:
-            g = math.gcd(den, *chain.from_iterable(rows))
+            # Unrolled for n = 2 and n = 3, the only sizes.
+            if len(rows) == 2:
+                (a, b), (c, d) = rows
+                g = math.gcd(den, a, b, c, d)
+            else:
+                (a, b, c), (d, e, f), (x, y, z) = rows
+                g = math.gcd(den, a, b, c, d, e, f, x, y, z)
             if den < 0:
                 g = -g
             if g != 1:
-                rows = tuple(tuple(e // g for e in row) for row in rows)
                 den //= g
+                if len(rows) == 2:
+                    rows = ((a // g, b // g), (c // g, d // g))
+                else:
+                    rows = ((a // g, b // g, c // g), (d // g, e // g, f // g),
+                            (x // g, y // g, z // g))
         self.rows = rows
         self.den = den
         self.p = p
@@ -391,12 +401,13 @@ class ShapeSubgroup(Value):
         return self.basis.n
 
     def contains(self, x):
-        y = _coords(self.basis, x)
-        p, d = self.p, y.den
+        basis = self.basis
+        y = _coords(basis, x)
+        p, d = basis.p, y.den
         vd = _vpi(d, p)
         # det(y) = det(rows) / d^n is a unit iff p^(n vd) exactly divides
         # det(rows).
-        unit = p ** (self.n * vd)
+        unit = p ** (len(y.rows) * vd)
         dt = det(y.rows)
         if dt % unit or not dt % (unit * p):
             return False

@@ -375,6 +375,58 @@ def _battery_transport(model):
 BATTERY_MODELS = cli.battery_models(cli.RunConfig())
 
 
+class TestBackwardStageShortcuts:
+    """The backward stage of the two-sided conjugator reads the forward
+    run's U-parts swapped and its tidy-above check; each shortcut against
+    its from-scratch oracle."""
+
+    @staticmethod
+    def subgroups(model, g):
+        """default_subgroup and every U_n of net_schedule(g, 8), plus the
+        reference subgroup, which is not tidy above for the linear g."""
+        return ([cli.default_subgroup(model, g), model.reference()]
+                + [U for _, U, _ in model.net_schedule(g, 8)])
+
+    @pytest.mark.parametrize("model", BATTERY_MODELS, ids=lambda m: f"{m.name}-{m.p}")
+    def test_swapped_parts_are_the_parts_of_the_inverse(self, model):
+        g = cli.default_g(model)
+        g_inv = model.inv(g)
+        for U in self.subgroups(model, g):
+            parts = tidy.u_parts(model, U, g)
+            swapped = tidy.UParts(parts.u_minus, parts.u_plus, parts.u_zero,
+                                  parts.u_pp, parts.u_mm)
+            assert swapped == tidy.u_parts(model, U, g_inv)
+
+    @pytest.mark.parametrize("model", BATTERY_MODELS, ids=lambda m: f"{m.name}-{m.p}")
+    def test_tidy_above_verdict_is_the_same_for_the_inverse(self, model):
+        g = cli.default_g(model)
+        K = max(model.min_level, 1)
+        verdicts = [(tidy.is_tidy_above(model, U, g, K)[:2],
+                     tidy.is_tidy_above(model, U, model.inv(g), K)[:2])
+                    for U in self.subgroups(model, g)]
+        assert all(forward == backward for forward, backward in verdicts)
+        # Both verdicts occur: the reference subgroup fails in the linear
+        # models at level 1.
+        untidy = [forward for forward, _ in verdicts if forward[0] is not True]
+        assert untidy == ([(False, 1)] if model.name == "linear" else [])
+
+    def test_untidy_subgroup_still_fails_the_two_sided_conjugator(self, linear):
+        # The reference subgroup is not tidy above for diag(2, 1), though u
+        # lies in it and in g^-1 U g; the forward run's check raises, after
+        # the check of u.
+        g = linear.parse_element("2,0;0,1")
+        u = linear.parse_element("1,0;4,1")
+        U = linear.reference()
+        assert U.contains(u) and U.contains(linear.conjugate(g, u))
+        for build in (limits.conjugator_two_sided, limits.conjugator_forward):
+            with pytest.raises(limits.HypothesisError,
+                               match=r"^U is not tidy above for g \(level 1\)$"):
+                build(linear, g, u, U, 6)
+            # u outside U is reported first, as before the check moved.
+            with pytest.raises(limits.HypothesisError, match=r"^u must lie in U$"):
+                build(linear, g, linear.parse_element("1,1/2;0,1"), U, 6)
+
+
 class TestTransport:
     def test_con_transport_both_models(self, shift, linear):
         g = shift_generator(2, 1)
@@ -445,6 +497,21 @@ class TestTransport:
         (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert code == 1 and row["pass"] is False
         assert (row["kind"], row["counterexample"]) == ("transport", 2)
+
+    def test_shift_row_fails_through_replay_not_transport(self):
+        # closure(con g) is the whole lamp group for the shifting g, a
+        # normal subgroup, so any t passes the window check; the row's
+        # replay still rejects a wrong t.
+        model = BATTERY_MODELS[0]
+        g = cli.default_g(model)
+        U = cli.default_subgroup(model, g)
+        u = lamp_element(model.p, {3: 1})
+        trace = limits.conjugator_forward(model, g, u, U, 12)
+        assert trace.replay(model)
+        bad_t = model.parse_element("lamp:-2,0,5")
+        assert bad_t != trace.t
+        assert limits.con_transport_check(model, g, u, bad_t)["pass"]
+        assert not replace(trace, t=bad_t).replay(model)
 
     def test_nub_transport(self, shift):
         g = shift_generator(2, 1)

@@ -217,6 +217,34 @@ class TestIntegerForm:
         assert x.inv().mul(x).is_identity()
 
 
+@st.composite
+def unnormalised_rows(draw):
+    """(rows, den, p): integer n x n rows over a nonzero den, both times a
+    common factor, so that den may be negative or composite and the rows
+    share a factor with it; entries are often zero."""
+    n = draw(st.sampled_from([2, 3]))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    assume(det(rows) != 0)
+    den = draw(st.integers(-12, 12).filter(bool))
+    scale = draw(st.sampled_from([1, -1, 2, -3, 4, 6, -12]))
+    rows = tuple(tuple(scale * e for e in row) for row in rows)
+    return rows, scale * den, draw(st.sampled_from([2, 3, 5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=unnormalised_rows())
+def test_normalisation_matches_make(case):
+    # The unrolled lowest-terms form of QMatrix(rows, den, p) against
+    # QMatrix.make of the same Fraction entries.
+    rows, den, p = case
+    x = QMatrix(rows, den, p)
+    y = QMatrix.make([[Fraction(e, den) for e in row] for row in rows], p)
+    assert x == y and hash(x) == hash(y) and x.den > 0
+    assert math.gcd(x.den, *(e for row in x.rows for e in row)) == 1
+    assert x.entries == tuple(tuple(Fraction(e, den) for e in row) for row in rows)
+
+
 class TestValuation:
     def test_basic_values(self):
         assert vp(8, 2) == 3

@@ -70,6 +70,12 @@ MUTANTS = [
     ("runner-keeps-input-errors", "cli.py",
      "if isinstance(exc, InputError):",
      "if False:"),
+    ("backward-parts-unswapped", "limits.py",
+     "backward = tidy.UParts(parts.u_minus, parts.u_plus, parts.u_zero, parts.u_pp, parts.u_mm)",
+     "backward = parts"),
+    ("qmatrix-den-sign", "linear.py",
+     "            if den < 0:\n                g = -g\n",
+     ""),
 ]
 
 
