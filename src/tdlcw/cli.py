@@ -646,52 +646,55 @@ def _add_shared(parser):
     parser.add_argument("--out")
 
 
-def build_parser():
+#: Each command: (help, function, flags), a flag as (name, keyword
+#: arguments of `add_argument`).  `experiment` holds a table of its own
+#: subcommands in place of a function.
+COMMANDS = {
+    "scale": ("scale of an element, two ways", cmd_scale,
+              [("--g", {}), ("--matrix", {})]),
+    "tidy": ("tidying procedure diagnosis", cmd_tidy,
+             [("--g", {}), ("--U", {"dest": "subgroup"})]),
+    "con-test": ("contraction/parabolic membership", cmd_con_test,
+                 [("--g", {}), ("--x", {})]),
+    "nub": ("nub via five characterizations", cmd_nub, [("--g", {})]),
+    "conjugator": ("conjugator trace with replay", cmd_conjugator,
+                   [("--g", {}), ("--u", {}), ("--U", {"dest": "subgroup"}),
+                    ("--two-sided", {"dest": "two_sided", "action": "store_true"})]),
+    "experiment": ("convergence experiments", {
+        "limits": ("shrinking-schedule experiment", cmd_experiment_limits,
+                   [("--n-max", {"dest": "n_max", "type": int})]),
+    }, []),
+    "theorem-check": ("verification batteries", cmd_theorem_check,
+                      [("--which", {"default": "all"})]),
+}
+
+
+def _add_commands(parser, dest, commands, only=None):
+    """One subparser per command, each with its help; only the command
+    `only` (every one when None) gets its flags."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (text, fn, flags) in commands.items():
+        p = sub.add_parser(name, help=text)
+        if only not in (None, name):
+            continue
+        if isinstance(fn, dict):
+            _add_commands(p, name, fn)
+            continue
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        _add_shared(p)
+        p.set_defaults(func=fn)
+
+
+def build_parser(command=None):
+    """The argument parser; with a command named, only that command's
+    flags are added, which parses its command lines as the full parser
+    does."""
     parser = argparse.ArgumentParser(
         prog="tdlcw",
         description="finite-resolution workbench for t.d.l.c. dynamics",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_scale = sub.add_parser("scale", help="scale of an element, two ways")
-    p_scale.add_argument("--g")
-    p_scale.add_argument("--matrix")
-    p_scale.set_defaults(func=cmd_scale)
-
-    p_tidy = sub.add_parser("tidy", help="tidying procedure diagnosis")
-    p_tidy.add_argument("--g")
-    p_tidy.add_argument("--U", dest="subgroup")
-    p_tidy.set_defaults(func=cmd_tidy)
-
-    p_con = sub.add_parser("con-test", help="contraction/parabolic membership")
-    p_con.add_argument("--g")
-    p_con.add_argument("--x")
-    p_con.set_defaults(func=cmd_con_test)
-
-    p_nub = sub.add_parser("nub", help="nub via five characterizations")
-    p_nub.add_argument("--g")
-    p_nub.set_defaults(func=cmd_nub)
-
-    p_conj = sub.add_parser("conjugator", help="conjugator trace with replay")
-    p_conj.add_argument("--g")
-    p_conj.add_argument("--u")
-    p_conj.add_argument("--U", dest="subgroup")
-    p_conj.add_argument("--two-sided", dest="two_sided", action="store_true")
-    p_conj.set_defaults(func=cmd_conjugator)
-
-    p_exp = sub.add_parser("experiment", help="convergence experiments")
-    exp_sub = p_exp.add_subparsers(dest="experiment", required=True)
-    p_lim = exp_sub.add_parser("limits", help="shrinking-schedule experiment")
-    p_lim.add_argument("--n-max", dest="n_max", type=int)
-    p_lim.set_defaults(func=cmd_experiment_limits)
-    _add_shared(p_lim)
-
-    p_thm = sub.add_parser("theorem-check", help="verification batteries")
-    p_thm.add_argument("--which", default="all")
-    p_thm.set_defaults(func=cmd_theorem_check)
-
-    for p in (p_scale, p_tidy, p_con, p_nub, p_conj, p_thm):
-        _add_shared(p)
+    _add_commands(parser, "command", COMMANDS, command)
     return parser
 
 
@@ -704,14 +707,17 @@ def emit(rows, out_path):
 
 
 @cache
-def _parser():
-    """The argument parser, built on the first command of a process and
-    reused by every later one: it holds no state between parses."""
-    return build_parser()
+def _parser(command):
+    """The parser for a command line starting with `command` (None for one
+    that names no command), built once per process: it holds no state
+    between parses."""
+    return build_parser(command)
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = _parser(command).parse_args(argv)
     try:
         cfg = RunConfig.from_args(args)
         rows = args.func(cfg, args)

@@ -6,8 +6,10 @@ statement reduces to valuations of integers; nothing is ever rounded.
 Compact open subgroups are "valuation shapes": a change of basis plus an
 integer matrix of lower bounds on the valuations of the entries of x - I.
 The dynamics path requires elements with n distinct rational eigenvalues
-(an explicit eigenbasis); the Newton-polygon scale needs no eigenbasis and
-covers every invertible matrix.
+(an explicit eigenbasis, whose vectors are adjugate columns in integers);
+the Newton-polygon scale needs no eigenbasis and covers every invertible
+matrix.  Shape orders and eigen data are pure functions of small immutable
+values, each computed once per process.
 """
 
 from __future__ import annotations
@@ -242,7 +244,9 @@ def scale_formula(g):
 
 
 def _rational_roots(coeffs):
-    """All rational roots (with multiplicity ignored) of a rational polynomial."""
+    """All rational roots (with multiplicity ignored) of a rational polynomial:
+    of a quadratic from its discriminant, otherwise by testing each a/b with
+    a | c_0 and b | c_deg on the integer form sum c_i a^i b^(deg - i)."""
     denom = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
     while ints and ints[-1] == 0:
@@ -250,14 +254,21 @@ def _rational_roots(coeffs):
     lead, const = ints[-1], ints[0]
     if const == 0:
         return []
+    deg = len(ints) - 1
+    if deg == 2:
+        disc = ints[1] ** 2 - 4 * lead * const
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+            return []
+        s = math.isqrt(disc)
+        return sorted({Fraction(-ints[1] + s, 2 * lead), Fraction(-ints[1] - s, 2 * lead)})
 
     def divisors(m):
         m = abs(m)
         return {e for d in range(1, math.isqrt(m) + 1) if m % d == 0 for e in (d, m // d)}
 
-    return sorted({cand for a in divisors(const) for b in divisors(lead)
-                   for cand in (Fraction(a, b), Fraction(-a, b))
-                   if sum(c * cand**i for i, c in enumerate(coeffs)) == 0})
+    return sorted({Fraction(a, b) for a0 in divisors(const) for b in divisors(lead)
+                   for a in (a0, -a0)
+                   if sum(c * a**i * b**(deg - i) for i, c in enumerate(ints)) == 0})
 
 
 def eigenbasis(g):
@@ -265,7 +276,10 @@ def eigenbasis(g):
 
     Requires n distinct rational eigenvalues; ordered by valuation
     descending (ties broken by eigenvalue) so contracting entries sit above
-    the diagonal in eigencoordinates.
+    the diagonal in eigencoordinates.  For an eigenvalue a/b, M = b rows -
+    a den I has rank n - 1, so every nonzero column of adjugate(M) spans its
+    kernel; the column is scaled so that its last nonzero entry is 1, the
+    vector that row reduction of M yields, then made primitive at p.
     """
     coeffs = charpoly(g)
     roots = _rational_roots(coeffs)
@@ -275,47 +289,21 @@ def eigenbasis(g):
             "eigenvalues); use the resolution-limited generic routines"
         )
     roots.sort(key=lambda lam: (-vp(lam, g.p), lam))
-    n = g.n
+    n, rows, den = g.n, g.rows, g.den
     columns = []
     for lam in roots:
-        # The kernel of g - lam equals that of den * g - den * lam.
-        m = [
-            [Fraction(g.rows[i][j]) - (lam * g.den if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        vec = _nullspace_vector(m)
-        columns.append(_primitive_p_vector(vec, g.p))
+        a, b = lam.numerator, lam.denominator
+        m = tuple(tuple(b * e - (a * den if i == j else 0) for j, e in enumerate(row))
+                  for i, row in enumerate(rows))
+        adj = adjugate(m)
+        vec = next(col for col in zip(*adj) if any(col))
+        last = next(e for e in reversed(vec) if e)
+        columns.append(_primitive_p_vector([Fraction(e, last) for e in vec], g.p))
     basis = QMatrix.make([[columns[j][i] for j in range(n)] for i in range(n)], g.p)
     vals = tuple(vp(lam, g.p) for lam in roots)
     diag = _coords(basis, g).rows
     assert all(i == j or diag[i][j] == 0 for i in range(n) for j in range(n))
     return basis, vals
-
-
-def _nullspace_vector(m):
-    n = len(m)
-    rows = [list(r) for r in m]
-    pivots = {}
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv_p = 1 / rows[rank][col]
-        rows[rank] = [e * inv_p for e in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [e - f * x for e, x in zip(rows[r], rows[rank])]
-        pivots[col] = rank
-        rank += 1
-    free = next(c for c in range(n) if c not in pivots)
-    vec = [Fraction(0)] * n
-    vec[free] = Fraction(1)
-    for col, r in pivots.items():
-        vec[col] = -rows[r][free]
-    return vec
 
 
 def _primitive_p_vector(vec, p):
@@ -599,9 +587,11 @@ def _residues(clamped, p, K):
     return (c for c in product(*rows) if not K or det(c) % p)
 
 
+@cache
 def _shape_order(clamped, p, K):
     """The number of `_residues(clamped)`, in closed form where the
-    determinant condition splits; otherwise they are counted, under the cap."""
+    determinant condition splits; otherwise they are counted, under the cap.
+    Computed once per process for each (clamped, p, K)."""
     n = len(clamped)
     if K == 0:
         return 1
@@ -711,6 +701,9 @@ class LinearModel:
     name = "linear"
     #: Resolution 0 would be GL_n(Z/1), the trivial group; start at 1.
     min_level = 1
+    #: Eigen data by element, shared by every model of the process: g
+    #: carries p and n, and the data is a pure function of g.
+    _eigen_cache = {}
 
     def __init__(self, p=2, n=2):
         if n not in (2, 3):
@@ -723,7 +716,6 @@ class LinearModel:
         while MatrixWindow(n, p, K + 1).order <= DEFAULT_CAP // 16:
             K += 1
         self.default_resolution = K
-        self._eigen_cache = {}
 
     # -- element arithmetic -------------------------------------------------
 
@@ -781,12 +773,14 @@ class LinearModel:
     # -- eigen data ---------------------------------------------------------
 
     def eigen_data(self, g):
-        if g not in self._eigen_cache:
-            self._eigen_cache[g] = self._eigen_data_uncached(g)
-        return self._eigen_cache[g]
+        """(basis, vals) of g, computed once per process."""
+        data = self._eigen_cache.get(g)
+        if data is None:
+            data = self._eigen_cache[g] = self._eigen_data_uncached(g)
+        return data
 
     def _eigen_data_uncached(self, g):
-        n, p = self.n, self.p
+        n, p = g.n, g.p
         if all(g.rows[r][s] == 0 for r in range(n) for s in range(n) if r != s):
             # Already diagonal: usable even with repeated eigenvalues, as
             # long as the valuations descend so contracting entries sit

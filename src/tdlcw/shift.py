@@ -217,7 +217,13 @@ class ShiftOpen(Value):
             hi = a.end + len(a.right)
             if not a.vanishes_on(range(v.right, hi + 1)):
                 return False
-        return a.vanishes_on(v.fin)
+        fin = v.fin
+        if fin:
+            lo, hi = min(fin), max(fin)
+            if hi - lo + 1 == len(fin):
+                # Contiguous, as every W(k) is: read as one slice.
+                fin = range(lo, hi + 1)
+        return a.vanishes_on(fin)
 
     def window_image(self, K):
         free = (i + K for i in range(-K, K + 1) if i not in self.vanish)

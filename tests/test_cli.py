@@ -497,6 +497,8 @@ RANGE_COMMANDS = [
     ["experiment", "limits", "--model", "linear", "--p", "7", "--resolution", "8"],
     ["experiment", "limits", "--n-max", "12"],
     ["scale", "--resolution", "4"],
+    # An 18-digit eigenvalue: its roots come from the discriminant.
+    ["scale", "--model", "linear", "--g", "1000000000000000000,1;0,1"],
 ]
 
 
@@ -568,3 +570,31 @@ def test_every_command_line_keeps_the_exit_contract(argv):
     assert code in (0, 1) and not err.getvalue()
     assert all("kind" in row and "counterexample" in row for row in rows if "error" in row)
     assert (code == 1) == any(row["pass"] is not True for row in rows)
+
+
+#: Command lines whose help, usage or error text the parser prints.
+PARSER_LINES = [[command, *tail] for command in cli.COMMANDS
+                for tail in (["--help"], ["--bogus", "1"], ["--p", "x"], [])] + [
+    ["experiment", "limits", "--help"], ["experiment", "limits", "--n-max", "x"],
+    ["experiment", "limits", "--g", "1"], ["experiment", "bogus"],
+    ["conjugator", "--two-sided=1"], ["theorem-check", "--which"],
+    ["conjugator", "--two-sided", "--model", "shift", "--horizon", "4"],
+    ["experiment", "limits", "--n-max", "3", "--seed", "2"],
+]
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr, parsed values) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    code, values = None, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            values = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), values
+
+
+@pytest.mark.parametrize("argv", PARSER_LINES, ids=" ".join)
+def test_command_parser_prints_and_parses_as_the_full_one(argv):
+    assert _parse(cli.build_parser(argv[0]), argv) == _parse(cli.build_parser(), argv)

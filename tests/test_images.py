@@ -15,7 +15,9 @@ window-group kernel, and that it still bounds the elements of an image.
 """
 
 import inspect
+import itertools
 import math
+import random
 from functools import lru_cache
 
 import pytest
@@ -406,3 +408,41 @@ def test_images_have_no_cap_field():
 def test_reading_elements_past_the_cap_raises(image):
     with pytest.raises(ResolutionError, match="cap=65536"):
         image().elements
+
+
+# -- shape orders ---------------------------------------------------------------
+
+
+def _shape_orders_against_counts(shapes, p, K):
+    """Compare `_shape_order` with a count of `_residues` for each shape the
+    count can enumerate; return the shapes it cannot."""
+    too_large = []
+    for clamped in shapes:
+        try:
+            count = sum(1 for _ in linear._residues(clamped, p, K))
+        except ResolutionError:
+            too_large.append(clamped)
+            continue
+        assert linear._shape_order(clamped, p, K) == count, (clamped, p, K)
+    return too_large
+
+
+@pytest.mark.parametrize("p, K", [(p, K) for p in (2, 3) for K in range(4)])
+def test_shape_order_counts_every_2x2_shape(p, K):
+    shapes = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(K + 1), repeat=4)]
+    too_large = _shape_orders_against_counts(shapes, p, K)
+    # Only the full window GL_2(Z/27) is too large to count; it has
+    # 27^4 (1 - 1/3)(1 - 1/9) elements.
+    assert too_large == ([((0, 0), (0, 0))] if (p, K) == (3, 3) else [])
+    if too_large:
+        assert linear._shape_order(too_large[0], p, K) == 27**4 * 2 * 8 // 27
+
+
+@pytest.mark.parametrize("p, K", [(2, 1), (2, 2), (3, 1)])
+def test_shape_order_counts_sampled_3x3_shapes(p, K):
+    rng = random.Random(p * 10 + K)
+    shapes = [tuple(tuple(rng.randint(0, K) for _ in range(3)) for _ in range(3))
+              for _ in range(40)]
+    shapes = [c for c in shapes if math.prod(p ** (K - e) for row in c for e in row) <= 2**14]
+    assert len(shapes) >= 10
+    assert _shape_orders_against_counts(shapes, p, K) == []

@@ -15,6 +15,8 @@ from tdlcw.linear import (
     NotPIntegralError,
     QMatrix,
     ShapeSubgroup,
+    _primitive_p_vector,
+    charpoly,
     congruence_shape,
     eigenbasis,
     identity_matrix,
@@ -318,6 +320,80 @@ class TestScaleFormula:
         assert scale_formula(QMatrix.make([[0, 1], [-1, 0]], 2)) == 1
 
 
+def _fraction_roots(coeffs):
+    """Reference rational roots: every a/b with a | c_0 and b | c_deg, tested
+    with Fraction powers."""
+    denom = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * denom) for c in coeffs]
+    lead, const = ints[-1], ints[0]
+
+    def divisors(m):
+        return [d for d in range(1, abs(m) + 1) if m % d == 0]
+
+    return sorted({cand for a in divisors(const) for b in divisors(lead)
+                   for cand in (Fraction(a, b), Fraction(-a, b))
+                   if sum(c * cand**i for i, c in enumerate(coeffs)) == 0})
+
+
+def _nullspace_vector(m):
+    """Reference kernel vector of a rank n - 1 Fraction matrix by row
+    reduction: 1 at the first free column, minus its pivot entries."""
+    n = len(m)
+    rows = [list(r) for r in m]
+    pivots = {}
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv_p = 1 / rows[rank][col]
+        rows[rank] = [e * inv_p for e in rows[rank]]
+        for r in range(n):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [e - f * x for e, x in zip(rows[r], rows[rank])]
+        pivots[col] = rank
+        rank += 1
+    free = next(c for c in range(n) if c not in pivots)
+    vec = [Fraction(0)] * n
+    vec[free] = Fraction(1)
+    for col, r in pivots.items():
+        vec[col] = -rows[r][free]
+    return vec
+
+
+def fraction_eigenbasis(g):
+    """Reference eigen data by Fraction row reduction of g - lam."""
+    roots = _fraction_roots(charpoly(g))
+    if len(roots) != g.n:
+        raise UnsupportedElementError(
+            "element outside the supported class (needs n distinct rational "
+            "eigenvalues); use the resolution-limited generic routines"
+        )
+    roots.sort(key=lambda lam: (-vp(lam, g.p), lam))
+    n, x = g.n, g.entries
+    columns = [_primitive_p_vector(
+        _nullspace_vector([[x[i][j] - (lam if i == j else 0) for j in range(n)]
+                           for i in range(n)]), g.p) for lam in roots]
+    basis = QMatrix.make([[columns[j][i] for j in range(n)] for i in range(n)], g.p)
+    return basis, tuple(vp(lam, g.p) for lam in roots)
+
+
+@st.composite
+def diagonalizable_cases(draw):
+    """(B diag(lams) B^-1, lams) for n in {2, 3}, p in {2, 3, 5, 7}, distinct
+    nonzero rational lams and an invertible integer B."""
+    n = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    lam = st.fractions(min_value=-12, max_value=12, max_denominator=8).filter(bool)
+    lams = draw(st.lists(lam, min_size=n, max_size=n, unique=True))
+    b = [[Fraction(draw(st.integers(-3, 3))) for _ in range(n)] for _ in range(n)]
+    assume(det(b) != 0)
+    d = [[lams[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    return QMatrix.make(mat_mul(mat_mul(b, d), mat_inv(b)), p), lams
+
+
 class TestEigenbasis:
     def test_orders_by_descending_valuation(self):
         g = QMatrix.make([[1, 0], [0, 4]], 2)
@@ -337,6 +413,39 @@ class TestEigenbasis:
     def test_rejects_irrational_spectrum(self):
         with pytest.raises(UnsupportedElementError):
             eigenbasis(QMatrix.make([[0, 1], [2, 0]], 2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=diagonalizable_cases())
+    def test_matches_fraction_elimination(self, case):
+        g, lams = case
+        assert eigenbasis(g) == fraction_eigenbasis(g)
+        _, vals = eigenbasis(g)
+        assert sorted(vals) == sorted(vp(lam, g.p) for lam in lams)
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1], [2, 0]],                                     # x^2 - 2
+        [[0, 1], [-1, 0]],                                    # x^2 + 1
+        [[2, 1], [0, 2]],                                     # repeated 2
+        [[0, 1, 0], [2, 0, 0], [0, 0, 1]],                    # (x^2 - 2)(x - 1)
+        [[3, 1, 0], [0, 3, 0], [1, 0, Fraction(1, 2)]],      # repeated 3
+        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],                    # x^3 - 1, one rational root
+    ])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_unsupported_spectra_raise_as_before(self, rows, p):
+        g = QMatrix.make(rows, p)
+        errors = []
+        for fn in (eigenbasis, fraction_eigenbasis):
+            with pytest.raises(UnsupportedElementError) as info:
+                fn(g)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and "distinct rational" in errors[0]
+
+    def test_large_2x2_entries_need_no_divisor_search(self):
+        # The divisors of 10^18 run to 10^9; the discriminant gives the roots.
+        g = QMatrix.make([[10**18, 1], [0, 1]], 2)
+        basis, vals = eigenbasis(g)
+        assert vals == (18, 0) and basis.entries == ((1, -1), (0, 10**18 - 1))
+        assert scale_formula(g) == 2**18
 
 
 class TestULFactor:
@@ -534,3 +643,25 @@ def test_default_resolution_stays_under_the_enumeration_budget():
 def test_unsupported_size_rejected():
     with pytest.raises(ValueError):
         LinearModel(2, 4)
+
+
+def test_eigen_data_is_computed_once_per_process(monkeypatch):
+    # The cache lives on the class, so the models that each battery builds
+    # share it; an element's p tells a p = 3 matrix from the same p = 2 one.
+    monkeypatch.setattr(LinearModel, "_eigen_cache", {})
+    calls = []
+    uncached = LinearModel._eigen_data_uncached
+
+    def counted(self, g):
+        calls.append(g)
+        return uncached(self, g)
+
+    monkeypatch.setattr(LinearModel, "_eigen_data_uncached", counted)
+    first, second = LinearModel(2, 2), LinearModel(2, 2)
+    g = first.parse_element("3,1;1,3")
+    data = first.eigen_data(g)
+    assert second.eigen_data(g) is data and first.eigen_data(g) is data
+    assert data == eigenbasis(g) and calls == [g]
+    g3 = LinearModel(3, 2).parse_element("3,1;1,3")
+    assert LinearModel(3, 2).eigen_data(g3) == eigenbasis(g3)
+    assert calls == [g, g3]

@@ -218,3 +218,49 @@ class TestModelAdapter:
 def test_unsupported_prime_rejected():
     with pytest.raises(ValueError):
         ShiftModel(11)
+
+
+def _contains_oracle(U, x):
+    """Membership read one position at a time with `value_at`.  Past a
+    period beyond every boundary the digits and the vanish set repeat, so
+    the window [-B, B] decides."""
+    if x.shift != 0:
+        return False
+    a, v = x.lamp, U.vanish
+    ends = [a.offset, a.end, *v.fin, *(e for e in (v.left, v.right) if e is not None)]
+    bound = max(map(abs, ends)) + len(a.left) + len(a.right) + 1
+    return all(a.value_at(i) == 0 for i in range(-bound, bound + 1) if i in v)
+
+
+@st.composite
+def vanish_cases(draw):
+    """(U, x): a vanish set with optional rays and a contiguous or gapped
+    finite part, and a lamp configuration with periodic tails."""
+    p = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        lo = draw(st.integers(-6, 6))
+        fin = range(lo, lo + draw(st.integers(0, 6)))
+    else:
+        fin = draw(st.frozensets(st.integers(-8, 8), max_size=6))
+    left = draw(st.one_of(st.none(), st.integers(-12, 4)))
+    right = draw(st.one_of(st.none(), st.integers(-4, 12)))
+    U = ShiftOpen(p, VanishSet.make(left, fin, right))
+    digits = st.lists(st.integers(0, p - 1), max_size=3)
+    tail = st.one_of(st.just([0]), digits)
+    lamp = EPSeq.make(p, draw(tail), draw(st.lists(st.integers(0, p - 1), max_size=8)),
+                      draw(st.integers(-8, 8)), draw(tail))
+    return U, ShiftElement(lamp, draw(st.sampled_from([0, 0, 0, 1])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=vanish_cases())
+def test_contains_matches_per_position_oracle(case):
+    U, x = case
+    assert U.contains(x) == _contains_oracle(U, x)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_w_subgroup_checks_both_ends_of_its_interval(k):
+    U = w_subgroup(3, k)
+    for i in range(-k - 2, k + 3):
+        assert U.contains(lamp_element(3, {i: 2})) == (abs(i) > k)

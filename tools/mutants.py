@@ -76,6 +76,12 @@ MUTANTS = [
     ("qmatrix-den-sign", "linear.py",
      "            if den < 0:\n                g = -g\n",
      ""),
+    ("root-test-exponent", "linear.py",
+     "b**(deg - i)",
+     "b**i"),
+    ("vanish-slice-end", "shift.py",
+     "fin = range(lo, hi + 1)",
+     "fin = range(lo, hi)"),
 ]
 
 
