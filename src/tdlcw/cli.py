@@ -10,9 +10,10 @@ witness, and the other rows still run.  Exit status: 0 when every row
 passes, 1 when some row failed, 2 on bad input (`kernel.InputError`), with
 one "error: ..." line on stderr and nothing on stdout.
 
-A JSON config file (--config) may supply any of the shared settings; flags
-given on the command line win over the file.  Unknown config keys are
-rejected.
+Each shared setting is declared once, as a row of `SETTINGS`, which gives
+its `RunConfig` default, its check, its `--config` key and its flag.  A
+JSON config file (--config) may supply any of them; flags given on the
+command line win over the file.  Unknown config keys are rejected.
 """
 
 from __future__ import annotations
@@ -41,76 +42,82 @@ from tdlcw.shift import (
 )
 
 
+#: Each shared setting: (name, JSON type, default, allowed values), the
+#: allowed values a range or a tuple, None for any value of the type.  A
+#: default of None means the setting may be unset.  Every setting is a
+#: `--config` key and a flag, `--n-max` of `experiment limits` only.
+SETTINGS = (
+    ("model", str, None, ("shift", "linear")),  # None: the default battery
+    ("p", int, 2, (2, 3, 5, 7)),
+    ("n", int, 2, range(2, 4)),                 # matrix size, linear model
+    ("resolution", int, None, range(0, 9)),     # window level K
+    ("horizon", int, 12, range(0, 65)),         # certificate horizon N
+    ("max_k", int, 10, range(0, 33)),           # tidying intersection depth
+    ("seed", int, 0, None),
+    ("samples", int, 50, range(1, 1001)),       # echoed in transport rows
+    ("n_max", int, 8, range(1, 13)),            # limits schedule length
+    ("out", str, None, None),
+)
+
+
+def setting_text(setting):
+    """The allowed values and default of a setting, as `--help` and the
+    README give them: "2, 3, 5, 7; default 2", "0..8"."""
+    _, _, default, allowed = setting
+    parts = []
+    if isinstance(allowed, range):
+        parts.append(f"{allowed[0]}..{allowed[-1]}")
+    elif allowed is not None:
+        parts.append(", ".join(map(str, allowed)))
+    if default is not None:
+        parts.append(f"default {default}")
+    return "; ".join(parts)
+
+
 class RunConfig:
-    """Shared run settings; every field has a documented range."""
+    """Shared run settings: one attribute per row of `SETTINGS`."""
 
-    #: Each setting and the JSON type its value must have.
-    _FIELDS = (("model", str), ("p", int), ("n", int), ("resolution", int),
-              ("horizon", int), ("max_k", int), ("seed", int),
-              ("samples", int), ("n_max", int), ("out", str))
-
-    def __init__(self, model=None, p=2, n=2, resolution=None, horizon=12,
-                 max_k=10, seed=0, samples=50, n_max=8, out=None):
-        self.model = model              # "shift" | "linear" | None (= both batteries)
-        self.p = p                      # prime, 2..7
-        self.n = n                      # matrix size for the linear model, 2..3
-        self.resolution = resolution    # window level K, 0..8
-        self.horizon = horizon          # certificate / experiment horizon N, 0..64
-        self.max_k = max_k              # cap on the tidying intersection depth, 0..32
-        self.seed = seed
-        self.samples = samples          # echoed in transport rows, 1..1000
-        self.n_max = n_max              # experiment limits schedule length, 1..12
-        self.out = out
-
-    _RANGES = {
-        "p": (2, 7),
-        "n": (2, 3),
-        "resolution": (0, 8),
-        "horizon": (0, 64),
-        "max_k": (0, 32),
-        "samples": (1, 1000),
-        "n_max": (1, 12),
-    }
+    def __init__(self, **values):
+        unknown = values.keys() - {name for name, *_ in SETTINGS}
+        if unknown:
+            raise InputError(f"unknown config keys: {sorted(unknown)}")
+        for name, _, default, _ in SETTINGS:
+            setattr(self, name, values.get(name, default))
 
     def validate(self):
-        for name, kind in self._FIELDS:
+        for name, kind, default, allowed in SETTINGS:
             value = getattr(self, name)
-            # A config file may give any JSON value; only these may be unset.
-            if value is None and name in ("model", "resolution", "out"):
+            # A config file may give any JSON value.
+            if value is None and default is None:
                 continue
             if type(value) is not kind:
                 raise InputError(f"{name} must be of type {kind.__name__}, got {value!r}")
-        if self.model not in (None, "shift", "linear"):
-            raise InputError(f"unknown model {self.model!r}")
-        if self.p not in (2, 3, 5, 7):
-            raise InputError("p must be one of 2, 3, 5, 7")
-        for name, (lo, hi) in self._RANGES.items():
-            value = getattr(self, name)
-            if value is not None and not lo <= value <= hi:
-                raise InputError(f"{name} must be in [{lo}, {hi}], got {value}")
+            if allowed is not None and value not in allowed:
+                if isinstance(allowed, range):
+                    raise InputError(
+                        f"{name} must be in [{allowed[0]}, {allowed[-1]}], got {value}")
+                raise InputError(f"{name} must be one of "
+                                 f"{', '.join(map(str, allowed))}, got {value!r}")
         return self
 
     @classmethod
     def from_args(cls, args):
-        cfg = cls()
+        """The settings of a `--config` file, if given, overridden by the
+        flags given on the command line."""
+        values = {}
         if getattr(args, "config", None):
             try:
                 with open(args.config, encoding="utf-8") as fh:
-                    data = json.load(fh)
+                    values = json.load(fh)
             except (OSError, ValueError) as exc:
                 raise InputError(f"cannot read config {args.config}: {exc}") from None
-            if not isinstance(data, dict):
+            if not isinstance(values, dict):
                 raise InputError("a config file holds one JSON object")
-            unknown = set(data) - {name for name, _ in cls._FIELDS}
-            if unknown:
-                raise InputError(f"unknown config keys: {sorted(unknown)}")
-            for key, value in data.items():
-                setattr(cfg, key, value)
-        for name, _ in cls._FIELDS:
+        for name, *_ in SETTINGS:
             value = getattr(args, name, None)
             if value is not None:
-                setattr(cfg, name, value)
-        return cfg.validate()
+                values[name] = value
+        return cls(**values).validate()
 
 
 def battery_models(cfg):
@@ -225,7 +232,7 @@ def cmd_tidy(cfg, args):
         def diagnose():
             V, k = tidy.tidy_above_procedure(model, U, g, cfg.max_k, K)
             parts = tidy.u_parts(model, V, g)
-            below, below_witness = tidy.is_tidy_below(model, V, g, parts, K=K)
+            below, below_witness = tidy.is_tidy_below(model, V, g, parts)
             witness = None
             ok = True
             if below is False:
@@ -323,7 +330,7 @@ def _unipotent(model, g, scalar):
     return model.conjugate(model.eigen_data(g)[0], model.parse_element(text))
 
 
-def _net_limits(cfg, n_max=8):
+def _net_limits(cfg, n_max):
     """Net-limit rows over the battery models; K 6 by default."""
     K = cfg.resolution if cfg.resolution is not None else 6
     rows = []
@@ -579,7 +586,8 @@ def _check_tits_core(cfg, rng):
 
 
 def _check_limits(cfg, rng):
-    return _net_limits(cfg)
+    # A fixed schedule length: `n_max` sets that of `experiment limits`.
+    return _net_limits(cfg, 8)
 
 
 CHECKS = {
@@ -633,17 +641,15 @@ def _subgroup_arg(cfg, model, args, g):
     return parse_subgroup(model, args.subgroup, g)
 
 
-def _add_shared(parser):
-    parser.add_argument("--model", choices=["shift", "linear"])
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--resolution", type=int)
-    parser.add_argument("--horizon", type=int)
-    parser.add_argument("--max-k", dest="max_k", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--samples", type=int)
+def _add_settings(parser, command):
+    """A flag for each setting the command takes, and `--config`.  Flags
+    default to None, so that only those given override the config file."""
+    for setting in SETTINGS:
+        name, kind = setting[:2]
+        if name != "n_max" or command == "limits":
+            parser.add_argument("--" + name.replace("_", "-"), type=kind,
+                                help=setting_text(setting) or None)
     parser.add_argument("--config")
-    parser.add_argument("--out")
 
 
 #: Each command: (help, function, flags), a flag as (name, keyword
@@ -661,8 +667,7 @@ COMMANDS = {
                    [("--g", {}), ("--u", {}), ("--U", {"dest": "subgroup"}),
                     ("--two-sided", {"dest": "two_sided", "action": "store_true"})]),
     "experiment": ("convergence experiments", {
-        "limits": ("shrinking-schedule experiment", cmd_experiment_limits,
-                   [("--n-max", {"dest": "n_max", "type": int})]),
+        "limits": ("shrinking-schedule experiment", cmd_experiment_limits, []),
     }, []),
     "theorem-check": ("verification batteries", cmd_theorem_check,
                       [("--which", {"default": "all"})]),
@@ -682,7 +687,7 @@ def _add_commands(parser, dest, commands, only=None):
             continue
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
-        _add_shared(p)
+        _add_settings(p, name)
         p.set_defaults(func=fn)
 
 

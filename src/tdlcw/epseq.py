@@ -94,13 +94,6 @@ def _trail(word, tail):
 class EPSeq(Value):
     __slots__ = ("p", "left", "core", "offset", "right")
 
-    def __init__(self, p, left, core, offset, right):
-        EPSeq.p.__set__(self, p)
-        EPSeq.left.__set__(self, left)
-        EPSeq.core.__set__(self, core)
-        EPSeq.offset.__set__(self, offset)
-        EPSeq.right.__set__(self, right)
-
     @classmethod
     def make(cls, p, left, core, offset, right):
         """The canonical sequence from digit words given as bytes or as any

@@ -25,8 +25,9 @@ this layer takes the bound as a parameter (`VectorWindow.elements`,
 tests can set it small; every layer above uses the constant.
 
 :class:`Value` is the base of the package's immutable value types, from
-the windows here to the conjugator traces of `limits`, and
-:class:`TdlcwError` the base of its errors.
+the windows here to the conjugator traces of `limits`, each constructed
+from the fields its `__slots__` names; :class:`TdlcwError` is the base of
+its errors.
 """
 
 from __future__ import annotations
@@ -93,11 +94,14 @@ class UnsupportedElementError(InputError):
 class Value:
     """Base of the immutable value types of every layer.
 
-    A subclass names its fields in `__slots__` and stores them in its
-    `__init__` through the slot descriptors, `Cls.field.__set__(self, v)`,
-    which the guard below does not see.  Instances are equal when they are
-    of the same class with equal field tuples, hash as that tuple, print as
-    ``Name(field=value, ...)`` and copy by reconstruction; setting or
+    A subclass names its fields once, in `__slots__`.  Its constructor
+    takes one positional value per field, in that order, and raises
+    TypeError on any other number of values; it stores them through the
+    slot descriptors, which the guard below does not see.  A subclass that
+    checks or normalises its arguments defines an `__init__` that ends in
+    `super().__init__(...)` with every field.  Instances are equal when they
+    are of the same class with equal field tuples, hash as that tuple, print
+    as ``Name(field=value, ...)`` and copy by reconstruction; setting or
     deleting an attribute raises AttributeError.  These are the semantics
     of a frozen dataclass without its import cost: `dataclasses` brings in
     `inspect`, and each decoration compiles methods with `exec`.
@@ -108,6 +112,7 @@ class Value:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = fields = cls.__dict__.get("__slots__", ())
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in fields)
         # `obj._key(obj)` is obj's field tuple.  attrgetter of two or more
         # names returns their values' tuple; it is no function, so as a
         # class attribute it binds to no instance.
@@ -116,6 +121,16 @@ class Value:
         else:
             cls._key = staticmethod(
                 lambda obj: tuple(getattr(obj, name) for name in fields))
+
+    def __init__(self, *values):
+        # Reads the setters of the class being built, so that `SubgroupImage`
+        # reaches it through `Image`, which has no fields of its own.
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__qualname__} takes {len(setters)} values "
+                            f"{self._fields}, got {len(values)}")
+        for store, value in zip(setters, values):
+            store(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -198,10 +213,6 @@ class VectorWindow(Value):
 
     __slots__ = ("p", "length")
 
-    def __init__(self, p, length):
-        VectorWindow.p.__set__(self, p)
-        VectorWindow.length.__set__(self, length)
-
     @property
     def desc(self):
         """Hashable summary (kind, p, length), used as a trace key."""
@@ -254,11 +265,6 @@ class MatrixWindow(Value):
     """GL_n(Z/p^K), n in {2, 3}, with row-major entry packing in base p^K."""
 
     __slots__ = ("n", "p", "K")
-
-    def __init__(self, n, p, K):
-        MatrixWindow.n.__set__(self, n)
-        MatrixWindow.p.__set__(self, p)
-        MatrixWindow.K.__set__(self, K)
 
     @property
     def modulus(self):
@@ -428,8 +434,7 @@ class SubgroupImage(Image):
     __slots__ = ("window", "elements")
 
     def __init__(self, window, elements=frozenset()):
-        SubgroupImage.window.__set__(self, window)
-        SubgroupImage.elements.__set__(self, elements or frozenset({window.identity}))
+        super().__init__(window, elements or frozenset({window.identity}))
 
     @property
     def order(self):
@@ -482,16 +487,12 @@ def product_set_equals(a, b, t):
     return False, min(missing or (c for c in prod if c not in t))
 
 
-def first_outside(a, b):
-    """The smallest code of A outside B, or None when A <= B."""
-    return None if a <= b else min(c for c in a.elements if c not in b)
-
-
 def index(u, v):
-    """[U : V] for nested subgroup images; errors with a witness otherwise."""
+    """[U : V] for nested subgroup images; otherwise an error with the
+    smallest code of V outside U as witness."""
     _same_window(u, v)
-    witness = first_outside(v, u)
-    if witness is not None:
+    if not v <= u:
+        witness = min(c for c in v.elements if c not in u)
         raise ContainmentError(
             f"subgroup containment fails, witness code {witness}", witness)
     return u.order // v.order

@@ -63,12 +63,6 @@ class PowerTable(Value):
 
     __slots__ = ("gu", "gu_inv", "g", "g_inv")
 
-    def __init__(self, gu, gu_inv, g, g_inv):
-        PowerTable.gu.__set__(self, gu)
-        PowerTable.gu_inv.__set__(self, gu_inv)
-        PowerTable.g.__set__(self, g)
-        PowerTable.g_inv.__set__(self, g_inv)
-
     @classmethod
     def build(cls, model, g, u, N):
         def run(factor):
@@ -140,15 +134,6 @@ class ConjugatorTrace(Value):
 
     __slots__ = ("model_name", "g", "u", "U", "horizon", "t", "certificates")
 
-    def __init__(self, model_name, g, u, U, horizon, t, certificates):
-        ConjugatorTrace.model_name.__set__(self, model_name)
-        ConjugatorTrace.g.__set__(self, g)
-        ConjugatorTrace.u.__set__(self, u)
-        ConjugatorTrace.U.__set__(self, U)
-        ConjugatorTrace.horizon.__set__(self, horizon)
-        ConjugatorTrace.t.__set__(self, t)
-        ConjugatorTrace.certificates.__set__(self, certificates)
-
     def replay(self, model):
         """Re-verify every certificate identity by exact multiplication."""
         return _replay(model, self, self.t, dict(enumerate(self.certificates)), (1,))
@@ -160,16 +145,6 @@ class TwoSidedTrace(Value):
     -horizon <= k <= horizon."""
 
     __slots__ = ("model_name", "g", "u", "U", "horizon", "forward", "r", "certificates")
-
-    def __init__(self, model_name, g, u, U, horizon, forward, r, certificates):
-        TwoSidedTrace.model_name.__set__(self, model_name)
-        TwoSidedTrace.g.__set__(self, g)
-        TwoSidedTrace.u.__set__(self, u)
-        TwoSidedTrace.U.__set__(self, U)
-        TwoSidedTrace.horizon.__set__(self, horizon)
-        TwoSidedTrace.forward.__set__(self, forward)
-        TwoSidedTrace.r.__set__(self, r)
-        TwoSidedTrace.certificates.__set__(self, certificates)
 
     def replay(self, model):
         return _replay(model, self, self.r, self.certificates, (1, -1))
@@ -323,10 +298,6 @@ class ChabautyDistance(Value):
 
     __slots__ = ("indistinguishable", "level")
 
-    def __init__(self, indistinguishable, level):
-        ChabautyDistance.indistinguishable.__set__(self, indistinguishable)
-        ChabautyDistance.level.__set__(self, level)
-
     @property
     def value(self):
         if self.indistinguishable:
@@ -344,10 +315,6 @@ class ClosedSubgroupApprox(Value):
     compact open; the finite-resolution stand-in for a Chabauty point."""
 
     __slots__ = ("min_level", "images")
-
-    def __init__(self, min_level, images):
-        ClosedSubgroupApprox.min_level.__set__(self, min_level)
-        ClosedSubgroupApprox.images.__set__(self, images)
 
     @classmethod
     def build(cls, model, image_fn, K):

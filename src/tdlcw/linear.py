@@ -244,31 +244,51 @@ def scale_formula(g):
 
 
 def _rational_roots(coeffs):
-    """All rational roots (with multiplicity ignored) of a rational polynomial:
-    of a quadratic from its discriminant, otherwise by testing each a/b with
-    a | c_0 and b | c_deg on the integer form sum c_i a^i b^(deg - i)."""
+    """The distinct rational roots, ascending, of a rational polynomial of
+    degree 2 or 3, constant term first.
+
+    With integer coefficients a_i and lead = a_d, y = lead x makes it the
+    monic integer q with q_i = a_i lead^(d-1-i), whose rational roots are
+    integers of absolute value at most 1 + max |q_i| (Cauchy).  The integer
+    floors of the real roots of q' cut that range into pieces on which q is
+    strictly monotone, and bisection finds each piece's root, if any.
+    """
     denom = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    lead, const = ints[-1], ints[0]
-    if const == 0:
-        return []
-    deg = len(ints) - 1
+    a = [int(c * denom) for c in coeffs]
+    deg, lead = len(a) - 1, a[-1]
+    q = [c * lead ** (deg - 1 - i) for i, c in enumerate(a[:-1])] + [1]
     if deg == 2:
-        disc = ints[1] ** 2 - 4 * lead * const
-        if disc < 0 or math.isqrt(disc) ** 2 != disc:
-            return []
-        s = math.isqrt(disc)
-        return sorted({Fraction(-ints[1] + s, 2 * lead), Fraction(-ints[1] - s, 2 * lead)})
+        cuts = [-q[1] // 2]
+    else:
+        # q' = 3y^2 + 2 q_2 y + q_1 has roots (-q_2 -+ sqrt(disc)) / 3.
+        disc = q[2] ** 2 - 3 * q[1]
+        s = math.isqrt(max(disc, 0))
+        cuts = [] if disc < 0 else [(-q[2] - s - (s * s < disc)) // 3, (-q[2] + s) // 3]
 
-    def divisors(m):
-        m = abs(m)
-        return {e for d in range(1, math.isqrt(m) + 1) if m % d == 0 for e in (d, m // d)}
+    def value(y):
+        out = 0
+        for c in reversed(q):
+            out = out * y + c
+        return out
 
-    return sorted({Fraction(a, b) for a0 in divisors(const) for b in divisors(lead)
-                   for a in (a0, -a0)
-                   if sum(c * a**i * b**(deg - i) for i, c in enumerate(ints)) == 0})
+    bound = 1 + max(map(abs, q[:-1]))
+    ends = [-bound - 1, *cuts, bound]
+    roots = []
+    for lo, hi in zip(ends, ends[1:]):
+        lo += 1
+        if lo > hi:
+            continue
+        # The smallest y of the piece with sign * q(y) >= 0 is its root, if any.
+        sign = 1 if value(hi) >= value(lo) else -1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * value(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if value(lo) == 0:
+            roots.append(Fraction(lo, lead))
+    return sorted(roots)
 
 
 def eigenbasis(g):
@@ -376,9 +396,7 @@ class ShapeSubgroup(Value):
     def __init__(self, basis, shape, validated=True):
         if validated:
             validate_shape(shape)
-        ShapeSubgroup.basis.__set__(self, basis)
-        ShapeSubgroup.shape.__set__(self, shape)
-        ShapeSubgroup.validated.__set__(self, validated)
+        super().__init__(basis, shape, validated)
 
     @property
     def p(self):
@@ -456,11 +474,6 @@ class ShapeImage(Image):
     image (at p = 2 a level-0 diagonal entry is already 1 mod 2)."""
 
     __slots__ = ("window", "clamped", "conj")
-
-    def __init__(self, window, clamped, conj=None):
-        ShapeImage.window.__set__(self, window)
-        ShapeImage.clamped.__set__(self, clamped)
-        ShapeImage.conj.__set__(self, conj)
 
     @cached_property
     def order(self):

@@ -34,10 +34,6 @@ from tdlcw.kernel import (
 class ShiftElement(Value):
     __slots__ = ("lamp", "shift")
 
-    def __init__(self, lamp, shift):
-        ShiftElement.lamp.__set__(self, lamp)
-        ShiftElement.shift.__set__(self, shift)
-
     @property
     def p(self):
         return self.lamp.p
@@ -71,16 +67,8 @@ class VanishSet(Value):
 
     __slots__ = ("left", "fin", "right", "everything")
 
-    def __init__(self, left=None, fin=frozenset(), right=None, everything=False):
-        VanishSet.left.__set__(self, left)
-        VanishSet.fin.__set__(self, fin)
-        VanishSet.right.__set__(self, right)
-        VanishSet.everything.__set__(self, everything)
-
     @classmethod
     def make(cls, left=None, fin=(), right=None, everything=False):
-        if everything or (left is not None and right is not None and left >= right - 1):
-            return cls(everything=True)
         fin = set(fin)
         if left is not None:
             while left + 1 in fin:
@@ -90,9 +78,9 @@ class VanishSet(Value):
             while right - 1 in fin:
                 right -= 1
             fin = {i for i in fin if i < right}
-        if left is not None and right is not None and left >= right - 1:
-            return cls(everything=True)
-        return cls(left, frozenset(fin), right)
+        if everything or (left is not None and right is not None and left >= right - 1):
+            return cls(None, frozenset(), None, True)
+        return cls(left, frozenset(fin), right, False)
 
     @classmethod
     def interval(cls, a, b):
@@ -116,7 +104,7 @@ class VanishSet(Value):
 
     def union(self, other):
         if self.everything or other.everything:
-            return VanishSet(everything=True)
+            return VanishSet.make(everything=True)
         lefts = [x for x in (self.left, other.left) if x is not None]
         rights = [x for x in (self.right, other.right) if x is not None]
         return VanishSet.make(
@@ -152,10 +140,6 @@ class CoordinateImage(Image):
     `DEFAULT_CAP`."""
 
     __slots__ = ("window", "free")
-
-    def __init__(self, window, free):
-        CoordinateImage.window.__set__(self, window)
-        CoordinateImage.free.__set__(self, free)
 
     @property
     def order(self):
@@ -193,10 +177,6 @@ class ShiftOpen(Value):
     """Compact open subgroup {(a, 0): a vanishes on the vanish set}."""
 
     __slots__ = ("p", "vanish")
-
-    def __init__(self, p, vanish):
-        ShiftOpen.p.__set__(self, p)
-        ShiftOpen.vanish.__set__(self, vanish)
 
     def contains(self, x):
         if x.shift != 0:
@@ -267,15 +247,11 @@ class TailZeroSet(Value):
 
     This is the shift model's U_-- (or U_++): the union of the backward
     translates of U_-.  It is dense in the lamp group but not closed, so it
-    only ever exists as this tagged descriptor plus window images.
+    only ever exists as this tagged descriptor plus window images.  `side`
+    is "left" or "right": which tail must vanish.
     """
 
     __slots__ = ("p", "side")
-
-    def __init__(self, p, side):
-        TailZeroSet.p.__set__(self, p)
-        # "left" or "right": which tail must vanish.
-        TailZeroSet.side.__set__(self, side)
 
     def contains(self, x):
         lamp = x.lamp
@@ -289,7 +265,7 @@ class TailZeroSet(Value):
 def _forward_union(v, step):
     """Union of v + i*step over i >= 0 (step > 0), in closed form."""
     if v.everything or v.left is not None:
-        return VanishSet(everything=True)
+        return VanishSet.make(everything=True)
     if v.is_empty():
         return v
     pieces = []
@@ -480,24 +456,31 @@ class ShiftModel:
         return [self.filtration(k) for k in range(K + 1)]
 
     def tidy_below_certificate(self, U, g, parts):
-        """(True, reason) / (False, witness) / None when undecided."""
-        m = g.shift
-        if m == 0 or U.vanish.is_empty():
+        """(True, reason) or (False, witness), decided exactly.
+
+        For a shift by m > 0 and a vanish set V that is not empty, U_-
+        vanishes on the union of the V - i m, i >= 0: everything when V has
+        a right ray (then U_- and U_-- are trivial), else the left ray up to
+        `bound`, which lies in V.  U_--, the lamps with zero left tail, meets
+        U in U_- exactly when that ray lies in V; else a lamp outside V on
+        it is the witness, searched for from bound - 2 down to the first
+        position outside V or to the ray of V, then at bound - 1.  A shift
+        by m < 0 is the mirror image.
+        """
+        m, v, vm = g.shift, U.vanish, parts.u_minus.vanish
+        if m == 0 or v.is_empty():
             return True, "U is invariant under conjugation by g"
-        # U_-- is the dense tail-zero set; closedness fails exactly when the
-        # vanish set leaves room outside U_- inside U.
-        vm = parts.u_minus.vanish
-        side_left = m > 0
-        bound = vm.left if side_left else vm.right
-        if bound is None:
-            return True, "U_- equals U"
-        probe = bound - 2 if side_left else bound + 2
-        for _ in range(4 * (abs(bound) + len(U.vanish.fin) + 4)):
-            if probe not in U.vanish:
-                witness = lamp_element(self.p, {probe: 1})
-                return False, witness
-            probe += -1 if side_left else 1
-        return None, None
+        if vm.everything:
+            return True, "U_- and U_-- are trivial"
+        side = 1
+        if m < 0:
+            side, v, vm = -1, _mirror(v), _mirror(vm)
+        bound = vm.left
+        end = v.left + 1 if v.left is not None else min(v.fin) - 1
+        for i in [*range(bound - 2, min(bound - 2, end) - 1, -1), bound - 1]:
+            if i not in v:
+                return False, lamp_element(self.p, {side * i: 1})
+        return True, "U_- equals U"
 
     def net_schedule(self, g, n_max):
         """Default shrinking schedule (n, W(n), lamp at n+1) for the shift."""

@@ -28,7 +28,6 @@ from tdlcw.kernel import (
     TdlcwError,
     UnsupportedElementError,
     Value,
-    first_outside,
     index,
     product_is,
     product_set_equals,
@@ -61,13 +60,6 @@ class UParts(Value):
     """
 
     __slots__ = ("u_plus", "u_minus", "u_zero", "u_mm", "u_pp")
-
-    def __init__(self, u_plus, u_minus, u_zero, u_mm, u_pp):
-        UParts.u_plus.__set__(self, u_plus)
-        UParts.u_minus.__set__(self, u_minus)
-        UParts.u_zero.__set__(self, u_zero)
-        UParts.u_mm.__set__(self, u_mm)
-        UParts.u_pp.__set__(self, u_pp)
 
 
 def u_parts(model, U, g):
@@ -123,28 +115,11 @@ def tidy_above_procedure(model, U, g, max_k=10, K=None):
     raise HorizonExceededError(f"no tidy-above intersection within max_k={max_k}")
 
 
-def is_tidy_below(model, U, g, parts=None, K=3):
-    """Decide whether U_-- is closed, i.e. U_-- meets U in exactly U_-.
-
-    Prefers the model's symbolic certificate; otherwise searches window
-    images of the backward conjugates g^-j U_- g^j, 0 <= j <= 6, inside U
-    for an element outside U_-.  Returns (True, reason), (False, witness)
-    or (INCONCLUSIVE, None).
-    """
-    if parts is None:
-        parts = u_parts(model, U, g)
-    cert = model.tidy_below_certificate(U, g, parts)
-    if cert is not None and cert[0] is not None:
-        return cert
-    u_minus_img = parts.u_minus.window_image(K)
-    u_img = U.window_image(K)
-    for j in range(7):
-        shifted = model.conj_open(parts.u_minus, g, -j)
-        inside = shifted.window_image(K) & u_img
-        witness = first_outside(inside, u_minus_img)
-        if witness is not None:
-            return False, witness
-    return INCONCLUSIVE, None
+def is_tidy_below(model, U, g, parts):
+    """Decide whether U_-- is closed, i.e. U_-- meets U in exactly U_-, by
+    the model's exact certificate: (True, reason) or (False, witness), the
+    witness an element of U and of U_-- outside U_-."""
+    return model.tidy_below_certificate(U, g, parts)
 
 
 def find_tidy(model, g, K=None):
@@ -157,7 +132,7 @@ def find_tidy(model, g, K=None):
             parts = u_parts(model, V, g)
         except (UnsupportedElementError, HorizonExceededError):
             continue
-        below, _ = is_tidy_below(model, V, g, parts, K)
+        below, _ = is_tidy_below(model, V, g, parts)
         if below is True:
             return V
     raise HorizonExceededError("no tidy subgroup found among the candidates")
@@ -249,7 +224,7 @@ def _tidy_intersection_image(model, g, K):
         k_check = min(K, 2, model.default_resolution)
         if untidy_above_level(model, U, k_check, parts) is not None:
             continue
-        below, _ = is_tidy_below(model, U, g, parts, K=k_check)
+        below, _ = is_tidy_below(model, U, g, parts)
         if below is not True:
             continue
         V = U
@@ -312,7 +287,7 @@ def tidy_identity_report(model, U, g, K):
     parts = u_parts(model, U, g)
     g_inv = model.inv(g)
     above, _, _ = is_tidy_above(model, U, g, K, parts)
-    below, _ = is_tidy_below(model, U, g, parts, K=min(K, 3))
+    below, _ = is_tidy_below(model, U, g, parts)
     tidy_form = above is True and below is True
     levels = []
     for k in range(model.min_level, K + 1):

@@ -47,8 +47,7 @@ class QuotientDescriptor(Value):
             raise UnsupportedElementError(f"unsupported quotient kind {kind!r}")
         if kind == "lamp" and model.name != "shift":
             raise UnsupportedElementError("the lamp quotient needs the shift model")
-        QuotientDescriptor.model.__set__(self, model)
-        QuotientDescriptor.kind.__set__(self, kind)
+        super().__init__(model, kind)
 
     def contains(self, x):
         """Membership in N."""

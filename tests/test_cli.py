@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -57,6 +58,35 @@ class TestRunConfig:
 
         with pytest.raises(ValueError, match="unknown config keys"):
             cli.RunConfig.from_args(Args())
+
+
+@pytest.mark.parametrize("setting", cli.SETTINGS, ids=lambda s: s[0])
+def test_every_setting_round_trips_through_a_config_file(setting, tmp_path):
+    # The largest allowed value, or any other than the default.
+    name, kind, default, allowed = setting
+    value = allowed[-1] if allowed is not None else {int: 11, str: "rows.jsonl"}[kind]
+    assert value != default
+    command = ["experiment", "limits"] if name == "n_max" else ["scale"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({name: value}))
+    flag = ["--" + name.replace("_", "-"), str(value)]
+    from_file, from_flag = (
+        cli.RunConfig.from_args(cli.build_parser().parse_args(command + tail))
+        for tail in (["--config", str(path)], flag))
+    assert getattr(from_file, name) == getattr(from_flag, name) == value
+    assert vars(from_file) == vars(from_flag) == {**vars(cli.RunConfig()), name: value}
+
+
+def _shared_flags_paragraph():
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("Shared flags:")
+    return " ".join(readme[start:readme.index("\n\n", start)].split())
+
+
+@pytest.mark.parametrize("setting", cli.SETTINGS, ids=lambda s: s[0])
+def test_readme_names_every_setting_with_its_range(setting):
+    flag, text = "`--" + setting[0].replace("_", "-") + "`", cli.setting_text(setting)
+    assert (f"{flag} ({text})" if text else flag) in _shared_flags_paragraph()
 
 
 class TestElementParsing:
@@ -434,6 +464,18 @@ def test_non_integral_eigenbasis_is_named(command, subgroup, capsys):
     assert code == 0 and len(rows) == 1 and rows[0]["pass"]
 
 
+@pytest.mark.parametrize("middle", ["1", "2"])
+def test_18_digit_3x3_matrix_exits_at_once(middle, capsys):
+    # A divisor search for the eigenvalue 10^18 would run to 10^9;
+    # bisection finds it.  Both spectra lack an integral eigenbasis.
+    argv = ["scale", "--model", "linear", "--n", "3",
+            "--g", f"1000000000000000000,1,0;0,{middle},0;0,0,1"]
+    start = time.perf_counter()
+    code, rows, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, rows) == (2, []) and err.startswith("error: ") and "eigen" in err
+
+
 #: Commands run one after another in one process: a flag given to one
 #: (`--two-sided`, `--model`) must not leak into the next, which omits it.
 SEQUENCE = [
@@ -497,7 +539,7 @@ RANGE_COMMANDS = [
     ["experiment", "limits", "--model", "linear", "--p", "7", "--resolution", "8"],
     ["experiment", "limits", "--n-max", "12"],
     ["scale", "--resolution", "4"],
-    # An 18-digit eigenvalue: its roots come from the discriminant.
+    # An 18-digit eigenvalue: its roots come from bisection.
     ["scale", "--model", "linear", "--g", "1000000000000000000,1;0,1"],
 ]
 

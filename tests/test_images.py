@@ -304,7 +304,7 @@ def group_shape_images(draw, window):
             for t in range(n):
                 m[r][t] = min(m[r][t], m[r][s] + m[s][t])
     if draw(st.integers(0, 4)) == 0:
-        return ShapeImage(window, tuple(map(tuple, m)))
+        return ShapeImage(window, tuple(map(tuple, m)), None)
     # A unit-determinant basis: elementary row operations on a permutation.
     rows = [list(row) for row in draw(st.permutations(
         [tuple(int(i == j) for j in range(n)) for i in range(n)]))]
@@ -340,7 +340,7 @@ def test_p2_units_need_minus_one(monkeypatch):
     # unit, so the fault shows against an explicit subgroup: the diagonal
     # {1, 3}^2 extended by the upper unipotents, of order 32.
     w = MatrixWindow(2, 2, 3)
-    a = ShapeImage(w, ((0, 3), (3, 0)))
+    a = ShapeImage(w, ((0, 3), (3, 0)), None)
     diag = [w.encode([3, 0, 0, 1]), w.encode([1, 0, 0, 3])]
     b = subgroup_closure(w, diag + [w.encode([1, 1, 0, 1])])
     assert (a.order, b.order) == (16, 32) and w.encode([-1, 0, 0, 1]) not in b
@@ -348,7 +348,7 @@ def test_p2_units_need_minus_one(monkeypatch):
     real = linear._unit_generators
     monkeypatch.setattr(linear, "_unit_generators",
                         lambda p, e: (3,) if p == 2 and e <= 1 else real(p, e))
-    assert ShapeImage(w, a.clamped) <= b
+    assert ShapeImage(w, a.clamped, None) <= b
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -366,7 +366,7 @@ def test_unit_generators_generate_the_units(p):
 
 def test_shape_that_is_not_a_group_gives_its_elements():
     # m_00 = 1 > m_01 + m_10 = 0: the residues are not closed under products.
-    image = ShapeImage(MatrixWindow(2, 3, 1), ((1, 0), (0, 1)))
+    image = ShapeImage(MatrixWindow(2, 3, 1), ((1, 0), (0, 1)), None)
     assert image.generators == image.elements
 
 

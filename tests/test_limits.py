@@ -24,9 +24,10 @@ def linear():
 
 def replace(value, **changes):
     """A copy of a value-class instance with some fields changed, rebuilt
-    from its `__slots__`."""
-    fields = {name: getattr(value, name) for name in type(value).__slots__}
-    return type(value)(**{**fields, **changes})
+    positionally from its `__slots__`."""
+    cls = type(value)
+    assert changes.keys() <= set(cls.__slots__)
+    return cls(*(changes.get(name, getattr(value, name)) for name in cls.__slots__))
 
 
 def _iwahori(model, g):

@@ -16,6 +16,7 @@ from tdlcw.linear import (
     QMatrix,
     ShapeSubgroup,
     _primitive_p_vector,
+    _rational_roots,
     charpoly,
     congruence_shape,
     eigenbasis,
@@ -328,7 +329,8 @@ def _fraction_roots(coeffs):
     lead, const = ints[-1], ints[0]
 
     def divisors(m):
-        return [d for d in range(1, abs(m) + 1) if m % d == 0]
+        m = abs(m)
+        return {e for d in range(1, math.isqrt(m) + 1) if m % d == 0 for e in (d, m // d)}
 
     return sorted({cand for a in divisors(const) for b in divisors(lead)
                    for cand in (Fraction(a, b), Fraction(-a, b))
@@ -378,6 +380,45 @@ def fraction_eigenbasis(g):
                            for i in range(n)]), g.p) for lam in roots]
     basis = QMatrix.make([[columns[j][i] for j in range(n)] for i in range(n)], g.p)
     return basis, tuple(vp(lam, g.p) for lam in roots)
+
+
+@st.composite
+def root_cases(draw):
+    """Coefficients, constant term first, of a rational quadratic or cubic
+    with a nonzero constant term: a product of linear factors with rational
+    roots, perhaps perturbed, or random coefficients."""
+    deg = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        small = st.fractions(min_value=-40, max_value=40, max_denominator=9)
+        coeffs = [Fraction(draw(st.integers(-9, 9).filter(bool)))]
+        for _ in range(deg):
+            root = draw(small.filter(bool))
+            coeffs = [b - root * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+        coeffs[draw(st.integers(0, deg - 1))] += draw(st.sampled_from([0, 0, 1, -1]))
+    else:
+        coeffs = [Fraction(draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 12)))
+                  for _ in range(deg)] + [Fraction(draw(st.integers(-9, 9).filter(bool)))]
+    assume(coeffs[0] != 0)
+    return coeffs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(coeffs=root_cases())
+def test_rational_roots_match_the_divisor_search(coeffs):
+    assert _rational_roots(coeffs) == _fraction_roots(coeffs)
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    ([9, -6, 1], [3]),
+    ([-27, 27, -9, 1], [3]),
+    ([Fraction(1, 2), 0, -2], [Fraction(-1, 2), Fraction(1, 2)]),
+    ([3, -1, -3, 1], [-1, 1, 3]),
+    ([2, 0, 1], []),
+    # (x - 1)(x - 2)(x - 10^18): a divisor search would run to 10^9.
+    ([-2 * 10**18, 2 + 3 * 10**18, -(10**18 + 3), 1], [1, 2, 10**18]),
+], ids=["double", "triple", "scaled", "three", "none", "18-digit"])
+def test_rational_roots_of_named_polynomials(coeffs, roots):
+    assert _rational_roots([Fraction(c) for c in coeffs]) == roots
 
 
 @st.composite
@@ -441,7 +482,7 @@ class TestEigenbasis:
         assert errors[0] == errors[1] and "distinct rational" in errors[0]
 
     def test_large_2x2_entries_need_no_divisor_search(self):
-        # The divisors of 10^18 run to 10^9; the discriminant gives the roots.
+        # The divisors of 10^18 run to 10^9; bisection finds the roots.
         g = QMatrix.make([[10**18, 1], [0, 1]], 2)
         basis, vals = eigenbasis(g)
         assert vals == (18, 0) and basis.entries == ((1, -1), (0, 10**18 - 1))

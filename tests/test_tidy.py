@@ -1,11 +1,20 @@
 """Tidiness procedures, scale, contraction membership, and the nub."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdlcw import backend, tidy
-from tdlcw.kernel import INF_LEVEL
+from tdlcw.kernel import INF_LEVEL, UnsupportedElementError
 from tdlcw.linear import LinearModel, ShapeSubgroup, iwahori_shape, scale_formula
-from tdlcw.shift import ShiftModel, lamp_element, shift_generator, w_subgroup
+from tdlcw.shift import (
+    ShiftModel,
+    ShiftOpen,
+    VanishSet,
+    lamp_element,
+    shift_generator,
+    w_subgroup,
+)
 
 
 @pytest.fixture
@@ -77,16 +86,48 @@ class TestTidyBelow:
             assert witness is not None
             assert not U.contains(witness) or not parts.u_minus.contains(witness)
 
-    def test_window_search_without_a_certificate(self, shift, monkeypatch):
-        # With the symbolic certificate undecided, the search over backward
-        # conjugates of U_- still finds an element of U outside U_-.
-        monkeypatch.setattr(ShiftModel, "tidy_below_certificate", lambda *args: None)
-        g = shift_generator(2, 1)
-        U = w_subgroup(2, 1)
-        parts = tidy.u_parts(shift, U, g)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(left=st.sampled_from([None, -3, -1]), right=st.sampled_from([None, 1, 3]),
+           fin=st.sets(st.integers(-3, 3)), m=st.sampled_from([1, -1, 2, -2]))
+    def test_certificate_matches_window_images(self, left, right, fin, m):
+        # U_-- meets U beyond U_- exactly when some backward conjugate
+        # g^-j U_- g^j, read at level K, has an element of U outside U_-.
+        shift, K = ShiftModel(2), 4
+        U, g = ShiftOpen(2, VanishSet.make(left, fin, right)), shift_generator(2, m)
+        try:
+            parts = tidy.u_parts(shift, U, g)
+        except UnsupportedElementError:
+            return
+        u_img, um_img = U.window_image(K), parts.u_minus.window_image(K)
+        found = set()
+        for j in range(2 * K + 8):
+            inside = shift.conj_open(parts.u_minus, g, -j).window_image(K) & u_img
+            found |= {c for c in inside.elements if c not in um_img}
         below, witness = tidy.is_tidy_below(shift, U, g, parts)
-        assert below is False
-        assert witness in U.window_image(3) and witness not in parts.u_minus.window_image(3)
+        assert below is not found
+        if below is False:
+            assert U.contains(witness) and parts.u_mm.contains(witness)
+            assert not parts.u_minus.contains(witness)
+            if abs(witness.lamp.offset) <= K:
+                assert shift.project(witness, K) in found
+
+    @pytest.mark.parametrize("vanish, m, witness", [
+        # A ray on the contracting side: U_- = U.
+        (VanishSet.make(left=0), 1, None),
+        (VanishSet.make(right=0), -1, None),
+        # Only the position next to the bound lies in U_-'s ray outside V.
+        (VanishSet.make(left=0, fin={2}), 1, "lamp:1"),
+        (VanishSet.make(right=0, fin={-2}), -1, "lamp:-1"),
+        # W(1): the witness the tidy-identities battery prints.
+        (VanishSet.interval(-1, 1), 1, "lamp:-2"),
+    ])
+    def test_certificate_on_named_sets(self, shift, vanish, m, witness):
+        U, g = ShiftOpen(2, vanish), shift_generator(2, m)
+        below, found = tidy.is_tidy_below(shift, U, g, tidy.u_parts(shift, U, g))
+        if witness is None:
+            assert below is True
+        else:
+            assert below is False and shift.format_element(found) == witness
 
     def test_full_lamp_group_is_tidy(self, shift):
         g = shift_generator(2, 1)

@@ -109,6 +109,12 @@ class TestFieldValues:
             a.extra = 1
         assert a == cls(*base)
 
+    def test_wrong_field_count_raises_type_error(self, cls):
+        base, _ = field_values(cls)
+        for values in ((), base[:1], (*base, base[0])):
+            with pytest.raises(TypeError):
+                cls(*values)
+
     def test_repr_names_every_field(self, cls):
         base, _ = field_values(cls)
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__slots__, base))
@@ -131,8 +137,11 @@ def test_repr_of_nested_values():
 
 
 def test_keyword_defaults():
-    assert shift.VanishSet() == shift.VanishSet(None, frozenset(), None, False)
-    assert shift.VanishSet(everything=True).everything
+    # The constructor built from `__slots__` takes every field, positionally.
+    with pytest.raises(TypeError):
+        shift.VanishSet(everything=True)
+    assert shift.VanishSet.make() == shift.VanishSet(None, frozenset(), None, False)
+    assert shift.VanishSet.make(everything=True).everything
     assert ShapeSubgroup(LINEAR.identity, iwahori_shape(2)).validated
     with pytest.raises(ValueError):
         ShapeSubgroup(LINEAR.identity, ((0, 1), (-2, 0)))

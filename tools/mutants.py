@@ -8,7 +8,8 @@ Each mutant replaces one exact fragment of one source file in a temporary
 copy of the repository, and the suite runs there with `-x`, so a caught
 mutant stops at its first failing test.  The working tree is never
 modified.  A mutant whose fragment does not occur exactly once is reported
-as stale and not run.  The report is a Markdown table on stdout.
+as stale and not run; `tests/test_tools.py` fails on such a mutant.  The
+report is a Markdown table on stdout.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ MUTANTS = [
     ("untidy-level-range", "tidy.py",
      "for k in range(model.min_level, K + 1):\n        if not product_is(",
      "for k in range(model.min_level, K):\n        if not product_is("),
-    ("tidy-below-search", "tidy.py",
-     "for j in range(7):",
-     "for j in range(1):"),
+    ("tidy-below-next-to-bound", "shift.py",
+     "for i in [*range(bound - 2, min(bound - 2, end) - 1, -1), bound - 1]:",
+     "for i in range(bound - 2, min(bound - 2, end) - 1, -1):"),
     ("transport-level-range", "limits.py",
      "for k in range(model.min_level, TRANSPORT_K + 1):",
      "for k in range(model.min_level, TRANSPORT_K):"),
@@ -76,12 +77,18 @@ MUTANTS = [
     ("qmatrix-den-sign", "linear.py",
      "            if den < 0:\n                g = -g\n",
      ""),
-    ("root-test-exponent", "linear.py",
-     "b**(deg - i)",
-     "b**i"),
+    ("root-monic-scale", "linear.py",
+     "c * lead ** (deg - 1 - i)",
+     "c * lead ** (deg - i)"),
     ("vanish-slice-end", "shift.py",
      "fin = range(lo, hi + 1)",
      "fin = range(lo, hi)"),
+    ("value-init-order", "kernel.py",
+     "for store, value in zip(setters, values):",
+     "for store, value in zip(setters[::-1], values):"),
+    ("settings-range", "cli.py",
+     "(\"n_max\", int, 8, range(1, 13)),",
+     "(\"n_max\", int, 8, range(1, 12)),"),
 ]
 
 
