@@ -26,14 +26,8 @@ from functools import cache
 
 from tdlcw import limits, tidy, verify
 from tdlcw.epseq import EPSeq
-from tdlcw.kernel import INF_LEVEL, InputError, TdlcwError, subgroup_closure
-from tdlcw.linear import (
-    LinearModel,
-    ShapeSubgroup,
-    congruence_shape,
-    iwahori_shape,
-    scale_formula,
-)
+from tdlcw.kernel import InputError, TdlcwError, conjugate, subgroup_closure
+from tdlcw.linear import LinearModel, ShapeSubgroup, congruence_shape, iwahori_shape
 from tdlcw.shift import (
     ShiftModel,
     lamp_element,
@@ -130,49 +124,6 @@ def battery_models(cfg):
     return [ShiftModel(2), LinearModel(2, 2), LinearModel(3, 2)]
 
 
-def default_g(model):
-    if model.name == "shift":
-        return shift_generator(model.p, 1)
-    # diag(p, 1) or diag(p^2, p, 1): distinct eigenvalues, as the
-    # eigenbasis path needs.
-    n = model.n
-    return model.parse_element(";".join(
-        ",".join(str(model.p ** (n - 1 - r) if r == s else 0) for s in range(n))
-        for r in range(n)))
-
-
-def default_subgroup(model, g=None):
-    if model.name == "shift":
-        return w_subgroup(model.p, 1)
-    basis = model.integral_basis(g if g is not None else default_g(model))[0]
-    return ShapeSubgroup(basis, iwahori_shape(model.n))
-
-
-def parse_subgroup(model, text, g=None):
-    if model.name == "shift":
-        if text.startswith(("W:", "w:")) and text[2:].isdecimal():
-            return w_subgroup(model.p, int(text[2:]))
-        raise InputError(f"cannot parse shift-model subgroup {text!r} (use W:k)")
-    shape = model.parse_shape(text).shape
-    basis = model.integral_basis(g if g is not None else default_g(model))[0]
-    return ShapeSubgroup(basis, shape)
-
-
-def format_subgroup(model, U):
-    if model.name == "shift":
-        v = U.vanish
-        fin = sorted(v.fin)
-        if v.left is None and v.right is None and not fin:
-            return "W:none"
-        if fin and v.left is None and v.right is None:
-            lo, hi = fin[0], fin[-1]
-            if fin == list(range(lo, hi + 1)) and lo == -hi:
-                return f"W:{hi}"
-        return f"vanish:{v.left},{fin},{v.right}"
-    return ";".join(",".join("inf" if e == INF_LEVEL else str(int(e)) for e in row)
-                    for row in U.shape)
-
-
 def _verdict(value):
     return value if isinstance(value, (bool, str)) else str(value)
 
@@ -207,13 +158,11 @@ def cmd_scale(cfg, args):
         raise InputError("scale of a 3x3 matrix needs p in {2, 3}")
     rows = []
     for model in battery_models(cfg):
-        g = _element_arg(model, args) or default_g(model)
+        g = _element_arg(model, args)
 
         def scale():
             value = tidy.scale_index(model, g, cfg.resolution)
-            # Conjugation by any shift-model element preserves the lamp
-            # group, so every element is uniscalar.
-            formula = scale_formula(g) if model.name == "linear" else 1
+            formula = model.scale_formula(g)
             agree = value == formula
             return [{"scale": value, "formula": formula, "agree": agree, "pass": agree}]
 
@@ -225,7 +174,7 @@ def cmd_scale(cfg, args):
 def cmd_tidy(cfg, args):
     rows = []
     for model in battery_models(cfg):
-        g = _element_arg(model, args) or default_g(model)
+        g = _element_arg(model, args)
         U = _subgroup_arg(cfg, model, args, g)
         K = cfg.resolution if cfg.resolution is not None else model.default_resolution
 
@@ -241,11 +190,11 @@ def cmd_tidy(cfg, args):
                 ok = V.contains(below_witness) and not parts.u_minus.contains(
                     below_witness
                 )
-            return [{"k": k, "V": format_subgroup(model, V), "tidy_below": _verdict(below),
+            return [{"k": k, "V": model.format_subgroup(V), "tidy_below": _verdict(below),
                      "witness": witness, "pass": ok}]
 
         rows += _rows("experiment", "tidy", model,
-                      {"g": model.format_element(g), "U": format_subgroup(model, U),
+                      {"g": model.format_element(g), "U": model.format_subgroup(U),
                        "resolution": K}, diagnose)
     return rows
 
@@ -253,7 +202,7 @@ def cmd_tidy(cfg, args):
 def cmd_con_test(cfg, args):
     rows = []
     for model in battery_models(cfg):
-        g = _element_arg(model, args) or default_g(model)
+        g = _element_arg(model, args)
         x = model.parse_element(args.x) if args.x else model.identity
         K = cfg.resolution if cfg.resolution is not None else model.default_resolution
 
@@ -273,7 +222,7 @@ def cmd_con_test(cfg, args):
 def cmd_nub(cfg, args):
     rows = []
     for model in battery_models(cfg):
-        g = _element_arg(model, args) or default_g(model)
+        g = _element_arg(model, args)
         K = cfg.resolution if cfg.resolution is not None else model.default_resolution
 
         def nub():
@@ -288,14 +237,14 @@ def cmd_nub(cfg, args):
 def cmd_conjugator(cfg, args):
     rows = []
     for model in battery_models(cfg):
-        g = _element_arg(model, args) or default_g(model)
+        g = _element_arg(model, args)
         U = _subgroup_arg(cfg, model, args, g)
         if args.u:
             u = model.parse_element(args.u)
         elif model.name == "shift":
             u = lamp_element(model.p, {2: 1})
         else:
-            u = _unipotent(model, g, model.p ** 2)
+            u = model.unipotent(g, model.p ** 2)
 
         def conjugator():
             if args.two_sided:
@@ -317,17 +266,9 @@ def cmd_conjugator(cfg, args):
 
         rows += _rows("experiment", "conjugator", model,
                       {"g": model.format_element(g), "u": model.format_element(u),
-                       "U": format_subgroup(model, U), "horizon": cfg.horizon},
+                       "U": model.format_subgroup(U), "horizon": cfg.horizon},
                       conjugator)
     return rows
-
-
-def _unipotent(model, g, scalar):
-    """I + scalar E_(n-1, 0), in the eigencoordinates of g."""
-    n = model.n
-    text = ";".join(",".join(str(scalar if (r, s) == (n - 1, 0) else int(r == s))
-                             for s in range(n)) for r in range(n))
-    return model.conjugate(model.eigen_data(g)[0], model.parse_element(text))
 
 
 def _net_limits(cfg, n_max):
@@ -335,7 +276,7 @@ def _net_limits(cfg, n_max):
     K = cfg.resolution if cfg.resolution is not None else 6
     rows = []
     for model in battery_models(cfg):
-        g = default_g(model)
+        g = model.default_element()
         schedule = model.net_schedule(g, n_max)
         rows += _rows("experiment", "net-limit", model, None,
                       lambda: limits.net_experiment(model, g, schedule, K))
@@ -364,7 +305,7 @@ def _check_scale(cfg, rng):
                 (model.identity, 1),
             ]
             c = model.parse_element("1,1;0,1")
-            gc = model.conjugate(c, model.parse_element(f"{p},0;0,1"))
+            gc = conjugate(c, model.parse_element(f"{p},0;0,1"))
             battery.append((gc, p))
         cases += [(model, g, expected, {"g": model.format_element(g), "p": model.p})
                   for g, expected in battery]
@@ -377,7 +318,7 @@ def _check_scale(cfg, rng):
 
         def scale():
             value = tidy.scale_index(model, g)
-            formula = scale_formula(g) if model.name == "linear" else 1
+            formula = model.scale_formula(g)
             return [{"scale": value, "expected": expected,
                      "pass": value == expected == formula}]
 
@@ -393,11 +334,11 @@ def _check_tidy_identities(cfg, rng):
             g = shift_generator(model.p, 1)
             battery = [(w_subgroup(model.p, k), g) for k in range(3)]
         else:
-            g = default_g(model)
-            battery = [(default_subgroup(model, g), g)]
+            g = model.default_element()
+            battery = [(model.default_subgroup(g), g)]
             c = model.parse_element("1,1;0,1")
-            gc = model.conjugate(c, g)
-            battery.append((default_subgroup(model, gc), gc))
+            gc = conjugate(c, g)
+            battery.append((model.default_subgroup(gc), gc))
         k_top = K if model.p == 2 else min(K, 2)
         for U, h in battery:
 
@@ -406,7 +347,7 @@ def _check_tidy_identities(cfg, rng):
                 return [{"levels": report["levels"], "pass": report["pass"]}]
 
             rows += _rows("check", "tidy-identities", model,
-                          {"g": model.format_element(h), "U": format_subgroup(model, U),
+                          {"g": model.format_element(h), "U": model.format_subgroup(U),
                            "resolution": k_top}, identities)
         # The tidying procedure itself: smallest k making the intersection
         # tidy above, with the failure witness at the coarser level.
@@ -415,7 +356,7 @@ def _check_tidy_identities(cfg, rng):
 
             def procedure():
                 V, k = tidy.tidy_above_procedure(model, U0, g, cfg.max_k)
-                return [{"k": k, "V": format_subgroup(model, V),
+                return [{"k": k, "V": model.format_subgroup(V),
                          "pass": k == 1 and V.shape == iwahori_shape(model.n)}]
 
             rows += _rows("check", "tidy-identities", model,
@@ -454,7 +395,7 @@ def _nub_battery(model):
         model.parse_element("0,1;-1,0"),
     ]
     c = model.parse_element("1,1;0,1")
-    gs.append(model.conjugate(c, model.parse_element(f"{p},0;0,1")))
+    gs.append(conjugate(c, model.parse_element(f"{p},0;0,1")))
     return gs
 
 
@@ -483,19 +424,20 @@ def _check_nub(cfg, rng):
 def _check_transport(cfg, rng):
     rows = []
     for model in battery_models(cfg):
-        g = default_g(model)
-        U = default_subgroup(model, g)
+        g = model.default_element()
+        U = model.default_subgroup(g)
         if model.name == "shift":
             u = lamp_element(model.p, {3: 1})
             u2 = lamp_element(model.p, {4: 1})
             U2 = w_subgroup(model.p, 2)
         else:
-            u, u2 = _unipotent(model, g, model.p), _unipotent(model, g, model.p ** 2)
+            u, u2 = model.unipotent(g, model.p), model.unipotent(g, model.p ** 2)
             U2 = U
 
         def transport():
             trace = limits.conjugator_forward(model, g, u, U, cfg.horizon)
-            t, _, adjusted = limits.adjust_to_contraction(model, trace.t, U, g)
+            t, _, adjusted = model.adjust_to_contraction(
+                trace.t, U, g, tidy.u_parts(model, U, g))
             con_report = limits.con_transport_check(model, g, u, t)
             two = limits.conjugator_two_sided(
                 model, g, u2, U2, min(cfg.horizon, 10))
@@ -625,9 +567,10 @@ def cmd_theorem_check(cfg, args):
 
 
 def _element_arg(model, args):
+    """--g (or --matrix), or the model's default element when neither is given."""
     text = getattr(args, "g", None) or getattr(args, "matrix", None)
     if text is None:
-        return None
+        return model.default_element()
     return model.parse_element(text)
 
 
@@ -635,10 +578,10 @@ def _subgroup_arg(cfg, model, args, g):
     """The subgroup --U, which is read in the one model --model names, or
     the default subgroup for g."""
     if not args.subgroup:
-        return default_subgroup(model, g)
+        return model.default_subgroup(g)
     if not cfg.model:
         raise InputError("--U needs --model: a subgroup is read in one model")
-    return parse_subgroup(model, args.subgroup, g)
+    return model.parse_subgroup(args.subgroup, g)
 
 
 def _add_settings(parser, command):

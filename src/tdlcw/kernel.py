@@ -15,8 +15,9 @@ questions are answered from coordinate sets and valuation shapes;
 subgroups A, B, T the product AB equals T exactly when A, B <= T and
 |A||B| = |T||A n B|; products are enumerated only to name a witness when
 that fails.  Each window carries its own group law.  `det` and `adjugate`
-are written once for 2x2 and 3x3 matrices over any commutative ring, and
-`power` is the one square-and-multiply used by both models.
+are written once for 2x2 and 3x3 matrices over any commutative ring;
+`power` (square-and-multiply) and `conjugate` once for the elements of
+both models, which carry their own `mul` and `inv`.
 
 Enumeration is bounded by one constant, `DEFAULT_CAP`: anything that would
 materialize more elements raises :class:`ResolutionError` instead.  Only
@@ -191,6 +192,11 @@ def power(one, g, k):
         if k:
             base = base.mul(base)
     return out
+
+
+def conjugate(g, x):
+    """g x g^-1, for elements with `mul` and `inv`."""
+    return g.mul(x).mul(g.inv())
 
 
 def _pack(digits, base):

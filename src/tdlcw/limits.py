@@ -42,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from tdlcw import tidy
-from tdlcw.kernel import INF_LEVEL, InputError, TdlcwError, Value, WindowMismatchError
+from tdlcw.kernel import INF_LEVEL, InputError, TdlcwError, Value, WindowMismatchError, conjugate
 
 #: Top window level of the contraction-group and nub transports.
 TRANSPORT_K = 3
@@ -68,11 +68,11 @@ class PowerTable(Value):
         def run(factor):
             out = [model.identity]
             for _ in range(N):
-                out.append(model.mul(out[-1], factor))
+                out.append(out[-1].mul(factor))
             return tuple(out)
 
-        gu = model.mul(g, u)
-        return cls(run(gu), run(model.inv(gu)), run(g), run(model.inv(g)))
+        gu = g.mul(u)
+        return cls(run(gu), run(gu.inv()), run(g), run(g.inv()))
 
     def backward(self):
         """The table of g' = g^-1, u' = g u^-1 g^-1, where g'u' = (gu)^-1."""
@@ -83,7 +83,7 @@ class PowerTable(Value):
         HypothesisError when b_k escapes U."""
         gu_k, g_minus_k = ((self.gu[k], self.g_inv[k]) if k >= 0
                            else (self.gu_inv[-k], self.g[-k]))
-        b = model.mul(model.mul(model.mul(x_inv, gu_k), x), g_minus_k)
+        b = x_inv.mul(gu_k).mul(x).mul(g_minus_k)
         if not U.contains(b):
             raise HypothesisError(f"certificate b_{k} escapes U")
         return b
@@ -101,11 +101,11 @@ def _induction_holds(model, trace, x, certs, signs):
             or certs[0] != model.identity
             or not all(trace.U.contains(b) for b in certs.values())):
         return False
-    c = model.mul(model.mul(model.inv(x), model.mul(g, trace.u)), x)
+    c = x.inv().mul(g.mul(trace.u)).mul(x)
     for s in signs:
-        c_s, g_minus_s = (c, model.inv(g)) if s > 0 else (model.inv(c), g)
+        c_s, g_minus_s = (c, g.inv()) if s > 0 else (c.inv(), g)
         for k in range(0, s * N, s):
-            if certs[k + s] != model.mul(model.mul(c_s, certs[k]), g_minus_s):
+            if certs[k + s] != c_s.mul(certs[k]).mul(g_minus_s):
                 return False
     return True
 
@@ -121,10 +121,10 @@ def _replay(model, trace, x, certs, signs):
     """
     if not _induction_holds(model, trace, x, certs, signs):
         return False
-    gu, x_inv = model.mul(trace.g, trace.u), model.inv(x)
+    gu, x_inv = trace.g.mul(trace.u), x.inv()
     return all(
-        model.mul(model.mul(x_inv, model.power(gu, k)), x)
-        == model.mul(certs[k], model.power(trace.g, k))
+        x_inv.mul(model.power(gu, k)).mul(x)
+        == certs[k].mul(model.power(trace.g, k))
         for k in (s * trace.horizon for s in signs))
 
 
@@ -167,7 +167,7 @@ def conjugator_forward(model, g, u, U, N, parts=None, powers=None):
     if powers is None:
         powers = PowerTable.build(model, g, u, N)
     t = _stage_conjugator(model, g, u, U, N, parts, powers)
-    t_inv = model.inv(t)
+    t_inv = t.inv()
     certs = tuple(powers.certificate(model, U, k, t, t_inv) for k in range(N + 1))
     return ConjugatorTrace(model.name, g, u, U, N, t, certs)
 
@@ -184,27 +184,15 @@ def _stage_conjugator(model, g, u, U, N, parts, powers):
     """
     t = model.identity
     for n in range(N):
-        h = model.mul(model.mul(powers.gu[n], t), powers.g_inv[n])
-        if not U.contains(model.mul(model.inv(t), h)):
+        h = powers.gu[n].mul(t).mul(powers.g_inv[n])
+        if not U.contains(t.inv().mul(h)):
             raise HypothesisError(f"certificate b_{n} escapes U")
-        _w_minus, w_plus = model.split(model.mul(u, h), U, g, parts)
-        y = model.mul(model.mul(powers.g_inv[n], model.inv(w_plus)), powers.g[n])
-        t = model.mul(t, y)
+        _w_minus, w_plus = model.split(u.mul(h), U, g, parts)
+        y = powers.g_inv[n].mul(w_plus.inv()).mul(powers.g[n])
+        t = t.mul(y)
     if not parts.u_plus.contains(t):
         raise HypothesisError("constructed conjugator escapes U_+")
     return t
-
-
-def adjust_to_contraction(model, t, U, g, parts=None):
-    """Strip the U_0 part of t so the remainder contracts under g^-1.
-
-    Returns (t', v, adjusted): t = t' * v with v in U_0 and t' in
-    con(g^-1) ^ U_+ when the model can split; otherwise t unchanged with
-    adjusted=False.
-    """
-    if parts is None:
-        parts = tidy.u_parts(model, U, g)
-    return model.adjust_to_contraction(t, U, g, parts)
 
 
 def conjugator_two_sided(model, g, u, U, N):
@@ -236,18 +224,18 @@ def conjugator_two_sided(model, g, u, U, N):
     """
     if not U.contains(u):
         raise HypothesisError("u must lie in U")
-    if not U.contains(model.conjugate(g, u)):
+    if not U.contains(conjugate(g, u)):
         raise HypothesisError("u must lie in g^-1 U g")
     parts = tidy.u_parts(model, U, g)
     powers = PowerTable.build(model, g, u, N)
     forward = conjugator_forward(model, g, u, U, N, parts, powers)
     backward = tidy.UParts(parts.u_minus, parts.u_plus, parts.u_zero, parts.u_pp, parts.u_mm)
-    s = _stage_conjugator(model, model.inv(g), model.conjugate(g, model.inv(u)), U, N,
+    s = _stage_conjugator(model, g.inv(), conjugate(g, u.inv()), U, N,
                           backward, powers.backward())
     t = forward.t
-    w_minus, _w_plus = model.split(model.mul(model.inv(t), s), U, g, parts)
-    r = model.mul(t, w_minus)
-    r_inv = model.inv(r)
+    w_minus, _w_plus = model.split(t.inv().mul(s), U, g, parts)
+    r = t.mul(w_minus)
+    r_inv = r.inv()
     # k <= 0 first: an escape names the first failing k in this order.
     below = [powers.certificate(model, U, -k, r, r_inv) for k in range(N + 1)]
     above = [powers.certificate(model, U, k, r, r_inv) for k in range(1, N + 1)]
@@ -265,7 +253,7 @@ def con_transport_check(model, g, u, t):
     there: for a shifting g, closure(con g) is the whole lamp group, which
     is normal in G, and gu shifts as g does.  A shift row with a wrong t
     still fails, through the replay of its certificates."""
-    gu = model.mul(g, u)
+    gu = g.mul(u)
     for k in range(model.min_level, TRANSPORT_K + 1):
         image = model.con_closure_image(g, k).conjugated(model.project(t, k))
         if image != model.con_closure_image(gu, k):
@@ -277,7 +265,7 @@ def con_transport_check(model, g, u, t):
 def nub_transport_check(model, g, u, r):
     """Window-image equality of r nub(g) r^-1 and nub(gu) at resolution
     TRANSPORT_K."""
-    gu = model.mul(g, u)
+    gu = g.mul(u)
     nub_g, _ = tidy.nub_compute(model, g, TRANSPORT_K)
     nub_gu, _ = tidy.nub_compute(model, gu, TRANSPORT_K)
     conjugated = nub_g.conjugated(model.project(r, TRANSPORT_K))
@@ -398,7 +386,7 @@ def net_experiment(model, g, schedule, K):
             two = conjugator_two_sided(model, g, u_n, U_n, K + 4)
         except HypothesisError as exc:
             raise HypothesisError(f"schedule fails at n={n}: {exc}") from exc
-        gu_n = model.mul(g, u_n)
+        gu_n = g.mul(u_n)
         con = con_closure_approx(model, gu_n, K)
         nub = nub_approx(model, gu_n, K)
         d_con, d_nub = chabauty_distance(ref_con, con), chabauty_distance(ref_nub, nub)

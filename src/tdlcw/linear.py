@@ -234,15 +234,6 @@ def newton_valuations(g):
     return sorted(vals, reverse=True)
 
 
-def scale_formula(g):
-    """Closed-form scale p^(sum over pairs of max(0, v_i - v_j))."""
-    vals = newton_valuations(g)
-    exponent = sum(max(Fraction(0), vi - vj) for vi in vals for vj in vals)
-    if exponent.denominator != 1:
-        raise UnsupportedElementError("non-integral scale exponent")
-    return g.p ** int(exponent)
-
-
 def _rational_roots(coeffs):
     """The distinct rational roots, ascending, of a rational polynomial of
     degree 2 or 3, constant term first.
@@ -378,25 +369,18 @@ def congruence_shape(n, k):
     return tuple(tuple(k for _ in range(n)) for _ in range(n))
 
 
-def iwahori_shape(n, vals=None):
-    """Level-1-above-the-diagonal shape: val >= 1 on contracting entries.
-
-    With vals given, "above" means pairs with v_r > v_s; by default the
-    strict upper triangle.
-    """
-    return tuple(tuple(int(r < s if vals is None else vals[r] > vals[s])
-                       for s in range(n)) for r in range(n))
+def iwahori_shape(n):
+    """Level-1-above-the-diagonal shape: val >= 1 on the strict upper
+    triangle, the contracting entries of an eigenbasis ordered by
+    descending valuation."""
+    return tuple(tuple(int(r < s) for s in range(n)) for r in range(n))
 
 
 class ShapeSubgroup(Value):
-    """Compact open B * {x: val(x_rs - delta_rs) >= M_rs, det a unit} * B^-1."""
+    """Compact open B * {x: val(x_rs - delta_rs) >= M_rs, det a unit} * B^-1;
+    a shape read from text is checked by `LinearModel.parse_subgroup`."""
 
-    __slots__ = ("basis", "shape", "validated")
-
-    def __init__(self, basis, shape, validated=True):
-        if validated:
-            validate_shape(shape)
-        super().__init__(basis, shape, validated)
+    __slots__ = ("basis", "shape")
 
     @property
     def p(self):
@@ -430,13 +414,10 @@ class ShapeSubgroup(Value):
                     return False
         return True
 
-    def conj_by(self, vals, i):
-        return ShapeSubgroup(self.basis, shape_translate(self.shape, vals, i), validated=False)
-
     def intersect(self, other):
         if other.basis != self.basis:
             raise UnsupportedElementError("shape intersection needs a shared basis")
-        return ShapeSubgroup(self.basis, shape_entrywise_max(self.shape, other.shape), validated=False)
+        return ShapeSubgroup(self.basis, shape_entrywise_max(self.shape, other.shape))
 
     def __le__(self, other):
         if other.basis != self.basis:
@@ -664,37 +645,6 @@ def ul_factor(y):
     return u, l
 
 
-# -- oracles in eigencoordinates ---------------------------------------------
-
-
-def con_oracle_linear(g_data, x):
-    """Exact contraction-group membership for g with eigen-data `g_data`."""
-    basis, vals = g_data
-    y = _coords(basis, x)
-    n = len(vals)
-    for r in range(n):
-        for s in range(n):
-            if r == s:
-                if y.rows[r][s] != y.den:
-                    return False
-            elif vals[r] <= vals[s] and y.rows[r][s] != 0:
-                return False
-    return True
-
-
-def par_oracle_linear(g_data, x):
-    """Exact parabolic-group membership (bounded forward orbit)."""
-    basis, vals = g_data
-    y = _coords(basis, x).rows
-    n = len(vals)
-    return all(
-        y[r][s] == 0
-        for r in range(n)
-        for s in range(n)
-        if vals[r] < vals[s]
-    )
-
-
 def _parse_rows(text, entry, n, what):
     """The n x n entries of `text`, rows split by ";" and entries by ",",
     each read by `entry`; a malformed text is an InputError."""
@@ -709,7 +659,8 @@ def _parse_rows(text, entry, n, what):
 
 
 class LinearModel:
-    """Model adapter for GL_n(Q_p); see ShiftModel for the shared surface."""
+    """Model adapter for GL_n(Q_p): the surface listed at ShiftModel, plus
+    `eigen_data`, `integral_basis` and `unipotent`."""
 
     name = "linear"
     #: Resolution 0 would be GL_n(Z/1), the trivial group; start at 1.
@@ -736,17 +687,8 @@ class LinearModel:
     def identity(self):
         return identity_matrix(self.n, self.p)
 
-    def mul(self, x, y):
-        return x.mul(y)
-
-    def inv(self, x):
-        return x.inv()
-
     def power(self, g, k):
         return power(self.identity, g, k)
-
-    def conjugate(self, g, x):
-        return g.mul(x).mul(g.inv())
 
     def proximity_level(self, x):
         if x.is_identity():
@@ -829,23 +771,43 @@ class LinearModel:
         return self.in_reference(_coords(U.basis, g))
 
     def con_oracle(self, g, x):
+        """Exact contraction-group membership, in g's eigencoordinates."""
         if self.in_reference(g):
             # Conjugation preserves each congruence level, so the orbit of
             # x never approaches the identity unless x is the identity.
             return x.is_identity()
-        return con_oracle_linear(self.eigen_data(g), x)
+        basis, vals = self.eigen_data(g)
+        y = _coords(basis, x)
+        n = len(vals)
+        for r in range(n):
+            for s in range(n):
+                if r == s:
+                    if y.rows[r][s] != y.den:
+                        return False
+                elif vals[r] <= vals[s] and y.rows[r][s] != 0:
+                    return False
+        return True
 
     def par_oracle(self, g, x):
+        """Exact parabolic-group membership (bounded forward orbit)."""
         if self.in_reference(g):
             return True
-        return par_oracle_linear(self.eigen_data(g), x)
+        basis, vals = self.eigen_data(g)
+        y = _coords(basis, x).rows
+        n = len(vals)
+        return all(
+            y[r][s] == 0
+            for r in range(n)
+            for s in range(n)
+            if vals[r] < vals[s]
+        )
 
     def _eigen_image(self, g, K, entry):
         """Window image of the shape subgroup in g's eigenbasis whose entry
         (r, s) is entry(v_r, v_s) for the eigenvalue valuations v."""
         basis, vals = self.integral_basis(g)
         shape = tuple(tuple(entry(a, b) for b in vals) for a in vals)
-        return ShapeSubgroup(basis, shape, validated=False).window_image(K)
+        return ShapeSubgroup(basis, shape).window_image(K)
 
     def _trivial_image(self, K):
         return self.filtration(INF).window_image(K)
@@ -894,7 +856,7 @@ class LinearModel:
         if self._invariant_case(U, g):
             return U
         _, vals = self._require_aligned(U, g)
-        return U.conj_by(vals, i)
+        return ShapeSubgroup(U.basis, shape_translate(U.shape, vals, i))
 
     def u_parts_symbolic(self, U, g):
         from tdlcw.tidy import UParts
@@ -912,7 +874,7 @@ class LinearModel:
                 bound = above if a > b else below if a < b else None
                 return M[r][s] if bound is None else bound
             shape = tuple(tuple(entry(r, s) for s in range(n)) for r in range(n))
-            return ShapeSubgroup(U.basis, shape, validated=False)
+            return ShapeSubgroup(U.basis, shape)
 
         # u_plus, u_minus, u_zero, u_mm, u_pp
         return UParts(build(INF, None), build(None, INF), build(INF, INF),
@@ -967,7 +929,7 @@ class LinearModel:
         if (
             parts.u_zero.contains(v_elem)
             and parts.u_plus.contains(t_prime)
-            and self.con_oracle(self.inv(g), t_prime)
+            and self.con_oracle(g.inv(), t_prime)
         ):
             return t_prime, v_elem, True
         return t, self.identity, False
@@ -1019,7 +981,33 @@ class LinearModel:
             out.append((k, U, u))
         return out
 
-    # -- sampling and parsing -----------------------------------------------
+    # -- defaults, sampling and syntax ---------------------------------------
+
+    def default_element(self):
+        """diag(p, 1) or diag(p^2, p, 1): distinct eigenvalues, as the
+        eigenbasis path needs."""
+        n = self.n
+        return QMatrix(tuple(tuple(self.p ** (n - 1 - r) if r == s else 0 for s in range(n))
+                             for r in range(n)), 1, self.p)
+
+    def default_subgroup(self, g):
+        return ShapeSubgroup(self.integral_basis(g)[0], iwahori_shape(self.n))
+
+    def scale_formula(self, g):
+        """Closed-form scale p^(sum over pairs of max(0, v_i - v_j)) over
+        the eigenvalue valuations v."""
+        vals = newton_valuations(g)
+        exponent = sum(max(Fraction(0), vi - vj) for vi in vals for vj in vals)
+        if exponent.denominator != 1:
+            raise UnsupportedElementError("non-integral scale exponent")
+        return g.p ** int(exponent)
+
+    def unipotent(self, g, scalar):
+        """I + scalar E_(n-1, 0), in the eigencoordinates of g."""
+        n = self.n
+        y = [list(row) for row in _IDENTITY[n]]
+        y[n - 1][0] = scalar
+        return _from_coords(self.eigen_data(g)[0], y)
 
     def sample_reference(self, rng, count):
         out = []
@@ -1047,13 +1035,20 @@ class LinearModel:
     def parse_element(self, text):
         return QMatrix.make(_parse_rows(text, Fraction, self.n, "matrix"), self.p)
 
-    def parse_shape(self, text):
-        def entry(part):
-            return INF if part in ("inf", "oo") else int(part)
-        shape = tuple(map(tuple, _parse_rows(text, entry, self.n, "shape")))
-        return ShapeSubgroup(self.identity, shape)
-
     def format_element(self, x):
         return ";".join(
             ",".join(str(e) for e in row) for row in x.entries
         )
+
+    def parse_subgroup(self, text, g):
+        """A valuation shape `m00,m01;m10,m11` (entry `inf` or `oo` pins a
+        coordinate), in the eigenbasis of g."""
+        def entry(part):
+            return INF if part in ("inf", "oo") else int(part)
+        shape = tuple(map(tuple, _parse_rows(text, entry, self.n, "shape")))
+        validate_shape(shape)
+        return ShapeSubgroup(self.integral_basis(g)[0], shape)
+
+    def format_subgroup(self, U):
+        return ";".join(",".join("inf" if e == INF else str(int(e)) for e in row)
+                        for row in U.shape)

@@ -226,22 +226,6 @@ def reference_open(p):
     return ShiftOpen(p, VanishSet.empty())
 
 
-def con_oracle_shift(g, x):
-    """Exact membership of x in the contraction group of g."""
-    if g.shift > 0:
-        return x.shift == 0 and x.lamp.left_tail_is_zero()
-    if g.shift < 0:
-        return x.shift == 0 and x.lamp.right_tail_is_zero()
-    return x.is_identity()
-
-
-def nub_oracle_shift(g, K):
-    """Window image of nub(g): the full lamp window iff g actually shifts,
-    else trivial (the image of W(K))."""
-    sub = reference_open(g.p) if g.shift != 0 else w_subgroup(g.p, K)
-    return sub.window_image(K)
-
-
 class TailZeroSet(Value):
     """Symbolic non-closed set: lamps whose tail on one side is zero.
 
@@ -314,7 +298,26 @@ def restrict_left(a, cutoff):
 
 
 class ShiftModel:
-    """Model adapter: the common surface consumed by the generic dynamics."""
+    """Model adapter: the one surface through which `tidy`, `limits`,
+    `verify` and `cli` reach a model, shared by `LinearModel`.  Elements
+    carry their own `mul`, `inv` and `is_identity`; g x g^-1 is
+    `kernel.conjugate(g, x)`.
+
+    - arithmetic: `identity`, `power(g, n)`, `proximity_level(x)`;
+    - windows: `min_level`, `default_resolution`, `window(K)`,
+      `in_reference(x)`, `project(x, K)`, `filtration(k)`, `reference()`;
+    - oracles: `con_oracle(g, x)`, `par_oracle(g, x)`, and the window images
+      `con_closure_image(g, K)`, `bco_image(g, K)`, `par_image(g, K)`,
+      `rbco_image(g, v, K)`, `nub_image(g, K)`;
+    - dynamics: `conj_open(U, g, i)`, `u_parts_symbolic(U, g)`,
+      `split(x, U, g, parts)`, `adjust_to_contraction(t, U, g, parts)`,
+      `tidy_candidates(g, K)`, `tidy_below_certificate(U, g, parts)`,
+      `net_schedule(g, n_max)`;
+    - defaults and syntax: `name`, `default_element()`,
+      `default_subgroup(g)`, `scale_formula(g)`, `sample_reference(rng,
+      count)`, `sample_con_elements(g, rng, count)`, `parse_element(text)`,
+      `format_element(x)`, `parse_subgroup(text, g)`, `format_subgroup(U)`.
+    """
 
     name = "shift"
     #: Smallest resolution with a meaningful (nontrivial) window group.
@@ -333,17 +336,8 @@ class ShiftModel:
     def identity(self):
         return shift_identity(self.p)
 
-    def mul(self, x, y):
-        return x.mul(y)
-
-    def inv(self, x):
-        return x.inv()
-
     def power(self, g, n):
         return power(self.identity, g, n)
-
-    def conjugate(self, g, x):
-        return g.mul(x).mul(g.inv())
 
     def proximity_level(self, x):
         if x.is_identity():
@@ -375,7 +369,12 @@ class ShiftModel:
     # -- oracles ------------------------------------------------------------
 
     def con_oracle(self, g, x):
-        return con_oracle_shift(g, x)
+        """Exact membership of x in the contraction group of g."""
+        if g.shift > 0:
+            return x.shift == 0 and x.lamp.left_tail_is_zero()
+        if g.shift < 0:
+            return x.shift == 0 and x.lamp.right_tail_is_zero()
+        return x.is_identity()
 
     def par_oracle(self, g, x):
         return True
@@ -383,7 +382,7 @@ class ShiftModel:
     def con_closure_image(self, g, K):
         # con(g) is dense in the lamp group when g shifts: its closure is
         # the nub.
-        return nub_oracle_shift(g, K)
+        return self.nub_image(g, K)
 
     def bco_image(self, g, K):
         return self.con_closure_image(g, K)
@@ -397,7 +396,10 @@ class ShiftModel:
         return self.filtration(v).window_image(K)
 
     def nub_image(self, g, K):
-        return nub_oracle_shift(g, K)
+        """The full lamp window iff g actually shifts, else trivial (the
+        image of W(K))."""
+        sub = self.reference() if g.shift != 0 else self.filtration(K)
+        return sub.window_image(K)
 
     # -- symbolic subgroup dynamics -----------------------------------------
 
@@ -419,8 +421,11 @@ class ShiftModel:
         if v.is_empty():
             u_mm, u_pp = U, U
         else:
-            u_mm = TailZeroSet(self.p, "left" if m > 0 else "right")
-            u_pp = TailZeroSet(self.p, "right" if m > 0 else "left")
+            # U_-- is the union of the translates of U_- (U_++ of U_+):
+            # trivial when U_- is, else the lamps with one tail zero.
+            left, right = ("left", "right") if m > 0 else ("right", "left")
+            u_mm = u_minus if u_minus.vanish.everything else TailZeroSet(self.p, left)
+            u_pp = u_plus if u_plus.vanish.everything else TailZeroSet(self.p, right)
         return UParts(u_plus, u_minus, u_zero, u_mm, u_pp)
 
     def split(self, x, U, g, parts):
@@ -447,7 +452,7 @@ class ShiftModel:
     def adjust_to_contraction(self, t, U, g, parts):
         """U_0 is trivial for vanish-set subgroups once g really shifts, so
         t needs no adjustment; (t, v, adjusted) with v the split-off part."""
-        ok = con_oracle_shift(g.inv(), t)
+        ok = self.con_oracle(g.inv(), t)
         return t, self.identity, ok
 
     def tidy_candidates(self, g, K):
@@ -493,7 +498,18 @@ class ShiftModel:
             for n in range(1, n_max + 1)
         ]
 
-    # -- sampling and parsing -----------------------------------------------
+    # -- defaults, sampling and syntax ---------------------------------------
+
+    def default_element(self):
+        return shift_generator(self.p, 1)
+
+    def default_subgroup(self, g):
+        return w_subgroup(self.p, 1)
+
+    def scale_formula(self, g):
+        """1: conjugation by any element preserves the lamp group, so every
+        element is uniscalar."""
+        return 1
 
     def _sample_support(self, rng):
         """Random lamp values on about 40 % of the positions in [-6, 6]."""
@@ -575,3 +591,20 @@ class ShiftModel:
         if x.shift != 0 or not parts:
             parts.append(f"shift:{x.shift}")
         return "*".join(parts)
+
+    def parse_subgroup(self, text, g):
+        """`W:k`, the lamps vanishing on [-k, k]; g plays no part."""
+        if text.startswith(("W:", "w:")) and text[2:].isdecimal():
+            return w_subgroup(self.p, int(text[2:]))
+        raise InputError(f"cannot parse shift-model subgroup {text!r} (use W:k)")
+
+    def format_subgroup(self, U):
+        v = U.vanish
+        fin = sorted(v.fin)
+        if v.left is None and v.right is None and not fin:
+            return "W:none"
+        if fin and v.left is None and v.right is None:
+            lo, hi = fin[0], fin[-1]
+            if fin == list(range(lo, hi + 1)) and lo == -hi:
+                return f"W:{hi}"
+        return f"vanish:{v.left},{fin},{v.right}"

@@ -1,8 +1,8 @@
 """Model-generic subgroup dynamics for a conjugation automorphism.
 
-Everything here is phrased against the model adapter surface (ShiftModel /
-LinearModel): given a compact open subgroup U and an element g acting by
-conjugation, compute the parts
+Everything here is phrased against the model adapter surface, which the
+`ShiftModel` docstring lists: given a compact open subgroup U and an
+element g acting by conjugation, compute the parts
 
     U_+  = intersection of the forward conjugates  g^i U g^-i, i >= 0
     U_-  = intersection of the backward conjugates
@@ -28,6 +28,7 @@ from tdlcw.kernel import (
     TdlcwError,
     UnsupportedElementError,
     Value,
+    conjugate,
     index,
     product_is,
     product_set_equals,
@@ -63,7 +64,8 @@ class UParts(Value):
 
 
 def u_parts(model, U, g):
-    """Symbolic parts when the model supports (U, g); raises otherwise."""
+    """Symbolic parts when the model supports (U, g); raises otherwise.
+    A forwarder, kept as the name the benchmark's trace wraps."""
     return model.u_parts_symbolic(U, g)
 
 
@@ -118,7 +120,8 @@ def tidy_above_procedure(model, U, g, max_k=10, K=None):
 def is_tidy_below(model, U, g, parts):
     """Decide whether U_-- is closed, i.e. U_-- meets U in exactly U_-, by
     the model's exact certificate: (True, reason) or (False, witness), the
-    witness an element of U and of U_-- outside U_-."""
+    witness an element of U and of U_-- outside U_-.  A forwarder, kept as
+    the name the benchmark's trace wraps."""
     return model.tidy_below_certificate(U, g, parts)
 
 
@@ -180,11 +183,11 @@ def trajectory_contracts(model, g, x, K, N):
             reached = True
         elif reached:
             return False
-        y = model.conjugate(g, y)
+        y = conjugate(g, y)
     return reached
 
 
-def con_membership(model, g, x, K=6, N=40):
+def con_membership(model, g, x, K, N):
     """x in con(g)?  Exact via the model oracle when available; otherwise a
     trajectory semi-decision at resolution K (True here means
     true-at-resolution)."""
@@ -197,7 +200,7 @@ def con_membership(model, g, x, K=6, N=40):
     return INCONCLUSIVE
 
 
-def par_membership(model, g, x, K=6, N=40):
+def par_membership(model, g, x, K, N):
     """x in par(g) (relatively compact forward orbit)?  Oracle-exact when
     available; the fallback can certify only boundedness up to horizon N."""
     try:
@@ -208,7 +211,7 @@ def par_membership(model, g, x, K=6, N=40):
     for _ in range(N + 1):
         if not model.in_reference(y):
             return INCONCLUSIVE
-        y = model.conjugate(g, y)
+        y = conjugate(g, y)
     return True
 
 
@@ -251,7 +254,7 @@ def nub_compute(model, g, K):
     Any disagreement raises NubDisagreementError; agreement returns the
     common image together with the per-characterization report.
     """
-    g_inv = model.inv(g)
+    g_inv = g.inv()
     con_img = model.con_closure_image(g, K)
     images = {
         "tidy": _tidy_intersection_image(model, g, K),
@@ -285,7 +288,7 @@ def tidy_identity_report(model, U, g, K):
     each part).  Returns {"levels": per-level dicts, "pass": bool}.
     """
     parts = u_parts(model, U, g)
-    g_inv = model.inv(g)
+    g_inv = g.inv()
     above, _, _ = is_tidy_above(model, U, g, K, parts)
     below, _ = is_tidy_below(model, U, g, parts)
     tidy_form = above is True and below is True

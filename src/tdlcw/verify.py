@@ -16,7 +16,7 @@ from itertools import accumulate
 
 from tdlcw import kernel
 from tdlcw.epseq import ZERO, EPSeq
-from tdlcw.kernel import UnsupportedElementError, Value, subgroup_closure
+from tdlcw.kernel import UnsupportedElementError, Value, conjugate, subgroup_closure
 from tdlcw.shift import CoordinateImage, ShiftElement, shift_generator
 
 
@@ -73,15 +73,16 @@ class QuotientDescriptor(Value):
             return True
         return self.model.con_closure_image(g, K).order == 1
 
-    def normal_check(self, rng, samples=50):
+    def normal_check(self, rng):
         """Sampled normality: gxg^-1 stays in N; returns a report dict."""
         model = self.model
+        samples = 50
         gs = model.sample_reference(rng, samples)
         if model.name == "shift":
             gs = [g.mul(shift_generator(model.p, rng.randrange(-2, 3))) for g in gs]
         xs = self._sample_n(rng, samples)
         for g, x in zip(gs, xs):
-            y = model.conjugate(g, x)
+            y = conjugate(g, x)
             if not self.contains(y):
                 return {"samples": samples, "pass": False, "witness": (g, x)}
         return {"samples": samples, "pass": True}

@@ -92,19 +92,29 @@ def test_readme_names_every_setting_with_its_range(setting):
 class TestElementParsing:
     def test_subgroup_roundtrip_shift(self):
         model = cli.ShiftModel(2)
-        U = cli.parse_subgroup(model, "W:2")
-        assert cli.format_subgroup(model, U) == "W:2"
+        U = model.parse_subgroup("W:2", model.default_element())
+        assert model.format_subgroup(U) == "W:2"
 
     def test_subgroup_roundtrip_linear(self):
         model = cli.LinearModel(2, 2)
-        U = cli.parse_subgroup(model, "0,1;0,0")
-        assert cli.format_subgroup(model, U) == "0,1;0,0"
-        inf_shape = cli.parse_subgroup(model, "0,inf;inf,0")
-        assert cli.format_subgroup(model, inf_shape) == "0,inf;inf,0"
+        g = model.default_element()
+        U = model.parse_subgroup("0,1;0,0", g)
+        assert model.format_subgroup(U) == "0,1;0,0"
+        inf_shape = model.parse_subgroup("0,inf;inf,0", g)
+        assert model.format_subgroup(inf_shape) == "0,inf;inf,0"
 
     def test_bad_subgroup_text(self):
+        model = cli.ShiftModel(2)
         with pytest.raises(ValueError):
-            cli.parse_subgroup(cli.ShiftModel(2), "whatever")
+            model.parse_subgroup("whatever", model.default_element())
+
+    def test_invalid_shape_exits_2(self, capsys):
+        # The shape parses, but U would not be a subgroup: entries (0, 1)
+        # and (1, 0) sum below 0.
+        assert cli.main(["tidy", "--model", "linear", "--U", "0,1;-2,0"]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == "error: off-diagonal shape entries must have sum >= 0\n"
 
 
 class TestCommands:
@@ -132,6 +142,20 @@ class TestCommands:
         )
         assert code == 0
         assert rows[0]["in_con"] is True and rows[0]["in_par"] is True
+
+    @pytest.mark.parametrize("g, in_par", [("0,1;2,0", True), ("0,-2;1,-1", "inconclusive")])
+    def test_con_test_without_rational_eigenvalues(self, capsys, monkeypatch, g, in_par):
+        # No eigenbasis over Q, so no exact oracle: the fallbacks answer.
+        # The eigenvalues of "0,1;2,0" are +-sqrt(2); those of "0,-2;1,-1"
+        # lie in Q_2, with valuations 1 and 0, but are not rational.
+        trajectories = []
+        real = cli.tidy.trajectory_contracts
+        monkeypatch.setattr(cli.tidy, "trajectory_contracts",
+                            lambda *args: trajectories.append(args) or real(*args))
+        code, rows, _ = run(
+            ["con-test", "--model", "linear", "--g", g, "--x", "1,0;2,1"], capsys)
+        assert code == 0 and len(trajectories) == 1
+        assert (rows[0]["in_con"], rows[0]["in_par"]) == ("inconclusive", in_par)
 
     def test_nub_command(self, capsys):
         code, rows, _ = run(["nub", "--model", "linear"], capsys)
@@ -232,7 +256,7 @@ class TestRowErrors:
                                 f"at level {level}")
         model = cli.LinearModel(2, 2)
         g, u = model.parse_element(row["params"]["g"]), model.parse_element(row["params"]["u"])
-        gu = model.mul(g, u)
+        gu = g.mul(u)
         same = [model.con_closure_image(g, k) == model.con_closure_image(gu, k)
                 for k in range(model.min_level, level + 1)]
         assert same == [True] * (level - model.min_level) + [False]

@@ -253,8 +253,8 @@ def test_monomial_change_of_basis_stays_structural(p):
     swap = QMatrix.make(BASES[4], p)
     upper = ((INF, 0), (INF, INF))
     for K in (1, 8):
-        a = ShapeSubgroup(QMatrix.make(BASES[0], p), upper, validated=False).window_image(K)
-        b = ShapeSubgroup(swap, upper, validated=False).window_image(K)
+        a = ShapeSubgroup(QMatrix.make(BASES[0], p), upper).window_image(K)
+        b = ShapeSubgroup(swap, upper).window_image(K)
         meet = a & b
         assert type(meet) is type(a) and meet.order == 1
         assert not a <= b and a != b and a <= a & a
@@ -280,7 +280,7 @@ def test_non_splitting_determinant_is_counted(p, K):
     # Both off-diagonal entries free: the determinant condition does not
     # split, so the order is counted over the residues, not read off.
     shape = ((1, 0), (0, 1))
-    image = ShapeSubgroup(QMatrix.make(BASES[3], p), shape, validated=False).window_image(K)
+    image = ShapeSubgroup(QMatrix.make(BASES[3], p), shape).window_image(K)
     oracle = shape_oracle(BASES[3], shape, p, K)
     assert image.order == len(oracle) and materialized(image) == oracle
     assert all((c in image) == (c in oracle) for c in MatrixWindow(2, p, K).elements())

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tdlcw import cli, limits, tidy
-from tdlcw.kernel import SubgroupImage, WindowMismatchError
+from tdlcw.kernel import SubgroupImage, WindowMismatchError, conjugate
 from tdlcw.linear import LinearModel, ShapeSubgroup, iwahori_shape
 from tdlcw.shift import ShiftModel, lamp_element, shift_generator, w_subgroup
 
@@ -93,17 +93,17 @@ def case(request):
 def repeated(model, b, k):
     """b^k as the |k|-fold product of b or of b^-1, multiplied on the left:
     the test-side power oracle."""
-    step = b if k >= 0 else model.inv(b)
+    step = b if k >= 0 else b.inv()
     out = model.identity
     for _ in range(abs(k)):
-        out = model.mul(step, out)
+        out = step.mul(out)
     return out
 
 
 class TestPowerTable:
     def test_columns_are_repeated_products(self, case):
         model, g, u, _, _ = case
-        gu = model.mul(g, u)
+        gu = g.mul(u)
         table = limits.PowerTable.build(model, g, u, 9)
         for column in (table.gu, table.gu_inv, table.g, table.g_inv):
             assert len(column) == 10
@@ -115,9 +115,9 @@ class TestPowerTable:
 
     def test_backward_columns_are_powers_of_the_inverses(self, case):
         model, g, u, _, _ = case
-        gu_inv, g_inv = model.inv(model.mul(g, u)), model.inv(g)
-        u_back = model.conjugate(g, model.inv(u))
-        assert model.mul(g_inv, u_back) == gu_inv
+        gu_inv, g_inv = g.mul(u).inv(), g.inv()
+        u_back = conjugate(g, u.inv())
+        assert g_inv.mul(u_back) == gu_inv
         back = limits.PowerTable.build(model, g, u, 9).backward()
         assert back == limits.PowerTable.build(model, g_inv, u_back, 9)
         for k in range(10):
@@ -130,18 +130,16 @@ class TestPowerTable:
 class TestCertificates:
     def test_power_is_the_repeated_product(self, case):
         model, g, u, _, _ = case
-        for base in (g, model.mul(g, u)):
+        for base in (g, g.mul(u)):
             for k in range(-30, 31):
                 assert model.power(base, k) == repeated(model, base, k)
 
     def test_certificates_match_naive_powers(self, case):
         model, g, u, U, _ = case
-        gu = model.mul(g, u)
+        gu = g.mul(u)
 
         def naive(x, k):
-            return model.mul(
-                model.mul(model.mul(model.inv(x), repeated(model, gu, k)), x),
-                repeated(model, g, -k))
+            return x.inv().mul(repeated(model, gu, k)).mul(x).mul(repeated(model, g, -k))
 
         trace = limits.conjugator_forward(model, g, u, U, 6)
         assert len(trace.certificates) == 7
@@ -157,7 +155,7 @@ class TestCertificates:
         trace = limits.conjugator_forward(model, g, u, U, 6)
         assert trace.replay(model)
         certs = list(trace.certificates)
-        certs[3] = model.mul(certs[3], v)
+        certs[3] = certs[3].mul(v)
         bad = replace(trace, certificates=tuple(certs))
         assert not bad.replay(model)
 
@@ -166,7 +164,7 @@ class TestCertificates:
         two = limits.conjugator_two_sided(model, g, u, U, 5)
         assert two.replay(model)
         certs = dict(two.certificates)
-        certs[-2] = model.mul(certs[-2], v)
+        certs[-2] = certs[-2].mul(v)
         bad = replace(two, certificates=certs)
         assert not bad.replay(model)
 
@@ -187,9 +185,9 @@ class TestCertificates:
         model, g, u, U, v = case
         trace = limits.conjugator_forward(model, g, u, U, 6)
         t = trace.t
-        c = model.mul(model.mul(model.inv(t), model.mul(g, u)), t)
-        shifted = {k: model.mul(model.mul(repeated(model, c, k), v),
-                                repeated(model, g, -k)) for k in range(7)}
+        c = t.inv().mul(g.mul(u)).mul(t)
+        shifted = {k: repeated(model, c, k).mul(v).mul(repeated(model, g, -k))
+                   for k in range(7)}
         assert all(U.contains(b) for b in shifted.values())
         assert limits._induction_holds(
             model, trace, t, dict(enumerate(trace.certificates)), (1,))
@@ -203,8 +201,8 @@ class TestCertificates:
 
         def next_certificate(x, b):
             # The true b_{k+1} = c b_k g^-1, c = x^-1 (gu) x.
-            c = model.mul(model.mul(model.inv(x), model.mul(g, u)), x)
-            return model.mul(model.mul(c, b), model.inv(g))
+            c = x.inv().mul(g.mul(u)).mul(x)
+            return c.mul(b).mul(g.inv())
 
         trace = limits.conjugator_forward(model, g, u, U, 6)
         certs = trace.certificates
@@ -226,10 +224,10 @@ class TestCertificates:
         model, g, u, U, v = case
         trace = limits.conjugator_forward(model, g, u, U, 6)
         assert not replace(
-            trace, t=model.mul(trace.t, v)).replay(model)
+            trace, t=trace.t.mul(v)).replay(model)
         two = limits.conjugator_two_sided(model, g, u, U, 5)
         assert not replace(
-            two, r=model.mul(two.r, v)).replay(model)
+            two, r=two.r.mul(v)).replay(model)
 
     @pytest.mark.parametrize("two_sided", [False, True])
     def test_escape_names_the_first_failing_k(self, monkeypatch, two_sided):
@@ -253,8 +251,7 @@ class TestCertificates:
         g = model.parse_element("2,0;0,1")
         u = model.parse_element("1,0;4,1")
         U = _iwahori(model, g)
-        w = model.mul(model.parse_element("1,8;0,1"),
-                      model.parse_element("1,0;1,1"))
+        w = model.parse_element("1,8;0,1").mul(model.parse_element("1,0;1,1"))
         assert U.contains(w)
         built = []
         construct, split = limits._stage_conjugator, LinearModel.split
@@ -296,7 +293,7 @@ class TestCertificates:
             calls.append(x)
             w_minus, w_plus = split(self, x, U, g, parts)
             if len(calls) == 2 * N:
-                return w_minus, self.mul(w_plus, v)
+                return w_minus, w_plus.mul(v)
             return w_minus, w_plus
 
         monkeypatch.setattr(limits, "_stage_conjugator", counting_construct)
@@ -305,7 +302,7 @@ class TestCertificates:
             limits.conjugator_two_sided(model, g, u, U, N)
         assert len(built) == 2 and len(calls) == 2 * N + 1
         s = built[1]
-        s_inv = model.inv(s)
+        s_inv = s.inv()
         powers = limits.PowerTable.build(model, g, u, N)
         for k in range(0, -N, -1):
             powers.certificate(model, U, k, s, s_inv)
@@ -316,23 +313,22 @@ class TestCertificates:
         # For k <= 0 and w in U_+, b_k(x w) lies in U exactly when b_k(x)
         # does: why the backward run needs no final certificates.
         model, g, u, U, v = case
-        gu = model.mul(g, u)
+        gu = g.mul(u)
 
         def in_u(x, k):
-            b = model.mul(model.mul(model.mul(model.inv(x), repeated(model, gu, k)), x),
-                          repeated(model, g, -k))
+            b = x.inv().mul(repeated(model, gu, k)).mul(x).mul(repeated(model, g, -k))
             return U.contains(b)
 
         u_plus = tidy.u_parts(model, U, g).u_plus
         candidates = (limits.conjugator_forward(model, g, u, U, 6).t,
-                      model.conjugate(model.power(g, -5), u))
+                      conjugate(model.power(g, -5), u))
         ws = [w for w in candidates if u_plus.contains(w) and not w.is_identity()]
         assert ws
         verdicts = []
-        for x in (model.identity, v, model.inv(v), u, model.mul(v, u)):
+        for x in (model.identity, v, v.inv(), u, v.mul(u)):
             for k in range(0, -7, -1):
                 verdicts.append(in_u(x, k))
-                assert all(in_u(model.mul(x, w), k) == verdicts[-1] for w in ws)
+                assert all(in_u(x.mul(w), k) == verdicts[-1] for w in ws)
         assert not all(verdicts)
 
 
@@ -357,19 +353,19 @@ class TestTwoSidedConjugator:
         # In U but its conjugate escapes U (the (1,0) entry loses a level
         # of integrality): the two-sided hypothesis fails.
         u = linear.parse_element("1,0;1,1")
-        assert U.contains(u) and not U.contains(linear.conjugate(g, u))
+        assert U.contains(u) and not U.contains(conjugate(g, u))
         with pytest.raises(limits.HypothesisError):
             limits.conjugator_two_sided(linear, g, u, U, 6)
 
 
 def _battery_transport(model):
     """(g, u, t) of the transport battery's contraction-group check."""
-    g = cli.default_g(model)
-    U = cli.default_subgroup(model, g)
+    g = model.default_element()
+    U = model.default_subgroup(g)
     u = (lamp_element(model.p, {3: 1}) if model.name == "shift"
-         else cli._unipotent(model, g, model.p))
+         else model.unipotent(g, model.p))
     trace = limits.conjugator_forward(model, g, u, U, 12)
-    t, _, _ = limits.adjust_to_contraction(model, trace.t, U, g)
+    t, _, _ = model.adjust_to_contraction(trace.t, U, g, tidy.u_parts(model, U, g))
     return g, u, t
 
 
@@ -385,13 +381,13 @@ class TestBackwardStageShortcuts:
     def subgroups(model, g):
         """default_subgroup and every U_n of net_schedule(g, 8), plus the
         reference subgroup, which is not tidy above for the linear g."""
-        return ([cli.default_subgroup(model, g), model.reference()]
+        return ([model.default_subgroup(g), model.reference()]
                 + [U for _, U, _ in model.net_schedule(g, 8)])
 
     @pytest.mark.parametrize("model", BATTERY_MODELS, ids=lambda m: f"{m.name}-{m.p}")
     def test_swapped_parts_are_the_parts_of_the_inverse(self, model):
-        g = cli.default_g(model)
-        g_inv = model.inv(g)
+        g = model.default_element()
+        g_inv = g.inv()
         for U in self.subgroups(model, g):
             parts = tidy.u_parts(model, U, g)
             swapped = tidy.UParts(parts.u_minus, parts.u_plus, parts.u_zero,
@@ -400,10 +396,10 @@ class TestBackwardStageShortcuts:
 
     @pytest.mark.parametrize("model", BATTERY_MODELS, ids=lambda m: f"{m.name}-{m.p}")
     def test_tidy_above_verdict_is_the_same_for_the_inverse(self, model):
-        g = cli.default_g(model)
+        g = model.default_element()
         K = max(model.min_level, 1)
         verdicts = [(tidy.is_tidy_above(model, U, g, K)[:2],
-                     tidy.is_tidy_above(model, U, model.inv(g), K)[:2])
+                     tidy.is_tidy_above(model, U, g.inv(), K)[:2])
                     for U in self.subgroups(model, g)]
         assert all(forward == backward for forward, backward in verdicts)
         # Both verdicts occur: the reference subgroup fails in the linear
@@ -418,7 +414,7 @@ class TestBackwardStageShortcuts:
         g = linear.parse_element("2,0;0,1")
         u = linear.parse_element("1,0;4,1")
         U = linear.reference()
-        assert U.contains(u) and U.contains(linear.conjugate(g, u))
+        assert U.contains(u) and U.contains(conjugate(g, u))
         for build in (limits.conjugator_two_sided, limits.conjugator_forward):
             with pytest.raises(limits.HypothesisError,
                                match=r"^U is not tidy above for g \(level 1\)$"):
@@ -441,7 +437,8 @@ class TestTransport:
         Ul = _iwahori(linear, gl)
         ul = linear.parse_element("1,0;2,1")
         tr = limits.conjugator_forward(linear, gl, ul, Ul, 12)
-        t, _, adjusted = limits.adjust_to_contraction(linear, tr.t, Ul, gl)
+        parts = tidy.u_parts(linear, Ul, gl)
+        t, _, adjusted = linear.adjust_to_contraction(tr.t, Ul, gl, parts)
         assert adjusted
         report = limits.con_transport_check(linear, gl, ul, t)
         assert report["pass"]
@@ -465,11 +462,11 @@ class TestTransport:
         # in the other side's images at every level the check compares.
         g, u, t = _battery_transport(model)
         assert limits.con_transport_check(model, g, u, t)["pass"]
-        gu, t_inv = model.mul(g, u), model.inv(t)
+        gu, t_inv = g.mul(u), t.inv()
         rng = random.Random(5)
         for h, target, x, x_inv in ((g, gu, t, t_inv), (gu, g, t_inv, t)):
             for c in model.sample_con_elements(h, rng, 40):
-                moved = model.mul(model.mul(x, c), x_inv)
+                moved = x.mul(c).mul(x_inv)
                 for k in range(model.min_level, limits.TRANSPORT_K + 1):
                     assert model.project(moved, k) in model.con_closure_image(target, k)
 
@@ -483,17 +480,17 @@ class TestTransport:
         x = model.parse_element(f"1,0;{model.p ** j},1")
         assert model.proximity_level(x) == j
         with pytest.raises(limits.TransportError) as exc:
-            limits.con_transport_check(model, g, u, model.mul(t, x))
+            limits.con_transport_check(model, g, u, t.mul(x))
         assert exc.value.witness == j + 1 <= limits.TRANSPORT_K
 
     def test_level_one_perturbation_fails_the_linear_row(self, monkeypatch, capsys):
-        real = limits.adjust_to_contraction
+        real = LinearModel.adjust_to_contraction
 
-        def perturbed(model, t, U, g, parts=None):
+        def perturbed(model, t, U, g, parts):
             t, v, adjusted = real(model, t, U, g, parts)
-            return model.mul(t, model.parse_element(f"1,0;{model.p},1")), v, adjusted
+            return t.mul(model.parse_element(f"1,0;{model.p},1")), v, adjusted
 
-        monkeypatch.setattr(limits, "adjust_to_contraction", perturbed)
+        monkeypatch.setattr(LinearModel, "adjust_to_contraction", perturbed)
         code = cli.main(["theorem-check", "--which", "transport", "--model", "linear"])
         (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert code == 1 and row["pass"] is False
@@ -504,8 +501,8 @@ class TestTransport:
         # normal subgroup, so any t passes the window check; the row's
         # replay still rejects a wrong t.
         model = BATTERY_MODELS[0]
-        g = cli.default_g(model)
-        U = cli.default_subgroup(model, g)
+        g = model.default_element()
+        U = model.default_subgroup(g)
         u = lamp_element(model.p, {3: 1})
         trace = limits.conjugator_forward(model, g, u, U, 12)
         assert trace.replay(model)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tdlcw.kernel import INF_LEVEL, UnsupportedElementError, adjugate, det
+from tdlcw.kernel import INF_LEVEL, UnsupportedElementError, adjugate, conjugate, det
 from tdlcw.linear import (
     FactorizationError,
     LinearModel,
@@ -24,7 +24,6 @@ from tdlcw.linear import (
     iwahori_shape,
     newton_valuations,
     project_matrix,
-    scale_formula,
     ul_factor,
     validate_shape,
     vp,
@@ -196,14 +195,14 @@ class TestIntegerForm:
             # Read x in basis coordinates, so that x near I often lies in sub.
             x = QMatrix.make(
                 mat_mul(mat_mul(basis.entries, x.entries), mat_inv(basis.entries)), p)
-        sub = ShapeSubgroup(basis, shape, validated=False)
+        sub = ShapeSubgroup(basis, shape)
         assert sub.contains(x) == contains_oracle(sub, x)
 
     @settings(max_examples=80, deadline=None)
     @given(case=deep_valuation_cases())
     def test_contains_matches_valuations_up_to_60(self, case):
         basis, x, shape = case
-        sub = ShapeSubgroup(basis, shape, validated=False)
+        sub = ShapeSubgroup(basis, shape)
         assert sub.contains(x) == contains_oracle(sub, x)
 
     @settings(max_examples=60, deadline=None)
@@ -311,14 +310,14 @@ class TestNewtonValuations:
 
 class TestScaleFormula:
     def test_battery(self):
-        assert scale_formula(QMatrix.make([[2, 0], [0, 1]], 2)) == 2
-        assert scale_formula(QMatrix.make([[3, 0], [0, Fraction(1, 3)]], 3)) == 9
-        assert scale_formula(identity_matrix(2, 2)) == 1
+        assert LinearModel(2).scale_formula(QMatrix.make([[2, 0], [0, 1]], 2)) == 2
+        assert LinearModel(3).scale_formula(QMatrix.make([[3, 0], [0, Fraction(1, 3)]], 3)) == 9
+        assert LinearModel(2).scale_formula(identity_matrix(2, 2)) == 1
         g3 = QMatrix.make([[4, 0, 0], [0, 2, 0], [0, 0, 1]], 2)
-        assert scale_formula(g3) == 16
+        assert LinearModel(2, 3).scale_formula(g3) == 16
 
     def test_elliptic_element_is_uniscalar(self):
-        assert scale_formula(QMatrix.make([[0, 1], [-1, 0]], 2)) == 1
+        assert LinearModel(2).scale_formula(QMatrix.make([[0, 1], [-1, 0]], 2)) == 1
 
 
 def _fraction_roots(coeffs):
@@ -486,7 +485,7 @@ class TestEigenbasis:
         g = QMatrix.make([[10**18, 1], [0, 1]], 2)
         basis, vals = eigenbasis(g)
         assert vals == (18, 0) and basis.entries == ((1, -1), (0, 10**18 - 1))
-        assert scale_formula(g) == 2**18
+        assert LinearModel(2).scale_formula(g) == 2**18
 
 
 class TestULFactor:
@@ -667,7 +666,7 @@ class TestSplitAndParts:
             g = model.parse_element(f"{p},0;0,1")
             for n, U, u in model.net_schedule(g, 5):
                 assert U.contains(u)
-                assert U.contains(model.conjugate(g, u))
+                assert U.contains(conjugate(g, u))
                 assert model.proximity_level(u) == n + 1
 
 

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdlcw.epseq import EPSeq
-from tdlcw.kernel import INF_LEVEL
+from tdlcw.kernel import INF_LEVEL, conjugate
 from tdlcw.shift import (
     ShiftElement,
     ShiftModel,
     ShiftOpen,
     VanishSet,
-    con_oracle_shift,
     forward_vanish_union,
     lamp_element,
     reference_open,
@@ -147,15 +146,16 @@ class TestForwardVanishUnion:
 
 class TestOracles:
     def test_con_oracle(self):
+        con_oracle = ShiftModel(2).con_oracle
         g = shift_generator(2, 1)
-        assert con_oracle_shift(g, lamp_element(2, {5: 1}))
+        assert con_oracle(g, lamp_element(2, {5: 1}))
         periodic_right = ShiftElement(EPSeq.make(2, (0,), (), 0, (1, 0)), 0)
-        assert con_oracle_shift(g, periodic_right)
+        assert con_oracle(g, periodic_right)
         periodic_left = ShiftElement(EPSeq.make(2, (1, 0), (), 0, (0,)), 0)
-        assert not con_oracle_shift(g, periodic_left)
-        assert con_oracle_shift(g.inv(), periodic_left)
-        assert not con_oracle_shift(g, shift_generator(2, 1))
-        assert not con_oracle_shift(shift_identity(2), lamp_element(2, {0: 1}))
+        assert not con_oracle(g, periodic_left)
+        assert con_oracle(g.inv(), periodic_left)
+        assert not con_oracle(g, shift_generator(2, 1))
+        assert not con_oracle(shift_identity(2), lamp_element(2, {0: 1}))
 
     def test_con_oracle_matches_trajectories(self):
         model = ShiftModel(2)
@@ -170,6 +170,43 @@ class TestOracles:
         full = model.reference().window_image(2)
         assert model.nub_image(shift_generator(2, 1), 2).elements == full.elements
         assert model.nub_image(lamp_element(2, {0: 1}), 2).order == 1
+
+
+class TestTranslateUnions:
+    """U_-- and U_++ against their definitions: the unions of the
+    g^-i U_- g^i and of the g^i U_+ g^-i over i >= 0."""
+
+    @staticmethod
+    def lamps(rng, count):
+        """Lamps on [-6, 6], a third of them with a periodic tail of ones
+        on the right from 7 and a third on the left up to -8."""
+        out = [shift_identity(2), lamp_element(2, {-5: 1}), lamp_element(2, {5: 1})]
+        for _ in range(count):
+            lamp = EPSeq.from_support(2, {i: 1 for i in range(-6, 7) if rng.random() < 0.3})
+            tail = rng.randrange(3)
+            if tail == 1:
+                lamp = lamp.add(EPSeq.make(2, (0,), (), 7, (1,)))
+            elif tail == 2:
+                lamp = lamp.add(EPSeq.make(2, (1,), (), -7, (0,)))
+            out.append(ShiftElement(lamp, 0))
+        return out
+
+    @pytest.mark.parametrize("m", [1, -1, 2, -2])
+    @pytest.mark.parametrize("vanish", [
+        VanishSet.make(right=1), VanishSet.make(left=-1), VanishSet.make(left=-2, right=2),
+        VanishSet.interval(-1, 1), VanishSet.interval(0, 3), VanishSet.empty(),
+    ], ids=repr)
+    def test_unions_match_the_definition(self, vanish, m):
+        # A ray of the vanish set on the expanding side makes U_- (or U_+)
+        # trivial, and then its union is trivial too.
+        parts = ShiftModel(2).u_parts_symbolic(ShiftOpen(2, vanish), shift_generator(2, m))
+        for x in self.lamps(random.Random(3), 40):
+            # x lies in g^-i U_- g^i iff g^i x g^-i lies in U_-.
+            in_mm = any(parts.u_minus.contains(conjugate(shift_generator(2, i * m), x))
+                        for i in range(20))
+            in_pp = any(parts.u_plus.contains(conjugate(shift_generator(2, -i * m), x))
+                        for i in range(20))
+            assert (parts.u_mm.contains(x), parts.u_pp.contains(x)) == (in_mm, in_pp)
 
 
 class TestModelAdapter:

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdlcw import backend, tidy
-from tdlcw.kernel import INF_LEVEL, UnsupportedElementError
-from tdlcw.linear import LinearModel, ShapeSubgroup, iwahori_shape, scale_formula
+from tdlcw.kernel import INF_LEVEL, UnsupportedElementError, conjugate
+from tdlcw.linear import LinearModel, ShapeSubgroup, iwahori_shape
 from tdlcw.shift import (
     ShiftModel,
     ShiftOpen,
@@ -162,8 +162,8 @@ class TestFindTidyAndScale:
     def test_scale_matches_formula_for_rational_conjugates(self, linear):
         g = linear.parse_element("2,0;0,1")
         c = linear.parse_element("1,1;1,2")
-        gc = linear.conjugate(c, g)
-        assert tidy.scale_index(linear, gc) == scale_formula(gc) == 2
+        gc = conjugate(c, g)
+        assert tidy.scale_index(linear, gc) == linear.scale_formula(gc) == 2
 
     def test_scale_of_elliptic_element(self, linear):
         assert tidy.scale_index(linear, linear.parse_element("0,1;-1,0")) == 1
@@ -171,19 +171,19 @@ class TestFindTidyAndScale:
     def test_scale_3x3(self):
         model = LinearModel(2, 3)
         g = model.parse_element("4,0,0;0,2,0;0,0,1")
-        assert tidy.scale_index(model, g) == 16 == scale_formula(g)
+        assert tidy.scale_index(model, g) == 16 == model.scale_formula(g)
 
 
 class TestMembership:
     def test_con_membership_exact(self, shift):
         g = shift_generator(2, 1)
-        assert tidy.con_membership(shift, g, lamp_element(2, {4: 1})) is True
-        assert tidy.con_membership(shift, g, g) is False
+        assert tidy.con_membership(shift, g, lamp_element(2, {4: 1}), 6, 40) is True
+        assert tidy.con_membership(shift, g, g, 6, 40) is False
 
     def test_par_membership(self, linear):
         g = linear.parse_element("2,0;0,1")
-        assert tidy.par_membership(linear, g, linear.parse_element("1,1;0,1")) is True
-        assert tidy.par_membership(linear, g, linear.parse_element("1,0;1,1")) is False
+        assert tidy.par_membership(linear, g, linear.parse_element("1,1;0,1"), 6, 40) is True
+        assert tidy.par_membership(linear, g, linear.parse_element("1,0;1,1"), 6, 40) is False
 
     def test_trajectory_contraction_at_resolution(self, linear):
         g = linear.parse_element("2,0;0,1")

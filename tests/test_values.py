@@ -19,7 +19,7 @@ import pytest
 
 from tdlcw import cli, epseq, kernel, limits, linear, shift, tidy, verify
 from tdlcw.kernel import MatrixWindow, SubgroupImage, Value, VectorWindow
-from tdlcw.linear import LinearModel, QMatrix, ShapeSubgroup, congruence_shape, iwahori_shape
+from tdlcw.linear import LinearModel
 from tdlcw.shift import CoordinateImage, ShiftModel, w_subgroup
 from tdlcw.verify import QuotientDescriptor
 
@@ -39,8 +39,6 @@ SHIFT, LINEAR = ShiftModel(2), LinearModel(2, 2)
 #: Two sets of field values, differing in every field, for the classes
 #: whose constructors check their arguments; any others take any values.
 CHECKED = {
-    ShapeSubgroup: ((LINEAR.identity, iwahori_shape(2), True),
-                    (QMatrix.make([[1, 1], [0, 1]], 2), congruence_shape(2, 1), False)),
     QuotientDescriptor: ((SHIFT, "trivial"), (LINEAR, "lamp")),
 }
 
@@ -142,10 +140,6 @@ def test_keyword_defaults():
         shift.VanishSet(everything=True)
     assert shift.VanishSet.make() == shift.VanishSet(None, frozenset(), None, False)
     assert shift.VanishSet.make(everything=True).everything
-    assert ShapeSubgroup(LINEAR.identity, iwahori_shape(2)).validated
-    with pytest.raises(ValueError):
-        ShapeSubgroup(LINEAR.identity, ((0, 1), (-2, 0)))
-    ShapeSubgroup(LINEAR.identity, ((0, 1), (-2, 0)), validated=False)
     with pytest.raises(kernel.UnsupportedElementError):
         QuotientDescriptor(LINEAR, "lamp")
 

@@ -61,7 +61,7 @@ class TestQuotientDescriptor:
         rng = random.Random(7)
         for kind in ("lamp", "trivial"):
             q = verify.QuotientDescriptor(shift, kind)
-            assert q.normal_check(rng, samples=30)["pass"]
+            assert q.normal_check(rng)["pass"]
 
     def test_unknown_kind_rejected(self, shift):
         with pytest.raises(UnsupportedElementError):

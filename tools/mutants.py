@@ -89,6 +89,15 @@ MUTANTS = [
     ("settings-range", "cli.py",
      "(\"n_max\", int, 8, range(1, 13)),",
      "(\"n_max\", int, 8, range(1, 12)),"),
+    ("subgroup-format-w", "shift.py",
+     "lo == -hi",
+     "lo == hi"),
+    ("u-mm-trivial", "shift.py",
+     "u_mm = u_minus if u_minus.vanish.everything else TailZeroSet(self.p, left)",
+     "u_mm = TailZeroSet(self.p, left)"),
+    ("shape-validated-at-parse", "linear.py",
+     "        validate_shape(shape)\n        return ShapeSubgroup(",
+     "        return ShapeSubgroup("),
 ]
 
 
