@@ -132,7 +132,7 @@ class ConjugatorTrace(Value):
     """Certificate of the forward construction; replayable independently.
     `certificates` is the tuple of b_k for k = 0..horizon."""
 
-    __slots__ = ("model_name", "g", "u", "U", "horizon", "t", "certificates")
+    __slots__ = ("g", "u", "U", "horizon", "t", "certificates")
 
     def replay(self, model):
         """Re-verify every certificate identity by exact multiplication."""
@@ -144,7 +144,7 @@ class TwoSidedTrace(Value):
     for (g, u), whose t lies in U_+, and `certificates` maps k to b_k for
     -horizon <= k <= horizon."""
 
-    __slots__ = ("model_name", "g", "u", "U", "horizon", "forward", "r", "certificates")
+    __slots__ = ("g", "u", "U", "horizon", "forward", "r", "certificates")
 
     def replay(self, model):
         return _replay(model, self, self.r, self.certificates, (1, -1))
@@ -169,7 +169,7 @@ def conjugator_forward(model, g, u, U, N, parts=None, powers=None):
     t = _stage_conjugator(model, g, u, U, N, parts, powers)
     t_inv = t.inv()
     certs = tuple(powers.certificate(model, U, k, t, t_inv) for k in range(N + 1))
-    return ConjugatorTrace(model.name, g, u, U, N, t, certs)
+    return ConjugatorTrace(g, u, U, N, t, certs)
 
 
 def _stage_conjugator(model, g, u, U, N, parts, powers):
@@ -240,7 +240,7 @@ def conjugator_two_sided(model, g, u, U, N):
     below = [powers.certificate(model, U, -k, r, r_inv) for k in range(N + 1)]
     above = [powers.certificate(model, U, k, r, r_inv) for k in range(1, N + 1)]
     certs = dict(zip(range(-N, N + 1), below[::-1] + above))
-    return TwoSidedTrace(model.name, g, u, U, N, forward, r, certs)
+    return TwoSidedTrace(g, u, U, N, forward, r, certs)
 
 
 def con_transport_check(model, g, u, t):

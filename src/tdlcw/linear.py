@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import permutations, product
 from operator import mul
 
@@ -32,6 +32,7 @@ from tdlcw.kernel import (
     UnsupportedElementError,
     Value,
     adjugate,
+    cached_attribute,
     det,
     power,
 )
@@ -456,12 +457,12 @@ class ShapeImage(Image):
 
     __slots__ = ("window", "clamped", "conj")
 
-    @cached_property
+    @cached_attribute
     def order(self):
         w = self.window
         return _shape_order(self.clamped, w.p, w.K)
 
-    @cached_property
+    @cached_attribute
     def _basis_rows(self):
         w = self.window
         return tuple(map(w.rows, self.conj or (w.identity,) * 2))
@@ -498,7 +499,7 @@ class ShapeImage(Image):
             a = tuple(tuple(a[sr][st] for st in sigma) for sr in sigma)
         return ShapeImage(self.window, shape_entrywise_max(a, other.clamped), other.conj)
 
-    @cached_property
+    @cached_attribute
     def generators(self):
         """b (I + p^e E_rs) b^-1 off the diagonal and b diag(u) b^-1 on it,
         u over `_unit_generators(p, e)`, for each entry of level e < K.  They
@@ -535,7 +536,7 @@ class ShapeImage(Image):
         conj = (w.mul(code, b), w.mul(b_inv, w.inv(code)))
         return ShapeImage(w, self.clamped, conj)
 
-    @cached_property
+    @cached_attribute
     def elements(self):
         if self.order > DEFAULT_CAP:
             raise ResolutionError(f"shape image of order {self.order}", DEFAULT_CAP)

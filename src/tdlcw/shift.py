@@ -13,8 +13,6 @@ The filtration is B_k = W(k) = lamps vanishing on [-k, k].
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from tdlcw.epseq import ZERO, EPSeq
 from tdlcw.kernel import (
     DEFAULT_CAP,
@@ -27,6 +25,7 @@ from tdlcw.kernel import (
     Value,
     VectorWindow,
     WindowMismatchError,
+    cached_attribute,
     power,
 )
 
@@ -163,7 +162,7 @@ class CoordinateImage(Image):
     def conjugated(self, code):
         return self  # the lamp window is abelian
 
-    @cached_property
+    @cached_attribute
     def elements(self):
         if self.order > DEFAULT_CAP:
             raise ResolutionError(f"coordinate image of order {self.order}", DEFAULT_CAP)
@@ -593,13 +592,22 @@ class ShiftModel:
         return "*".join(parts)
 
     def parse_subgroup(self, text, g):
-        """`W:k`, the lamps vanishing on [-k, k]; g plays no part."""
-        if text.startswith(("W:", "w:")) and text[2:].isdecimal():
-            return w_subgroup(self.p, int(text[2:]))
-        raise InputError(f"cannot parse shift-model subgroup {text!r} (use W:k)")
+        """`W:k`, the lamps vanishing on [-k, k]; `W:none`, the whole lamp
+        group (vanishing nowhere); `W:all`, the trivial subgroup (vanishing
+        everywhere).  g plays no part."""
+        if text.startswith(("W:", "w:")):
+            rest = text[2:]
+            if rest.isdecimal():
+                return w_subgroup(self.p, int(rest))
+            if rest in ("none", "all"):
+                return ShiftOpen(self.p, VanishSet.make(everything=rest == "all"))
+        raise InputError(
+            f"cannot parse shift-model subgroup {text!r} (use W:k, W:none or W:all)")
 
     def format_subgroup(self, U):
         v = U.vanish
+        if v.everything:
+            return "W:all"
         fin = sorted(v.fin)
         if v.left is None and v.right is None and not fin:
             return "W:none"

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdlcw import cli
+from tdlcw import cli, shift
 
 
 def run(argv, capsys):
@@ -91,9 +91,16 @@ def test_readme_names_every_setting_with_its_range(setting):
 
 class TestElementParsing:
     def test_subgroup_roundtrip_shift(self):
+        # W:none is the whole lamp group, W:all the trivial subgroup.
         model = cli.ShiftModel(2)
-        U = model.parse_subgroup("W:2", model.default_element())
-        assert model.format_subgroup(U) == "W:2"
+        for text, vanish in [("W:0", shift.VanishSet.make(fin=[0])),
+                             ("W:2", shift.VanishSet.interval(-2, 2)),
+                             ("W:none", shift.VanishSet.make()),
+                             ("W:all", shift.VanishSet.make(everything=True))]:
+            U = model.parse_subgroup(text, model.default_element())
+            assert U == shift.ShiftOpen(2, vanish)
+            assert model.format_subgroup(U) == text
+            assert model.parse_subgroup(model.format_subgroup(U), None) == U
 
     def test_subgroup_roundtrip_linear(self):
         model = cli.LinearModel(2, 2)
@@ -355,7 +362,7 @@ def test_narrowed_range_exits_2_before_computing(argv, message, capsys, monkeypa
     (["scale", "--model", "shift", "--g", "lamp:x"],
      "cannot parse shift-model element 'lamp:x'"),
     (["tidy", "--model", "shift", "--U", "W:x"],
-     "cannot parse shift-model subgroup 'W:x' (use W:k)"),
+     "cannot parse shift-model subgroup 'W:x' (use W:k, W:none or W:all)"),
     (["experiment", "limits", "--n-max", "-1"], "n_max must be in [1, 12], got -1"),
     (["experiment", "limits", "--n-max", "0"], "n_max must be in [1, 12], got 0"),
     (["experiment", "limits", "--n-max", "13"], "n_max must be in [1, 12], got 13"),

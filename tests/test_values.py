@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from tdlcw import cli, epseq, kernel, limits, linear, shift, tidy, verify
-from tdlcw.kernel import MatrixWindow, SubgroupImage, Value, VectorWindow
+from tdlcw.kernel import MatrixWindow, SubgroupImage, Value, VectorWindow, cached_attribute
 from tdlcw.linear import LinearModel
 from tdlcw.shift import CoordinateImage, ShiftModel, w_subgroup
 from tdlcw.verify import QuotientDescriptor
@@ -126,6 +126,116 @@ class TestFieldValues:
             assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
+@pytest.mark.parametrize("count", range(8))
+def test_constructor_of_every_field_count(count):
+    names = tuple("abcdefg"[:count])
+    cls = type(f"Fields{count}", (Value,), {"__slots__": names})
+    obj = cls(*range(count))
+    assert tuple(getattr(obj, name) for name in names) == tuple(range(count))
+    assert repr(obj) == f"Fields{count}(" + ", ".join(
+        f"{name}={i}" for i, name in enumerate(names)) + ")"
+    with pytest.raises(TypeError, match=f"Fields{count}.__init__"):
+        cls(*range(count + 1))
+    if count:
+        with pytest.raises(TypeError, match=f"Fields{count}.__init__"):
+            cls(*range(count - 1))
+        with pytest.raises(TypeError):
+            cls(*range(count - 1), **{names[-1]: 0})
+
+
+def test_at_most_seven_fields():
+    with pytest.raises(TypeError, match="at most 7 fields"):
+        type("Wide", (Value,), {"__slots__": tuple("abcdefgh")})
+
+
+@pytest.mark.parametrize("cls", FIELD_VALUES, ids=lambda c: c.__name__)
+def test_value_init_hands_over_to_the_class_constructor(cls):
+    # `super().__init__` from a class's own `__init__` reaches Value.__init__.
+    base, _ = field_values(cls)
+    obj = object.__new__(cls)
+    Value.__init__(obj, *base)
+    assert obj == cls(*base)
+    with pytest.raises(TypeError, match=cls.__name__):
+        Value.__init__(object.__new__(cls), *base, base[0])
+
+
+def test_own_init_stores_every_field_in_order():
+    window = VectorWindow(2, 3)
+    image = SubgroupImage(window, frozenset({0, 1}))
+    assert (image.window, image.elements) == (window, frozenset({0, 1}))
+    assert (SubgroupImage(window).window, SubgroupImage(window).elements) == (window, {0})
+    assert repr(image) == f"SubgroupImage(window={window!r}, elements=frozenset({{0, 1}}))"
+    quotient = QuotientDescriptor(SHIFT, "lamp")
+    assert (quotient.model, quotient.kind) == (SHIFT, "lamp")
+    assert repr(quotient) == f"QuotientDescriptor(model={SHIFT!r}, kind='lamp')"
+    with pytest.raises(TypeError):
+        QuotientDescriptor(SHIFT, "lamp", "extra")
+
+
+class TestCachedAttribute:
+    """`kernel.cached_attribute`, which the images use for their derived
+    attributes: computed once per instance, kept in that instance's
+    `__dict__`, never copied or pickled."""
+
+    @staticmethod
+    def _counted(monkeypatch, name):
+        calls = []
+        real = getattr(linear, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(linear, name, counted)
+        return calls
+
+    def test_computed_once_per_instance(self, monkeypatch):
+        orders = self._counted(monkeypatch, "_shape_order")
+        image = LINEAR.filtration(1).window_image(2)
+        residues = self._counted(monkeypatch, "_residues")
+        assert image.order == image.order == 16
+        assert image.elements is image.elements
+        assert len(image.elements) == image.order
+        assert (len(orders), len(residues)) == (1, 1)
+        assert vars(image) == {"order": 16, "elements": image.elements}
+
+    def test_not_shared_between_equal_images(self, monkeypatch):
+        residues = self._counted(monkeypatch, "_residues")
+        a, b = (LINEAR.filtration(1).window_image(2) for _ in range(2))
+        elements = a.elements
+        assert "elements" in vars(a) and "elements" not in vars(b)
+        assert b.elements == elements and b.elements is not elements
+        assert len(residues) == 2
+        assert a == b
+
+    def test_coordinate_elements(self):
+        a = CoordinateImage(VectorWindow(2, 5), frozenset({0, 3}))
+        b = CoordinateImage(VectorWindow(2, 5), frozenset({1}))
+        assert a.elements is a.elements and vars(a) == {"elements": frozenset({0, 1, 8, 9})}
+        assert vars(b) == {} and b.elements == {0, 2}
+
+    @pytest.mark.parametrize("rebuild", [copy.copy, lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "pickle"])
+    def test_copies_compute_their_own(self, rebuild):
+        shape = LINEAR.filtration(1).window_image(2)
+        conjugated = shape.conjugated(shape.window.encode([1, 1, 0, 1]))
+        for image in (shape, conjugated,
+                      CoordinateImage(VectorWindow(2, 5), frozenset({0, 3}))):
+            cached = {name: getattr(image, name) for name in ("order", "elements")}
+            again = rebuild(image)
+            assert "elements" not in vars(again)
+            assert {name: getattr(again, name) for name in cached} == cached
+            assert again == image and hash(again) == hash(image)
+
+    def test_read_on_the_class_gives_the_descriptor(self):
+        for cls, name in [(linear.ShapeImage, "order"), (linear.ShapeImage, "generators"),
+                          (linear.ShapeImage, "_basis_rows"),
+                          (linear.ShapeImage, "elements"), (CoordinateImage, "elements")]:
+            attribute = getattr(cls, name)
+            assert isinstance(attribute, cached_attribute) and attribute.name == name
+        assert linear.ShapeImage.generators.__doc__.startswith("b (I + p^e E_rs) b^-1")
+
+
 def test_repr_of_nested_values():
     lamp = epseq.EPSeq.make(2, [0], [1], 3, [0])
     assert repr(shift.ShiftElement(lamp, -1)) == (
@@ -167,7 +277,7 @@ def test_images_are_immutable_subgroups(pair):
             delattr(image, name)
     fields = ", ".join(f"{name}={getattr(image, name)!r}" for name in cls.__slots__)
     assert repr(image) == f"{cls.__name__}({fields})"
-    # A cached_property is stored in the instance dict, past the guard.
+    # A cached_attribute is stored in the instance dict, past the guard.
     assert image.elements is image.elements
     assert copy.copy(image) == image
 

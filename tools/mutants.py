@@ -84,8 +84,11 @@ MUTANTS = [
      "fin = range(lo, hi + 1)",
      "fin = range(lo, hi)"),
     ("value-init-order", "kernel.py",
-     "for store, value in zip(setters, values):",
-     "for store, value in zip(setters[::-1], values):"),
+     "def init(self, a, b, /):\n                s0(self, a); s1(self, b)",
+     "def init(self, a, b, /):\n                s0(self, b); s1(self, a)"),
+    ("cached-attr-on-class", "kernel.py",
+     "value = obj.__dict__[self.name] = self.func(obj)",
+     "value = self.func(obj)\n        setattr(cls, self.name, value)"),
     ("settings-range", "cli.py",
      "(\"n_max\", int, 8, range(1, 13)),",
      "(\"n_max\", int, 8, range(1, 12)),"),
