@@ -432,7 +432,9 @@ class ShapeSubgroup(Value):
             for r in range(n)
         )
 
-    def finite_entry_max(self):
+    def finest_level(self):
+        """The largest finite bound of the shape (0 when none): window
+        images at or above that level see all of the subgroup."""
         finite = [e for row in self.shape for e in row if e not in (INF, NEG_INF)]
         return int(max([0] + finite))
 
@@ -772,22 +774,16 @@ class LinearModel:
         return self.in_reference(_coords(U.basis, g))
 
     def con_oracle(self, g, x):
-        """Exact contraction-group membership, in g's eigencoordinates."""
+        """Exact contraction-group membership: con(g) is the shape subgroup
+        in g's eigenbasis free on the entries (r, s) with v_r > v_s and
+        pinned everywhere else, diagonal included."""
         if self.in_reference(g):
             # Conjugation preserves each congruence level, so the orbit of
             # x never approaches the identity unless x is the identity.
             return x.is_identity()
         basis, vals = self.eigen_data(g)
-        y = _coords(basis, x)
-        n = len(vals)
-        for r in range(n):
-            for s in range(n):
-                if r == s:
-                    if y.rows[r][s] != y.den:
-                        return False
-                elif vals[r] <= vals[s] and y.rows[r][s] != 0:
-                    return False
-        return True
+        shape = tuple(tuple(NEG_INF if a > b else INF for b in vals) for a in vals)
+        return ShapeSubgroup(basis, shape).contains(x)
 
     def par_oracle(self, g, x):
         """Exact parabolic-group membership (bounded forward orbit)."""
@@ -982,7 +978,7 @@ class LinearModel:
             out.append((k, U, u))
         return out
 
-    # -- defaults, sampling and syntax ---------------------------------------
+    # -- defaults and syntax ------------------------------------------------
 
     def default_element(self):
         """diag(p, 1) or diag(p^2, p, 1): distinct eigenvalues, as the
@@ -1009,29 +1005,6 @@ class LinearModel:
         y = [list(row) for row in _IDENTITY[n]]
         y[n - 1][0] = scalar
         return _from_coords(self.eigen_data(g)[0], y)
-
-    def sample_reference(self, rng, count):
-        out = []
-        while len(out) < count:
-            rows = tuple(
-                tuple(rng.randrange(-4, 5) for _ in range(self.n)) for _ in range(self.n)
-            )
-            if det(rows) % self.p != 0:
-                out.append(QMatrix(rows, 1, self.p))
-        return out
-
-    def sample_con_elements(self, g, rng, count):
-        basis, vals = self.eigen_data(g)
-        n = self.n
-        out = []
-        for _ in range(count):
-            y = [list(row) for row in _IDENTITY[n]]
-            for r in range(n):
-                for s in range(n):
-                    if vals[r] > vals[s] and rng.random() < 0.8:
-                        y[r][s] = rng.randrange(-3, 4) * self.p ** rng.randrange(0, 3)
-            out.append(_from_coords(basis, y))
-        return out
 
     def parse_element(self, text):
         return QMatrix.make(_parse_rows(text, Fraction, self.n, "matrix"), self.p)

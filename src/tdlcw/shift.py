@@ -211,6 +211,13 @@ class ShiftOpen(Value):
     def intersect(self, other):
         return ShiftOpen(self.p, self.vanish.union(other.vanish))
 
+    def finest_level(self):
+        """The largest |i| over the vanish set's finite positions and ray
+        ends (0 if none): window images from that level on see all of U."""
+        v = self.vanish
+        ends = [i for i in (v.left, v.right) if i is not None]
+        return max((abs(i) for i in (*v.fin, *ends)), default=0)
+
     def __le__(self, other):
         return other.vanish <= self.vanish
 
@@ -313,8 +320,7 @@ class ShiftModel:
       `tidy_candidates(g, K)`, `tidy_below_certificate(U, g, parts)`,
       `net_schedule(g, n_max)`;
     - defaults and syntax: `name`, `default_element()`,
-      `default_subgroup(g)`, `scale_formula(g)`, `sample_reference(rng,
-      count)`, `sample_con_elements(g, rng, count)`, `parse_element(text)`,
+      `default_subgroup(g)`, `scale_formula(g)`, `parse_element(text)`,
       `format_element(x)`, `parse_subgroup(text, g)`, `format_subgroup(U)`.
     """
 
@@ -497,7 +503,7 @@ class ShiftModel:
             for n in range(1, n_max + 1)
         ]
 
-    # -- defaults, sampling and syntax ---------------------------------------
+    # -- defaults and syntax ------------------------------------------------
 
     def default_element(self):
         return shift_generator(self.p, 1)
@@ -509,30 +515,6 @@ class ShiftModel:
         """1: conjugation by any element preserves the lamp group, so every
         element is uniscalar."""
         return 1
-
-    def _sample_support(self, rng):
-        """Random lamp values on about 40 % of the positions in [-6, 6]."""
-        return {i: rng.randrange(self.p) for i in range(-6, 7) if rng.random() < 0.4}
-
-    def sample_reference(self, rng, count):
-        return [lamp_element(self.p, self._sample_support(rng)) for _ in range(count)]
-
-    def sample_con_elements(self, g, rng, count):
-        if g.shift == 0:
-            return [self.identity] * count
-        out = []
-        for _ in range(count):
-            core = EPSeq.from_support(self.p, self._sample_support(rng))
-            if rng.random() < 0.3:
-                # nonzero periodic tail on the non-contracting side, just
-                # past the sampled support [-6, 6]
-                period = tuple(rng.randrange(self.p) for _ in range(rng.randrange(1, 3)))
-                if g.shift > 0:
-                    core = core.add(EPSeq.make(self.p, (0,), (), 7, period))
-                else:
-                    core = core.add(EPSeq.make(self.p, period, (), -7, (0,)))
-            out.append(ShiftElement(core, 0))
-        return out
 
     def parse_element(self, text):
         x = self.identity

@@ -148,10 +148,10 @@ def scale_index(model, g, K=None):
     index is evaluated in the conjugation-equivalent form
     [U_+ : g^-1 U_+ g], whose terms are both inside U_+.
 
-    K is the resolution of the tidy search (the model's default when None)
-    and of window-image indices (3 when None).  Shape images are compared
-    no coarser than both shapes resolve, so that index is exact whatever K
-    is; their orders are closed-form.
+    K is the resolution of the tidy search (the model's default when None).
+    The index is taken no coarser than K and than the finest level of
+    either subgroup, where their window images see all of both, so it is
+    exact whatever K is; image orders are closed-form.
     """
     U = find_tidy(model, g, K)
     parts = u_parts(model, U, g)
@@ -159,10 +159,7 @@ def scale_index(model, g, K=None):
     down = model.conj_open(up, g, -1)
     if not down <= up:
         raise ContainmentError("g^-1 U_+ g escapes U_+; U is not tidy (internal bug)")
-    if hasattr(up, "finite_entry_max"):
-        K = max(K or 1, up.finite_entry_max(), down.finite_entry_max())
-    elif K is None:
-        K = 3
+    K = max(K or 1, up.finest_level(), down.finest_level())
     return index(up.window_image(K), down.window_image(K))
 
 
@@ -224,8 +221,7 @@ def _tidy_intersection_image(model, g, K):
             parts = u_parts(model, U, g)
         except UnsupportedElementError:
             continue
-        k_check = min(K, 2, model.default_resolution)
-        if untidy_above_level(model, U, k_check, parts) is not None:
+        if untidy_above_level(model, U, K, parts) is not None:
             continue
         below, _ = is_tidy_below(model, U, g, parts)
         if below is not True:

@@ -1,8 +1,14 @@
 """Exhaustive oracles that the tests compare the package's shortcuts with.
 
 They enumerate whole element sets, so they are meant for small images only
-and are no part of the package.
+and are no part of the package.  The samplers draw random elements of the
+sets the models describe exactly, for the tests that hold an exact oracle
+to trajectories or window images.
 """
+
+from tdlcw.epseq import EPSeq
+from tdlcw.linear import _from_coords
+from tdlcw.shift import ShiftElement, lamp_element, shift_identity
 
 
 def is_subgroup(image):
@@ -11,3 +17,52 @@ def is_subgroup(image):
     w, elems = image.window, image.elements
     return w.identity in elems and all(
         w.inv(a) in elems and all(w.mul(a, b) in elems for b in elems) for a in elems)
+
+
+def _sample_support(p, rng):
+    """Random lamp values on about 40 % of the positions in [-6, 6]."""
+    return {i: rng.randrange(p) for i in range(-6, 7) if rng.random() < 0.4}
+
+
+def sample_reference(model, rng, count):
+    """count random finitely supported lamps, in the shift model's
+    reference compact open."""
+    return [lamp_element(model.p, _sample_support(model.p, rng)) for _ in range(count)]
+
+
+def sample_con_elements(model, g, rng, count):
+    """count random elements of con(g), by the model's description of it:
+    for a shift, lamps with a zero tail on the contracting side, some with
+    a periodic tail on the other; for a matrix, unipotents in g's
+    eigencoordinates with entries only where v_r > v_s."""
+    if model.name == "shift":
+        return _sample_shift_con(model.p, g, rng, count)
+    basis, vals = model.eigen_data(g)
+    n, p = model.n, model.p
+    out = []
+    for _ in range(count):
+        y = [[int(r == s) for s in range(n)] for r in range(n)]
+        for r in range(n):
+            for s in range(n):
+                if vals[r] > vals[s] and rng.random() < 0.8:
+                    y[r][s] = rng.randrange(-3, 4) * p ** rng.randrange(0, 3)
+        out.append(_from_coords(basis, y))
+    return out
+
+
+def _sample_shift_con(p, g, rng, count):
+    if g.shift == 0:
+        return [shift_identity(p)] * count
+    out = []
+    for _ in range(count):
+        core = EPSeq.from_support(p, _sample_support(p, rng))
+        if rng.random() < 0.3:
+            # nonzero periodic tail on the non-contracting side, just past
+            # the sampled support [-6, 6]
+            period = tuple(rng.randrange(p) for _ in range(rng.randrange(1, 3)))
+            if g.shift > 0:
+                core = core.add(EPSeq.make(p, (0,), (), 7, period))
+            else:
+                core = core.add(EPSeq.make(p, period, (), -7, (0,)))
+        out.append(ShiftElement(core, 0))
+    return out

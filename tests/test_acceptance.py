@@ -124,7 +124,7 @@ def test_two_sided_replay_battery():
 
 def test_transport_battery():
     cfg = cli.RunConfig(samples=50).validate()
-    rows = cli.CHECKS["transport"](cfg, random.Random(SEED + 2))
+    rows = cli.CHECKS["transport"](cfg)
     assert len(rows) == 3
     for row in rows:
         assert row["con_transport"] and row["nub_transport"]

@@ -247,16 +247,12 @@ class TestChecksCanFail:
 class TestRowErrors:
     """A library error inside one row fails that row, not the command."""
 
-    def test_transport_failure_names_its_counterexample(self, capsys):
+    def test_transport_failure_names_its_counterexample(self):
         # At horizon 0 the conjugator is t = 1, which does not carry
-        # closure(con g) onto closure(con gu).
-        code, rows, err = run(
-            ["theorem-check", "--which", "transport", "--model", "linear",
-             "--horizon", "0"],
-            capsys,
-        )
-        assert code == 1 and not err
-        (row,) = rows
+        # closure(con g) onto closure(con gu).  The command line narrows
+        # that horizon away (exit 2), so the battery runs directly.
+        cfg = cli.RunConfig(model="linear", horizon=0).validate()
+        (row,) = cli.CHECKS["transport"](cfg)
         level = row["counterexample"]
         assert row["pass"] is False and row["kind"] == "transport"
         assert row["error"] == ("t closure(con g) t^-1 differs from closure(con gu) "
@@ -347,6 +343,13 @@ class TestFailedRows:
      "theorem-check --which quotient-anisotropy runs on the shift model only"),
     (["scale", "--model", "linear", "--n", "3", "--p", "5"],
      "scale of a 3x3 matrix needs p in {2, 3}"),
+    (["theorem-check", "--which", "transport", "--horizon", "0"],
+     "theorem-check --which transport needs --horizon >= 2 on the linear model"),
+    (["theorem-check", "--model", "linear", "--horizon", "1"],
+     "theorem-check --which all needs --horizon >= 2 on the linear model"),
+    (["theorem-check", "--which", "transport", "--model", "linear", "--n", "3",
+      "--horizon", "1"],
+     "theorem-check --which transport needs --horizon >= 2 on the linear model"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_narrowed_range_exits_2_before_computing(argv, message, capsys, monkeypatch):
     for name in cli.CHECKS:

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import sample_con_elements
 
 from tdlcw import cli, limits, tidy
 from tdlcw.kernel import SubgroupImage, WindowMismatchError, conjugate
@@ -465,7 +466,7 @@ class TestTransport:
         gu, t_inv = g.mul(u), t.inv()
         rng = random.Random(5)
         for h, target, x, x_inv in ((g, gu, t, t_inv), (gu, g, t_inv, t)):
-            for c in model.sample_con_elements(h, rng, 40):
+            for c in sample_con_elements(model, h, rng, 40):
                 moved = x.mul(c).mul(x_inv)
                 for k in range(model.min_level, limits.TRANSPORT_K + 1):
                     assert model.project(moved, k) in model.con_closure_image(target, k)

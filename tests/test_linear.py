@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import is_subgroup
+from oracles import is_subgroup, sample_con_elements
 
 from tdlcw.kernel import INF_LEVEL, UnsupportedElementError, adjugate, conjugate, det
 from tdlcw.linear import (
@@ -600,6 +600,20 @@ class TestModelOracles:
         assert not model.con_oracle(g, model.parse_element("2,0;0,1/2"))
         assert model.con_oracle(g.inv(), model.parse_element("1,0;1,1"))
 
+    def test_con_oracle_tie(self):
+        # Equal valuations contract nothing: con(diag(2, 2)) is trivial, and
+        # under diag(4, 2, 2) only the entries of the first row contract.
+        model = LinearModel(2, 2)
+        g = model.parse_element("2,0;0,2")
+        assert model.con_oracle(g, model.identity)
+        for text in ["1,1;0,1", "1,0;1,1", "1,4;0,1", "3,0;0,1"]:
+            assert not model.con_oracle(g, model.parse_element(text))
+        model = LinearModel(2, 3)
+        g = model.parse_element("4,0,0;0,2,0;0,0,2")
+        assert model.con_oracle(g, model.parse_element("1,1,3;0,1,0;0,0,1"))
+        for text in ["1,0,0;0,1,1;0,0,1", "1,0,0;0,1,0;0,1,1", "1,0,0;1,1,0;0,0,1"]:
+            assert not model.con_oracle(g, model.parse_element(text))
+
     def test_par_oracle(self):
         model = LinearModel(2, 2)
         g = model.parse_element("2,0;0,1")
@@ -613,7 +627,7 @@ class TestModelOracles:
         model = LinearModel(2, 2)
         g = model.parse_element("2,0;0,1")
         rng = random.Random(3)
-        for x in model.sample_con_elements(g, rng, 20):
+        for x in sample_con_elements(model, g, rng, 20):
             assert model.con_oracle(g, x)
             assert trajectory_contracts(model, g, x, K=4, N=12)
 

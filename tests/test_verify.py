@@ -4,11 +4,23 @@ import random
 
 import pytest
 
-from tdlcw import verify
+from tdlcw import backend, verify
 from tdlcw.epseq import EPSeq
-from tdlcw.kernel import SubgroupImage, UnsupportedElementError, subgroup_closure
+from tdlcw.kernel import (
+    DEFAULT_CAP,
+    SubgroupImage,
+    UnsupportedElementError,
+    VectorWindow,
+    subgroup_closure,
+)
 from tdlcw.linear import LinearModel
-from tdlcw.shift import ShiftElement, ShiftModel, lamp_element, shift_generator
+from tdlcw.shift import (
+    CoordinateImage,
+    ShiftElement,
+    ShiftModel,
+    lamp_element,
+    shift_generator,
+)
 
 
 @pytest.fixture
@@ -42,6 +54,39 @@ class TestTitsCore:
         image = verify.tits_core_image(shift, 2, [])
         assert image.order == 1
 
+    def test_nested_images_give_the_top_one(self):
+        # Con-closure images nested by their free coordinates: the core is
+        # the largest, returned as it is, with no closure formed.
+        model = _StubModel({0: {3}, 1: {2, 3}, 2: {3}, 3: set()})
+        image = verify.tits_core_image(model, 3, [0, 1, 2, 3])
+        assert image is model.images[1]
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_incomparable_images_give_their_closure(self, K):
+        window = VectorWindow(2, 2 * K + 1)
+        model = _StubModel({0: {0}, 1: {1, 2}, 2: {2}}, K)
+        image = verify.tits_core_image(model, K, [0, 1, 2])
+        gens = set().union(*(im.elements for im in model.images.values()))
+        assert image.elements == frozenset(backend.closure(window, list(gens), DEFAULT_CAP))
+        assert image.order == 8
+
+
+class _StubModel:
+    """A model whose con-closure image of each schedule key is the
+    coordinate image free on the given positions."""
+
+    def __init__(self, free, K=3):
+        self.K = K
+        self.images = {key: CoordinateImage(self.window(K), frozenset(f))
+                       for key, f in free.items()}
+
+    def window(self, K):
+        return VectorWindow(2, 2 * K + 1)
+
+    def con_closure_image(self, g, K):
+        assert K == self.K
+        return self.images[g]
+
 
 class TestQuotientDescriptor:
     def test_lamp_quotient(self, shift):
@@ -57,11 +102,19 @@ class TestQuotientDescriptor:
         assert not q.quotient_con_trivial(shift_generator(2, 1), 3)
         assert q.quotient_con_trivial(lamp_element(2, {0: 1}), 3)
 
-    def test_normality_sampled(self, shift):
-        rng = random.Random(7)
-        for kind in ("lamp", "trivial"):
-            q = verify.QuotientDescriptor(shift, kind)
-            assert q.normal_check(rng)["pass"]
+    @pytest.mark.parametrize("kind, reason", [
+        ("lamp", "N is the kernel of x -> x.shift"), ("trivial", "N = {1}")])
+    def test_normality_decided(self, shift, kind, reason):
+        q = verify.QuotientDescriptor(shift, kind)
+        assert q.normal_check() == {"pass": True, "reason": reason}
+
+    @pytest.mark.parametrize("model", [ShiftModel(2), LinearModel(2, 2)],
+                             ids=["shift", "linear"])
+    def test_trivial_n_image(self, model):
+        # N = 1 has the trivial image at every level.
+        q = verify.QuotientDescriptor(model, "trivial")
+        for K in range(model.min_level, 4):
+            assert q.n_image(K) == SubgroupImage(model.window(K))
 
     def test_unknown_kind_rejected(self, shift):
         with pytest.raises(UnsupportedElementError):

@@ -101,6 +101,12 @@ MUTANTS = [
     ("shape-validated-at-parse", "linear.py",
      "        validate_shape(shape)\n        return ShapeSubgroup(",
      "        return ShapeSubgroup("),
+    ("tits-core-any", "verify.py",
+     "all(im <= top",
+     "any(im <= top"),
+    ("con-oracle-tie", "linear.py",
+     "NEG_INF if a > b else INF",
+     "NEG_INF if a >= b else INF"),
 ]
 
 
