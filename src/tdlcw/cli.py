@@ -179,8 +179,7 @@ def cmd_tidy(cfg, args):
         K = cfg.resolution if cfg.resolution is not None else model.default_resolution
 
         def diagnose():
-            V, k = tidy.tidy_above_procedure(model, U, g, cfg.max_k, K)
-            parts = tidy.u_parts(model, V, g)
+            V, k, parts = tidy.tidy_above_procedure(model, U, g, cfg.max_k, K)
             below, below_witness = tidy.is_tidy_below(model, V, g, parts)
             witness = None
             ok = True
@@ -204,18 +203,17 @@ def cmd_con_test(cfg, args):
     for model in battery_models(cfg):
         g = _element_arg(model, args)
         x = model.parse_element(args.x) if args.x else model.identity
-        K = cfg.resolution if cfg.resolution is not None else model.default_resolution
 
         def membership():
-            in_con = tidy.con_membership(model, g, x, K, cfg.horizon)
-            in_par = tidy.par_membership(model, g, x, K, cfg.horizon)
+            in_con = tidy.con_membership(model, g, x)
+            in_par = tidy.par_membership(model, g, x)
             return [{"in_con": _verdict(in_con), "in_par": _verdict(in_par),
                      # con(g) <= par(g): a contracted element has a bounded orbit.
                      "pass": not (in_con is True and in_par is False)}]
 
         rows += _rows("experiment", "con-test", model,
-                      {"g": model.format_element(g), "x": model.format_element(x),
-                       "resolution": K, "horizon": cfg.horizon}, membership)
+                      {"g": model.format_element(g), "x": model.format_element(x)},
+                      membership)
     return rows
 
 
@@ -356,7 +354,7 @@ def _check_tidy_identities(cfg):
             U0 = ShapeSubgroup(model.eigen_data(g)[0], congruence_shape(model.n, 0))
 
             def procedure():
-                V, k = tidy.tidy_above_procedure(model, U0, g, cfg.max_k)
+                V, k, _ = tidy.tidy_above_procedure(model, U0, g, cfg.max_k)
                 return [{"k": k, "V": model.format_subgroup(V),
                          "pass": k == 1 and V.shape == iwahori_shape(model.n)}]
 

@@ -78,10 +78,10 @@ class QMatrix:
     `rows` are integer tuples over the positive common denominator `den`,
     in lowest terms (gcd of all entries and `den` is 1), so `==` and `hash`
     are exact.  Instances are immutable; the inverse and the `Fraction`
-    view `entries` are computed once, on first use.
+    view `entries` are computed on each call.
     """
 
-    __slots__ = ("rows", "den", "p", "_inv", "_entries")
+    __slots__ = ("rows", "den", "p")
 
     def __init__(self, rows, den, p):
         if den != 1:
@@ -104,7 +104,6 @@ class QMatrix:
         self.rows = rows
         self.den = den
         self.p = p
-        self._inv = self._entries = None
 
     @classmethod
     def make(cls, rows, p):
@@ -134,11 +133,8 @@ class QMatrix:
     @property
     def entries(self):
         """The entries as `Fraction`s, for printing and tests."""
-        if self._entries is None:
-            d = self.den
-            self._entries = tuple(
-                tuple(Fraction(e, d) for e in row) for row in self.rows)
-        return self._entries
+        d = self.den
+        return tuple(tuple(Fraction(e, d) for e in row) for row in self.rows)
 
     @property
     def det(self):
@@ -165,11 +161,9 @@ class QMatrix:
 
     def inv(self):
         """den * adjugate(rows) / det(rows)."""
-        if self._inv is None:
-            d = self.den
-            adj = tuple(tuple(d * e for e in row) for row in adjugate(self.rows))
-            self._inv = QMatrix(adj, det(self.rows), self.p)
-        return self._inv
+        d = self.den
+        adj = tuple(tuple(d * e for e in row) for row in adjugate(self.rows))
+        return QMatrix(adj, det(self.rows), self.p)
 
     def is_identity(self):
         return self.den == 1 and self.rows == _IDENTITY[len(self.rows)]
@@ -298,7 +292,7 @@ def eigenbasis(g):
     if len(roots) != g.n:
         raise UnsupportedElementError(
             "element outside the supported class (needs n distinct rational "
-            "eigenvalues); use the resolution-limited generic routines"
+            "eigenvalues)"
         )
     roots.sort(key=lambda lam: (-vp(lam, g.p), lam))
     n, rows, den = g.n, g.rows, g.den

@@ -16,25 +16,25 @@ as the index [g U_+ g^-1 : U_+], decide contraction/parabolic membership,
 and compute the nub through five independent characterizations that must
 agree exactly.
 
-Semi-decisions are three-valued (True / False / INCONCLUSIVE) and never
-guess; exact model oracles upgrade them wherever available.
+Every answer is exact or says that it is inconclusive.  Membership in
+con(g) and par(g) is the model's oracle, or "inconclusive" for a pair
+(g, x) outside the oracle's class; tidy-above is decided from the parts
+of (U, g), and a model that cannot build them raises.
 """
 
 from __future__ import annotations
 
 from tdlcw.kernel import (
-    INF_LEVEL,
     ContainmentError,
     TdlcwError,
     UnsupportedElementError,
     Value,
-    conjugate,
     index,
     product_is,
     product_set_equals,
 )
 
-#: Three-valued "don't know" marker for semi-decisions.
+#: The membership answer for an element outside the oracle's class.
 INCONCLUSIVE = "inconclusive"
 
 
@@ -69,17 +69,13 @@ def u_parts(model, U, g):
     return model.u_parts_symbolic(U, g)
 
 
-def is_tidy_above(model, U, g, K, parts=None):
-    """Check image_k(U_+) * image_k(U_-) = image_k(U) for every k <= K.
+def is_tidy_above(model, U, g, K, parts):
+    """Check image_k(U_+) * image_k(U_-) = image_k(U) for every k <= K,
+    from the parts of (U, g).
 
     Returns (True, None, None) or (False, k, witness_code) with the smallest
-    failing k, or (INCONCLUSIVE, reason, None) when parts are unavailable.
+    failing k.
     """
-    if parts is None:
-        try:
-            parts = u_parts(model, U, g)
-        except UnsupportedElementError as exc:
-            return INCONCLUSIVE, str(exc), None
     k = untidy_above_level(model, U, K, parts)
     if k is None:
         return True, None, None
@@ -99,8 +95,10 @@ def untidy_above_level(model, U, K, parts):
 
 
 def tidy_above_procedure(model, U, g, max_k=10, K=None):
-    """Smallest k <= max_k such that the intersection of the conjugates
-    g^i U g^-i for 0 <= i <= k is tidy above; returns (V, k).
+    """Smallest k <= max_k such that the intersection V of the conjugates
+    g^i U g^-i for 0 <= i <= k is tidy above; returns (V, k, parts), the
+    parts those of (V, g).  A model that cannot build the parts of some V
+    raises.
 
     Such a k always exists for a compact open U, but no a-priori bound is
     available, hence the search depth max_k.
@@ -111,9 +109,10 @@ def tidy_above_procedure(model, U, g, max_k=10, K=None):
     for k in range(max_k + 1):
         if k > 0:
             V = V.intersect(model.conj_open(U, g, k))
-        verdict, _, _ = is_tidy_above(model, V, g, K)
+        parts = u_parts(model, V, g)
+        verdict, _, _ = is_tidy_above(model, V, g, K, parts)
         if verdict is True:
-            return V, k
+            return V, k, parts
     raise HorizonExceededError(f"no tidy-above intersection within max_k={max_k}")
 
 
@@ -131,8 +130,7 @@ def find_tidy(model, g, K=None):
         K = model.default_resolution
     for U in model.tidy_candidates(g, K):
         try:
-            V, _ = tidy_above_procedure(model, U, g, K=K)
-            parts = u_parts(model, V, g)
+            V, _, parts = tidy_above_procedure(model, U, g, K=K)
         except (UnsupportedElementError, HorizonExceededError):
             continue
         below, _ = is_tidy_below(model, V, g, parts)
@@ -163,53 +161,27 @@ def scale_index(model, g, K=None):
     return index(up.window_image(K), down.window_image(K))
 
 
-def trajectory_contracts(model, g, x, K, N):
-    """Resolution-level contraction test: the conjugation orbit g^n x g^-n
-    reaches filtration level K and stays there through step N.
-
-    Returns True / False(never reaches K) as a statement *at resolution K
-    over horizon N*, not an exact membership decision.
-    """
-    if x == model.identity or model.proximity_level(x) == INF_LEVEL:
+def con_membership(model, g, x):
+    """x in con(g)?  The model's exact oracle, or INCONCLUSIVE for a pair
+    (g, x) outside its class; the identity lies in every con(g)."""
+    if x.is_identity():
         return True
-    y = x
-    reached = False
-    for n in range(N + 1):
-        level = model.proximity_level(y)
-        if level == INF_LEVEL or level >= K:
-            reached = True
-        elif reached:
-            return False
-        y = conjugate(g, y)
-    return reached
-
-
-def con_membership(model, g, x, K, N):
-    """x in con(g)?  Exact via the model oracle when available; otherwise a
-    trajectory semi-decision at resolution K (True here means
-    true-at-resolution)."""
     try:
         return model.con_oracle(g, x)
     except UnsupportedElementError:
-        pass
-    if trajectory_contracts(model, g, x, K, N):
+        return INCONCLUSIVE
+
+
+def par_membership(model, g, x):
+    """x in par(g) (relatively compact forward orbit)?  The model's exact
+    oracle, or INCONCLUSIVE for a pair (g, x) outside its class; the
+    identity lies in every par(g)."""
+    if x.is_identity():
         return True
-    return INCONCLUSIVE
-
-
-def par_membership(model, g, x, K, N):
-    """x in par(g) (relatively compact forward orbit)?  Oracle-exact when
-    available; the fallback can certify only boundedness up to horizon N."""
     try:
         return model.par_oracle(g, x)
     except UnsupportedElementError:
-        pass
-    y = x
-    for _ in range(N + 1):
-        if not model.in_reference(y):
-            return INCONCLUSIVE
-        y = conjugate(g, y)
-    return True
+        return INCONCLUSIVE
 
 
 def _tidy_intersection_image(model, g, K):

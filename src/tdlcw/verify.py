@@ -51,12 +51,6 @@ class QuotientDescriptor(Value):
             raise UnsupportedElementError("the lamp quotient needs the shift model")
         super().__init__(model, kind)
 
-    def contains(self, x):
-        """Membership in N."""
-        if self.kind == "trivial":
-            return x.is_identity()
-        return x.shift == 0
-
     def n_image(self, K):
         """Window image of N at resolution K."""
         if self.kind == "trivial":

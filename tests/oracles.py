@@ -1,12 +1,14 @@
 """Exhaustive oracles that the tests compare the package's shortcuts with.
 
-They enumerate whole element sets, so they are meant for small images only
-and are no part of the package.  The samplers draw random elements of the
-sets the models describe exactly, for the tests that hold an exact oracle
-to trajectories or window images.
+They enumerate whole element sets, follow orbits step by step or read
+membership off a definition, so they are meant for small images and short
+horizons only and are no part of the package.  The samplers draw random elements of the sets the models
+describe exactly, for the tests that hold an exact oracle to trajectories
+or window images.
 """
 
 from tdlcw.epseq import EPSeq
+from tdlcw.kernel import INF_LEVEL, conjugate
 from tdlcw.linear import _from_coords
 from tdlcw.shift import ShiftElement, lamp_element, shift_identity
 
@@ -17,6 +19,32 @@ def is_subgroup(image):
     w, elems = image.window, image.elements
     return w.identity in elems and all(
         w.inv(a) in elems and all(w.mul(a, b) in elems for b in elems) for a in elems)
+
+
+def trajectory_contracts(model, g, x, K, N):
+    """Does the conjugation orbit g^n x g^-n reach filtration level K and
+    stay there through step N?  A statement at resolution K over horizon
+    N, not an exact membership decision."""
+    if x == model.identity or model.proximity_level(x) == INF_LEVEL:
+        return True
+    y = x
+    reached = False
+    for n in range(N + 1):
+        level = model.proximity_level(y)
+        if level == INF_LEVEL or level >= K:
+            reached = True
+        elif reached:
+            return False
+        y = conjugate(g, y)
+    return reached
+
+
+def quotient_contains(quotient, x):
+    """Membership of x in the N of a `QuotientDescriptor`: elements with
+    no shift for the lamp kind, the identity alone for the trivial one."""
+    if quotient.kind == "trivial":
+        return x.is_identity()
+    return x.shift == 0
 
 
 def _sample_support(p, rng):

@@ -178,9 +178,10 @@ def test_tidying_procedure_from_level_zero():
     for p in (2, 3):
         model = LinearModel(p, 2)
         g = model.parse_element(f"{p},0;0,1")
-        verdict, k_failed, witness = tidy.is_tidy_above(model, model.reference(), g, 2)
+        U = model.reference()
+        verdict, k_failed, witness = tidy.is_tidy_above(model, U, g, 2, tidy.u_parts(model, U, g))
         assert verdict is False and k_failed == 1 and witness is not None
-        V, k = tidy.tidy_above_procedure(model, model.reference(), g)
+        V, k, _ = tidy.tidy_above_procedure(model, model.reference(), g)
         assert k == 1 and V.shape == iwahori_shape(2)
 
 

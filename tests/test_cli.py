@@ -150,19 +150,45 @@ class TestCommands:
         assert code == 0
         assert rows[0]["in_con"] is True and rows[0]["in_par"] is True
 
-    @pytest.mark.parametrize("g, in_par", [("0,1;2,0", True), ("0,-2;1,-1", "inconclusive")])
-    def test_con_test_without_rational_eigenvalues(self, capsys, monkeypatch, g, in_par):
-        # No eigenbasis over Q, so no exact oracle: the fallbacks answer.
-        # The eigenvalues of "0,1;2,0" are +-sqrt(2); those of "0,-2;1,-1"
-        # lie in Q_2, with valuations 1 and 0, but are not rational.
-        trajectories = []
-        real = cli.tidy.trajectory_contracts
-        monkeypatch.setattr(cli.tidy, "trajectory_contracts",
-                            lambda *args: trajectories.append(args) or real(*args))
+    @pytest.mark.parametrize("g", ["0,1;2,0", "0,-2;1,-1"])
+    def test_con_test_without_rational_eigenvalues(self, capsys, g):
+        # No eigenbasis over Q, so no exact oracle: both answers are
+        # inconclusive.  The eigenvalues of "0,1;2,0" are +-sqrt(2); those
+        # of "0,-2;1,-1" lie in Q_2, with valuations 1 and 0, but are not
+        # rational.
         code, rows, _ = run(
             ["con-test", "--model", "linear", "--g", g, "--x", "1,0;2,1"], capsys)
-        assert code == 0 and len(trajectories) == 1
-        assert (rows[0]["in_con"], rows[0]["in_par"]) == ("inconclusive", in_par)
+        assert code == 0
+        assert (rows[0]["in_con"], rows[0]["in_par"]) == ("inconclusive", "inconclusive")
+
+    def test_con_test_is_exact_or_inconclusive(self, capsys):
+        # A finite stretch of the orbit proves nothing here: det x = 2^20 + 1
+        # is not 1, so the first x lies outside con(g), and the orbit of the
+        # second leaves GL_2(Z_2) at step 21, so it lies outside par(g).
+        g = ["--model", "linear", "--g", "0,-2;1,-1"]
+        for x in ["1048577,0;0,1", "1,1048576;0,1"]:
+            code, rows, _ = run(["con-test", *g, "--x", x], capsys)
+            assert code == 0
+            assert (rows[0]["in_con"], rows[0]["in_par"]) == ("inconclusive", "inconclusive")
+        # The identity lies in con(g) and par(g) for every g.
+        code, rows, _ = run(["con-test", *g], capsys)
+        assert code == 0 and (rows[0]["in_con"], rows[0]["in_par"]) == (True, True)
+        assert rows[0]["params"] == {"g": "0,-2;1,-1", "x": "1,0;0,1"}
+
+    @pytest.mark.parametrize("subgroup", [["--g", "shift:2", "--U", "W:0"], ["--g", "shift:5"]],
+                             ids=" ".join)
+    def test_tidy_without_symbolic_parts_exits_2(self, capsys, subgroup):
+        # The translates of W:k by shift:m leave gaps when |m| > 2k + 1, and
+        # vanish-set parts cannot express the periodic sets U_+ and U_-
+        # (W:0 is tidy above for shift:2 at k = 0), so tidy names the reason
+        # as conjugator does, rather than searching every k in vain.
+        message = "error: vanish set not contiguous enough for symbolic parts\n"
+        for command in ("tidy", "conjugator"):
+            assert run([command, "--model", "shift", *subgroup], capsys) == (2, [], message)
+
+    def test_tidy_with_symbolic_parts(self, capsys):
+        code, rows, _ = run(["tidy", "--model", "shift", "--g", "shift:3", "--U", "W:1"], capsys)
+        assert code == 0 and rows[0]["k"] == 0 and rows[0]["V"] == "W:1"
 
     def test_nub_command(self, capsys):
         code, rows, _ = run(["nub", "--model", "linear"], capsys)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import is_subgroup, sample_con_elements
+from oracles import is_subgroup, sample_con_elements, trajectory_contracts
 
 from tdlcw.kernel import INF_LEVEL, UnsupportedElementError, adjugate, conjugate, det
 from tdlcw.linear import (
@@ -371,7 +371,7 @@ def fraction_eigenbasis(g):
     if len(roots) != g.n:
         raise UnsupportedElementError(
             "element outside the supported class (needs n distinct rational "
-            "eigenvalues); use the resolution-limited generic routines"
+            "eigenvalues)"
         )
     roots.sort(key=lambda lam: (-vp(lam, g.p), lam))
     n, x = g.n, g.entries
@@ -622,8 +622,6 @@ class TestModelOracles:
         assert not model.par_oracle(g, model.parse_element("1,0;4,1"))
 
     def test_con_matches_trajectory_contraction(self):
-        from tdlcw.tidy import trajectory_contracts
-
         model = LinearModel(2, 2)
         g = model.parse_element("2,0;0,1")
         rng = random.Random(3)

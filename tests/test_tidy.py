@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import trajectory_contracts
 
 from tdlcw import backend, tidy
 from tdlcw.kernel import INF_LEVEL, UnsupportedElementError, conjugate
@@ -31,19 +32,20 @@ class TestTidyAbove:
     def test_vanish_subgroups_are_tidy_above(self, shift):
         g = shift_generator(2, 1)
         for k in range(3):
-            verdict, _, _ = tidy.is_tidy_above(shift, w_subgroup(2, k), g, 3)
+            U = w_subgroup(2, k)
+            verdict, _, _ = tidy.is_tidy_above(shift, U, g, 3, tidy.u_parts(shift, U, g))
             assert verdict is True
 
     def test_iwahori_is_tidy_above(self, linear):
         g = linear.parse_element("2,0;0,1")
         U = ShapeSubgroup(linear.identity, iwahori_shape(2))
-        verdict, _, _ = tidy.is_tidy_above(linear, U, g, 3)
+        verdict, _, _ = tidy.is_tidy_above(linear, U, g, 3, tidy.u_parts(linear, U, g))
         assert verdict is True
 
     def test_level0_gl2_is_not_tidy_above(self, linear):
         g = linear.parse_element("2,0;0,1")
         U = linear.reference()
-        verdict, k, witness = tidy.is_tidy_above(linear, U, g, 2)
+        verdict, k, witness = tidy.is_tidy_above(linear, U, g, 2, tidy.u_parts(linear, U, g))
         assert verdict is False and k == 1 and witness is not None
         # The witness is a genuine element of the level-k image missed by
         # the product of the parts.
@@ -64,13 +66,24 @@ class TestTidyAbove:
 
     def test_procedure_terminates_at_iwahori(self, linear):
         g = linear.parse_element("2,0;0,1")
-        V, k = tidy.tidy_above_procedure(linear, linear.reference(), g)
+        V, k, _ = tidy.tidy_above_procedure(linear, linear.reference(), g)
         assert k == 1
         assert V.shape == iwahori_shape(2)
 
+    def test_procedure_returns_the_parts_of_its_subgroup(self, linear):
+        g = linear.parse_element("2,0;0,1")
+        V, _, parts = tidy.tidy_above_procedure(linear, linear.reference(), g)
+        assert parts == tidy.u_parts(linear, V, g)
+
+    def test_procedure_raises_without_symbolic_parts(self, shift):
+        # The translates of W:0 by shift:2 leave gaps, which vanish-set
+        # parts cannot express; no later k is tried.
+        with pytest.raises(UnsupportedElementError):
+            tidy.tidy_above_procedure(shift, w_subgroup(2, 0), shift_generator(2, 2))
+
     def test_procedure_is_instant_on_tidy_input(self, shift):
         g = shift_generator(2, 1)
-        V, k = tidy.tidy_above_procedure(shift, w_subgroup(2, 1), g)
+        V, k, _ = tidy.tidy_above_procedure(shift, w_subgroup(2, 1), g)
         assert k == 0 and V.vanish == w_subgroup(2, 1).vanish
 
 
@@ -177,20 +190,29 @@ class TestFindTidyAndScale:
 class TestMembership:
     def test_con_membership_exact(self, shift):
         g = shift_generator(2, 1)
-        assert tidy.con_membership(shift, g, lamp_element(2, {4: 1}), 6, 40) is True
-        assert tidy.con_membership(shift, g, g, 6, 40) is False
+        assert tidy.con_membership(shift, g, lamp_element(2, {4: 1})) is True
+        assert tidy.con_membership(shift, g, g) is False
 
     def test_par_membership(self, linear):
         g = linear.parse_element("2,0;0,1")
-        assert tidy.par_membership(linear, g, linear.parse_element("1,1;0,1"), 6, 40) is True
-        assert tidy.par_membership(linear, g, linear.parse_element("1,0;1,1"), 6, 40) is False
+        assert tidy.par_membership(linear, g, linear.parse_element("1,1;0,1")) is True
+        assert tidy.par_membership(linear, g, linear.parse_element("1,0;1,1")) is False
+
+    def test_membership_without_an_oracle(self, linear):
+        # The eigenvalues of g lie in Q_2 but not in Q: no exact oracle.
+        g = linear.parse_element("0,-2;1,-1")
+        x = linear.parse_element("1048577,0;0,1")
+        assert tidy.con_membership(linear, g, x) == tidy.INCONCLUSIVE
+        assert tidy.par_membership(linear, g, x) == tidy.INCONCLUSIVE
+        assert tidy.con_membership(linear, g, linear.identity) is True
+        assert tidy.par_membership(linear, g, linear.identity) is True
 
     def test_trajectory_contraction_at_resolution(self, linear):
         g = linear.parse_element("2,0;0,1")
         x = linear.parse_element("1,1;0,1")
-        assert tidy.trajectory_contracts(linear, g, x, K=4, N=10)
+        assert trajectory_contracts(linear, g, x, K=4, N=10)
         y = linear.parse_element("1,0;1,1")
-        assert not tidy.trajectory_contracts(linear, g, y, K=4, N=10)
+        assert not trajectory_contracts(linear, g, y, K=4, N=10)
 
 
 class TestNub:

@@ -107,6 +107,13 @@ MUTANTS = [
     ("con-oracle-tie", "linear.py",
      "NEG_INF if a > b else INF",
      "NEG_INF if a >= b else INF"),
+    ("con-membership-guess", "tidy.py",
+     "return model.con_oracle(g, x)\n    except UnsupportedElementError:\n        return INCONCLUSIVE",
+     "return model.con_oracle(g, x)\n    except UnsupportedElementError:\n        return True"),
+    ("tidy-above-skips-parts", "tidy.py",
+     "        parts = u_parts(model, V, g)\n",
+     "        try:\n            parts = u_parts(model, V, g)\n"
+     "        except UnsupportedElementError:\n            continue\n"),
 ]
 
 
