@@ -12,7 +12,7 @@ BACKEND_NAME = "pure"
 
 
 def closure(window, gens, cap):
-    """Smallest subgroup of `window` containing `gens`, as a set of codes.
+    """Smallest subgroup of `window` containing `gens`, as a set of elements.
 
     Raises `kernel.ResolutionError` when the closure grows past `cap`
     elements.

@@ -520,9 +520,8 @@ def _check_tits_core(cfg):
             schedule = [model.parse_element(f"{p},0;0,1"),
                         model.parse_element(f"1,0;0,{p}")]
             image = verify.tits_core_image(model, 1, schedule)
-            window = model.window(1)
             # SL_2(Z/p) is generated by these two elementary unipotents.
-            sl2 = [window.encode([1, 1, 0, 1]), window.encode([1, 0, 1, 1])]
+            sl2 = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
             return [{"order": image.order, "pass": all(c in image for c in sl2)}]
 
         rows += _rows("check", "tits-core", model, {"p": p, "resolution": 1}, core)

@@ -2,8 +2,10 @@
 
 A *window group* is the finite quotient that a model presents at a given
 resolution: the additive group F_p^length for the shift model, GL_n(Z/p^K)
-for the linear model.  Elements are canonical packed-integer codes, so that
-equal elements always have identical encodings and reports are diffable.
+for the linear model.  An element is its residue: the digit tuple of a
+lamp window, or a matrix mod p^K as a tuple of row tuples.  Residues are
+canonical, so equal elements are equal tuples, and a witness prints as the
+digits or the matrix it is.
 
 Subgroups of a window are :class:`Image`s: an order, a membership test,
 intersection, containment, equality, projection to a coarser level, and
@@ -15,7 +17,8 @@ questions are answered from coordinate sets and valuation shapes;
 subgroups A, B, T the product AB equals T exactly when A, B <= T and
 |A||B| = |T||A n B|; products are enumerated only to name a witness when
 that fails.  Each window carries its own group law.  `det` and `adjugate`
-are written once for 2x2 and 3x3 matrices over any commutative ring;
+are written once for 2x2 and 3x3 matrices over any commutative ring, and
+`mulmod` is the one matrix product mod p^K, for windows and images alike;
 `power` (square-and-multiply) and `conjugate` once for the elements of
 both models, which carry their own `mul` and `inv`.
 
@@ -40,7 +43,8 @@ which in CPython 3.11 takes a lock on every first read.  A
 from __future__ import annotations
 
 import math
-from operator import attrgetter
+from itertools import product
+from operator import attrgetter, mul
 
 from tdlcw import backend
 
@@ -58,7 +62,7 @@ class TdlcwError(Exception):
     `kind` names the failure in a failed result row: the class name
     without "Error", hyphenated (`HorizonExceededError` is
     "horizon-exceeded").  `witness`, when given, is what shows the failure:
-    an element, a window code, or the data that disagrees.  Each subclass
+    an element, a window residue, or the data that disagrees.  Each subclass
     also derives from ValueError or RuntimeError.
     """
 
@@ -87,7 +91,7 @@ class ResolutionError(InputError):
 
 class ContainmentError(TdlcwError, ValueError):
     """Something expected inside a subgroup is not; the witness, when
-    known, is an element or code outside it."""
+    known, is an element or residue outside it."""
 
 
 class WindowMismatchError(TdlcwError, ValueError):
@@ -253,23 +257,14 @@ def conjugate(g, x):
     return g.mul(x).mul(g.inv())
 
 
-def _pack(digits, base):
-    code = 0
-    for d in reversed(digits):
-        code = code * base + d
-    return code
-
-
-def _unpack(code, count, base):
-    out = []
-    for _ in range(count):
-        code, d = divmod(code, base)
-        out.append(d)
-    return out
+def mulmod(a, b, m):
+    """The product of two matrices given as rows, reduced mod m."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row in a)
 
 
 class VectorWindow(Value):
-    """Additive group F_p^length; code = sum d_i * p**i."""
+    """Additive group F_p^length; an element is its digit tuple."""
 
     __slots__ = ("p", "length")
 
@@ -284,17 +279,15 @@ class VectorWindow(Value):
 
     @property
     def identity(self):
-        return 0
+        return (0,) * self.length
 
     def mul(self, a, b):
         p = self.p
-        da = _unpack(a, self.length, p)
-        db = _unpack(b, self.length, p)
-        return _pack([(x + y) % p for x, y in zip(da, db)], p)
+        return tuple((x + y) % p for x, y in zip(a, b))
 
     def inv(self, a):
         p = self.p
-        return _pack([(-d) % p for d in _unpack(a, self.length, p)], p)
+        return tuple(-d % p for d in a)
 
     def level(self, K):
         """The window at level K: the centred coordinates [-K, K]."""
@@ -302,27 +295,20 @@ class VectorWindow(Value):
             raise WindowMismatchError("cannot project upward")
         return VectorWindow(self.p, 2 * K + 1)
 
-    def reduce(self, code, K):
-        """Code of the level-K window's part of `code`."""
+    def reduce(self, a, K):
+        """The digits of `a` on the level-K window's coordinates."""
         drop = (self.length - 1) // 2 - K
-        return code // self.p**drop % self.p ** (2 * K + 1)
-
-    def encode(self, digits):
-        if len(digits) != self.length:
-            raise WindowMismatchError("digit vector has wrong length")
-        return _pack([d % self.p for d in digits], self.p)
-
-    def decode(self, code):
-        return tuple(_unpack(code, self.length, self.p))
+        return a[drop : drop + 2 * K + 1]
 
     def elements(self, cap=DEFAULT_CAP):
         if self.order > cap:
             raise ResolutionError("vector window too large", cap)
-        return range(self.order)
+        return product(range(self.p), repeat=self.length)
 
 
 class MatrixWindow(Value):
-    """GL_n(Z/p^K), n in {2, 3}, with row-major entry packing in base p^K."""
+    """GL_n(Z/p^K), n in {2, 3}; an element is its tuple of rows, each
+    entry reduced mod p^K."""
 
     __slots__ = ("n", "p", "K")
 
@@ -350,26 +336,15 @@ class MatrixWindow(Value):
     def identity(self):
         n, m = self.n, self.modulus
         # 1 % m: at m = 1 (K = 0) every entry is 0 and the window is trivial.
-        return _pack([1 % m if i % (n + 1) == 0 else 0 for i in range(n * n)], m)
+        return tuple(tuple(1 % m if r == s else 0 for s in range(n)) for r in range(n))
 
     def mul(self, a, b):
-        n, m = self.n, self.modulus
-        da = _unpack(a, n * n, m)
-        db = _unpack(b, n * n, m)
-        out = [0] * (n * n)
-        for i in range(n):
-            for j in range(n):
-                s = 0
-                for k in range(n):
-                    s += da[i * n + k] * db[k * n + j]
-                out[i * n + j] = s % m
-        return _pack(out, m)
+        return mulmod(a, b, self.modulus)
 
     def inv(self, a):
         m = self.modulus
-        rows = self._rows(_unpack(a, self.n * self.n, m))
-        dinv = pow(det(rows), -1, m)
-        return _pack([e * dinv % m for row in adjugate(rows) for e in row], m)
+        dinv = pow(det(a), -1, m)
+        return tuple(tuple(e * dinv % m for e in row) for row in adjugate(a))
 
     def level(self, K):
         """The window GL_n(Z/p^K) at level K <= this one's."""
@@ -377,48 +352,32 @@ class MatrixWindow(Value):
             raise WindowMismatchError("cannot project upward")
         return MatrixWindow(self.n, self.p, K)
 
-    def reduce(self, code, K):
-        """Code of `code` mod p^K."""
-        return self.level(K).encode(self.decode(code))
+    def reduce(self, a, K):
+        """`a` mod p^K."""
+        m = self.p**K
+        return tuple(tuple(e % m for e in row) for row in a)
 
-    def rows(self, code):
-        return self._rows(self.decode(code))
-
-    def _rows(self, entries):
-        n = self.n
-        return [entries[i : i + n] for i in range(0, n * n, n)]
-
-    def pack(self, rows):
-        """Code of the matrix with these rows, whose entries are already
-        reduced mod p^K; unlike `encode`, invertibility is not checked."""
-        return _pack([e for row in rows for e in row], self.modulus)
-
-    def encode(self, entries):
-        """Code of the matrix with these row-major entries, reduced mod p^K;
-        raises UnsupportedElementError when it is not invertible modulo p."""
-        if len(entries) != self.n * self.n:
-            raise WindowMismatchError("entry vector has wrong length")
-        m = self.modulus
-        entries = [e % m for e in entries]
-        if self.K and det(self._rows(entries)) % self.p == 0:
+    def encode(self, rows):
+        """The matrix with these rows, reduced mod p^K; raises
+        UnsupportedElementError when it is not invertible modulo p."""
+        if len(rows) != self.n or any(len(row) != self.n for row in rows):
+            raise WindowMismatchError("matrix has the wrong size")
+        a = self.reduce(rows, self.K)
+        if not self.is_invertible(a):
             raise UnsupportedElementError("matrix is not invertible modulo p")
-        return _pack(entries, m)
+        return a
 
-    def decode(self, code):
-        return tuple(_unpack(code, self.n * self.n, self.modulus))
+    def det(self, a):
+        return det(a) % self.modulus
 
-    def det(self, code):
-        return det(self._rows(self.decode(code))) % self.modulus
-
-    def is_invertible(self, code):
-        return self.K == 0 or self.det(code) % self.p != 0
+    def is_invertible(self, a):
+        return self.K == 0 or self.det(a) % self.p != 0
 
     def elements(self, cap=DEFAULT_CAP):
         if self.order > cap:
             raise ResolutionError("matrix window too large", cap)
-        m = self.modulus
-        total = m ** (self.n * self.n)
-        return (c for c in range(total) if self.is_invertible(c))
+        rows = product(range(self.modulus), repeat=self.n)
+        return (a for a in product(rows, repeat=self.n) if self.is_invertible(a))
 
 
 class cached_attribute:
@@ -444,9 +403,9 @@ class cached_attribute:
 class Image(Value):
     """A subgroup of a window group, answered from what describes it.
 
-    Subclasses give `window`, `order`, membership (`code in image`) and
+    Subclasses give `window`, `order`, membership (`x in image`) and
     `elements`; `_meet` gives the intersection with an image of the same
-    form, or None, and `generators` may name fewer codes than `elements`
+    form, or None, and `generators` may name fewer elements than `elements`
     that generate the image.  Intersection, containment and equality
     follow: a meet of unlike forms filters the smaller image's elements
     through membership in the other, so only that image is materialized,
@@ -489,14 +448,14 @@ class Image(Value):
     def __hash__(self):
         return hash((self.window, self.order))
 
-    def conjugated(self, code):
-        """The image of x -> code x code^-1."""
+    def conjugated(self, a):
+        """The image of x -> a x a^-1."""
         w = self.window
-        c_inv = w.inv(code)
-        return SubgroupImage(w, frozenset(w.mul(w.mul(code, c), c_inv) for c in self.elements))
+        a_inv = w.inv(a)
+        return SubgroupImage(w, frozenset(w.mul(w.mul(a, x), a_inv) for x in self.elements))
 
     def project(self, K):
-        """The image at level K <= this one's, reduced code by code."""
+        """The image at level K <= this one's, reduced element by element."""
         w = self.window
         return SubgroupImage(w.level(K), frozenset(w.reduce(c, K) for c in self.elements))
 
@@ -514,8 +473,8 @@ class SubgroupImage(Image):
     def order(self):
         return len(self.elements)
 
-    def __contains__(self, code):
-        return code in self.elements
+    def __contains__(self, x):
+        return x in self.elements
 
 
 def _same_window(*images):
@@ -549,7 +508,7 @@ def product_is(a, b, t):
 def product_set_equals(a, b, t):
     """Decide {xy : x in A, y in B} == T; on failure return a witness.
 
-    Returns (True, None) or (False, witness_code).  Equality is decided by
+    Returns (True, None) or (False, witness).  Equality is decided by
     :func:`product_is`; only a failure enumerates the product, to report the
     first element of T it misses (the tidy-above obstruction) or, when it
     misses none, its first element outside T.
@@ -563,11 +522,11 @@ def product_set_equals(a, b, t):
 
 def index(u, v):
     """[U : V] for nested subgroup images; otherwise an error with the
-    smallest code of V outside U as witness."""
+    smallest element of V outside U as witness."""
     _same_window(u, v)
     if not v <= u:
         witness = min(c for c in v.elements if c not in u)
         raise ContainmentError(
-            f"subgroup containment fails, witness code {witness}", witness)
+            f"subgroup containment fails, witness {witness}", witness)
     return u.order // v.order
 

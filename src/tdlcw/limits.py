@@ -55,7 +55,7 @@ class HypothesisError(InputError):
 class TransportError(TdlcwError, RuntimeError):
     """A conjugated image differs from its target; the witness is the
     first level where the contraction-group images differ, or the two nub
-    images as code lists."""
+    images as sorted lists of residues."""
 
 
 class PowerTable(Value):

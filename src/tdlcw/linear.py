@@ -18,7 +18,6 @@ import math
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-from operator import mul
 
 from tdlcw.kernel import (
     DEFAULT_CAP,
@@ -34,6 +33,7 @@ from tdlcw.kernel import (
     adjugate,
     cached_attribute,
     det,
+    mulmod,
     power,
 )
 
@@ -444,8 +444,8 @@ class ShapeSubgroup(Value):
 
 class ShapeImage(Image):
     """The image mod p^K of a shape subgroup: b c b^-1 for b its basis mod
-    p^K and c over `_residues(clamped)`.  `conj` holds the codes of b and
-    b^-1, None for the identity basis.  Images in one basis meet in the
+    p^K and c over `_residues(clamped)`.  `conj` holds the residues of b
+    and b^-1, None for the identity basis.  Images in one basis meet in the
     entrywise maximum of their shapes (see `_meet` for other bases); images
     in unrelated bases compare by `generators`.  Containment and equality
     compare orders, never shapes: different clamped shapes can give one
@@ -458,25 +458,15 @@ class ShapeImage(Image):
         w = self.window
         return _shape_order(self.clamped, w.p, w.K)
 
-    @cached_attribute
-    def _basis_rows(self):
+    def __contains__(self, y):
+        """Is the residue y, read in basis coordinates, one of ours?"""
         w = self.window
-        return tuple(map(w.rows, self.conj or (w.identity,) * 2))
-
-    def _residue_in(self, y):
-        """Is the residue matrix y (in basis coordinates) one of ours?"""
-        p = self.window.p
-        return all((e - (r == s)) % p**c == 0
+        if self.conj:
+            b, b_inv = self.conj
+            y = mulmod(mulmod(b_inv, y, w.modulus), b, w.modulus)
+        return all((e - (r == s)) % w.p**c == 0
                    for r, (row, bounds) in enumerate(zip(y, self.clamped))
                    for s, (e, c) in enumerate(zip(row, bounds)))
-
-    def __contains__(self, code):
-        w = self.window
-        y = w.rows(code)
-        if self.conj:
-            b, b_inv = self._basis_rows
-            y = _mulmod(_mulmod(b_inv, y, w.modulus), b, w.modulus)
-        return self._residue_in(y)
 
     def _meet(self, other):
         """Structural when the bases agree, or differ by a monomial matrix
@@ -485,15 +475,16 @@ class ShapeImage(Image):
         y - I, so our shape permuted by sigma describes us in other's basis."""
         if not isinstance(other, ShapeImage) or other.window != self.window:
             return None
-        a = self.clamped
+        w, a = self.window, self.clamped
         if other.conj != self.conj:
-            c = _mulmod(other._basis_rows[1], self._basis_rows[0], self.window.modulus)
+            one = (w.identity,) * 2
+            c = mulmod((other.conj or one)[1], (self.conj or one)[0], w.modulus)
             support = [[s for s, e in enumerate(row) if e] for row in c]
             if any(len(cols) != 1 for cols in support):
                 return None
             sigma = [cols[0] for cols in support]
             a = tuple(tuple(a[sr][st] for st in sigma) for sr in sigma)
-        return ShapeImage(self.window, shape_entrywise_max(a, other.clamped), other.conj)
+        return ShapeImage(w, shape_entrywise_max(a, other.clamped), other.conj)
 
     @cached_attribute
     def generators(self):
@@ -506,7 +497,7 @@ class ShapeImage(Image):
         p, K, m, n = w.p, w.K, w.modulus, len(c)
         if any(c[r][t] > c[r][s] + c[s][t] for r, s, t in product(range(n), repeat=3)):
             return self.elements
-        b, b_inv = self._basis_rows
+        b, b_inv = self.conj or (w.identity,) * 2
         gens = []
         for r, s in product(range(n), repeat=2):
             e = c[r][s]
@@ -515,21 +506,21 @@ class ShapeImage(Image):
             for a in _unit_generators(p, e) if r == s else (p**e,):
                 y = [list(row) for row in _IDENTITY[n]]
                 y[r][s] = a % m
-                gens.append(w.pack(_mulmod(_mulmod(b, y, m), b_inv, m)))
+                gens.append(mulmod(mulmod(b, y, m), b_inv, m))
         return gens
 
     def project(self, K):
         """The image at level K <= this one's, from this image's shape and
-        basis codes reduced mod p^K."""
+        basis residues reduced mod p^K."""
         w = self.window
         conj = self.conj and tuple(w.reduce(c, K) for c in self.conj)
         clamped = tuple(tuple(min(e, K) for e in row) for row in self.clamped)
         return ShapeImage(w.level(K), clamped, conj)
 
-    def conjugated(self, code):
+    def conjugated(self, a):
         w = self.window
         b, b_inv = self.conj or (w.identity, w.identity)
-        conj = (w.mul(code, b), w.mul(b_inv, w.inv(code)))
+        conj = (w.mul(a, b), w.mul(b_inv, w.inv(a)))
         return ShapeImage(w, self.clamped, conj)
 
     @cached_attribute
@@ -539,9 +530,9 @@ class ShapeImage(Image):
         w = self.window
         residues = _residues(self.clamped, w.p, w.K)
         if self.conj:
-            b, b_inv, m = *self._basis_rows, w.modulus
-            residues = (_mulmod(_mulmod(b, c, m), b_inv, m) for c in residues)
-        return frozenset(map(w.pack, residues))
+            (b, b_inv), m = self.conj, w.modulus
+            residues = (mulmod(mulmod(b, c, m), b_inv, m) for c in residues)
+        return frozenset(residues)
 
 
 @cache
@@ -555,12 +546,6 @@ def _unit_generators(p, e):
         return (next(a for a in range(2, p * p)
                      if len({pow(a, i, p * p) for i in range(p * p)}) == p * (p - 1)),)
     return (1 + p**e,)
-
-
-def _mulmod(a, b, m):
-    """The product of two matrices given as rows, reduced mod m."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row in a)
 
 
 def _residues(clamped, p, K):
@@ -603,12 +588,13 @@ def _det_splits(clamped):
 
 
 def project_matrix(x, K):
-    """Residue code of a p-integral, unit-determinant matrix mod p^K."""
+    """Residue of a p-integral, unit-determinant matrix mod p^K: its rows
+    times den^-1."""
     p, m = x.p, x.p**K
     if not x.is_p_integral():
         raise NotPIntegralError(f"denominator {x.den} is not a unit at p={p}")
     scale = pow(x.den, -1, m)
-    return MatrixWindow(x.n, p, K).encode([e * scale % m for row in x.rows for e in row])
+    return MatrixWindow(x.n, p, K).encode([[e * scale for e in row] for row in x.rows])
 
 
 # -- exact UL factorization --------------------------------------------------

@@ -144,8 +144,8 @@ class CoordinateImage(Image):
     def order(self):
         return self.window.p ** len(self.free)
 
-    def __contains__(self, code):
-        return all(d == 0 or i in self.free for i, d in enumerate(self.window.decode(code)))
+    def __contains__(self, digits):
+        return all(d == 0 or i in self.free for i, d in enumerate(digits))
 
     def _meet(self, other):
         if isinstance(other, CoordinateImage):
@@ -159,17 +159,18 @@ class CoordinateImage(Image):
         free = frozenset(i - drop for i in self.free if 0 <= i - drop < dst.length)
         return CoordinateImage(dst, free)
 
-    def conjugated(self, code):
+    def conjugated(self, a):
         return self  # the lamp window is abelian
 
     @cached_attribute
     def elements(self):
         if self.order > DEFAULT_CAP:
             raise ResolutionError(f"coordinate image of order {self.order}", DEFAULT_CAP)
-        p, codes = self.window.p, [0]
-        for i in self.free:
-            codes = [c + d * p**i for c in codes for d in range(p)]
-        return frozenset(codes)
+        p, vectors = self.window.p, [()]
+        for i in range(self.window.length):
+            digits = range(p) if i in self.free else (0,)
+            vectors = [v + (d,) for v in vectors for d in digits]
+        return frozenset(vectors)
 
 
 class ShiftOpen(Value):
@@ -363,7 +364,7 @@ class ShiftModel:
     def project(self, x, K):
         if x.shift != 0:
             raise UnsupportedElementError("element outside the reference compact open")
-        return self.window(K).encode(list(x.lamp.window(K)))
+        return x.lamp.window(K)
 
     def filtration(self, k):
         return w_subgroup(self.p, k)

@@ -73,7 +73,7 @@ def is_tidy_above(model, U, g, K, parts):
     """Check image_k(U_+) * image_k(U_-) = image_k(U) for every k <= K,
     from the parts of (U, g).
 
-    Returns (True, None, None) or (False, k, witness_code) with the smallest
+    Returns (True, None, None) or (False, k, witness) with the smallest
     failing k.
     """
     k = untidy_above_level(model, U, K, parts)
@@ -125,7 +125,8 @@ def is_tidy_below(model, U, g, parts):
 
 
 def find_tidy(model, g, K=None):
-    """A subgroup tidy above and below for g, from the model's candidates."""
+    """A subgroup V tidy above and below for g, from the model's
+    candidates, with the parts of (V, g): returns (V, parts)."""
     if K is None:
         K = model.default_resolution
     for U in model.tidy_candidates(g, K):
@@ -135,7 +136,7 @@ def find_tidy(model, g, K=None):
             continue
         below, _ = is_tidy_below(model, V, g, parts)
         if below is True:
-            return V
+            return V, parts
     raise HorizonExceededError("no tidy subgroup found among the candidates")
 
 
@@ -151,8 +152,7 @@ def scale_index(model, g, K=None):
     either subgroup, where their window images see all of both, so it is
     exact whatever K is; image orders are closed-form.
     """
-    U = find_tidy(model, g, K)
-    parts = u_parts(model, U, g)
+    _, parts = find_tidy(model, g, K)
     up = parts.u_plus
     down = model.conj_open(up, g, -1)
     if not down <= up:

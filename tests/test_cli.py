@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdlcw import cli, shift
+from tdlcw import cli, kernel, shift
 
 
 def run(argv, capsys):
@@ -348,6 +348,36 @@ class TestFailedRows:
             assert row["pass"] is False and row["kind"] == "horizon-exceeded"
             assert row["error"] == "no tidy subgroup found among the candidates"
             assert "counterexample" in row and row["counterexample"] is None
+
+    def test_window_witness_prints_as_its_residue(self, capsys):
+        # An index across non-nested images fails its row with the smallest
+        # element of the inner image outside the outer one: a matrix mod p^K
+        # as rows, or the digits of a lamp window.
+        cases = [
+            (cli.LinearModel(2, 2), [[0, 1], [1, 0]]),  # GL_2(Z/4) outside I + 2M
+            (cli.ShiftModel(2), [0, 0, 0, 1, 0]),  # a lamp at 1, outside W(1)
+        ]
+        for model, expected in cases:
+            outer = model.filtration(1).window_image(2)
+            inner = model.reference().window_image(2)
+            rows = cli._rows("check", "index", model, {},
+                             lambda: [{"index": kernel.index(outer, inner)}])
+            cli.emit(rows, None)
+            row = json.loads(capsys.readouterr().out)
+            assert (row["kind"], row["counterexample"]) == ("containment", expected)
+            as_tuple = tuple(map(tuple, expected)) if model.name == "linear" else tuple(expected)
+            assert as_tuple in inner and as_tuple not in outer
+        # Elements project to their residues: rows times den^-1 mod p^K, and
+        # the lamp's digits on [-K, K].
+        linear = cli.LinearModel(2, 2)
+        x = linear.parse_element("1/3,2;5,7/3")
+        assert linear.project(x, 3) == ((3, 2), (5, 5))
+        inv_den = pow(x.den, -1, 8)
+        assert linear.project(x, 3) == tuple(tuple(e * inv_den % 8 for e in row)
+                                             for row in x.rows)
+        lamps = cli.ShiftModel(2)
+        x = lamps.parse_element("lamp:-1,2")
+        assert lamps.project(x, 3) == x.lamp.window(3) == (0, 0, 1, 0, 0, 1, 0)
 
     def test_program_fault_is_not_a_failed_row(self, capsys, monkeypatch):
         # Only library errors fail a row; a bug in the program stays visible.

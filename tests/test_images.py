@@ -45,35 +45,33 @@ INF = math.inf
 
 @lru_cache(maxsize=None)
 def lamp_oracle(p, K, vanish):
-    """Codes of the level-K window whose lamp (zero off [-K, K]) lies in
-    the vanish-set subgroup."""
-    window, U = VectorWindow(p, 2 * K + 1), ShiftOpen(p, vanish)
+    """Digit tuples of the level-K window whose lamp (zero off [-K, K])
+    lies in the vanish-set subgroup."""
+    U = ShiftOpen(p, vanish)
     return frozenset(
-        c for c in range(window.order)
-        if U.contains(lamp_element(p, {i - K: d for i, d in enumerate(window.decode(c))})))
+        c for c in itertools.product(range(p), repeat=2 * K + 1)
+        if U.contains(lamp_element(p, {i - K: d for i, d in enumerate(c)})))
 
 
 @lru_cache(maxsize=None)
 def basis_coordinates(basis, p, K):
-    """(code, b^-1 x b as Fractions) for every x in GL_2(Z/p^K)."""
+    """(x, b^-1 x b as Fractions) for every x in GL_2(Z/p^K)."""
     b = QMatrix.make(basis, p)
-    w = MatrixWindow(2, p, K)
     out = []
-    for code in w.elements(cap=10**5):
-        e = w.decode(code)
-        y = b.inv().mul(QMatrix.make([e[:2], e[2:]], p)).mul(b)
-        out.append((code, y.entries))
+    for x in MatrixWindow(2, p, K).elements(cap=10**5):
+        y = b.inv().mul(QMatrix.make(x, p)).mul(b)
+        out.append((x, y.entries))
     return out
 
 
 @lru_cache(maxsize=None)
 def shape_oracle(basis, shape, p, K):
-    """Codes x of GL_2(Z/p^K) with val(y_rs - delta_rs) >= shape_rs, capped
-    to [0, K], for y = b^-1 x b: the image of the shape subgroup."""
+    """Residues x of GL_2(Z/p^K) with val(y_rs - delta_rs) >= shape_rs,
+    capped to [0, K], for y = b^-1 x b: the image of the shape subgroup."""
     def ok(y):
         return all(vp(y[r][s] - (r == s), p) >= max(0, min(K, shape[r][s]))
                    for r in range(2) for s in range(2))
-    return frozenset(code for code, y in basis_coordinates(basis, p, K) if ok(y))
+    return frozenset(x for x, y in basis_coordinates(basis, p, K) if ok(y))
 
 
 def materialized(image):
@@ -126,14 +124,15 @@ def vanish_sets(draw):
 @st.composite
 def coordinate_images(draw, count=3):
     """`count` coordinate images at one (p, K); one may be an explicit
-    closure of random codes instead, to exercise the mixed forms."""
+    closure of random digit tuples instead, to exercise the mixed forms."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     K = draw(st.integers(0, 1 if p == 7 else 2))
     window = VectorWindow(p, 2 * K + 1)
     out = []
     for _ in range(count):
         if draw(st.integers(0, 3)) == 0:
-            gens = draw(st.lists(st.integers(0, window.order - 1), max_size=2))
+            digits = st.tuples(*[st.integers(0, p - 1)] * window.length)
+            gens = draw(st.lists(digits, max_size=2))
             image = subgroup_closure(window, gens)
             out.append((image, frozenset(image.elements)))
         else:
@@ -158,10 +157,9 @@ def check_protocol(window, triple, coarser):
         assert image.order == len(oracle)
         assert materialized(image) == oracle
         assert image.sorted_codes() == sorted(oracle)
-    codes = sorted(sa | sb | st_ | {window.identity})
-    for code in codes:
-        assert (code in a) == (code in sa)
-        assert (code in b) == (code in sb)
+    for x in sorted(sa | sb | st_ | {window.identity}):
+        assert (x in a) == (x in sa)
+        assert (x in b) == (x in sb)
     assert (a <= b) is (sa <= sb)
     assert (a == b) is (sa == sb)
     assert (a & b).order == len(sa & sb)
@@ -190,8 +188,7 @@ def test_shape_images_match_materialized_sets(case):
     window = MatrixWindow(2, p, K)
 
     def reducer(k):
-        dst = MatrixWindow(2, p, k)
-        return lambda c: dst.encode([e % p**k for e in window.decode(c)])
+        return lambda c: tuple(tuple(e % p**k for e in row) for row in c)
 
     check_protocol(window, triple, [(k, reducer(k)) for k in range(K + 1)])
     (a, sa), _, _ = triple
@@ -209,12 +206,12 @@ def test_coordinate_images_match_materialized_sets(case):
     window = VectorWindow(p, 2 * K + 1)
 
     def reducer(k):
-        dst, drop = VectorWindow(p, 2 * k + 1), K - k
-        return lambda c: dst.encode(list(window.decode(c)[drop:drop + 2 * k + 1]))
+        drop = K - k
+        return lambda c: c[drop:drop + 2 * k + 1]
 
     check_protocol(window, triple, [(k, reducer(k)) for k in range(K + 1)])
     for image, oracle in triple:
-        assert materialized(image.conjugated(window.order - 1)) == oracle
+        assert materialized(image.conjugated((p - 1,) * window.length)) == oracle
 
 
 @pytest.mark.parametrize("K, order", [(1, 2), (2, 32), (3, 512)])
@@ -312,7 +309,7 @@ def group_shape_images(draw, window):
                                            st.integers(1, p**K - 1)), max_size=4)):
         if r != s:
             rows[r] = [x + a * y for x, y in zip(rows[r], rows[s])]
-    b = window.encode([e for row in rows for e in row])
+    b = window.encode(rows)
     return ShapeImage(window, tuple(map(tuple, m)), (b, window.inv(b)))
 
 
@@ -341,9 +338,9 @@ def test_p2_units_need_minus_one(monkeypatch):
     # {1, 3}^2 extended by the upper unipotents, of order 32.
     w = MatrixWindow(2, 2, 3)
     a = ShapeImage(w, ((0, 3), (3, 0)), None)
-    diag = [w.encode([3, 0, 0, 1]), w.encode([1, 0, 0, 3])]
-    b = subgroup_closure(w, diag + [w.encode([1, 1, 0, 1])])
-    assert (a.order, b.order) == (16, 32) and w.encode([-1, 0, 0, 1]) not in b
+    diag = [((3, 0), (0, 1)), ((1, 0), (0, 3))]
+    b = subgroup_closure(w, diag + [((1, 1), (0, 1))])
+    assert (a.order, b.order) == (16, 32) and ((7, 0), (0, 1)) not in b
     assert not a <= b and not a.elements <= b.elements
     real = linear._unit_generators
     monkeypatch.setattr(linear, "_unit_generators",
@@ -400,7 +397,7 @@ def test_images_have_no_cap_field():
 
 
 @pytest.mark.parametrize("image", [
-    lambda: ShiftModel(2).reference().window_image(8),  # 2^17 codes
+    lambda: ShiftModel(2).reference().window_image(8),  # 2^17 elements
     lambda: LinearModel(7, 2).reference().window_image(3),
     # GL_3(Z/4): 86,016 elements from 4^9 candidates, under 4 * cap.
     lambda: LinearModel(2, 3).reference().window_image(2),

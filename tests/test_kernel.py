@@ -18,6 +18,7 @@ from tdlcw.kernel import (
     MatrixWindow,
     ResolutionError,
     SubgroupImage,
+    UnsupportedElementError,
     VectorWindow,
     WindowMismatchError,
     adjugate,
@@ -39,6 +40,11 @@ def mat():
     return MatrixWindow(2, 2, 2)
 
 
+def unit(length, *ones):
+    """The digit tuple of the given length with a 1 at each of `ones`."""
+    return tuple(int(i in ones) for i in range(length))
+
+
 def brute_closure(window, gens):
     """Reference closure by saturation over explicit element sets."""
     elems = {window.identity}
@@ -53,28 +59,30 @@ def brute_closure(window, gens):
 class TestVectorWindow:
     def test_order_and_identity(self, vec):
         assert vec.order == 32
-        assert vec.identity == 0
-        assert vec.decode(vec.identity) == (0, 0, 0, 0, 0)
+        assert vec.identity == (0, 0, 0, 0, 0)
 
-    def test_encode_decode_roundtrip(self, vec):
-        for code in vec.elements():
-            assert vec.encode(list(vec.decode(code))) == code
+    def test_elements_are_the_digit_tuples(self, vec):
+        elems = list(vec.elements())
+        assert len(set(elems)) == len(elems) == vec.order
+        assert all(len(a) == 5 and set(a) <= {0, 1} for a in elems)
 
     def test_group_laws_exhaustive(self, vec):
         elems = list(vec.elements())
         for a in elems:
             assert vec.mul(a, vec.inv(a)) == vec.identity
             for b in elems[:8]:
-                left = vec.decode(vec.mul(a, b))
-                expect = tuple((x + y) % 2 for x, y in zip(vec.decode(a), vec.decode(b)))
-                assert left == expect
+                assert vec.mul(a, b) == tuple((x + y) % 2 for x, y in zip(a, b))
 
-    def test_encode_reduces_mod_p(self, vec):
-        assert vec.encode([3, 1, 2, 0, 5]) == vec.encode([1, 1, 0, 0, 1])
+    def test_mul_and_inv_reduce_mod_p(self):
+        vec = VectorWindow(3, 5)
+        assert vec.mul((2, 1, 2, 0, 1), (2, 2, 0, 0, 1)) == (1, 0, 2, 0, 2)
+        assert vec.inv((2, 1, 0, 0, 1)) == (1, 2, 0, 0, 2)
 
-    def test_wrong_length_rejected(self, vec):
-        with pytest.raises(ValueError):
-            vec.encode([1, 0])
+    def test_wrong_length_rejected(self, vec, mat):
+        with pytest.raises(WindowMismatchError):
+            vec.level(3)
+        with pytest.raises(WindowMismatchError):
+            mat.encode(((1, 0, 0), (0, 1, 0)))
 
     def test_elements_respects_cap(self, vec):
         with pytest.raises(ResolutionError):
@@ -88,7 +96,7 @@ class TestMatrixWindow:
         assert len(list(mat.elements())) == 96
 
     def test_identity(self, mat):
-        assert mat.decode(mat.identity) == (1, 0, 0, 1)
+        assert mat.identity == ((1, 0), (0, 1))
 
     def test_group_laws_exhaustive(self, mat):
         elems = list(mat.elements())
@@ -98,19 +106,21 @@ class TestMatrixWindow:
         assert mat.mul(mat.mul(a, b), c) == mat.mul(a, mat.mul(b, c))
 
     def test_det_and_invertibility(self, mat):
-        singular = 0  # the zero matrix
-        assert not mat.is_invertible(singular)
+        assert not mat.is_invertible(((0, 0), (0, 0)))
+        assert not mat.is_invertible(((2, 1), (0, 3)))
+        assert mat.det(((1, 2), (3, 3))) == 1
         assert mat.det(mat.identity) == 1
 
     def test_encode_rejects_singular(self, mat):
-        with pytest.raises(ValueError):
-            mat.encode([2, 0, 0, 1])
+        with pytest.raises(UnsupportedElementError):
+            mat.encode(((2, 0), (0, 1)))
+        assert mat.encode(((5, -1), (4, 7))) == ((1, 3), (0, 3))
 
     def test_level_zero_window_is_trivial(self):
         w = MatrixWindow(2, 2, 0)
         assert w.order == 1 and type(w.order) is int
         assert list(w.elements()) == [w.identity]
-        assert w.encode([1, 0, 0, 1]) == w.identity
+        assert w.encode(((1, 0), (0, 1))) == w.identity == ((0, 0), (0, 0))
         assert subgroup_closure(w, [w.identity]).order == 1
 
     def test_gl3_order_formula(self):
@@ -165,7 +175,8 @@ class TestSubgroupClosure:
 
         rng = random.Random(1)
         for _ in range(25):
-            gens = [rng.randrange(vec.order) for _ in range(rng.randrange(1, 4))]
+            gens = [tuple(rng.randrange(2) for _ in range(5))
+                    for _ in range(rng.randrange(1, 4))]
             got = subgroup_closure(vec, gens)
             assert got.elements == frozenset(brute_closure(vec, gens))
             assert is_subgroup(got)
@@ -182,23 +193,24 @@ class TestSubgroupClosure:
             assert is_subgroup(got)
 
     def test_empty_generators_give_trivial_group(self, vec):
-        assert subgroup_closure(vec, []).elements == {0}
+        assert subgroup_closure(vec, []).elements == {(0, 0, 0, 0, 0)}
 
     def test_cap_exceeded_is_loud(self):
         mat = MatrixWindow(2, 2, 3)
         cases = [
-            (VectorWindow(2, 13), [1 << i for i in range(13)]),
+            (VectorWindow(2, 13), [unit(13, i) for i in range(13)]),
             # Elementary unipotents generate SL_2(Z/8), of order 384.
-            (mat, [mat.encode([1, 1, 0, 1]), mat.encode([1, 0, 1, 1])]),
+            (mat, [((1, 1), (0, 1)), ((1, 0), (1, 1))]),
         ]
         for window, gens in cases:
             with pytest.raises(ResolutionError):
                 subgroup_closure(window, gens, cap=100)
 
     def test_cap_bounds_subgroup_not_window(self):
-        # A small subgroup of a window far larger than the cap; at length 70
-        # the codes exceed 2^63.
-        for length, gens in [(30, [1, 2]), (70, [1, 1 << 69])]:
+        # A small subgroup of a window far larger than the cap: 2^70
+        # elements at length 70.
+        for length, gens in [(30, [unit(30, 0), unit(30, 1)]),
+                             (70, [unit(70, 0), unit(70, 69)])]:
             window = VectorWindow(2, length)
             small = subgroup_closure(window, gens, cap=16)
             assert small.order == 4
@@ -207,26 +219,26 @@ class TestSubgroupClosure:
 
 class TestProductSetEquals:
     def test_product_detects_equality_and_witness(self, vec):
-        a = subgroup_closure(vec, [vec.encode([1, 0, 0, 0, 0])])
-        b = subgroup_closure(vec, [vec.encode([0, 1, 0, 0, 0])])
-        t = subgroup_closure(vec, [vec.encode([1, 0, 0, 0, 0]), vec.encode([0, 1, 0, 0, 0])])
+        a = subgroup_closure(vec, [unit(5, 0)])
+        b = subgroup_closure(vec, [unit(5, 1)])
+        t = subgroup_closure(vec, [unit(5, 0), unit(5, 1)])
         ok, witness = product_set_equals(a, b, t)
         assert ok and witness is None
-        big = subgroup_closure(vec, [1, 2, 4])
+        big = subgroup_closure(vec, [unit(5, 0), unit(5, 1), unit(5, 2)])
         ok, witness = product_set_equals(a, b, big)
         assert not ok and witness in big.elements
 
     def test_subgroup_shortcut_agrees_with_enumeration(self, mat):
-        t = subgroup_closure(mat, [mat.encode([1, 1, 0, 1]), mat.encode([1, 0, 1, 1])])
-        sub = subgroup_closure(mat, [mat.encode([1, 1, 0, 1])])
+        t = subgroup_closure(mat, [((1, 1), (0, 1)), ((1, 0), (1, 1))])
+        sub = subgroup_closure(mat, [((1, 1), (0, 1))])
         ok, _ = product_set_equals(t, sub, t)
         assert ok
         ok, _ = product_set_equals(sub, t, t)
         assert ok
 
     def test_excess_product_reports_witness(self, vec):
-        a = subgroup_closure(vec, [1, 2])
-        small = subgroup_closure(vec, [1])
+        a = subgroup_closure(vec, [unit(5, 0), unit(5, 1)])
+        small = subgroup_closure(vec, [unit(5, 0)])
         ok, witness = product_set_equals(a, a, small)
         assert not ok and witness not in small.elements
 
@@ -240,22 +252,22 @@ class TestProductSetEquals:
 class TestIndexAndIntersect:
     def test_index_exhaustive(self, mat):
         full = SubgroupImage(mat, frozenset(mat.elements()))
-        sub = subgroup_closure(mat, [mat.encode([1, 1, 0, 1])])
+        sub = subgroup_closure(mat, [((1, 1), (0, 1))])
         assert index(full, sub) == 96 // sub.order
         assert index(full, full) == 1
 
     def test_index_requires_containment(self, vec):
-        a = subgroup_closure(vec, [1])
-        b = subgroup_closure(vec, [2])
+        a = subgroup_closure(vec, [unit(5, 0)])
+        b = subgroup_closure(vec, [unit(5, 1)])
         with pytest.raises(ContainmentError) as exc:
             index(a, b)
-        assert exc.value.witness in b.elements
+        assert exc.value.witness == unit(5, 1)
 
     def test_intersect(self, vec):
-        a = subgroup_closure(vec, [1, 2])
-        b = subgroup_closure(vec, [2, 4])
+        a = subgroup_closure(vec, [unit(5, 0), unit(5, 1)])
+        b = subgroup_closure(vec, [unit(5, 1), unit(5, 2)])
         both = a & b
-        assert both.elements == subgroup_closure(vec, [2]).elements
+        assert both.elements == subgroup_closure(vec, [unit(5, 1)]).elements
 
     def test_default_image_is_trivial(self, vec):
         assert SubgroupImage(vec).elements == {vec.identity}
@@ -281,14 +293,14 @@ def vector_generators(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))
     length = draw(st.integers(1, 6))
     window = VectorWindow(p, length)
-    code = st.integers(0, window.order - 1)
+    vector = st.tuples(*[st.integers(0, p - 1)] * length)
     # At most three free vectors keep the BFS oracle cheap (|H| <= 7^3).
-    gens = draw(st.lists(code, min_size=0, max_size=3))
+    gens = draw(st.lists(vector, min_size=0, max_size=3))
     extras = []
     if gens and draw(st.booleans()):
         extras.append(draw(st.sampled_from(gens)))
     if draw(st.booleans()):
-        extras.append(0)
+        extras.append(window.identity)
     for _ in range(draw(st.integers(0, 2)) if gens else 0):
         terms = [(draw(st.integers(0, p - 1)), draw(st.sampled_from(gens)))
                  for _ in range(2)]
@@ -299,7 +311,7 @@ def vector_generators(draw):
 def span(window, gens):
     """F_p-span of `gens`: each generator outside the span so far extends it
     by the cyclic factor {c * g : 0 <= c < p}, multiplying its size by p."""
-    seen = {0}
+    seen = {window.identity}
     for g in gens:
         if g not in seen:
             coset = list(seen)
@@ -376,9 +388,10 @@ class TestProductFormulaOracle:
         # GL_2(F_2) is S_3: two reflections generate it, but their product
         # set has |A||B| / |A n B| = 4 < 6 elements.
         w = MatrixWindow(2, 2, 1)
-        a = subgroup_closure(w, [w.encode([0, 1, 1, 0])])
-        b = subgroup_closure(w, [w.encode([1, 1, 0, 1])])
-        t = subgroup_closure(w, [w.encode([0, 1, 1, 0]), w.encode([1, 1, 0, 1])])
+        swap, shear = ((0, 1), (1, 0)), ((1, 1), (0, 1))
+        a = subgroup_closure(w, [swap])
+        b = subgroup_closure(w, [shear])
+        t = subgroup_closure(w, [swap, shear])
         assert t.order == 6 and not product_is(a, b, t)
         ok, witness = product_set_equals(a, b, t)
         assert (ok, witness) == _enumerated(a, b, t)

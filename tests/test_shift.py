@@ -222,15 +222,12 @@ class TestModelAdapter:
     def test_project_and_project_image(self):
         model = ShiftModel(2)
         x = lamp_element(2, {-1: 1, 2: 1})
-        code = model.project(x, 3)
-        assert model.window(3).decode(code) == (0, 0, 1, 0, 0, 1, 0)
+        assert model.project(x, 3) == (0, 0, 1, 0, 0, 1, 0)
         img = w_subgroup(2, 1).window_image(3)
         down = img.project(2)
         assert down.elements == w_subgroup(2, 1).window_image(2).elements
-        # Oracle: slice the middle five digits of every level-3 code.
-        fine, coarse = model.window(3), model.window(2)
-        sliced = {coarse.encode(list(fine.decode(c)[1:6])) for c in img.elements}
-        assert down.elements == sliced
+        # Oracle: slice the middle five digits of every level-3 element.
+        assert down.elements == {c[1:6] for c in img.elements}
 
     def test_parse_format_roundtrip(self):
         model = ShiftModel(2)

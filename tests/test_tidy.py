@@ -159,9 +159,11 @@ class TestTidyBelow:
 
 class TestFindTidyAndScale:
     def test_find_tidy(self, shift, linear):
-        assert tidy.find_tidy(shift, shift_generator(2, 1)) is not None
-        V = tidy.find_tidy(linear, linear.parse_element("2,0;0,1"))
-        assert V is not None
+        for model, g in ((shift, shift_generator(2, 1)),
+                         (linear, linear.parse_element("2,0;0,1"))):
+            V, parts = tidy.find_tidy(model, g)
+            assert parts == tidy.u_parts(model, V, g)
+            assert tidy.is_tidy_below(model, V, g, parts)[0] is True
 
     def test_scale_values(self, shift, linear):
         assert tidy.scale_index(shift, shift_generator(2, 1)) == 1

@@ -44,11 +44,7 @@ class TestTitsCore:
             model.parse_element("1,0;0,2"),
         ]
         image = verify.tits_core_image(model, 1, schedule)
-        window = model.window(1)
-        sl2 = subgroup_closure(
-            window,
-            [window.encode([1, 1, 0, 1]), window.encode([1, 0, 1, 1])],
-        )
+        sl2 = subgroup_closure(model.window(1), [((1, 1), (0, 1)), ((1, 0), (1, 1))])
         assert sl2.elements <= image.elements
 
     def test_empty_schedule_gives_trivial_core(self, shift):

@@ -114,6 +114,12 @@ MUTANTS = [
      "        parts = u_parts(model, V, g)\n",
      "        try:\n            parts = u_parts(model, V, g)\n"
      "        except UnsupportedElementError:\n            continue\n"),
+    ("mulmod-rows-by-rows", "kernel.py",
+     "cols = tuple(zip(*b))",
+     "cols = b"),
+    ("window-inv-by-det", "kernel.py",
+     "dinv = pow(det(a), -1, m)",
+     "dinv = det(a) % m"),
 ]
 
 
