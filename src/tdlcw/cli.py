@@ -19,6 +19,7 @@ command line win over the file.  Unknown config keys are rejected.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -651,12 +652,23 @@ def build_parser(command=None):
     return parser
 
 
-def emit(rows, out_path):
+def _open_out(path):
+    """--out, opened before any work, to append: a run that exits 2 leaves
+    the file as it was.  A null context without --out."""
+    try:
+        return open(path, "a", encoding="utf-8") if path else contextlib.nullcontext()
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def emit(rows, out):
+    """Print the rows, and put them in place of the content of `out`, the
+    open --out file, if any."""
     text = "".join(json.dumps(row, default=str) + "\n" for row in rows)
     sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if out is not None:
+        out.truncate(0)
+        out.write(text)
 
 
 @cache
@@ -673,11 +685,12 @@ def main(argv=None):
     args = _parser(command).parse_args(argv)
     try:
         cfg = RunConfig.from_args(args)
-        rows = args.func(cfg, args)
+        with _open_out(cfg.out) as out:
+            rows = args.func(cfg, args)
+            emit(rows, out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit(rows, cfg.out)
     return 0 if all(row["pass"] for row in rows) else 1
 
 

@@ -5,20 +5,20 @@ algorithm builds a conjugator t in U_+ with
 
     t^-1 (gu)^k t = b_k g^k,   b_k in U,   for 0 <= k <= N,
 
-entirely by exact arithmetic.  Step n of the induction forms
-h = (gu)^n t g^-n once: its certificate is b_n = t^-1 h, and the element
-it splits, u t b_n, is u h.  A two-sided variant runs the same induction
-for g' = g^-1 and u' = g u^-1 g^-1 and combines the results into r with
-the identity holding for |k| <= N.  That backward run derives what it
-needs from the forward one: the U-parts of g^-1 are those of g swapped
-(U_+ with U_-, U_++ with U_--), and U = U_+ U_- holds exactly when
-U = U_- U_+ (invert both sides), so U is tidy above for g^-1 exactly when
-it is for g, and the forward run's check covers both.
+entirely by exact arithmetic.  Step n splits u h_n = w_- w_+ in U, where
+h_n = (gu)^n t_n g^-n, and passes the next split only h_{n+1} = g w_- g^-1
+and P_{n+1} = P_n w_+^-1 g^-1, where t_n = P_n g^n; the split's own input
+check is the step certificate b_n = t_n^-1 h_n in U.  A two-sided variant
+runs the same induction for g' = g^-1 and u' = g u^-1 g^-1, on the forward
+run's U-parts swapped and its tidy check (`conjugator_two_sided` proves
+both apply), and combines the results into r with the identity holding
+for |k| <= N.
 
-Every power a trace needs comes from one `PowerTable`: the running
+The one power a stage reads is g^N, from a `PowerTable`: the running
 products (gu)^k, (gu)^-k, g^k and g^-k for 0 <= k <= N, about 4N
-products.  Since g'u' = (gu)^-1, the backward construction reads the same
-table with its columns swapped.  The certificates b_k are kept and replay
+products, whose other entries the final certificates read.  Since
+g'u' = (gu)^-1, the backward stage reads the table with its columns
+swapped, and so gets (g^-1)^N.  The certificates b_k are kept and replay
 independently of the table: with c = x^-1 (gu) x, the identity at k says
 b_k = c^k g^-k, which holds for every |k| <= N exactly when b_0 = 1 and
 b_{k+s} = c^s b_k g^-s for s = +-1 (induction on |k|), O(N) products
@@ -42,7 +42,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from tdlcw import tidy
-from tdlcw.kernel import INF_LEVEL, InputError, TdlcwError, Value, WindowMismatchError, conjugate
+from tdlcw.kernel import (INF_LEVEL, ContainmentError, InputError, TdlcwError, Value,
+                          WindowMismatchError, conjugate)
 
 #: Top window level of the contraction-group and nub transports.
 TRANSPORT_K = 3
@@ -177,19 +178,26 @@ def _stage_conjugator(model, g, u, U, N, parts, powers):
     (g, u), with the certificate of each step checked; the hypotheses and
     the final certificates are the caller's.
 
-    Each step forms h = (gu)^n t g^-n once.  Its certificate is
-    b_n = t^-1 h, and the split input u t b_n is u h: four products where
-    forming b_n and u t b_n apart takes five.  The split u h = w_- w_+
-    gives y = g^-n w_+^-1 g^n and t <- t y.
+    Step n splits u h_n = w_- w_+ with h_n = (gu)^n t_n g^-n and sets
+    t_{n+1} = t_n g^-n w_+^-1 g^n.  Three identities spare every power but
+    g^N, for five products and one inverse a step:
+    1. h_{n+1} = (gu) h_n w_+^-1 g^-1 = g w_- g^-1 and h_0 = 1: expand
+       t_{n+1} in h_{n+1}, then u h_n w_+^-1 = w_-.
+    2. t_n = P_n g^n for P_0 = 1, P_{n+1} = P_n w_+^-1 g^-1: expand t_{n+1}.
+       So t = P_N g^N, with g^N read from `powers`.
+    3. u h_n lies in U iff b_n = t_n^-1 h_n does, as u is in U and t_n in
+       U_+ <= U: the split's input check is the step certificate.
     """
-    t = model.identity
+    g_inv = g.inv()
+    h = P = model.identity
     for n in range(N):
-        h = powers.gu[n].mul(t).mul(powers.g_inv[n])
-        if not U.contains(t.inv().mul(h)):
-            raise HypothesisError(f"certificate b_{n} escapes U")
-        _w_minus, w_plus = model.split(u.mul(h), U, g, parts)
-        y = powers.g_inv[n].mul(w_plus.inv()).mul(powers.g[n])
-        t = t.mul(y)
+        try:
+            w_minus, w_plus = model.split(u.mul(h), U, g, parts)
+        except ContainmentError:
+            raise HypothesisError(f"certificate b_{n} escapes U") from None
+        h = g.mul(w_minus).mul(g_inv)
+        P = P.mul(w_plus.inv()).mul(g_inv)
+    t = P.mul(powers.g[N])
     if not parts.u_plus.contains(t):
         raise HypothesisError("constructed conjugator escapes U_+")
     return t
@@ -209,7 +217,11 @@ def conjugator_two_sided(model, g, u, U, N):
     U_--(g^-1) = U_++(g): the backward parts are the forward ones swapped.
     U tidy above for g^-1 means U = U_-(g) U_+(g), and inverting both sides
     of U = U_+(g) U_-(g) shows that this holds exactly when U is tidy above
-    for g.  Its u' = g u^-1 g^-1 lies in U as u is in g^-1 U g.
+    for g.  Its u' = g u^-1 g^-1, the inverse of the g u g^-1 the hypothesis
+    check forms, lies in U as u is in g^-1 U g.  The identities 1-3 of
+    `_stage_conjugator` hold for (g^-1, u'): h'_{n+1} = g^-1 w'_- g;
+    s = P'_N (g^-1)^N, from the swapped table; and s_n lies in
+    U_+(g^-1) = U_-(g) <= U, so the split's input check is b'_n in U.
 
     The backward stage checks its step certificates but forms no final
     certificates of its own, as r's imply them.  With
@@ -224,14 +236,14 @@ def conjugator_two_sided(model, g, u, U, N):
     """
     if not U.contains(u):
         raise HypothesisError("u must lie in U")
-    if not U.contains(conjugate(g, u)):
+    gug = conjugate(g, u)
+    if not U.contains(gug):
         raise HypothesisError("u must lie in g^-1 U g")
     parts = tidy.u_parts(model, U, g)
     powers = PowerTable.build(model, g, u, N)
     forward = conjugator_forward(model, g, u, U, N, parts, powers)
     backward = tidy.UParts(parts.u_minus, parts.u_plus, parts.u_zero, parts.u_pp, parts.u_mm)
-    s = _stage_conjugator(model, g.inv(), conjugate(g, u.inv()), U, N,
-                          backward, powers.backward())
+    s = _stage_conjugator(model, g.inv(), gug.inv(), U, N, backward, powers.backward())
     t = forward.t
     w_minus, _w_plus = model.split(t.inv().mul(s), U, g, parts)
     r = t.mul(w_minus)

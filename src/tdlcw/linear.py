@@ -182,9 +182,8 @@ def _coords(basis, x):
     return x if basis.is_identity() else basis.inv().mul(x).mul(basis)
 
 
-def _from_coords(basis, rows, den=1):
-    """basis y basis^-1 for y = rows / den given in basis coordinates."""
-    y = QMatrix(tuple(map(tuple, rows)), den, basis.p)
+def _from_coords(basis, y):
+    """basis y basis^-1: y given in the coordinates of the basis columns."""
     return y if basis.is_identity() else basis.mul(y).mul(basis.inv())
 
 
@@ -865,18 +864,21 @@ class LinearModel:
             return x, self.identity
         if not U.contains(x):
             raise ContainmentError("split input must lie in U", x)
-        # Sort coordinates by descending valuation so the contracting
-        # entries sit strictly above the diagonal, then factor upper*lower.
+        # Sort coordinates by descending valuation (g's eigenbasis is sorted
+        # already) so the contracting entries sit strictly above the
+        # diagonal, then factor upper*lower.
         perm = sorted(range(self.n), key=lambda r: -vals[r])
         inv_perm = sorted(range(self.n), key=perm.__getitem__)
 
         def permuted(m, order):
-            return tuple(tuple(m.rows[r][s] for s in order) for r in order), m.den
+            if order == sorted(order):
+                return m
+            return QMatrix(tuple(tuple(m.rows[r][s] for s in order) for r in order),
+                           m.den, m.p)
 
-        y = _coords(U.basis, x)
-        u, low = ul_factor(QMatrix(*permuted(y, perm), self.p))
-        w_minus = _from_coords(U.basis, *permuted(u, inv_perm))
-        w_plus = _from_coords(U.basis, *permuted(low, inv_perm))
+        u, low = ul_factor(permuted(_coords(U.basis, x), perm))
+        w_minus = _from_coords(U.basis, permuted(u, inv_perm))
+        w_plus = _from_coords(U.basis, permuted(low, inv_perm))
         if not (parts.u_minus.contains(w_minus) and parts.u_plus.contains(w_plus)):
             raise FactorizationError(
                 "UL factors leave the tidy parts; U is not tidy above here",
@@ -901,7 +903,7 @@ class LinearModel:
             )
             for r in range(n)
         )
-        v_elem = _from_coords(U.basis, v, d)
+        v_elem = _from_coords(U.basis, QMatrix(v, d, self.p))
         t_prime = t.mul(v_elem.inv())
         if (
             parts.u_zero.contains(v_elem)
@@ -932,7 +934,7 @@ class LinearModel:
                     bound = int(max(0, meet[r][s]))
                     y = [list(row) for row in _IDENTITY[n]]
                     y[r][s] = self.p**bound
-                    return False, _from_coords(U.basis, y)
+                    return False, _from_coords(U.basis, QMatrix.make(y, self.p))
         return True, "U_-- has closed shape form and meets U in U_-"
 
     def net_schedule(self, g, n_max):
@@ -954,7 +956,7 @@ class LinearModel:
             # One level finer than U_n's congruence depth, so that the
             # conjugate g u_n g^-1 (which loses one level) stays in U_n and
             # the two-sided construction applies at every stage.
-            u = _from_coords(basis, ((1, 0), (self.p ** (k + 1), 1)))
+            u = _from_coords(basis, QMatrix.make(((1, 0), (self.p ** (k + 1), 1)), self.p))
             out.append((k, U, u))
         return out
 
@@ -984,7 +986,7 @@ class LinearModel:
         n = self.n
         y = [list(row) for row in _IDENTITY[n]]
         y[n - 1][0] = scalar
-        return _from_coords(self.eigen_data(g)[0], y)
+        return _from_coords(self.eigen_data(g)[0], QMatrix.make(y, self.p))
 
     def parse_element(self, text):
         return QMatrix.make(_parse_rows(text, Fraction, self.n, "matrix"), self.p)

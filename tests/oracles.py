@@ -2,14 +2,15 @@
 
 They enumerate whole element sets, follow orbits step by step or read
 membership off a definition, so they are meant for small images and short
-horizons only and are no part of the package.  The samplers draw random elements of the sets the models
-describe exactly, for the tests that hold an exact oracle to trajectories
-or window images.
+horizons only and are no part of the package.  The samplers draw random
+elements of the sets the models describe exactly, for the tests that hold
+an exact oracle to trajectories or window images.
 """
 
 from tdlcw.epseq import EPSeq
 from tdlcw.kernel import INF_LEVEL, conjugate
-from tdlcw.linear import _from_coords
+from tdlcw.limits import HypothesisError
+from tdlcw.linear import QMatrix, _from_coords
 from tdlcw.shift import ShiftElement, lamp_element, shift_identity
 
 
@@ -37,6 +38,23 @@ def trajectory_contracts(model, g, x, K, N):
             return False
         y = conjugate(g, y)
     return reached
+
+
+def stage_conjugator(model, g, u, U, N, parts, powers):
+    """`limits._stage_conjugator` step by step, as the construction states
+    it: each step forms h = (gu)^n t g^-n from the `PowerTable`, checks
+    that b_n = t^-1 h lies in U, splits u h = w_- w_+ and updates
+    t <- t g^-n w_+^-1 g^n."""
+    t = model.identity
+    for n in range(N):
+        h = powers.gu[n].mul(t).mul(powers.g_inv[n])
+        if not U.contains(t.inv().mul(h)):
+            raise HypothesisError(f"certificate b_{n} escapes U")
+        _w_minus, w_plus = model.split(u.mul(h), U, g, parts)
+        t = t.mul(powers.g_inv[n].mul(w_plus.inv()).mul(powers.g[n]))
+    if not parts.u_plus.contains(t):
+        raise HypothesisError("constructed conjugator escapes U_+")
+    return t
 
 
 def quotient_contains(quotient, x):
@@ -74,7 +92,7 @@ def sample_con_elements(model, g, rng, count):
             for s in range(n):
                 if vals[r] > vals[s] and rng.random() < 0.8:
                     y[r][s] = rng.randrange(-3, 4) * p ** rng.randrange(0, 3)
-        out.append(_from_coords(basis, y))
+        out.append(_from_coords(basis, QMatrix.make(y, p)))
     return out
 
 

@@ -235,6 +235,29 @@ class TestCommands:
         assert code == 0
         assert path.read_text().count("\n") == 1
 
+    def test_out_path_that_cannot_be_written_exits_2_before_any_work(
+            self, capsys, tmp_path, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("scale computed before --out was opened")
+
+        monkeypatch.setattr(cli.tidy, "scale_index", no_work)
+        missing = tmp_path / "no-such-dir" / "x.json"
+        for path in (missing, tmp_path):
+            code, rows, err = run(["scale", "--model", "shift", "--out", str(path)], capsys)
+            assert (code, rows) == (2, [])
+            assert err.startswith(f"error: cannot write {path}: ")
+            assert err.count("\n") == 1
+        assert not missing.parent.exists()
+
+    def test_out_file_keeps_its_content_on_bad_input(self, capsys, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text("earlier rows\n")
+        code, _, _ = run(["scale", "--model", "shift", "--g", "nonsense", "--out", str(path)],
+                         capsys)
+        assert code == 2 and path.read_text() == "earlier rows\n"
+        code = cli.main(["scale", "--model", "shift", "--out", str(path)])
+        assert code == 0 and path.read_text() == capsys.readouterr().out
+
 
 class TestChecksCanFail:
     """Each command check rejects a wrong input fed in by a patched oracle."""

@@ -5,10 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import sample_con_elements
+from oracles import sample_con_elements, stage_conjugator
 
 from tdlcw import cli, limits, tidy
-from tdlcw.kernel import SubgroupImage, WindowMismatchError, conjugate
+from tdlcw.kernel import SubgroupImage, TdlcwError, WindowMismatchError, conjugate
 from tdlcw.linear import LinearModel, ShapeSubgroup, iwahori_shape
 from tdlcw.shift import ShiftModel, lamp_element, shift_generator, w_subgroup
 
@@ -357,6 +357,132 @@ class TestTwoSidedConjugator:
         assert U.contains(u) and not U.contains(conjugate(g, u))
         with pytest.raises(limits.HypothesisError):
             limits.conjugator_two_sided(linear, g, u, U, 6)
+
+
+def _stage_family():
+    """(model, g, U, u) over which the stage is held to its per-step oracle:
+    shift and 2x2 elements at every p, 2x2 elements whose eigenbasis is not
+    the identity, and diagonal elements whose valuations are not sorted,
+    with U in the identity basis, so that the split's permutation is real."""
+    out = []
+    for p in (2, 3, 5, 7):
+        model = ShiftModel(p)
+        for g_text in ("shift:1", "shift:3", "lamp:0*shift:1"):
+            g = model.parse_element(g_text)
+            for u_text in ("lamp:2", "lamp:3,5", "lamp:-8,-7,-5,-3,2,4,6,7", "lamp:-2", "lamp:1"):
+                out.append((model, g, model.default_subgroup(g), model.parse_element(u_text)))
+        model = LinearModel(p, 2)
+        for g_text in sorted({f"{p},0;0,1", "2,1;0,1", f"{p},1;0,1", f"1,0;0,{p}"}):
+            g = model.parse_element(g_text)
+            out += _linear_cases(model, g, model.default_subgroup(g))
+        out += _linear_cases(model, model.parse_element(f"1,0;0,{p}"),
+                             ShapeSubgroup(model.identity, ((0, 0), (1, 0))))
+    model = LinearModel(2, 3)
+    g = model.parse_element("4,0,0;0,2,0;0,0,1")
+    out += _linear_cases(model, g, model.default_subgroup(g))
+    out.append((model, g, model.default_subgroup(g),
+                model.parse_element("-1,2,-2;-2,1,-2;4,-2,-1")))
+    model = LinearModel(3, 3)
+    g = model.parse_element("1,0,0;0,9,0;0,0,3")
+    # The Iwahori shape of the eigenbasis (e_1, e_2, e_0), in the identity
+    # basis: the same subgroup, reached through a permutation in the split.
+    permuted = ShapeSubgroup(model.identity, ((0, 0, 0), (1, 0, 1), (1, 0, 0)))
+    assert permuted.window_image(2) == model.default_subgroup(g).window_image(2)
+    for U in (model.default_subgroup(g), permuted):
+        out += _linear_cases(model, g, U)
+    return out
+
+
+def _linear_cases(model, g, U):
+    """(model, g, U, u) for u = I + c E_(n-1, 0) in g's eigencoordinates,
+    c = p^2, p, 1: in U and g^-1 U g, or not."""
+    return [(model, g, U, model.unipotent(g, model.p ** e)) for e in (2, 1, 0)]
+
+
+def _outcome(build, stage, *args):
+    """The stages built and the result of build(*args) with `stage` as the
+    package's stage, or the class and message of the error it raised."""
+    built = []
+
+    def spy(*stage_args):
+        built.append(stage(*stage_args))
+        return built[-1]
+
+    real = limits._stage_conjugator
+    limits._stage_conjugator = spy
+    try:
+        return built, build(*args)
+    except TdlcwError as exc:
+        return built, (type(exc), str(exc))
+    finally:
+        limits._stage_conjugator = real
+
+
+def _both_outcomes(build, *args):
+    """`_outcome` of the package's stage and of the per-step oracle."""
+    return (_outcome(build, limits._stage_conjugator, *args),
+            _outcome(build, stage_conjugator, *args))
+
+
+class TestStageAgainstOracle:
+    """The stage carries h = g w_- g^-1 and P = P w_+^-1 g^-1 from step to
+    step; the oracle forms h from the powers of gu and g and checks each
+    b_n explicitly.  t, s, r, the certificates and the first failure must
+    be the same."""
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 12, 24])
+    def test_stage_equals_the_per_step_oracle(self, N):
+        outcomes = set()
+        for model, g, U, u in _stage_family():
+            for build in (limits.conjugator_forward, limits.conjugator_two_sided):
+                ours, oracle = _both_outcomes(build, model, g, u, U, N)
+                assert ours == oracle, (model.name, model.p, g, u, U, build.__name__)
+                outcomes.add(type(ours[1]).__name__)
+                if build is limits.conjugator_two_sided and isinstance(ours[1], limits.TwoSidedTrace):
+                    assert len(ours[0]) == 2 and ours[0][0] == ours[1].forward.t
+        # The family holds successful runs of both builders and failures.
+        assert outcomes == {"ConjugatorTrace", "TwoSidedTrace", "tuple"}
+
+    @pytest.mark.parametrize("model", [ShiftModel(2), LinearModel(2, 2)], ids=["shift", "linear"])
+    @pytest.mark.parametrize("side", ["forward", "backward"])
+    def test_escape_at_a_chosen_step_matches_the_oracle(self, model, side, monkeypatch):
+        # Step n0's split returns (w_- v, v^-1 w_+) with v in U_+ of its run
+        # and g v g^-1 outside U: the product is right and t stays in U_+,
+        # but the next step's input u h leaves U, so b_(n0+1) escapes.  At
+        # n0 = N - 1 no step follows, and the final certificates catch it.
+        N = 6
+        g = model.default_element()
+        U = model.default_subgroup(g)
+        u = (lamp_element(2, {2: 1}) if model.name == "shift"
+             else model.parse_element("1,0;4,1"))
+        parts = tidy.u_parts(model, U, g)
+        h, plus = (g, parts.u_plus) if side == "forward" else (g.inv(), parts.u_minus)
+        candidates = ([lamp_element(2, {i: 1}) for i in range(-4, 5)] if model.name == "shift"
+                      else [model.parse_element(x) for x in ("1,2;0,1", "1,0;1,1")])
+        v = next(v for v in candidates if plus.contains(v) and not U.contains(conjugate(h, v)))
+        split = type(model).split
+        for n0 in (0, 1, 3, N - 1):
+            calls = []
+            chosen = n0 if side == "forward" else N + n0
+
+            def faulty_split(self, x, U, g, parts):
+                calls.append(x)
+                w_minus, w_plus = split(self, x, U, g, parts)
+                if len(calls) == chosen + 1:
+                    return w_minus.mul(v), v.inv().mul(w_plus)
+                return w_minus, w_plus
+
+            monkeypatch.setattr(type(model), "split", faulty_split)
+            builds = ((limits.conjugator_forward, limits.conjugator_two_sided)
+                      if side == "forward" else (limits.conjugator_two_sided,))
+            for build in builds:
+                results = []
+                for stage in (limits._stage_conjugator, stage_conjugator):
+                    calls.clear()
+                    results.append(_outcome(build, stage, model, g, u, U, N)[1])
+                k = -N if side == "backward" and n0 == N - 1 else n0 + 1
+                expected = (limits.HypothesisError, f"certificate b_{k} escapes U")
+                assert results == [expected, expected], (n0, build.__name__)
 
 
 def _battery_transport(model):

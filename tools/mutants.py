@@ -120,6 +120,17 @@ MUTANTS = [
     ("window-inv-by-det", "kernel.py",
      "dinv = pow(det(a), -1, m)",
      "dinv = det(a) % m"),
+    ("stage-h-conjugated-backwards", "limits.py",
+     "h = g.mul(w_minus).mul(g_inv)",
+     "h = g_inv.mul(w_minus).mul(g)"),
+    ("stage-final-power-off-by-one", "limits.py",
+     "t = P.mul(powers.g[N])",
+     "t = P.mul(powers.g[N - 1])"),
+    ("stage-escape-unmapped", "limits.py",
+     "        try:\n            w_minus, w_plus = model.split(u.mul(h), U, g, parts)\n"
+     "        except ContainmentError:\n"
+     "            raise HypothesisError(f\"certificate b_{n} escapes U\") from None\n",
+     "        w_minus, w_plus = model.split(u.mul(h), U, g, parts)\n"),
 ]
 
 
