@@ -254,7 +254,7 @@ def power(one, g, k):
 
 def conjugate(g, x):
     """g x g^-1, for elements with `mul` and `inv`."""
-    return g.mul(x).mul(g.inv())
+    return g.mul(x, g.inv())
 
 
 def mulmod(a, b, m):

@@ -21,12 +21,12 @@ g'u' = (gu)^-1, the backward stage reads the table with its columns
 swapped, and so gets (g^-1)^N.  The certificates b_k are kept and replay
 independently of the table: with c = x^-1 (gu) x, the identity at k says
 b_k = c^k g^-k, which holds for every |k| <= N exactly when b_0 = 1 and
-b_{k+s} = c^s b_k g^-s for s = +-1 (induction on |k|), O(N) products
-that never form (gu)^k.  The replay also evaluates the identity at
-k = +-N by square-and-multiply (`model.power`); the induction already
-implies it, so it catches no fault the induction misses, and it is kept
-only so that the benchmark's `*.power.*` metrics keep measuring
-`model.power`.
+b_{k+s} = c^s b_k g^-s for s = +-1 (induction on |k|): N `mul` calls of
+two products each per side, none forming (gu)^k.  The replay also
+evaluates the identity at k = +-N by square-and-multiply (`model.power`);
+the induction already implies it, so it catches no fault the induction
+misses, and it is kept only so that the benchmark's `*.power.*` metrics
+keep measuring `model.power`.
 
 The transport of contraction groups along a conjugator t is decided on
 window images: t closure(con g) t^-1 and closure(con gu) are compared at
@@ -84,7 +84,7 @@ class PowerTable(Value):
         HypothesisError when b_k escapes U."""
         gu_k, g_minus_k = ((self.gu[k], self.g_inv[k]) if k >= 0
                            else (self.gu_inv[-k], self.g[-k]))
-        b = x_inv.mul(gu_k).mul(x).mul(g_minus_k)
+        b = x_inv.mul(gu_k, x, g_minus_k)
         if not U.contains(b):
             raise HypothesisError(f"certificate b_{k} escapes U")
         return b
@@ -102,11 +102,11 @@ def _induction_holds(model, trace, x, certs, signs):
             or certs[0] != model.identity
             or not all(trace.U.contains(b) for b in certs.values())):
         return False
-    c = x.inv().mul(g.mul(trace.u)).mul(x)
+    c = x.inv().mul(g, trace.u, x)
     for s in signs:
         c_s, g_minus_s = (c, g.inv()) if s > 0 else (c.inv(), g)
         for k in range(0, s * N, s):
-            if certs[k + s] != c_s.mul(certs[k]).mul(g_minus_s):
+            if certs[k + s] != c_s.mul(certs[k], g_minus_s):
                 return False
     return True
 
@@ -124,7 +124,7 @@ def _replay(model, trace, x, certs, signs):
         return False
     gu, x_inv = trace.g.mul(trace.u), x.inv()
     return all(
-        x_inv.mul(model.power(gu, k)).mul(x)
+        x_inv.mul(model.power(gu, k), x)
         == certs[k].mul(model.power(trace.g, k))
         for k in (s * trace.horizon for s in signs))
 
@@ -180,7 +180,8 @@ def _stage_conjugator(model, g, u, U, N, parts, powers):
 
     Step n splits u h_n = w_- w_+ with h_n = (gu)^n t_n g^-n and sets
     t_{n+1} = t_n g^-n w_+^-1 g^n.  Three identities spare every power but
-    g^N, for five products and one inverse a step:
+    g^N, for five products and one inverse a step, in three `mul` calls
+    that each reduce to lowest terms once:
     1. h_{n+1} = (gu) h_n w_+^-1 g^-1 = g w_- g^-1 and h_0 = 1: expand
        t_{n+1} in h_{n+1}, then u h_n w_+^-1 = w_-.
     2. t_n = P_n g^n for P_0 = 1, P_{n+1} = P_n w_+^-1 g^-1: expand t_{n+1}.
@@ -195,8 +196,8 @@ def _stage_conjugator(model, g, u, U, N, parts, powers):
             w_minus, w_plus = model.split(u.mul(h), U, g, parts)
         except ContainmentError:
             raise HypothesisError(f"certificate b_{n} escapes U") from None
-        h = g.mul(w_minus).mul(g_inv)
-        P = P.mul(w_plus.inv()).mul(g_inv)
+        h = g.mul(w_minus, g_inv)
+        P = P.mul(w_plus.inv(), g_inv)
     t = P.mul(powers.g[N])
     if not parts.u_plus.contains(t):
         raise HypothesisError("constructed conjugator escapes U_+")

@@ -145,19 +145,36 @@ class QMatrix:
         e = self.rows[r][s]
         return INF if e == 0 else _vpi(e, self.p) - _vpi(self.den, self.p)
 
-    def mul(self, other):
+    def mul(self, *factors):
+        """self * factors[0] * factors[1] * ..., in lowest terms.
+
+        The integer rows and the denominators are multiplied through every
+        factor and reduced once, at the end.  Lowest terms are unique, so
+        the result equals the chain of two-factor products; a chain costs
+        one gcd and one round of exact divisions instead of one per factor.
+        """
+        den = self.den
         if len(self.rows) == 2:
             (a, b), (c, d) = self.rows
-            (e, f), (g, h) = other.rows
-            rows = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+            for other in factors:
+                (e, f), (g, h) = other.rows
+                a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+                den *= other.den
+            rows = ((a, b), (c, d))
         else:
-            (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = other.rows
-            rows = tuple(
-                (x * b0 + y * b3 + z * b6, x * b1 + y * b4 + z * b7,
-                 x * b2 + y * b5 + z * b8)
-                for x, y, z in self.rows
-            )
-        return QMatrix(rows, self.den * other.den, self.p)
+            (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = self.rows
+            for other in factors:
+                (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = other.rows
+                a0, a1, a2, a3, a4, a5, a6, a7, a8 = (
+                    a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
+                    a0 * b2 + a1 * b5 + a2 * b8,
+                    a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7,
+                    a3 * b2 + a4 * b5 + a5 * b8,
+                    a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
+                    a6 * b2 + a7 * b5 + a8 * b8)
+                den *= other.den
+            rows = ((a0, a1, a2), (a3, a4, a5), (a6, a7, a8))
+        return QMatrix(rows, den, self.p)
 
     def inv(self):
         """den * adjugate(rows) / det(rows)."""
@@ -179,12 +196,12 @@ def identity_matrix(n, p):
 
 def _coords(basis, x):
     """basis^-1 x basis: x in the coordinates of the basis columns."""
-    return x if basis.is_identity() else basis.inv().mul(x).mul(basis)
+    return x if basis.is_identity() else basis.inv().mul(x, basis)
 
 
 def _from_coords(basis, y):
     """basis y basis^-1: y given in the coordinates of the basis columns."""
-    return y if basis.is_identity() else basis.mul(y).mul(basis.inv())
+    return y if basis.is_identity() else basis.mul(y, basis.inv())
 
 
 def charpoly(g):
@@ -385,9 +402,12 @@ class ShapeSubgroup(Value):
         return self.basis.n
 
     def contains(self, x):
-        basis = self.basis
-        y = _coords(basis, x)
-        p, d = basis.p, y.den
+        return self.contains_coordinates(_coords(self.basis, x))
+
+    def contains_coordinates(self, y):
+        """Does the subgroup hold the element whose matrix in the
+        coordinates of the basis columns is y?"""
+        p, d = self.basis.p, y.den
         vd = _vpi(d, p)
         # det(y) = det(rows) / d^n is a unit iff p^(n vd) exactly divides
         # det(rows).
@@ -602,27 +622,34 @@ def project_matrix(x, K):
 def ul_factor(y):
     """Factor y = u * l with u unit upper triangular and l lower triangular.
 
-    Clears the entries above the diagonal column by column from the right,
-    each column by one unit upper triangular row operation; raises
-    FactorizationError on a zero pivot (the Bruhat obstruction).
+    Clears the entries above the diagonal column by column from the right:
+    row r < col loses m_r,col = l_r,col / l_col,col times row col.  Each
+    operation is I - sum_r m_r,col E_r,col, whose inverse puts +m_r,col in
+    column col alone, and these inverses multiply with no cross terms, so u
+    carries every multiplier in place.  The rows stay integers over one
+    common denominator, multiplied by each pivot; they are reduced once,
+    at the end.  Raises FactorizationError on a zero pivot (the Bruhat
+    obstruction).
     """
-    n, l = y.n, y
-    u_inv = identity_matrix(n, y.p)
+    n, rows, den = y.n, y.rows, y.den
+    steps = []  # (col, pivot, rows[r][col] for r < col): m_r,col, as den cancels
     for col in range(n - 1, 0, -1):
-        pivot = l.rows[col][col]
+        pivot = rows[col][col]
         if pivot == 0:
             raise FactorizationError("zero pivot in UL elimination", witness=y)
-        # Row r -= (l_r,col / pivot) row col for r < col; den cancels.
-        op = tuple(
-            tuple(
-                -l.rows[r][col] if s == col and r < col else pivot * (r == s)
-                for s in range(n)
-            )
-            for r in range(n)
-        )
-        op = QMatrix(op, pivot, y.p)
-        l, u_inv = op.mul(l), op.mul(u_inv)
-    u = u_inv.inv()
+        steps.append((col, pivot, [row[col] for row in rows[:col]]))
+        rows = [[pivot * e - row[col] * f for e, f in zip(row, rows[col])]
+                if r < col else [pivot * e for e in row]
+                for r, row in enumerate(rows)]
+        den *= pivot
+    # u over the product D of the pivots: entry (r, col) is m_r,col D.
+    D = math.prod(pivot for _, pivot, _ in steps)
+    u = [[D * (r == s) for s in range(n)] for r in range(n)]
+    for col, pivot, column in steps:
+        for r, e in enumerate(column):
+            u[r][col] = e * (D // pivot)
+    u = QMatrix(tuple(map(tuple, u)), D, y.p)
+    l = QMatrix(tuple(map(tuple, rows)), den, y.p)
     assert u.mul(l) == y
     return u, l
 
@@ -819,8 +846,17 @@ class LinearModel:
     # -- symbolic subgroup dynamics -----------------------------------------
 
     def _require_aligned(self, U, g):
+        """(U's basis, the valuations of g's eigenvalues in its column
+        order); raises unless g is diagonal in U's basis.  A basis whose
+        columns are those of g's eigenbasis in another order, as the
+        eigenbasis of g^-1 is, is matched column by column, with no product.
+        """
         basis, vals = self.eigen_data(g)
         if U.basis != basis:
+            index = {col: i for i, col in enumerate(zip(*basis.rows))}
+            order = [index.get(col) for col in zip(*U.basis.rows)]
+            if U.basis.den == basis.den and None not in order:
+                return U.basis, tuple(vals[i] for i in order)
             d = _coords(U.basis, g)
             if all(i == j or d.rows[i][j] == 0 for i in range(self.n) for j in range(self.n)):
                 vals = tuple(d.val(i, i) for i in range(self.n))
@@ -862,7 +898,12 @@ class LinearModel:
         _, vals = self._require_aligned(U, g)
         if len(set(vals)) == 1:
             return x, self.identity
-        if not U.contains(x):
+        # The parts share U's basis, so x enters its coordinates once and
+        # only the two factors leave them.
+        basis = U.basis
+        assert parts.u_minus.basis == parts.u_plus.basis == basis
+        y = _coords(basis, x)
+        if not U.contains_coordinates(y):
             raise ContainmentError("split input must lie in U", x)
         # Sort coordinates by descending valuation (g's eigenbasis is sorted
         # already) so the contracting entries sit strictly above the
@@ -876,15 +917,15 @@ class LinearModel:
             return QMatrix(tuple(tuple(m.rows[r][s] for s in order) for r in order),
                            m.den, m.p)
 
-        u, low = ul_factor(permuted(_coords(U.basis, x), perm))
-        w_minus = _from_coords(U.basis, permuted(u, inv_perm))
-        w_plus = _from_coords(U.basis, permuted(low, inv_perm))
-        if not (parts.u_minus.contains(w_minus) and parts.u_plus.contains(w_plus)):
+        u, low = ul_factor(permuted(y, perm))
+        u, low = permuted(u, inv_perm), permuted(low, inv_perm)
+        if not (parts.u_minus.contains_coordinates(u)
+                and parts.u_plus.contains_coordinates(low)):
             raise FactorizationError(
                 "UL factors leave the tidy parts; U is not tidy above here",
                 witness=x,
             )
-        return w_minus, w_plus
+        return _from_coords(basis, u), _from_coords(basis, low)
 
     def adjust_to_contraction(self, t, U, g, parts):
         """Split t = t' * v with v in U_0 and t' in con(g^-1) ^ U_+.
@@ -939,25 +980,24 @@ class LinearModel:
 
     def net_schedule(self, g, n_max):
         """Default shrinking schedule in g's eigenbasis: U_n is the
-        congruence-refined off-diagonal-level subgroup at depth n, and u_n
-        perturbs the expanding coordinate at depth n."""
+        congruence-refined off-diagonal-level subgroup at depth n, and
+        u_n = I + p^(n + v_0 - v_last) E_last,0 perturbs the most expanding
+        coordinate at depth n."""
         basis, vals = self.integral_basis(g)
-        if self.n != 2 or vals[0] <= vals[1]:
+        if any(a <= b for a, b in zip(vals, vals[1:])):
             raise UnsupportedElementError(
-                "the default schedule needs a 2x2 element with distinct "
-                "eigenvalue valuations"
+                "the default schedule needs distinct eigenvalue valuations"
             )
-        out = []
+        n, out = self.n, []
         for k in range(1, n_max + 1):
-            shape = shape_entrywise_max(
-                iwahori_shape(2), congruence_shape(2, k)
-            )
-            U = ShapeSubgroup(basis, shape)
-            # One level finer than U_n's congruence depth, so that the
-            # conjugate g u_n g^-1 (which loses one level) stays in U_n and
-            # the two-sided construction applies at every stage.
-            u = _from_coords(basis, QMatrix.make(((1, 0), (self.p ** (k + 1), 1)), self.p))
-            out.append((k, U, u))
+            U = ShapeSubgroup(basis, shape_entrywise_max(iwahori_shape(n),
+                                                         congruence_shape(n, k)))
+            # v_0 - v_last levels finer than U_n's congruence depth, so that
+            # the conjugate g u_n g^-1 (which loses that many levels) stays
+            # in U_n and the two-sided construction applies at every stage.
+            y = [list(row) for row in _IDENTITY[n]]
+            y[n - 1][0] = self.p ** (k + vals[0] - vals[-1])
+            out.append((k, U, _from_coords(basis, QMatrix.make(y, self.p))))
         return out
 
     # -- defaults and syntax ------------------------------------------------

@@ -37,10 +37,14 @@ class ShiftElement(Value):
     def p(self):
         return self.lamp.p
 
-    def mul(self, other):
-        if self.p != other.p:
-            raise WindowMismatchError("prime mismatch")
-        return ShiftElement(self.lamp.add(other.lamp.shift(self.shift)), self.shift + other.shift)
+    def mul(self, *factors):
+        """self * factors[0] * factors[1] * ..., factor by factor."""
+        lamp, shift = self.lamp, self.shift
+        for other in factors:
+            if self.p != other.p:
+                raise WindowMismatchError("prime mismatch")
+            lamp, shift = lamp.add(other.lamp.shift(shift)), shift + other.shift
+        return ShiftElement(lamp, shift)
 
     def inv(self):
         return ShiftElement(self.lamp.neg().shift(-self.shift), -self.shift)

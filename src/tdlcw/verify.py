@@ -153,5 +153,5 @@ def normal_closure_witness(b):
 
     g = shift_generator(p, 1)
     a_elem = ShiftElement(a, 0)
-    product = a_elem.mul(g).mul(a_elem.inv()).mul(g.inv())
+    product = a_elem.mul(g, a_elem.inv(), g.inv())
     return a, product == ShiftElement(b, 0)

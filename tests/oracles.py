@@ -10,7 +10,7 @@ an exact oracle to trajectories or window images.
 from tdlcw.epseq import EPSeq
 from tdlcw.kernel import INF_LEVEL, conjugate
 from tdlcw.limits import HypothesisError
-from tdlcw.linear import QMatrix, _from_coords
+from tdlcw.linear import FactorizationError, QMatrix, _from_coords, identity_matrix
 from tdlcw.shift import ShiftElement, lamp_element, shift_identity
 
 
@@ -55,6 +55,23 @@ def stage_conjugator(model, g, u, U, N, parts, powers):
     if not parts.u_plus.contains(t):
         raise HypothesisError("constructed conjugator escapes U_+")
     return t
+
+
+def ul_factor(y):
+    """`linear.ul_factor` by row operations: each column, from the right,
+    is cleared by the unit upper triangular matrix that subtracts
+    l_r,col / l_col,col times row col from each row r < col; those
+    operations multiply into u^-1, and u is its inverse."""
+    n, l = y.n, y
+    u_inv = identity_matrix(n, y.p)
+    for col in range(n - 1, 0, -1):
+        pivot = l.rows[col][col]
+        if pivot == 0:
+            raise FactorizationError("zero pivot in UL elimination", witness=y)
+        op = QMatrix(tuple(tuple(-l.rows[r][col] if s == col and r < col else pivot * (r == s)
+                                 for s in range(n)) for r in range(n)), pivot, y.p)
+        l, u_inv = op.mul(l), op.mul(u_inv)
+    return u_inv.inv(), l
 
 
 def quotient_contains(quotient, x):

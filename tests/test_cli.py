@@ -651,6 +651,7 @@ RANGE_COMMANDS = [
     # Con-closure images in two unrelated eigenbases, compared by generators.
     ["experiment", "limits", "--model", "linear", "--p", "7", "--resolution", "8"],
     ["experiment", "limits", "--n-max", "12"],
+    ["experiment", "limits", "--model", "linear", "--n", "3"],
     ["scale", "--resolution", "4"],
     # An 18-digit eigenvalue: its roots come from bisection.
     ["scale", "--model", "linear", "--g", "1000000000000000000,1;0,1"],

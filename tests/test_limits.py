@@ -8,6 +8,7 @@ import pytest
 from oracles import sample_con_elements, stage_conjugator
 
 from tdlcw import cli, limits, tidy
+from tdlcw import linear as linear_module
 from tdlcw.kernel import SubgroupImage, TdlcwError, WindowMismatchError, conjugate
 from tdlcw.linear import LinearModel, ShapeSubgroup, iwahori_shape
 from tdlcw.shift import ShiftModel, lamp_element, shift_generator, w_subgroup
@@ -553,6 +554,32 @@ class TestBackwardStageShortcuts:
                 build(linear, g, linear.parse_element("1,1/2;0,1"), U, 6)
 
 
+def test_split_changes_coordinates_once_in_and_once_per_factor(monkeypatch):
+    # U's basis, g's eigenbasis, is not the identity; the backward stage
+    # reads it as the eigenbasis of g^-1 in the other column order.
+    model = LinearModel(2, 2)
+    g = model.parse_element("2,1;0,1")
+    u, U, N = model.unipotent(g, 4), model.default_subgroup(g), 24
+    assert not U.basis.is_identity()
+    parts = tidy.u_parts(model, U, g)
+    powers = limits.PowerTable.build(model, g, u, N)
+    backward = tidy.UParts(parts.u_minus, parts.u_plus, parts.u_zero, parts.u_pp, parts.u_mm)
+    model.eigen_data(g.inv())  # computed here: the eigenbasis check changes coordinates
+    counts = {}
+    for name in ("_coords", "_from_coords"):
+        def counted(basis, x, change=getattr(linear_module, name), name=name):
+            counts[name] += 1
+            return change(basis, x)
+        monkeypatch.setattr(linear_module, name, counted)
+    for stage in ((g, u, U, N, parts, powers),
+                  (g.inv(), conjugate(g, u).inv(), U, N, backward, powers.backward())):
+        counts.update(_coords=0, _from_coords=0)
+        limits._stage_conjugator(model, *stage)
+        # Per step: x into U's coordinates, w_- and w_+ out; plus the
+        # final check of t in U_+.
+        assert counts == {"_coords": N + 1, "_from_coords": 2 * N}
+
+
 class TestTransport:
     def test_con_transport_both_models(self, shift, linear):
         g = shift_generator(2, 1)
@@ -700,6 +727,7 @@ class TestNetExperiment:
         lambda: (ShiftModel(2), None),
         lambda: (LinearModel(2, 2), "2,0;0,1"),
         lambda: (LinearModel(3, 2), "3,0;0,1"),
+        lambda: (LinearModel(2, 3), "4,0,0;0,2,0;0,0,1"),
     ])
     def test_schedules_converge(self, maker):
         model, g_text = maker()

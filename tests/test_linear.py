@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import is_subgroup, sample_con_elements, trajectory_contracts
 
 from tdlcw.kernel import INF_LEVEL, UnsupportedElementError, adjugate, conjugate, det
@@ -489,6 +490,28 @@ class TestEigenbasis:
         assert LinearModel(2).scale_formula(g) == 2**18
 
 
+def invertible(n):
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return rows.filter(lambda r: det(r) != 0).map(lambda r: QMatrix.make(r, 2))
+
+
+class TestMul:
+    @settings(max_examples=120, deadline=None)
+    @given(factors=st.sampled_from([2, 3]).flatmap(
+        lambda n: st.lists(invertible(n), min_size=2, max_size=5)))
+    def test_one_reduction_equals_the_chained_product(self, factors):
+        x, rest = factors[0], factors[1:]
+        out = x.mul(*rest)
+        chained, reference = x, x.entries
+        for factor in rest:
+            chained, reference = chained.mul(factor), mat_mul(reference, factor.entries)
+        assert out == chained and out.entries == reference
+        # Canonical form: a positive denominator prime to the rows.
+        assert out.den > 0
+        assert math.gcd(out.den, *(e for row in out.rows for e in row)) == 1
+
+
 class TestULFactor:
     @settings(max_examples=80, deadline=None)
     @given(x=st.one_of(invertible_2x2(), invertible_3x3()))
@@ -507,6 +530,40 @@ class TestULFactor:
         assert mat_mul(u, low) == x.entries
         assert all(u[r][s] == (r == s) for r in range(n) for s in range(r + 1))
         assert all(low[r][s] == 0 for r in range(n) for s in range(r + 1, n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(x=st.one_of(invertible(2), invertible(3)))
+    def test_equals_the_row_operation_oracle(self, x):
+        try:
+            expected = oracles.ul_factor(x)
+        except FactorizationError:
+            with pytest.raises(FactorizationError, match="zero pivot"):
+                ul_factor(x)
+            return
+        assert ul_factor(x) == expected
+
+    @pytest.mark.parametrize("rows", [
+        "4,2,1;6,3,-1;1/2,5,7",          # dense, a denominator
+        "1,2,3;0,1,4;0,0,1",             # upper: l is diagonal
+        "2,0,0;1,3,0;5,-1,7",            # lower: u is the identity
+        "1,1/3,0;0,2,1/2;1,0,1/4",       # second pivot after elimination
+        "-2,5,1;3,-7,2;-1,4,-9",         # negative pivots
+    ])
+    def test_3x3_equals_the_row_operation_oracle(self, rows):
+        x = LinearModel(2, 3).parse_element(rows)
+        assert ul_factor(x) == oracles.ul_factor(x)
+
+    @pytest.mark.parametrize("rows", [
+        "1,2;3,0",                       # zero last pivot, 2x2
+        "1,2,3;4,5,6;7,8,0",             # zero last pivot, 3x3
+        "1,2,3;4,2,6;7,1,3",             # zero middle pivot after elimination
+    ])
+    def test_zero_pivot_raises_with_the_input_as_witness(self, rows):
+        x = LinearModel(2, 3 if rows.count(";") == 2 else 2).parse_element(rows)
+        for factor in (ul_factor, oracles.ul_factor):
+            with pytest.raises(FactorizationError, match="zero pivot") as info:
+                factor(x)
+            assert info.value.witness == x
 
 
 class TestShapes:
@@ -671,14 +728,26 @@ class TestSplitAndParts:
         parts = model.u_parts_symbolic(U, g)
         assert parts.u_plus is U and parts.u_minus is U and parts.u_zero is U
 
-    def test_net_schedule_satisfies_both_hypotheses(self):
-        for p in (2, 3):
-            model = LinearModel(p, 2)
-            g = model.parse_element(f"{p},0;0,1")
-            for n, U, u in model.net_schedule(g, 5):
-                assert U.contains(u)
-                assert U.contains(conjugate(g, u))
-                assert model.proximity_level(u) == n + 1
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("g_text, spread", [
+        ("{p},0;0,1", 1), ("{p2},0;0,1", 2), ("{p2},0,0;0,{p},0;0,0,1", 2)],
+        ids=["diag(p,1)", "diag(p^2,1)", "diag(p^2,p,1)"])
+    def test_net_schedule_satisfies_both_hypotheses(self, p, g_text, spread):
+        # u_n = I + p^(n + v_0 - v_last) E_last,0: conjugation by g costs
+        # v_0 - v_last levels, so g u_n g^-1 stays in U_n.
+        text = g_text.format(p=p, p2=p * p)
+        model = LinearModel(p, text.count(";") + 1)
+        g = model.parse_element(text)
+        for n, U, u in model.net_schedule(g, 5):
+            assert U.contains(u)
+            assert U.contains(conjugate(g, u))
+            assert model.proximity_level(u) == n + spread
+
+    def test_net_schedule_needs_distinct_valuations(self):
+        model = LinearModel(2, 3)
+        for text in ("4,0,0;0,4,0;0,0,1", "4,0,0;0,1,0;0,0,3"):
+            with pytest.raises(UnsupportedElementError, match="distinct eigenvalue valuations"):
+                model.net_schedule(model.parse_element(text), 3)
 
 
 def test_default_resolution_stays_under_the_enumeration_budget():

@@ -1,6 +1,7 @@
 """The lamp-shift model: group laws, vanish-set subgroups, and oracles."""
 
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,22 @@ class TestGroupLaws:
     @given(x=elements(), y=elements(), z=elements())
     def test_associativity(self, x, y, z):
         assert x.mul(y).mul(z) == x.mul(y.mul(z))
+
+    @settings(max_examples=100, deadline=None)
+    @given(factors=st.lists(elements(p=3), min_size=2, max_size=5))
+    def test_multi_factor_mul_is_the_chained_product(self, factors):
+        x, rest = factors[0], factors[1:]
+        chained = x
+        for factor in rest:
+            chained = chained.mul(factor)
+        out = x.mul(*rest)
+        assert out == chained
+        # (a, m)(b, n) = (a + sigma^m b, m + n), position by position.
+        before = [0, *accumulate(f.shift for f in factors)]
+        assert out.shift == before[-1]
+        for i in range(-20, 21):
+            assert out.lamp.value_at(i) == sum(
+                f.lamp.value_at(i - m) for f, m in zip(factors, before)) % 3
 
     @settings(max_examples=150, deadline=None)
     @given(x=elements())

@@ -121,8 +121,8 @@ MUTANTS = [
      "dinv = pow(det(a), -1, m)",
      "dinv = det(a) % m"),
     ("stage-h-conjugated-backwards", "limits.py",
-     "h = g.mul(w_minus).mul(g_inv)",
-     "h = g_inv.mul(w_minus).mul(g)"),
+     "h = g.mul(w_minus, g_inv)",
+     "h = g_inv.mul(w_minus, g)"),
     ("stage-final-power-off-by-one", "limits.py",
      "t = P.mul(powers.g[N])",
      "t = P.mul(powers.g[N - 1])"),
@@ -131,6 +131,15 @@ MUTANTS = [
      "        except ContainmentError:\n"
      "            raise HypothesisError(f\"certificate b_{n} escapes U\") from None\n",
      "        w_minus, w_plus = model.split(u.mul(h), U, g, parts)\n"),
+    ("mul-drops-first-den", "linear.py",
+     "den = self.den\n        if len(self.rows) == 2:",
+     "den = 1\n        if len(self.rows) == 2:"),
+    ("mul-3x3-index-swap", "linear.py",
+     "a3 * b1 + a4 * b4 + a5 * b7",
+     "a3 * b1 + a4 * b4 + a5 * b8"),
+    ("ul-multiplier-wrong-pivot", "linear.py",
+     "u[r][col] = e * (D // pivot)",
+     "u[r][col] = e * (D // steps[0][1])"),
 ]
 
 
