@@ -265,7 +265,11 @@ def con_transport_check(model, g, u, t):
     On the shift model the check holds for every t, so it cannot fail
     there: for a shifting g, closure(con g) is the whole lamp group, which
     is normal in G, and gu shifts as g does.  A shift row with a wrong t
-    still fails, through the replay of its certificates."""
+    still fails, through the replay of its certificates.
+
+    Every level is compared, not only the top one: the images here are
+    computed level by level, independently, and nothing checks that they
+    project onto each other, so the top level alone would not decide."""
     gu = g.mul(u)
     for k in range(model.min_level, TRANSPORT_K + 1):
         image = model.con_closure_image(g, k).conjugated(model.project(t, k))
@@ -360,9 +364,13 @@ def level_json(level):
 
 
 def _transports(model, r, a, b):
-    """r A r^-1 = B at every level of the approximations A and B."""
-    return all(a.image_at(k).conjugated(model.project(r, k)) == b.image_at(k)
-               for k in range(a.min_level, a.top_level + 1))
+    """r A r^-1 = B at every level of the approximations A and B, which
+    must be coherent (A_k the reduction of A_K to level k, and B_k of B_K).
+    Then the top level K decides: reduction is a homomorphism, so
+    r A_K r^-1 = B_K reduces to r_k A_k r_k^-1 = B_k.  With no levels
+    (K below min_level) the identity holds vacuously."""
+    k = a.top_level
+    return k < a.min_level or a.image_at(k).conjugated(model.project(r, k)) == b.image_at(k)
 
 
 def net_experiment(model, g, schedule, K):
@@ -382,7 +390,10 @@ def net_experiment(model, g, schedule, K):
     two closures agree through level m: d_con is indistinguishable or first
     distinguishes above level_r.  The same holds for the nubs.  A row passes
     iff the four approximations are coherent, both conjugations by r hold at
-    every level, and d_con and d_nub obey the bound.
+    every level, and d_con and d_nub obey the bound.  Coherence is checked
+    first, and for coherent approximations the conjugation at the top level
+    K projects to every level below it, so `_transports` compares level K
+    alone.
     """
     ref_con = con_closure_approx(model, g, K)
     ref_nub = nub_approx(model, g, K)

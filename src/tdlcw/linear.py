@@ -619,34 +619,38 @@ def project_matrix(x, K):
 # -- exact UL factorization --------------------------------------------------
 
 
-def ul_factor(y):
-    """Factor y = u * l with u unit upper triangular and l lower triangular.
+def ul_factor(y, order=None):
+    """Factor y = u * l with u unit upper triangular and l lower triangular
+    once rows and columns are read in `order`, a permutation of range(n)
+    (the identity when None).
 
-    Clears the entries above the diagonal column by column from the right:
-    row r < col loses m_r,col = l_r,col / l_col,col times row col.  Each
-    operation is I - sum_r m_r,col E_r,col, whose inverse puts +m_r,col in
-    column col alone, and these inverses multiply with no cross terms, so u
-    carries every multiplier in place.  The rows stay integers over one
-    common denominator, multiplied by each pivot; they are reduced once,
-    at the end.  Raises FactorizationError on a zero pivot (the Bruhat
-    obstruction).
+    Clears the entries above the diagonal column by column from the last
+    in the order: row r before col loses m_r,col = l_r,col / l_col,col times
+    row col.  Each operation is I - sum_r m_r,col E_r,col, whose inverse
+    puts +m_r,col in column col alone, and these inverses multiply with no
+    cross terms, so u carries every multiplier in place.  The rows stay
+    integers over one common denominator, multiplied by each pivot; they
+    are reduced once, at the end.  Raises FactorizationError on a zero
+    pivot (the Bruhat obstruction).
     """
     n, rows, den = y.n, y.rows, y.den
-    steps = []  # (col, pivot, rows[r][col] for r < col): m_r,col, as den cancels
-    for col in range(n - 1, 0, -1):
+    order = range(n) if order is None else order
+    steps = []  # (col, pivot, (r, rows[r][col]) for r before col): m_r,col, as den cancels
+    for i in range(n - 1, 0, -1):
+        col, before = order[i], order[:i]
         pivot = rows[col][col]
         if pivot == 0:
             raise FactorizationError("zero pivot in UL elimination", witness=y)
-        steps.append((col, pivot, [row[col] for row in rows[:col]]))
+        steps.append((col, pivot, [(r, rows[r][col]) for r in before]))
         rows = [[pivot * e - row[col] * f for e, f in zip(row, rows[col])]
-                if r < col else [pivot * e for e in row]
+                if r in before else [pivot * e for e in row]
                 for r, row in enumerate(rows)]
         den *= pivot
     # u over the product D of the pivots: entry (r, col) is m_r,col D.
     D = math.prod(pivot for _, pivot, _ in steps)
     u = [[D * (r == s) for s in range(n)] for r in range(n)]
     for col, pivot, column in steps:
-        for r, e in enumerate(column):
+        for r, e in column:
             u[r][col] = e * (D // pivot)
     u = QMatrix(tuple(map(tuple, u)), D, y.p)
     l = QMatrix(tuple(map(tuple, rows)), den, y.p)
@@ -905,20 +909,10 @@ class LinearModel:
         y = _coords(basis, x)
         if not U.contains_coordinates(y):
             raise ContainmentError("split input must lie in U", x)
-        # Sort coordinates by descending valuation (g's eigenbasis is sorted
-        # already) so the contracting entries sit strictly above the
-        # diagonal, then factor upper*lower.
-        perm = sorted(range(self.n), key=lambda r: -vals[r])
-        inv_perm = sorted(range(self.n), key=perm.__getitem__)
-
-        def permuted(m, order):
-            if order == sorted(order):
-                return m
-            return QMatrix(tuple(tuple(m.rows[r][s] for s in order) for r in order),
-                           m.den, m.p)
-
-        u, low = ul_factor(permuted(y, perm))
-        u, low = permuted(u, inv_perm), permuted(low, inv_perm)
+        # Read the coordinates by descending valuation (g's eigenbasis is
+        # sorted already, g^-1's reversed), so that the contracting entries
+        # sit strictly above the diagonal, and factor upper*lower in it.
+        u, low = ul_factor(y, sorted(range(self.n), key=lambda r: -vals[r]))
         if not (parts.u_minus.contains_coordinates(u)
                 and parts.u_plus.contains_coordinates(low)):
             raise FactorizationError(

@@ -71,7 +71,8 @@ def u_parts(model, U, g):
 
 def is_tidy_above(model, U, g, K, parts):
     """Check image_k(U_+) * image_k(U_-) = image_k(U) for every k <= K,
-    from the parts of (U, g).
+    from the parts of (U, g); the identity at K implies it below K (see
+    `untidy_above_level`), so a tidy U costs one check.
 
     Returns (True, None, None) or (False, k, witness) with the smallest
     failing k.
@@ -86,12 +87,21 @@ def is_tidy_above(model, U, g, K, parts):
 
 def untidy_above_level(model, U, K, parts):
     """The smallest level k <= K at which image_k(U_+) * image_k(U_-) is
-    not image_k(U), or None; decided by orders, so no product is formed."""
-    for k in range(model.min_level, K + 1):
-        if not product_is(parts.u_plus.window_image(k), parts.u_minus.window_image(k),
-                          U.window_image(k)):
-            return k
-    return None
+    not image_k(U), or None; decided by orders, so no product is formed.
+
+    Level K is decided first.  Reduction pi_k from level K to k <= K is a
+    homomorphism and image_k(H) = pi_k(image_K(H)), so
+    image_k(U_+) image_k(U_-) = pi_k(image_K(U_+) image_K(U_-)): the
+    identity at K gives it at every level below.  Only when K fails are
+    the levels scanned upwards for the smallest failure.
+    """
+    def tidy_at(k):
+        return product_is(parts.u_plus.window_image(k), parts.u_minus.window_image(k),
+                          U.window_image(k))
+
+    if K < model.min_level or tidy_at(K):
+        return None
+    return next((k for k in range(model.min_level, K) if not tidy_at(k)), K)
 
 
 def tidy_above_procedure(model, U, g, max_k=10, K=None):

@@ -8,7 +8,7 @@ an exact oracle to trajectories or window images.
 """
 
 from tdlcw.epseq import EPSeq
-from tdlcw.kernel import INF_LEVEL, conjugate
+from tdlcw.kernel import INF_LEVEL, conjugate, product_is
 from tdlcw.limits import HypothesisError
 from tdlcw.linear import FactorizationError, QMatrix, _from_coords, identity_matrix
 from tdlcw.shift import ShiftElement, lamp_element, shift_identity
@@ -20,6 +20,24 @@ def is_subgroup(image):
     w, elems = image.window, image.elements
     return w.identity in elems and all(
         w.inv(a) in elems and all(w.mul(a, b) in elems for b in elems) for a in elems)
+
+
+def untidy_above_level(model, U, K, parts):
+    """`tidy.untidy_above_level` level by level: the first k in
+    min_level..K at which image_k(U_+) * image_k(U_-) is not image_k(U),
+    or None."""
+    for k in range(model.min_level, K + 1):
+        if not product_is(parts.u_plus.window_image(k), parts.u_minus.window_image(k),
+                          U.window_image(k)):
+            return k
+    return None
+
+
+def transports(model, r, a, b):
+    """`limits._transports` level by level: r A_k r^-1 = B_k at every level
+    of the approximations A and B, coherent or not."""
+    return all(a.image_at(k).conjugated(model.project(r, k)) == b.image_at(k)
+               for k in range(a.min_level, a.top_level + 1))
 
 
 def trajectory_contracts(model, g, x, K, N):
@@ -57,12 +75,21 @@ def stage_conjugator(model, g, u, U, N, parts, powers):
     return t
 
 
-def ul_factor(y):
-    """`linear.ul_factor` by row operations: each column, from the right,
-    is cleared by the unit upper triangular matrix that subtracts
-    l_r,col / l_col,col times row col from each row r < col; those
-    operations multiply into u^-1, and u is its inverse."""
-    n, l = y.n, y
+def _permuted(m, order):
+    """m with rows and columns read in `order`."""
+    return QMatrix(tuple(tuple(m.rows[r][s] for s in order) for r in order), m.den, m.p)
+
+
+def ul_factor(y, order=None):
+    """`linear.ul_factor` by row operations on a copy of y with rows and
+    columns read in `order`: each column, from the right, is cleared by the
+    unit upper triangular matrix that subtracts l_r,col / l_col,col times
+    row col from each row r < col; those operations multiply into u^-1, u
+    is its inverse, and both factors are read back in y's order."""
+    n = y.n
+    order = list(range(n)) if order is None else list(order)
+    back = sorted(range(n), key=order.__getitem__)
+    l = _permuted(y, order)
     u_inv = identity_matrix(n, y.p)
     for col in range(n - 1, 0, -1):
         pivot = l.rows[col][col]
@@ -71,7 +98,7 @@ def ul_factor(y):
         op = QMatrix(tuple(tuple(-l.rows[r][col] if s == col and r < col else pivot * (r == s)
                                  for s in range(n)) for r in range(n)), pivot, y.p)
         l, u_inv = op.mul(l), op.mul(u_inv)
-    return u_inv.inv(), l
+    return _permuted(u_inv.inv(), back), _permuted(l, back)
 
 
 def quotient_contains(quotient, x):

@@ -652,6 +652,8 @@ RANGE_COMMANDS = [
     ["experiment", "limits", "--model", "linear", "--p", "7", "--resolution", "8"],
     ["experiment", "limits", "--n-max", "12"],
     ["experiment", "limits", "--model", "linear", "--n", "3"],
+    # No levels at all (min_level is 1): every level-wise identity is vacuous.
+    ["experiment", "limits", "--model", "linear", "--resolution", "0"],
     ["scale", "--resolution", "4"],
     # An 18-digit eigenvalue: its roots come from bisection.
     ["scale", "--model", "linear", "--g", "1000000000000000000,1;0,1"],

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import oracles
 from oracles import sample_con_elements, stage_conjugator
 
 from tdlcw import cli, limits, tidy
@@ -554,30 +555,62 @@ class TestBackwardStageShortcuts:
                 build(linear, g, linear.parse_element("1,1/2;0,1"), U, 6)
 
 
-def test_split_changes_coordinates_once_in_and_once_per_factor(monkeypatch):
-    # U's basis, g's eigenbasis, is not the identity; the backward stage
-    # reads it as the eigenbasis of g^-1 in the other column order.
+def _forward_and_backward_stages(N):
+    """The model and the forward and backward stage arguments at
+    g = 2,1;0,1, p = 2, u = I + 4E_10 in eigencoordinates, default U.
+
+    U's basis, g's eigenbasis, is not the identity; the backward stage
+    reads it as the eigenbasis of g^-1 in the other column order."""
     model = LinearModel(2, 2)
     g = model.parse_element("2,1;0,1")
-    u, U, N = model.unipotent(g, 4), model.default_subgroup(g), 24
+    u, U = model.unipotent(g, 4), model.default_subgroup(g)
     assert not U.basis.is_identity()
     parts = tidy.u_parts(model, U, g)
     powers = limits.PowerTable.build(model, g, u, N)
     backward = tidy.UParts(parts.u_minus, parts.u_plus, parts.u_zero, parts.u_pp, parts.u_mm)
     model.eigen_data(g.inv())  # computed here: the eigenbasis check changes coordinates
+    return model, ((g, u, U, N, parts, powers),
+                   (g.inv(), conjugate(g, u).inv(), U, N, backward, powers.backward()))
+
+
+def test_split_changes_coordinates_once_in_and_once_per_factor(monkeypatch):
+    N = 24
+    model, stages = _forward_and_backward_stages(N)
     counts = {}
     for name in ("_coords", "_from_coords"):
         def counted(basis, x, change=getattr(linear_module, name), name=name):
             counts[name] += 1
             return change(basis, x)
         monkeypatch.setattr(linear_module, name, counted)
-    for stage in ((g, u, U, N, parts, powers),
-                  (g.inv(), conjugate(g, u).inv(), U, N, backward, powers.backward())):
+    for stage in stages:
         counts.update(_coords=0, _from_coords=0)
         limits._stage_conjugator(model, *stage)
         # Per step: x into U's coordinates, w_- and w_+ out; plus the
         # final check of t in U_+.
         assert counts == {"_coords": N + 1, "_from_coords": 2 * N}
+
+
+@pytest.mark.parametrize("N", [1, 2, 24])
+def test_backward_split_builds_no_permuted_copy(monkeypatch, N):
+    # The backward split reads U's coordinates in reversed valuation order.
+    # `ul_factor` eliminates in that order in place, so a backward stage
+    # constructs exactly as many matrices as the forward one, whose order
+    # is the identity; permuted copies of y, u and l would add 3 a step.
+    model, stages = _forward_and_backward_stages(N)
+    built = [0]
+    init = linear_module.QMatrix.__init__
+
+    def counted(self, rows, den, p):
+        built[0] += 1
+        init(self, rows, den, p)
+
+    monkeypatch.setattr(linear_module.QMatrix, "__init__", counted)
+    counts = []
+    for stage in stages:
+        built[0] = 0
+        limits._stage_conjugator(model, *stage)
+        counts.append(built[0])
+    assert counts[1] == counts[0]
 
 
 class TestTransport:
@@ -753,6 +786,38 @@ class TestNetExperiment:
         assert a.image_at(3).order > 1
         assert limits._transports(model, model.identity, a, a)
         assert not limits._transports(model, model.identity, a, b)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_transport_agrees_with_the_level_scan(self, p):
+        # Coherent A and B: the con-closure approximations of g and of a
+        # perturbation gu.  r = I + p^j E_10 is the identity through level
+        # j and moves the upper unipotent A_k off itself from level j + 1
+        # on, so with j = K - 1, r A r^-1 = A fails at the top level only.
+        model, K = LinearModel(p, 2), 5
+        g = model.parse_element(f"{p},0;0,1")
+        a = limits.con_closure_approx(model, g, K)
+        b = limits.con_closure_approx(model, g.mul(model.parse_element(f"1,0;{p ** 3},1")), K)
+        assert a.coherent() and b.coherent()
+        verdicts = set()
+        for target in (a, b):
+            for j in range(K + 1):
+                r = model.parse_element(f"1,0;{p ** j},1")
+                verdict = limits._transports(model, r, a, target)
+                assert verdict == oracles.transports(model, r, a, target)
+                verdicts.add(verdict)
+                if target is a and j == K - 1:
+                    failing = [k for k in range(a.min_level, K + 1)
+                               if a.image_at(k).conjugated(model.project(r, k))
+                               != target.image_at(k)]
+                    assert failing == [K]
+        assert verdicts == {True, False}
+
+    def test_transport_holds_vacuously_with_no_levels(self, linear):
+        # Below min_level the linear approximations have no levels at all.
+        a = limits.con_closure_approx(linear, linear.parse_element("2,0;0,1"), 0)
+        assert a.images == () and a.top_level < a.min_level
+        assert limits._transports(linear, linear.parse_element("1,0;2,1"), a, a)
+        assert oracles.transports(linear, linear.parse_element("1,0;2,1"), a, a)
 
     def test_non_shrinking_schedule_rejected(self, shift):
         g = shift_generator(2, 1)

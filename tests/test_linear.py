@@ -532,15 +532,18 @@ class TestULFactor:
         assert all(low[r][s] == 0 for r in range(n) for s in range(r + 1, n))
 
     @settings(max_examples=80, deadline=None)
-    @given(x=st.one_of(invertible(2), invertible(3)))
-    def test_equals_the_row_operation_oracle(self, x):
+    @given(x=st.one_of(invertible(2), invertible(3)), data=st.data())
+    def test_equals_the_row_operation_oracle(self, x, data):
+        # In the identity order (None) and in every other; `split` asks for
+        # the reversal when it factors for g^-1.
+        order = data.draw(st.one_of(st.none(), st.permutations(range(x.n))))
         try:
-            expected = oracles.ul_factor(x)
+            expected = oracles.ul_factor(x, order)
         except FactorizationError:
             with pytest.raises(FactorizationError, match="zero pivot"):
-                ul_factor(x)
+                ul_factor(x, order)
             return
-        assert ul_factor(x) == expected
+        assert ul_factor(x, order) == expected
 
     @pytest.mark.parametrize("rows", [
         "4,2,1;6,3,-1;1/2,5,7",          # dense, a denominator
@@ -552,6 +555,14 @@ class TestULFactor:
     def test_3x3_equals_the_row_operation_oracle(self, rows):
         x = LinearModel(2, 3).parse_element(rows)
         assert ul_factor(x) == oracles.ul_factor(x)
+        reversal = [2, 1, 0]
+        try:
+            expected = oracles.ul_factor(x, reversal)
+        except FactorizationError:
+            with pytest.raises(FactorizationError, match="zero pivot"):
+                ul_factor(x, reversal)
+            return
+        assert ul_factor(x, reversal) == expected
 
     @pytest.mark.parametrize("rows", [
         "1,2;3,0",                       # zero last pivot, 2x2

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import trajectory_contracts
 
 from tdlcw import backend, tidy
@@ -63,6 +64,63 @@ class TestTidyAbove:
                 parts.u_minus.window_image(k).elements) != set(U.window_image(k).elements)),
                 None)
             assert tidy.untidy_above_level(linear, U, K, parts) == expected
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("fin, first", [((*range(-4, 2), 3), 2), ((*range(-4, 1), -6), 5)])
+    def test_a_gap_fails_first_at_the_level_that_reaches_it(self, p, fin, first):
+        # The vanish sets [-4, 1] + {3} and [-4, 0] + {-6} have a gap that
+        # windows see only from level `first` on; the top level decides
+        # every K below it, and the scan names `first` at every K above.
+        model, g = ShiftModel(p), shift_generator(p, 1)
+        U = ShiftOpen(p, VanishSet.make(fin=fin))
+        parts = tidy.u_parts(model, U, g)
+        for K in range(9):
+            expected = first if K >= first else None
+            assert tidy.untidy_above_level(model, U, K, parts) == expected
+            assert oracles.untidy_above_level(model, U, K, parts) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=st.sampled_from([2, 3]), left=st.sampled_from([None, -6, -3]),
+           right=st.sampled_from([None, 2, 5]), fin=st.sets(st.integers(-7, 4)),
+           m=st.sampled_from([1, -1, 2, -2]), K=st.integers(0, 8))
+    def test_top_level_first_equals_the_level_scan(self, p, left, right, fin, m, K):
+        model, g = ShiftModel(p), shift_generator(p, m)
+        U = ShiftOpen(p, VanishSet.make(left, fin, right))
+        try:
+            parts = tidy.u_parts(model, U, g)
+        except UnsupportedElementError:
+            return
+        assert (tidy.untidy_above_level(model, U, K, parts)
+                == oracles.untidy_above_level(model, U, K, parts))
+
+    @pytest.mark.parametrize("p, n, g_text", [(2, 2, "2,0;0,1"), (3, 2, "1,0;0,3"),
+                                              (2, 3, "4,0,0;0,2,0;0,0,1")])
+    def test_linear_reference_and_iwahori_match_the_level_scan(self, p, n, g_text):
+        # The reference subgroup fails at level 1, the first; the Iwahori
+        # subgroup in g's eigenbasis is tidy above at every level.
+        model = LinearModel(p, n)
+        g = model.parse_element(g_text)
+        iwahori = ShapeSubgroup(model.eigen_data(g)[0], iwahori_shape(n))
+        for U, first in ((model.reference(), 1), (iwahori, None)):
+            parts = tidy.u_parts(model, U, g)
+            for K in range(9):
+                expected = first if K >= model.min_level else None
+                assert tidy.untidy_above_level(model, U, K, parts) == expected
+                assert oracles.untidy_above_level(model, U, K, parts) == expected
+
+    @pytest.mark.parametrize("model, g_text, U_text", [
+        (LinearModel(2, 2), "2,0;0,1", None), (ShiftModel(2), "shift:1", "W:1")])
+    def test_a_tidy_subgroup_costs_one_product_test(self, model, g_text, U_text, monkeypatch):
+        g = model.parse_element(g_text)
+        U = (model.parse_subgroup(U_text, g) if U_text
+             else ShapeSubgroup(model.identity, iwahori_shape(2)))
+        parts = tidy.u_parts(model, U, g)
+        calls = []
+        product_is = tidy.product_is
+        monkeypatch.setattr(tidy, "product_is", lambda a, b, t: (
+            calls.append(t) or product_is(a, b, t)))
+        assert tidy.untidy_above_level(model, U, 8, parts) is None
+        assert calls == [U.window_image(8)]
 
     def test_procedure_terminates_at_iwahori(self, linear):
         g = linear.parse_element("2,0;0,1")

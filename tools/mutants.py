@@ -51,14 +51,17 @@ MUTANTS = [
      "return len(word) - len(word.rstrip(tail))",
      "return 0"),
     ("transport-top-level", "limits.py",
-     "for k in range(a.min_level, a.top_level + 1))",
-     "for k in range(a.min_level, a.top_level))"),
+     "k = a.top_level\n",
+     "k = a.top_level - 1\n"),
     ("net-limit-bound", "limits.py",
      "d.indistinguishable or d.level > level_r",
      "d.indistinguishable or d.level >= level_r"),
     ("untidy-level-range", "tidy.py",
-     "for k in range(model.min_level, K + 1):\n        if not product_is(",
-     "for k in range(model.min_level, K):\n        if not product_is("),
+     "if K < model.min_level or tidy_at(K):",
+     "if K < model.min_level or tidy_at(K - 1):"),
+    ("untidy-scan-start", "tidy.py",
+     "for k in range(model.min_level, K) if not tidy_at(k)",
+     "for k in range(model.min_level + 1, K) if not tidy_at(k)"),
     ("tidy-below-next-to-bound", "shift.py",
      "for i in [*range(bound - 2, min(bound - 2, end) - 1, -1), bound - 1]:",
      "for i in range(bound - 2, min(bound - 2, end) - 1, -1):"),
