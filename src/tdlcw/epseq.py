@@ -183,13 +183,21 @@ class EPSeq(Value):
             return self
         if self.is_zero():
             return other
+        # Digits are below p <= 127, so no byte of the sum carries.
+        return self.combine(other, int.__add__)
+
+    def combine(self, other, op):
+        """The sequence over F_p, p = self.p, whose digits are op of the
+        digits of self and other at each position, reduced mod p.  op acts
+        on the aligned digit strings read as big-endian integers, one digit
+        per byte, and must not carry across bytes: `add` is `int.__add__`,
+        a union of indicator sequences over F_2 is `int.__or__`."""
         lo = min(self.offset, other.offset)
         hi = max(self.end, other.end)
         ll = lcm(len(self.left), len(other.left))
         rl = lcm(len(self.right), len(other.right))
         a, b = self._digits(lo - ll, hi + rl), other._digits(lo - ll, hi + rl)
-        # Digits are below p <= 127, so no byte of the sum carries.
-        s = (int.from_bytes(a, "big") + int.from_bytes(b, "big")).to_bytes(len(a), "big")
+        s = op(int.from_bytes(a, "big"), int.from_bytes(b, "big")).to_bytes(len(a), "big")
         return EPSeq.make(self.p, s[:ll], s[ll:ll + hi - lo], lo, s[ll + hi - lo:])
 
     def _digits(self, start, stop):
@@ -217,6 +225,11 @@ class EPSeq(Value):
             return EPSeq(self.p, period, b"", 0, period)
         return EPSeq(self.p, self.left, self.core, self.offset + m, self.right)
 
+    def reflect(self):
+        """The mirror image: value_at(i) of the result is self.value_at(-i)."""
+        return EPSeq.make(self.p, self.right[::-1], self.core[::-1], 1 - self.end,
+                          self.left[::-1])
+
     def min_abs_support(self):
         """Smallest |i| with a nonzero digit, or None for the zero sequence."""
         if self.is_zero():
@@ -229,10 +242,3 @@ class EPSeq(Value):
     def window(self, k):
         """Digit tuple on [-k, k]."""
         return tuple(self.digits(-k, k + 1))
-
-    def vanishes_on(self, positions):
-        """Do the digits at `positions` all vanish?  A range of step 1 is
-        read as one slice."""
-        if isinstance(positions, range) and positions.step == 1:
-            return not self.digits(positions.start, positions.stop).strip(ZERO)
-        return not any(self.value_at(i) for i in positions)

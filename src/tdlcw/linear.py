@@ -194,14 +194,21 @@ def identity_matrix(n, p):
     return QMatrix(_IDENTITY[n], 1, p)
 
 
+@cache
+def _basis_inv(basis):
+    """basis^-1, computed once per basis: a subgroup's basis serves every
+    coordinate change of a trace."""
+    return basis.inv()
+
+
 def _coords(basis, x):
     """basis^-1 x basis: x in the coordinates of the basis columns."""
-    return x if basis.is_identity() else basis.inv().mul(x, basis)
+    return x if basis.is_identity() else _basis_inv(basis).mul(x, basis)
 
 
 def _from_coords(basis, y):
     """basis y basis^-1: y given in the coordinates of the basis columns."""
-    return y if basis.is_identity() else basis.mul(y, basis.inv())
+    return y if basis.is_identity() else basis.mul(y, _basis_inv(basis))
 
 
 def charpoly(g):

@@ -6,12 +6,19 @@ step to the right.  Lamps are exact eventually periodic sequences, so all
 group arithmetic is exact and the shift element has a dense, non-closed
 contraction group with full nub -- the nub-rich half of the workbench.
 
-Compact open subgroups are "vanish sets": lamp-only subgroups cut out by
-requiring coordinates to vanish on a set of the form ray + finite + ray.
-The filtration is B_k = W(k) = lamps vanishing on [-k, k].
+Compact open subgroups are lamp-only subgroups cut out by requiring the
+lamps to vanish on a set of positions, its "vanish set".  A vanish set is
+eventually periodic, and is held as its indicator sequence: an `EPSeq`
+over F_2 with a periodic left tail, a finite core and a periodic right
+tail, whose canonical form makes equal sets equal values.  Translation is
+`shift`, union `combine` with `int.__or__`, and the sets the parts U_+ and
+U_- of (U, g) vanish on stay in the class.  The filtration is
+B_k = W(k) = lamps vanishing on [-k, k].
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from tdlcw.epseq import ZERO, EPSeq
 from tdlcw.kernel import (
@@ -65,75 +72,60 @@ def lamp_element(p, support):
     return ShiftElement(EPSeq.from_support(p, support), 0)
 
 
-class VanishSet(Value):
-    """Subset of Z of the form (-inf, left] + finite + [right, inf)."""
+#: The vanish sets of the trivial subgroup (every position) and of the
+#: whole lamp group (no position), as indicator sequences over F_2.
+EVERYWHERE = EPSeq(2, b"\1", b"", 0, b"\1")
+NOWHERE = EPSeq.zero(2)
 
-    __slots__ = ("left", "fin", "right", "everything")
+#: The largest |m| of a shift by m whose parts `u_parts_symbolic` forms:
+#: the closed forms read about 3|m| positions of a set, and the tidy-below
+#: search about 2|m|.
+PART_SHIFT_CAP = 4096
 
-    @classmethod
-    def make(cls, left=None, fin=(), right=None, everything=False):
-        fin = set(fin)
-        if left is not None:
-            while left + 1 in fin:
-                left += 1
-            fin = {i for i in fin if i > left}
-        if right is not None:
-            while right - 1 in fin:
-                right -= 1
-            fin = {i for i in fin if i < right}
-        if everything or (left is not None and right is not None and left >= right - 1):
-            return cls(None, frozenset(), None, True)
-        return cls(left, frozenset(fin), right, False)
 
-    @classmethod
-    def interval(cls, a, b):
-        return cls.make(fin=range(a, b + 1))
+def vanishes_on(a, vanish):
+    """Do the digits of the lamp a vanish at every position of the set?"""
+    if a.left == ZERO == a.right:
+        # Finitely supported: only the set's digits under the core matter.
+        under = int.from_bytes(vanish.digits(a.offset, a.end), "big")
+        return not int.from_bytes(a.core, "big") & under * 255
+    return cleared(a, vanish) == a
 
-    @classmethod
-    def empty(cls):
-        return cls.make()
 
-    def is_empty(self):
-        return not self.everything and self.left is None and self.right is None and not self.fin
+def cleared(a, vanish):
+    """The lamp a with its digits on the vanish set replaced by zero.  The
+    set's 0/1 digits times 255 are a byte mask of it."""
+    if a.left == ZERO == a.right:
+        mask = int.from_bytes(vanish.digits(a.offset, a.end), "big") * 255
+        core = int.from_bytes(a.core, "big") & ~mask
+        return EPSeq.make(a.p, ZERO, core.to_bytes(len(a.core), "big"), a.offset, ZERO)
+    return a.combine(vanish, lambda x, v: x & ~(v * 255))
 
-    def translate(self, t):
-        if self.everything:
-            return self
-        return VanishSet.make(
-            None if self.left is None else self.left + t,
-            {i + t for i in self.fin},
-            None if self.right is None else self.right + t,
-        )
 
-    def union(self, other):
-        if self.everything or other.everything:
-            return VanishSet.make(everything=True)
-        lefts = [x for x in (self.left, other.left) if x is not None]
-        rights = [x for x in (self.right, other.right) if x is not None]
-        return VanishSet.make(
-            max(lefts) if lefts else None,
-            self.fin | other.fin,
-            min(rights) if rights else None,
-        )
+def forward_union(v, m):
+    """The union of the translates v + i*m over i >= 0, m != 0, in closed
+    form.
 
-    def __contains__(self, i):
-        return (self.everything or i in self.fin
-                or (self.left is not None and i <= self.left)
-                or (self.right is not None and i >= self.right))
-
-    def __le__(self, other):
-        """Subset test (self a subset of other)."""
-        if other.everything:
-            return True
-        if self.everything:
-            return False
-        if self.left is not None and (other.left is None or self.left > other.left):
-            return False
-        if self.right is not None and (other.right is None or self.right < other.right):
-            return False
-        if not all(i in other for i in self.fin):
-            return False
-        return True
+    For m > 0, x lies in it iff v meets x - i*m for some i >= 0.  Below
+    v's offset that depends on x only mod v's left period, so the union
+    keeps it.  From end + m*len(right) on, the class of x mod m has passed
+    every digit of v's right tail it meets, so the union has period m
+    there.  In between, the classes are swept by doubling prefix ORs of
+    the digits from (m + 1) left periods below the offset, where every
+    class has met all of the left tail.  A shift by m < 0 is the mirror
+    image.
+    """
+    if m < 0:
+        return forward_union(v.reflect(), -m).reflect()
+    lo, start = v.offset - len(v.left) * (m + 1), v.end + m * len(v.right)
+    n = start + m - lo
+    acc, step = int.from_bytes(v.digits(lo, start + m), "big"), m
+    while step < n:
+        acc |= acc >> 8 * step
+        step *= 2
+    s = acc.to_bytes(n, "big")
+    return EPSeq.make(2, s[v.offset - len(v.left) - lo:v.offset - lo],
+                      s[v.offset - lo:start - lo], v.offset, s[start - lo:])
 
 
 class CoordinateImage(Image):
@@ -178,134 +170,72 @@ class CoordinateImage(Image):
 
 
 class ShiftOpen(Value):
-    """Compact open subgroup {(a, 0): a vanishes on the vanish set}."""
+    """Compact open subgroup {(a, 0): a vanishes on the vanish set}, the
+    set an indicator sequence over F_2."""
 
     __slots__ = ("p", "vanish")
 
     def contains(self, x):
-        if x.shift != 0:
-            return False
-        a = x.lamp
-        v = self.vanish
-        if v.everything:
-            return a.is_zero()
-        if v.left is not None:
-            if not a.left_tail_is_zero():
-                return False
-            lo = a.offset - len(a.left)
-            if not a.vanishes_on(range(lo, v.left + 1)):
-                return False
-        if v.right is not None:
-            if not a.right_tail_is_zero():
-                return False
-            hi = a.end + len(a.right)
-            if not a.vanishes_on(range(v.right, hi + 1)):
-                return False
-        fin = v.fin
-        if fin:
-            lo, hi = min(fin), max(fin)
-            if hi - lo + 1 == len(fin):
-                # Contiguous, as every W(k) is: read as one slice.
-                fin = range(lo, hi + 1)
-        return a.vanishes_on(fin)
+        return x.shift == 0 and vanishes_on(x.lamp, self.vanish)
 
     def window_image(self, K):
-        free = (i + K for i in range(-K, K + 1) if i not in self.vanish)
+        free = (i for i, d in enumerate(self.vanish.digits(-K, K + 1)) if not d)
         return CoordinateImage(VectorWindow(self.p, 2 * K + 1), frozenset(free))
 
     def intersect(self, other):
-        return ShiftOpen(self.p, self.vanish.union(other.vanish))
+        return ShiftOpen(self.p, self.vanish.combine(other.vanish, int.__or__))
 
     def finest_level(self):
-        """The largest |i| over the vanish set's finite positions and ray
-        ends (0 if none): window images from that level on see all of U."""
-        v = self.vanish
-        ends = [i for i in (v.left, v.right) if i is not None]
-        return max((abs(i) for i in (*v.fin, *ends)), default=0)
+        """The larger of |offset| and |end - 1| of the vanish set: outside
+        [-K, K], for K at least that, the set only repeats its periodic
+        tails, so window images from that level on see every position where
+        U differs from the tails' continuation."""
+        return max(abs(self.vanish.offset), abs(self.vanish.end - 1))
 
     def __le__(self, other):
-        return other.vanish <= self.vanish
+        return self.intersect(other).vanish == self.vanish
 
 
 def w_subgroup(p, k):
-    """The filtration subgroup W(k): lamps vanishing on [-k, k]."""
-    return ShiftOpen(p, VanishSet.interval(-k, k))
+    """The filtration subgroup W(k), k >= 0: lamps vanishing on [-k, k]."""
+    return ShiftOpen(p, EPSeq(2, ZERO, b"\1" * (2 * k + 1), -k, ZERO))
 
 
 def reference_open(p):
     """The full compact lamp group, the model's reference compact open."""
-    return ShiftOpen(p, VanishSet.empty())
+    return ShiftOpen(p, NOWHERE)
 
 
-class TailZeroSet(Value):
-    """Symbolic non-closed set: lamps whose tail on one side is zero.
+class TranslateUnion(Value):
+    """The union of the subgroups vanishing on vanish + j*step over
+    j >= 0, for a set with vanish + step inside vanish, so that they
+    increase with j: the shift model's U_-- (the vanish set S_- of U_-,
+    step -m) and U_++ (S_+, step m).  It is in general dense in the lamp
+    group but not closed, so it only exists as this descriptor.
 
-    This is the shift model's U_-- (or U_++): the union of the backward
-    translates of U_-.  It is dense in the lamp group but not closed, so it
-    only ever exists as this tagged descriptor plus window images.  `side`
-    is "left" or "right": which tail must vanish.
+    vanish + step inside vanish makes each class mod |step| meet the set
+    in all of it, none of it or a ray along the step, so the set repeats
+    with period |step| outside its core.  Once a translate's core has
+    passed a lamp's, a later translate differs under the lamp only by its
+    core's phase against the lamp's periodic tail, which recurs, and by a
+    longer stretch of a periodic part the lamp must avoid already.  The
+    lamp vanishes on vanish + j*step for some j, monotone in j, iff it
+    does on that translate.
     """
 
-    __slots__ = ("p", "side")
+    __slots__ = ("p", "vanish", "step")
+
+    def _member(self, offset, end):
+        """The member that decides a lamp with core [offset, end)."""
+        v, step = self.vanish, self.step
+        gap = v.end - offset if step < 0 else end - v.offset
+        return ShiftOpen(self.p, v.shift(max(0, -(-gap // abs(step))) * step))
 
     def contains(self, x):
-        lamp = x.lamp
-        return x.shift == 0 and (
-            lamp.left_tail_is_zero() if self.side == "left" else lamp.right_tail_is_zero())
+        return x.shift == 0 and self._member(x.lamp.offset, x.lamp.end).contains(x)
 
     def window_image(self, K):
-        return reference_open(self.p).window_image(K)
-
-
-def _forward_union(v, step):
-    """Union of v + i*step over i >= 0 (step > 0), in closed form."""
-    if v.everything or v.left is not None:
-        return VanishSet.make(everything=True)
-    if v.is_empty():
-        return v
-    pieces = []
-    if v.right is not None:
-        pieces.append(v.right)
-    if v.fin:
-        lo, hi = min(v.fin), max(v.fin)
-        if step == 1 or (set(range(lo, hi + 1)) <= v.fin and hi - lo + 1 >= step):
-            pieces.append(lo)
-        else:
-            raise UnsupportedElementError("vanish set not contiguous enough for symbolic parts")
-    return VanishSet.make(right=min(pieces))
-
-
-def _mirror(v):
-    if v.everything:
-        return v
-    return VanishSet.make(
-        None if v.right is None else -v.right,
-        {-i for i in v.fin},
-        None if v.left is None else -v.left,
-    )
-
-
-def forward_vanish_union(v, m):
-    """Union of v + i*m over i >= 0, for m of either sign."""
-    if m == 0:
-        return v
-    if m > 0:
-        return _forward_union(v, m)
-    return _mirror(_forward_union(_mirror(v), -m))
-
-
-def restrict_right(a, cutoff):
-    """The sequence agreeing with `a` on [cutoff, inf), zero below."""
-    end = max(cutoff, a.end)
-    return EPSeq.make(a.p, ZERO, a.digits(cutoff, end), cutoff,
-                      a.digits(end, end + len(a.right)))
-
-
-def restrict_left(a, cutoff):
-    """The sequence agreeing with `a` on (-inf, cutoff], zero above."""
-    start = min(cutoff + 1, a.offset)
-    return EPSeq.make(a.p, a.digits(start - len(a.left), start),
-                      a.digits(start, cutoff + 1), start, ZERO)
+        return self._member(-K, K + 1).window_image(K)
 
 
 class ShiftModel:
@@ -415,53 +345,41 @@ class ShiftModel:
 
     def conj_open(self, U, g, i):
         """f^i(U) for f = conjugation by g, as a vanish-set subgroup."""
-        return ShiftOpen(self.p, U.vanish.translate(i * g.shift))
+        return ShiftOpen(self.p, U.vanish.shift(i * g.shift))
 
     def u_parts_symbolic(self, U, g):
         from tdlcw.tidy import UParts
 
         m = g.shift
-        v = U.vanish
-        if m == 0:
+        if m == 0 or U.vanish == NOWHERE:
             return UParts(U, U, U, U, U)
-        u_plus = ShiftOpen(self.p, forward_vanish_union(v, m))
-        u_minus = ShiftOpen(self.p, forward_vanish_union(v, -m))
-        zero_vanish = u_plus.vanish.union(u_minus.vanish)
-        u_zero = ShiftOpen(self.p, zero_vanish)
-        if v.is_empty():
-            u_mm, u_pp = U, U
-        else:
-            # U_-- is the union of the translates of U_- (U_++ of U_+):
-            # trivial when U_- is, else the lamps with one tail zero.
-            left, right = ("left", "right") if m > 0 else ("right", "left")
-            u_mm = u_minus if u_minus.vanish.everything else TailZeroSet(self.p, left)
-            u_pp = u_plus if u_plus.vanish.everything else TailZeroSet(self.p, right)
+        if abs(m) > PART_SHIFT_CAP:
+            raise InputError(f"the parts of U for shift:{m} need |m| <= {PART_SHIFT_CAP}")
+        # U_+ vanishes on the union of the V + i m, U_- on that of the V - i m;
+        # U_-- and U_++ are the increasing unions of their translates.
+        s_plus, s_minus = forward_union(U.vanish, m), forward_union(U.vanish, -m)
+        u_plus, u_minus = ShiftOpen(self.p, s_plus), ShiftOpen(self.p, s_minus)
+        u_zero = ShiftOpen(self.p, s_plus.combine(s_minus, int.__or__))
+        u_mm, u_pp = TranslateUnion(self.p, s_minus, -m), TranslateUnion(self.p, s_plus, m)
         return UParts(u_plus, u_minus, u_zero, u_mm, u_pp)
 
     def split(self, x, U, g, parts):
-        """Factor x = w_minus * w_plus with the factors in U_-/U_+."""
+        """Factor x = w_minus * w_plus with the factors in U_-/U_+: w_minus
+        is x cleared on U_-'s vanish set."""
         if g.shift == 0:
             return x, self.identity
         if x.shift != 0 or not U.contains(x):
             raise ContainmentError("split input must lie in U", x)
-        vm = parts.u_minus.vanish
-        if vm.everything:
-            return self.identity, x
-        if vm.left is not None:
-            w_minus_lamp = restrict_right(x.lamp, vm.left + 1)
-        elif vm.right is not None:
-            w_minus_lamp = restrict_left(x.lamp, vm.right - 1)
-        else:
-            return x, self.identity
-        w_minus = ShiftElement(w_minus_lamp, 0)
+        w_minus = ShiftElement(cleared(x.lamp, parts.u_minus.vanish), 0)
         w_plus = w_minus.inv().mul(x)
         if not (parts.u_minus.contains(w_minus) and parts.u_plus.contains(w_plus)):
-            raise UnsupportedElementError("interval split failed membership check")
+            raise UnsupportedElementError("vanish-set split failed membership check")
         return w_minus, w_plus
 
     def adjust_to_contraction(self, t, U, g, parts):
-        """U_0 is trivial for vanish-set subgroups once g really shifts, so
-        t needs no adjustment; (t, v, adjusted) with v the split-off part."""
+        """(t, v, adjusted) with v = 1 split off: t is left as it is, and
+        adjusted says whether it lies in con(g^-1), as a finitely supported
+        t does.  U_0 is trivial when the translates of V by g leave no gaps."""
         ok = self.con_oracle(g.inv(), t)
         return t, self.identity, ok
 
@@ -473,29 +391,37 @@ class ShiftModel:
     def tidy_below_certificate(self, U, g, parts):
         """(True, reason) or (False, witness), decided exactly.
 
-        For a shift by m > 0 and a vanish set V that is not empty, U_-
-        vanishes on the union of the V - i m, i >= 0: everything when V has
-        a right ray (then U_- and U_-- are trivial), else the left ray up to
-        `bound`, which lies in V.  U_--, the lamps with zero left tail, meets
-        U in U_- exactly when that ray lies in V; else a lamp outside V on
-        it is the witness, searched for from bound - 2 down to the first
-        position outside V or to the ray of V, then at bound - 1.  A shift
-        by m < 0 is the mirror image.
+        For a shift by m > 0, U_- vanishes on S, the union of the V - i m
+        over i >= 0, and U_-- is the union of the subgroups on the S - j m.
+        A lamp of U and U_-- outside U_- has a nonzero digit at some x in
+        S but not in V with x + j m outside S for some j, and the lamp at
+        x is then a witness.  S - m lies in S, so each class mod m meets S
+        in all of it, none of it or a ray; the class of x meets it in a ray
+        iff S misses the class's first position from S's end on.  The
+        witness is the largest such x below M - 1, else M - 1, for M the
+        top of those rays, which lies in V.  Below the offsets of S and V
+        both repeat, so the search stops a common period below them and
+        M - 1.  A shift by m < 0 is the mirror image.
         """
-        m, v, vm = g.shift, U.vanish, parts.u_minus.vanish
-        if m == 0 or v.is_empty():
+        m, v, s = g.shift, U.vanish, parts.u_minus.vanish
+        if m == 0 or v == NOWHERE:
             return True, "U is invariant under conjugation by g"
-        if vm.everything:
+        if s == EVERYWHERE:
             return True, "U_- and U_-- are trivial"
         side = 1
         if m < 0:
-            side, v, vm = -1, _mirror(v), _mirror(vm)
-        bound = vm.left
-        end = v.left + 1 if v.left is not None else min(v.fin) - 1
-        for i in [*range(bound - 2, min(bound - 2, end) - 1, -1), bound - 1]:
-            if i not in v:
-                return False, lamp_element(self.p, {side * i: 1})
-        return True, "U_- equals U"
+            side, m, v, s = -1, -m, v.reflect(), s.reflect()
+
+        def in_ray(x):
+            return s.value_at(x) and not s.value_at(s.end + (x - s.end) % m)
+
+        top = next((x for x in range(s.end - 1, s.offset - m - 1, -1) if in_ray(x)), None)
+        if top is not None:
+            lo = min(s.offset, v.offset, top - 1) - lcm(m, len(v.left))
+            for x in [*range(top - 2, lo - 1, -1), top - 1]:
+                if in_ray(x) and not v.value_at(x):
+                    return False, lamp_element(self.p, {side * x: 1})
+        return True, "U_-- meets U in U_-"
 
     def net_schedule(self, g, n_max):
         """Default shrinking schedule (n, W(n), lamp at n+1) for the shift."""
@@ -587,19 +513,26 @@ class ShiftModel:
             if rest.isdecimal():
                 return w_subgroup(self.p, int(rest))
             if rest in ("none", "all"):
-                return ShiftOpen(self.p, VanishSet.make(everything=rest == "all"))
+                return ShiftOpen(self.p, EVERYWHERE if rest == "all" else NOWHERE)
         raise InputError(
             f"cannot parse shift-model subgroup {text!r} (use W:k, W:none or W:all)")
 
     def format_subgroup(self, U):
+        """`W:k`, `W:none` and `W:all` as `parse_subgroup` reads them; any
+        other set made of rays and finitely many positions as
+        `vanish:{left ray's end},{positions},{right ray's start}` (None for
+        no ray); any set with a longer tail period as
+        `vanish-ep:left|core@offset|right`, its digits as in `lamp-ep:`."""
         v = U.vanish
-        if v.everything:
+        if v == EVERYWHERE:
             return "W:all"
-        fin = sorted(v.fin)
-        if v.left is None and v.right is None and not fin:
+        if v == NOWHERE:
             return "W:none"
-        if fin and v.left is None and v.right is None:
-            lo, hi = fin[0], fin[-1]
-            if fin == list(range(lo, hi + 1)) and lo == -hi:
-                return f"W:{hi}"
-        return f"vanish:{v.left},{fin},{v.right}"
+        if v.left == ZERO == v.right and v.core == b"\1" * (1 - 2 * v.offset):
+            return f"W:{-v.offset}"
+        if len(v.left) == len(v.right) == 1:
+            fin = [i for i, d in enumerate(v.core, v.offset) if d]
+            left = v.offset - 1 if v.left[0] else None
+            return f"vanish:{left},{fin},{v.end if v.right[0] else None}"
+        left, core, right = ("".join(map(str, w)) for w in (v.left, v.core, v.right))
+        return f"vanish-ep:{left}|{core}@{v.offset}|{right}"

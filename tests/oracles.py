@@ -11,7 +11,7 @@ from tdlcw.epseq import EPSeq
 from tdlcw.kernel import INF_LEVEL, conjugate, product_is
 from tdlcw.limits import HypothesisError
 from tdlcw.linear import FactorizationError, QMatrix, _from_coords, identity_matrix
-from tdlcw.shift import ShiftElement, lamp_element, shift_identity
+from tdlcw.shift import ShiftElement, lamp_element, shift_generator, shift_identity
 
 
 def is_subgroup(image):
@@ -99,6 +99,43 @@ def ul_factor(y, order=None):
                                  for s in range(n)) for r in range(n)), pivot, y.p)
         l, u_inv = op.mul(l), op.mul(u_inv)
     return _permuted(u_inv.inv(), back), _permuted(l, back)
+
+
+def vanish_set(left=None, fin=(), right=None):
+    """The indicator over F_2 of (-inf, left] + fin + [right, inf), with
+    None for a ray that is not there, read position by position."""
+    ends = [i for i in (left, right) if i is not None]
+    points = [*fin, *ends]
+    if not points:
+        return EPSeq.zero(2)
+    lo = min(points)
+
+    def member(i):
+        return i in fin or (left is not None and i <= left) or (right is not None and i >= right)
+
+    core = [member(i) for i in range(lo, max(points) + 1)]
+    return EPSeq.make(2, [left is not None], core, lo, [right is not None])
+
+
+def forward_union(v, m, span):
+    """The digits on `span` of the union of the v + i*m over i >= 0, as the
+    explicit finite union of the translates that can reach it: below v's
+    offset (above its end for m < 0) v repeats with its tail period, so
+    the translates past that many steps beyond the span add nothing."""
+    lo, hi = min(span), max(span)
+    reach = max(hi - v.offset, v.end - lo, 0) // abs(m) + len(v.left) + len(v.right) + 1
+    translates = [v.shift(i * m) for i in range(reach + 1)]
+    return tuple(int(any(t.value_at(x) for t in translates)) for x in span)
+
+
+def in_translate_unions(parts, g, x, count=80):
+    """(x in U_--, x in U_++) by their definition: x lies in some
+    g^-i U_- g^i, or in some g^i U_+ g^-i, for 0 <= i < count."""
+    m, p = g.shift, g.p
+    return (any(parts.u_minus.contains(conjugate(shift_generator(p, i * m), x))
+                for i in range(count)),
+            any(parts.u_plus.contains(conjugate(shift_generator(p, -i * m), x))
+                for i in range(count)))
 
 
 def quotient_contains(quotient, x):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import vanish_set
 
 from tdlcw import cli, kernel, shift
 
@@ -93,10 +94,10 @@ class TestElementParsing:
     def test_subgroup_roundtrip_shift(self):
         # W:none is the whole lamp group, W:all the trivial subgroup.
         model = cli.ShiftModel(2)
-        for text, vanish in [("W:0", shift.VanishSet.make(fin=[0])),
-                             ("W:2", shift.VanishSet.interval(-2, 2)),
-                             ("W:none", shift.VanishSet.make()),
-                             ("W:all", shift.VanishSet.make(everything=True))]:
+        for text, vanish in [("W:0", vanish_set(fin=[0])),
+                             ("W:2", vanish_set(fin=range(-2, 3))),
+                             ("W:none", vanish_set()),
+                             ("W:all", vanish_set(left=0, right=1))]:
             U = model.parse_subgroup(text, model.default_element())
             assert U == shift.ShiftOpen(2, vanish)
             assert model.format_subgroup(U) == text
@@ -175,16 +176,21 @@ class TestCommands:
         assert code == 0 and (rows[0]["in_con"], rows[0]["in_par"]) == (True, True)
         assert rows[0]["params"] == {"g": "0,-2;1,-1", "x": "1,0;0,1"}
 
-    @pytest.mark.parametrize("subgroup", [["--g", "shift:2", "--U", "W:0"], ["--g", "shift:5"]],
-                             ids=" ".join)
-    def test_tidy_without_symbolic_parts_exits_2(self, capsys, subgroup):
-        # The translates of W:k by shift:m leave gaps when |m| > 2k + 1, and
-        # vanish-set parts cannot express the periodic sets U_+ and U_-
-        # (W:0 is tidy above for shift:2 at k = 0), so tidy names the reason
-        # as conjugator does, rather than searching every k in vain.
-        message = "error: vanish set not contiguous enough for symbolic parts\n"
-        for command in ("tidy", "conjugator"):
-            assert run([command, "--model", "shift", *subgroup], capsys) == (2, [], message)
+    @pytest.mark.parametrize("subgroup, V, witness", [
+        (["--g", "shift:2", "--U", "W:0"], "W:0", "lamp:-2"),
+        (["--g", "shift:5"], "W:1", "lamp:-4")], ids=["shift:2 W:0", "shift:5"])
+    def test_tidy_with_gapped_translates(self, capsys, subgroup, V, witness):
+        # The translates of W:k by shift:m leave gaps when |m| > 2k + 1:
+        # U_+ and U_- vanish on periodic sets, and U_+ U_- = W:k, so W:k is
+        # tidy above at k = 0 and not tidy below.
+        code, rows, err = run(["tidy", "--model", "shift", *subgroup], capsys)
+        assert code == 0 and not err
+        assert {key: rows[0][key] for key in ("k", "V", "tidy_below", "witness", "pass")} == {
+            "k": 0, "V": V, "tidy_below": False, "witness": witness, "pass": True}
+        code, rows, err = run(["conjugator", "--two-sided", "--model", "shift", *subgroup],
+                              capsys)
+        assert code == 0 and not err
+        assert rows[0]["replay"] is True and rows[0]["replay_two_sided"] is True
 
     def test_tidy_with_symbolic_parts(self, capsys):
         code, rows, _ = run(["tidy", "--model", "shift", "--g", "shift:3", "--U", "W:1"], capsys)
@@ -438,6 +444,16 @@ def test_narrowed_range_exits_2_before_computing(argv, message, capsys, monkeypa
     assert (code, rows, err) == (2, [], f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", [["tidy"], ["conjugator", "--two-sided"]], ids=" ".join)
+@pytest.mark.parametrize("m", [4097, -1000000000])
+def test_shift_past_the_part_cap_exits_2_before_forming_parts(command, m, capsys, monkeypatch):
+    # The parts' sets would be read over about 3|m| positions.
+    monkeypatch.setattr(shift, "forward_union", None)
+    argv = [*command, "--model", "shift", "--g", f"shift:{m}", "--U", "W:0"]
+    message = f"error: the parts of U for shift:{m} need |m| <= {shift.PART_SHIFT_CAP}\n"
+    assert run(argv, capsys) == (2, [], message)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["tidy", "--model", "linear", "--U", "0,0"], "expected a 2x2 shape"),
     (["scale", "--model", "linear", "--g", "1/0,0;0,1"], "cannot parse matrix '1/0,0;0,1'"),
@@ -657,6 +673,15 @@ RANGE_COMMANDS = [
     ["scale", "--resolution", "4"],
     # An 18-digit eigenvalue: its roots come from bisection.
     ["scale", "--model", "linear", "--g", "1000000000000000000,1;0,1"],
+] + [
+    # Translates of W:k by g that leave gaps (2k + 1 < |m| <= 5): U_+ and
+    # U_- vanish on periodic sets.  The lamp at 9 lies in U and g^-1 U g
+    # for every such g; the default lamp at 2 does not for shift:-2, W:0.
+    [*command, "--model", "shift", "--p", str(p), "--g", g, "--U", U]
+    for p in (2, 3)
+    for g, U in [("shift:2", "W:0"), ("lamp:0*shift:-3", "W:0"), ("shift:4", "W:1"),
+                 ("lamp:1,-2*shift:-5", "W:1"), ("lamp:3*shift:5", "W:0")]
+    for command in (["tidy"], ["conjugator", "--two-sided", "--u", "lamp:9"])
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdlcw.epseq import EPSeq
+from tdlcw.shift import vanishes_on
 
 primes = st.sampled_from([2, 3, 5, 7])
 
@@ -146,8 +147,8 @@ def test_min_abs_support():
 def test_window_and_vanishes_on():
     seq = EPSeq.from_support(2, {-1: 1, 2: 1})
     assert seq.window(2) == (0, 1, 0, 0, 1)
-    assert seq.vanishes_on([0, 1, 3])
-    assert not seq.vanishes_on([2])
+    assert vanishes_on(seq, EPSeq.from_support(2, {0: 1, 1: 1, 3: 1}))
+    assert not vanishes_on(seq, EPSeq.from_support(2, {2: 1}))
 
 
 # -- the byte form against a digit-by-digit oracle ---------------------------
@@ -242,12 +243,32 @@ def test_digits_match_oracle(spec, a, n):
        k=st.integers(0, 10), points=st.sets(st.integers(-20, 20), max_size=4))
 def test_readers_match_oracle(spec, a, n, k, points):
     seq = build(spec)
-    positions = range(a, a + n)
-    assert seq.vanishes_on(positions) == all(oracle(spec, i) == 0 for i in positions)
-    assert seq.vanishes_on(points) == all(oracle(spec, i) == 0 for i in points)
+    for positions in (range(a, a + n), points):
+        indicator = EPSeq.from_support(2, dict.fromkeys(positions, 1))
+        assert vanishes_on(seq, indicator) == all(oracle(spec, i) == 0 for i in positions)
     assert seq.window(k) == tuple(oracle(spec, i) for i in range(-k, k + 1))
     support = [abs(i) for i in range(-40, 41) if oracle(spec, i)]
     assert seq.min_abs_support() == (min(support) if support else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=specs())
+def test_reflect_matches_oracle(spec):
+    reflected = build(spec).reflect()
+    assert all(reflected.value_at(i) == oracle(spec, -i) for i in SPAN)
+    assert_canonical(reflected)
+    assert reflected.reflect() == build(spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_combine_reads_both_sequences_at_each_position(data):
+    # The union of two indicator sequences over F_2: or on aligned strings.
+    a = data.draw(specs(p=2))
+    b = data.draw(specs(p=2))
+    union = build(a).combine(build(b), int.__or__)
+    assert all(union.value_at(i) == oracle(a, i) | oracle(b, i) for i in SPAN)
+    assert_canonical(union)
 
 
 def test_primes_above_127_are_rejected():

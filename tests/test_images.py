@@ -23,6 +23,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import vanish_set
 
 from tdlcw import backend, limits, linear, shift, tidy, verify
 from tdlcw.kernel import (
@@ -35,8 +36,9 @@ from tdlcw.kernel import (
     product_set_equals,
     subgroup_closure,
 )
+from tdlcw.epseq import EPSeq
 from tdlcw.linear import LinearModel, QMatrix, ShapeImage, ShapeSubgroup, iwahori_shape, vp
-from tdlcw.shift import CoordinateImage, ShiftModel, ShiftOpen, VanishSet, lamp_element
+from tdlcw.shift import NOWHERE, CoordinateImage, ShiftModel, ShiftOpen, lamp_element
 
 INF = math.inf
 
@@ -115,10 +117,14 @@ def shape_images(draw, count=3):
 
 @st.composite
 def vanish_sets(draw):
-    left = draw(st.none() | st.integers(-3, 1))
-    right = draw(st.none() | st.integers(-1, 3))
-    fin = draw(st.frozensets(st.integers(-3, 3)))
-    return VanishSet.make(left, fin, right)
+    """Rays and positions, or periodic tails of period up to 3."""
+    if draw(st.booleans()):
+        left = draw(st.none() | st.integers(-3, 1))
+        right = draw(st.none() | st.integers(-1, 3))
+        return vanish_set(left, draw(st.frozensets(st.integers(-3, 3))), right)
+    tail = st.lists(st.integers(0, 1), min_size=1, max_size=3)
+    return EPSeq.make(2, draw(tail), draw(st.lists(st.integers(0, 1), max_size=4)),
+                      draw(st.integers(-3, 3)), draw(tail))
 
 
 @st.composite
@@ -263,7 +269,7 @@ def test_monomial_change_of_basis_stays_structural(p):
 
 
 def test_upward_projection_is_rejected():
-    image = ShiftOpen(2, VanishSet.empty()).window_image(1)
+    image = ShiftOpen(2, NOWHERE).window_image(1)
     with pytest.raises(ValueError):
         image.project(2)
     shape = ShapeSubgroup(QMatrix.make(BASES[0], 2), iwahori_shape(2)).window_image(1)

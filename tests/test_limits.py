@@ -11,7 +11,7 @@ from oracles import sample_con_elements, stage_conjugator
 from tdlcw import cli, limits, tidy
 from tdlcw import linear as linear_module
 from tdlcw.kernel import SubgroupImage, TdlcwError, WindowMismatchError, conjugate
-from tdlcw.linear import LinearModel, ShapeSubgroup, iwahori_shape
+from tdlcw.linear import LinearModel, QMatrix, ShapeSubgroup, iwahori_shape
 from tdlcw.shift import ShiftModel, lamp_element, shift_generator, w_subgroup
 
 
@@ -881,3 +881,23 @@ class TestNetExperiment:
         monkeypatch.setattr(limits, "conjugator_two_sided", recording)
         monkeypatch.setattr(LinearModel, "proximity_level", overstated)
         return self._limits_rows(capsys, "linear")
+
+
+def test_a_stage_step_inverts_only_w_plus(monkeypatch):
+    # U's basis is inverted once for all its coordinate changes, so a step
+    # of either stage inverts one matrix, w_+; at most one more call
+    # inverts the basis, unless an earlier trace has already.
+    N = 24
+    model, stages = _forward_and_backward_stages(N)
+    calls = [0]
+    inv = QMatrix.inv
+
+    def counted(self):
+        calls[0] += 1
+        return inv(self)
+
+    monkeypatch.setattr(QMatrix, "inv", counted)
+    for stage in stages:
+        calls[0] = 0
+        limits._stage_conjugator(model, *stage)
+        assert N <= calls[0] <= N + 1

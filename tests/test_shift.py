@@ -6,20 +6,21 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sample_reference
+import oracles
+from oracles import sample_reference, vanish_set
 
 from tdlcw.epseq import EPSeq
 from tdlcw.kernel import INF_LEVEL, conjugate
 from tdlcw.shift import (
+    EVERYWHERE,
+    NOWHERE,
     ShiftElement,
     ShiftModel,
     ShiftOpen,
-    VanishSet,
-    forward_vanish_union,
+    cleared,
+    forward_union,
     lamp_element,
     reference_open,
-    restrict_left,
-    restrict_right,
     shift_generator,
     shift_identity,
     w_subgroup,
@@ -76,32 +77,75 @@ class TestGroupLaws:
         assert x.mul(x).mul(x) == shift_identity(3)
 
 
-class TestVanishSet:
+@st.composite
+def periodic_sets(draw):
+    """A vanish set with periodic tails of period 1 to 3 (a third of them
+    rays or no tail) around a core of up to 6 positions in [-8, 8]."""
+    tail = st.one_of(st.sampled_from([[0], [1]]), st.lists(st.integers(0, 1), min_size=1,
+                                                          max_size=3))
+    return EPSeq.make(2, draw(tail), draw(st.lists(st.integers(0, 1), max_size=6)),
+                      draw(st.integers(-8, 8)), draw(tail))
+
+
+class TestVanishSets:
     def test_interval_and_membership(self):
-        v = VanishSet.interval(-2, 2)
-        assert all(i in v for i in range(-2, 3))
-        assert -3 not in v and 3 not in v
+        v = w_subgroup(2, 2).vanish
+        assert v == vanish_set(fin=range(-2, 3))
+        assert all(v.value_at(i) for i in range(-2, 3))
+        assert not v.value_at(-3) and not v.value_at(3)
 
     def test_rays_absorb_adjacent_points(self):
-        v = VanishSet.make(left=0, fin={1, 5}, right=4)
-        assert 1 in v and 5 in v
-        assert v.fin == frozenset()
-        assert v.left == 1 and v.right == 4
+        v = vanish_set(left=0, fin={1, 5}, right=4)
+        assert v == vanish_set(left=1, right=4)
+        assert v.value_at(1) and not v.value_at(2) and not v.value_at(3) and v.value_at(5)
 
     def test_touching_rays_become_everything(self):
-        v = VanishSet.make(left=2, right=3)
-        assert v.everything
+        assert vanish_set(left=2, right=3) == EVERYWHERE
+        assert ShiftOpen(2, vanish_set(left=2, right=3)) == ShiftModel(2).parse_subgroup(
+            "W:all", None)
 
     def test_union_and_subset(self):
-        a = VanishSet.interval(0, 2)
-        b = VanishSet.make(right=5)
-        u = a.union(b)
-        assert a <= u and b <= u
-        assert not u <= a
+        a, b = ShiftOpen(2, vanish_set(fin=range(0, 3))), ShiftOpen(2, vanish_set(right=5))
+        u = a.intersect(b)
+        assert u <= a and u <= b
+        assert not a <= u
+        assert u.vanish == vanish_set(fin=range(0, 3), right=5)
 
     def test_translate(self):
-        v = VanishSet.interval(-1, 1).translate(3)
-        assert v.fin == frozenset({2, 3, 4})
+        v = ShiftModel(2).conj_open(w_subgroup(2, 1), shift_generator(2, 1), 3).vanish
+        assert v == vanish_set(fin={2, 3, 4})
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=periodic_sets(), w=periodic_sets())
+    def test_union_and_subset_are_positionwise(self, v, w):
+        u = ShiftOpen(2, v).intersect(ShiftOpen(2, w)).vanish
+        span = range(-30, 31)
+        assert [u.value_at(i) for i in span] == [v.value_at(i) | w.value_at(i) for i in span]
+        assert (ShiftOpen(2, v) <= ShiftOpen(2, w)) == all(
+            v.value_at(i) >= w.value_at(i) for i in span)
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=periodic_sets(), w=periodic_sets())
+    def test_format_tells_sets_apart(self, v, w):
+        model = ShiftModel(2)
+        texts = model.format_subgroup(ShiftOpen(2, v)), model.format_subgroup(ShiftOpen(2, w))
+        assert (texts[0] == texts[1]) == (v == w)
+        # Only a tail period above 1 needs the periodic form.
+        periodic = len(v.left) > 1 or len(v.right) > 1
+        assert texts[0].startswith("vanish-ep:") == periodic
+
+    def test_format_of_named_sets(self):
+        model = ShiftModel(2)
+        for vanish, text in [
+                (w_subgroup(2, 0).vanish, "W:0"), (w_subgroup(2, 3).vanish, "W:3"),
+                (NOWHERE, "W:none"), (EVERYWHERE, "W:all"),
+                (vanish_set(fin={0, 1}), "vanish:None,[0, 1],None"),
+                (vanish_set(fin={-1, 1}), "vanish:None,[-1, 1],None"),
+                (vanish_set(left=-1, fin={2}, right=4), "vanish:-1,[2],4"),
+                # 0, 2, 4, ...: the empty core's boundary slides left to -1.
+                (forward_union(w_subgroup(2, 0).vanish, 2), "vanish-ep:0|@-1|01"),
+                (EPSeq.make(2, [1, 0], [0, 0, 1], 3, [0]), "vanish-ep:10|001@3|0")]:
+            assert model.format_subgroup(ShiftOpen(2, vanish)) == text
 
 
 class TestShiftOpen:
@@ -112,7 +156,7 @@ class TestShiftOpen:
         assert not U.contains(shift_generator(2, 1))
 
     def test_ray_conditions_check_the_whole_tail(self):
-        U = ShiftOpen(2, VanishSet.make(right=2))
+        U = ShiftOpen(2, vanish_set(right=2))
         periodic = ShiftElement(EPSeq.make(2, (0,), (), 0, (0, 1)), 0)
         assert not U.contains(periodic)
         assert U.contains(lamp_element(2, {-4: 1, 1: 1}))
@@ -129,37 +173,45 @@ class TestShiftOpen:
         assert not w_subgroup(2, 1) <= w_subgroup(2, 2)
 
 
-class TestRestrictions:
+class TestCleared:
     @settings(max_examples=150, deadline=None)
-    @given(x=elements(), cutoff=st.integers(-6, 6))
-    def test_restrict_splits_pointwise(self, x, cutoff):
-        a = x.lamp
-        high = restrict_right(a, cutoff)
-        low = restrict_left(a, cutoff - 1)
-        for i in range(-12, 13):
-            assert high.value_at(i) == (a.value_at(i) if i >= cutoff else 0)
-            assert low.value_at(i) == (a.value_at(i) if i < cutoff else 0)
-        assert low.add(high) == a
+    @given(x=elements(p=3), tails=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+           v=periodic_sets())
+    def test_cleared_splits_pointwise(self, x, tails, v):
+        # Finite lamps, and the same with a periodic tail on each side.
+        for a in (x.lamp, x.lamp.add(EPSeq.make(3, tails, [], 0, tails[::-1]))):
+            off = cleared(a, v)
+            on = off.neg().add(a)
+            for i in range(-30, 31):
+                assert off.value_at(i) == (0 if v.value_at(i) else a.value_at(i))
+                assert on.value_at(i) == (a.value_at(i) if v.value_at(i) else 0)
 
-    def test_restrict_keeps_periodic_tails(self):
+    def test_cleared_keeps_periodic_tails(self):
         a = EPSeq.make(2, (1,), (0, 1, 1), -1, (0, 1))
-        high = restrict_right(a, 0)
+        high = cleared(a, vanish_set(left=-1))
         assert high.left_tail_is_zero()
         for i in range(0, 12):
             assert high.value_at(i) == a.value_at(i)
 
 
-class TestForwardVanishUnion:
+class TestForwardUnion:
     def test_interval_becomes_ray(self):
-        v = VanishSet.interval(-1, 1)
-        out = forward_vanish_union(v, 1)
-        assert out.right == -1 and out.left is None
-        back = forward_vanish_union(v, -1)
-        assert back.left == 1 and back.right is None
+        v = vanish_set(fin=range(-1, 2))
+        assert forward_union(v, 1) == vanish_set(right=-1)
+        assert forward_union(v, -1) == vanish_set(left=1)
 
-    def test_zero_step_is_identity(self):
-        v = VanishSet.interval(0, 3)
-        assert forward_vanish_union(v, 0) == v
+    def test_gaps_give_periodic_tails(self):
+        # W(0) under shift:2: U_+ vanishes on 0, 2, 4, ..., U_- on 0, -2, ...
+        v = w_subgroup(2, 0).vanish
+        assert forward_union(v, 2) == EPSeq.make(2, [0], [], 0, [1, 0])
+        assert forward_union(v, -2) == EPSeq.make(2, [1, 0], [1], 0, [0])
+
+    @settings(max_examples=400, deadline=None)
+    @given(v=periodic_sets(), m=st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]))
+    def test_closed_form_is_the_union_of_translates(self, v, m):
+        span = range(-45, 46)
+        union = forward_union(v, m)
+        assert tuple(union.value_at(x) for x in span) == oracles.forward_union(v, m, span)
 
 
 class TestOracles:
@@ -211,20 +263,44 @@ class TestTranslateUnions:
 
     @pytest.mark.parametrize("m", [1, -1, 2, -2])
     @pytest.mark.parametrize("vanish", [
-        VanishSet.make(right=1), VanishSet.make(left=-1), VanishSet.make(left=-2, right=2),
-        VanishSet.interval(-1, 1), VanishSet.interval(0, 3), VanishSet.empty(),
-    ], ids=repr)
+        vanish_set(right=1), vanish_set(left=-1), vanish_set(left=-2, right=2),
+        vanish_set(fin=range(-1, 2)), vanish_set(fin=range(0, 4)), NOWHERE,
+    ], ids=lambda v: ShiftModel(2).format_subgroup(ShiftOpen(2, v)))
     def test_unions_match_the_definition(self, vanish, m):
         # A ray of the vanish set on the expanding side makes U_- (or U_+)
         # trivial, and then its union is trivial too.
-        parts = ShiftModel(2).u_parts_symbolic(ShiftOpen(2, vanish), shift_generator(2, m))
+        g = shift_generator(2, m)
+        parts = ShiftModel(2).u_parts_symbolic(ShiftOpen(2, vanish), g)
         for x in self.lamps(random.Random(3), 40):
-            # x lies in g^-i U_- g^i iff g^i x g^-i lies in U_-.
-            in_mm = any(parts.u_minus.contains(conjugate(shift_generator(2, i * m), x))
-                        for i in range(20))
-            in_pp = any(parts.u_plus.contains(conjugate(shift_generator(2, -i * m), x))
-                        for i in range(20))
-            assert (parts.u_mm.contains(x), parts.u_pp.contains(x)) == (in_mm, in_pp)
+            assert (parts.u_mm.contains(x), parts.u_pp.contains(x)) == (
+                oracles.in_translate_unions(parts, g, x, 20))
+
+    @pytest.mark.parametrize("m", [2, -2, 3, -3])
+    def test_the_deciding_member_has_passed_the_lamp(self, m):
+        # W(0) under shift:m: U_- vanishes on 0, -m, -2m, ...; a lamp at
+        # -m j leaves the translates of that set only past the lamp, and a
+        # lamp in another class mod m lies in U_- already.
+        g = shift_generator(2, m)
+        parts = ShiftModel(2).u_parts_symbolic(w_subgroup(2, 0), g)
+        for i in range(-9, 10):
+            x = lamp_element(2, {i: 1})
+            assert (parts.u_mm.contains(x), parts.u_pp.contains(x)) == (
+                oracles.in_translate_unions(parts, g, x)) == (True, True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), vanish=periodic_sets(), p=st.sampled_from([2, 3]),
+           m=st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]))
+    def test_unions_of_periodic_sets_match_the_conjugates(self, data, vanish, p, m):
+        g = shift_generator(p, m)
+        parts = ShiftModel(p).u_parts_symbolic(ShiftOpen(p, vanish), g)
+        digits = st.lists(st.integers(0, p - 1), max_size=3)
+        tail = st.one_of(st.just([0]), digits.filter(bool))
+        for _ in range(3):
+            lamp = EPSeq.make(p, data.draw(tail), data.draw(digits), data.draw(st.integers(-8, 8)),
+                              data.draw(tail))
+            x = ShiftElement(lamp, 0)
+            assert (parts.u_mm.contains(x), parts.u_pp.contains(x)) == (
+                oracles.in_translate_unions(parts, g, x))
 
 
 class TestModelAdapter:
@@ -274,29 +350,34 @@ def test_unsupported_prime_rejected():
 
 def _contains_oracle(U, x):
     """Membership read one position at a time with `value_at`.  Past a
-    period beyond every boundary the digits and the vanish set repeat, so
-    the window [-B, B] decides."""
+    common period beyond every boundary the digits and the vanish set
+    repeat, so the window [-B, B] decides."""
     if x.shift != 0:
         return False
     a, v = x.lamp, U.vanish
-    ends = [a.offset, a.end, *v.fin, *(e for e in (v.left, v.right) if e is not None)]
-    bound = max(map(abs, ends)) + len(a.left) + len(a.right) + 1
-    return all(a.value_at(i) == 0 for i in range(-bound, bound + 1) if i in v)
+    ends = [a.offset, a.end, v.offset, v.end]
+    periods = len(a.left) * len(v.left) + len(a.right) * len(v.right)
+    bound = max(map(abs, ends)) + periods + 1
+    return all(a.value_at(i) == 0 for i in range(-bound, bound + 1) if v.value_at(i))
 
 
 @st.composite
 def vanish_cases(draw):
-    """(U, x): a vanish set with optional rays and a contiguous or gapped
-    finite part, and a lamp configuration with periodic tails."""
+    """(U, x): a vanish set with rays or periodic tails and a contiguous or
+    gapped core, and a lamp configuration with periodic tails."""
     p = draw(st.sampled_from([2, 3]))
     if draw(st.booleans()):
-        lo = draw(st.integers(-6, 6))
-        fin = range(lo, lo + draw(st.integers(0, 6)))
+        if draw(st.booleans()):
+            lo = draw(st.integers(-6, 6))
+            fin = range(lo, lo + draw(st.integers(0, 6)))
+        else:
+            fin = draw(st.frozensets(st.integers(-8, 8), max_size=6))
+        left = draw(st.one_of(st.none(), st.integers(-12, 4)))
+        right = draw(st.one_of(st.none(), st.integers(-4, 12)))
+        vanish = vanish_set(left, fin, right)
     else:
-        fin = draw(st.frozensets(st.integers(-8, 8), max_size=6))
-    left = draw(st.one_of(st.none(), st.integers(-12, 4)))
-    right = draw(st.one_of(st.none(), st.integers(-4, 12)))
-    U = ShiftOpen(p, VanishSet.make(left, fin, right))
+        vanish = draw(periodic_sets())
+    U = ShiftOpen(p, vanish)
     digits = st.lists(st.integers(0, p - 1), max_size=3)
     tail = st.one_of(st.just([0]), digits)
     lamp = EPSeq.make(p, draw(tail), draw(st.lists(st.integers(0, p - 1), max_size=8)),

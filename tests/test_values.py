@@ -26,7 +26,7 @@ from tdlcw.verify import QuotientDescriptor
 #: The value classes compared by their fields.
 FIELD_VALUES = [
     kernel.VectorWindow, kernel.MatrixWindow, epseq.EPSeq,
-    shift.ShiftElement, shift.VanishSet, shift.ShiftOpen, shift.TailZeroSet,
+    shift.ShiftElement, shift.ShiftOpen, shift.TranslateUnion,
     linear.ShapeSubgroup, limits.PowerTable, limits.ConjugatorTrace,
     limits.TwoSidedTrace, limits.ChabautyDistance, limits.ClosedSubgroupApprox,
     tidy.UParts, verify.QuotientDescriptor,
@@ -70,7 +70,7 @@ def test_every_value_class_is_listed():
 
     package = {c for c in subclasses(Value) if c.__module__.startswith("tdlcw.")}
     assert package == set(FIELD_VALUES) | set(IMAGES) | {kernel.Image}
-    assert len(FIELD_VALUES) + len(IMAGES) == 18
+    assert len(FIELD_VALUES) + len(IMAGES) == 17
 
 
 @pytest.mark.parametrize("cls", FIELD_VALUES, ids=lambda c: c.__name__)
@@ -249,9 +249,9 @@ def test_repr_of_nested_values():
 def test_keyword_defaults():
     # The constructor built from `__slots__` takes every field, positionally.
     with pytest.raises(TypeError):
-        shift.VanishSet(everything=True)
-    assert shift.VanishSet.make() == shift.VanishSet(None, frozenset(), None, False)
-    assert shift.VanishSet.make(everything=True).everything
+        shift.TranslateUnion(2, shift.NOWHERE, step=1)
+    assert shift.TranslateUnion(2, shift.NOWHERE, 1).step == 1
+    assert shift.EVERYWHERE == epseq.EPSeq.make(2, [1], [], 5, [1])
     with pytest.raises(kernel.UnsupportedElementError):
         QuotientDescriptor(LINEAR, "lamp")
 

@@ -33,8 +33,8 @@ MUTANTS = [
      "else e + (vals[r] - vals[s]) * i",
      "else e - (vals[r] - vals[s]) * i"),
     ("forward-union-off-by-one", "shift.py",
-     "return VanishSet.make(right=min(pieces))",
-     "return VanishSet.make(right=min(pieces) + 1)"),
+     "s[start - lo:])",
+     "s[start - lo - 1:])"),
     ("swap-u-plus-u-minus", "shift.py",
      "return UParts(u_plus, u_minus, u_zero, u_mm, u_pp)",
      "return UParts(u_minus, u_plus, u_zero, u_mm, u_pp)"),
@@ -63,8 +63,8 @@ MUTANTS = [
      "for k in range(model.min_level, K) if not tidy_at(k)",
      "for k in range(model.min_level + 1, K) if not tidy_at(k)"),
     ("tidy-below-next-to-bound", "shift.py",
-     "for i in [*range(bound - 2, min(bound - 2, end) - 1, -1), bound - 1]:",
-     "for i in range(bound - 2, min(bound - 2, end) - 1, -1):"),
+     "for x in [*range(top - 2, lo - 1, -1), top - 1]:",
+     "for x in range(top - 2, lo - 1, -1):"),
     ("transport-level-range", "limits.py",
      "for k in range(model.min_level, TRANSPORT_K + 1):",
      "for k in range(model.min_level, TRANSPORT_K):"),
@@ -84,8 +84,8 @@ MUTANTS = [
      "c * lead ** (deg - 1 - i)",
      "c * lead ** (deg - i)"),
     ("vanish-slice-end", "shift.py",
-     "fin = range(lo, hi + 1)",
-     "fin = range(lo, hi)"),
+     "mask = int.from_bytes(vanish.digits(a.offset, a.end), \"big\") * 255",
+     "mask = int.from_bytes(vanish.digits(a.offset + 1, a.end + 1), \"big\") * 255"),
     ("value-init-order", "kernel.py",
      "def init(self, a, b, /):\n                s0(self, a); s1(self, b)",
      "def init(self, a, b, /):\n                s0(self, b); s1(self, a)"),
@@ -96,11 +96,11 @@ MUTANTS = [
      "(\"n_max\", int, 8, range(1, 13)),",
      "(\"n_max\", int, 8, range(1, 12)),"),
     ("subgroup-format-w", "shift.py",
-     "lo == -hi",
-     "lo == hi"),
+     "b\"\\1\" * (1 - 2 * v.offset)",
+     "b\"\\1\" * (1 - v.offset)"),
     ("u-mm-trivial", "shift.py",
-     "u_mm = u_minus if u_minus.vanish.everything else TailZeroSet(self.p, left)",
-     "u_mm = TailZeroSet(self.p, left)"),
+     "max(0, -(-gap // abs(step)))",
+     "max(0, gap // abs(step))"),
     ("shape-validated-at-parse", "linear.py",
      "        validate_shape(shape)\n        return ShapeSubgroup(",
      "        return ShapeSubgroup("),
