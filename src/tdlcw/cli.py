@@ -238,12 +238,7 @@ def cmd_conjugator(cfg, args):
     for model in battery_models(cfg):
         g = _element_arg(model, args)
         U = _subgroup_arg(cfg, model, args, g)
-        if args.u:
-            u = model.parse_element(args.u)
-        elif model.name == "shift":
-            u = lamp_element(model.p, {2: 1})
-        else:
-            u = model.unipotent(g, model.p ** 2)
+        u = model.parse_element(args.u) if args.u else model.default_u(g, U, args.two_sided)
 
         def conjugator():
             if args.two_sided:

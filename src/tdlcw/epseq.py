@@ -184,7 +184,22 @@ class EPSeq(Value):
         if self.is_zero():
             return other
         # Digits are below p <= 127, so no byte of the sum carries.
+        if self.left == self.right == other.left == other.right == ZERO:
+            return self._add_finite(other)
         return self.combine(other, int.__add__)
+
+    def _add_finite(self, other):
+        """`add` of two finitely supported sequences: their cores, aligned
+        at the larger end, add as one integer, reduced mod p, with the
+        zeros at either end cut off."""
+        lo, hi = min(self.offset, other.offset), max(self.end, other.end)
+        total = ((int.from_bytes(self.core, "big") << 8 * (hi - self.end))
+                 + (int.from_bytes(other.core, "big") << 8 * (hi - other.end)))
+        digits = total.to_bytes(hi - lo, "big").translate(_tables(self.p)[0])
+        core = digits.lstrip(ZERO)
+        offset = lo + len(digits) - len(core)
+        core = core.rstrip(ZERO)
+        return EPSeq(self.p, ZERO, core, offset if core else 0, ZERO)
 
     def combine(self, other, op):
         """The sequence over F_p, p = self.p, whose digits are op of the

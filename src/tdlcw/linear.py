@@ -417,10 +417,12 @@ class ShapeSubgroup(Value):
         p, d = self.basis.p, y.den
         vd = _vpi(d, p)
         # det(y) = det(rows) / d^n is a unit iff p^(n vd) exactly divides
-        # det(rows).
+        # det(rows), which reduction mod m = p^(n vd + 1), a ring
+        # homomorphism, decides from the rows' residues.
         unit = p ** (len(y.rows) * vd)
-        dt = det(y.rows)
-        if dt % unit or not dt % (unit * p):
+        m = unit * p
+        dt = det([[e % m for e in row] for row in y.rows]) % m
+        if dt % unit or not dt:
             return False
         # y = rows / d, so val(y_rs - delta_rs) >= bound iff
         # p^(bound + vd) divides rows_rs - d delta_rs.
@@ -903,30 +905,39 @@ class LinearModel:
         return UParts(build(INF, None), build(None, INF), build(INF, INF),
                       build(NEG_INF, INF), build(INF, NEG_INF))
 
-    def split(self, x, U, g, parts):
+    def splitter(self, U, g, parts):
+        """The split x = w_- w_+ of x in U, with w_- in U_- and w_+ in U_+,
+        as a function of x.  U's alignment with g and the elimination order
+        are fixed here, once for every split of a trace, and the basis
+        inverse of the coordinate change once per process (`_basis_inv`)."""
         if self._invariant_case(U, g):
-            return x, self.identity
+            return lambda x: (x, self.identity)
         _, vals = self._require_aligned(U, g)
         if len(set(vals)) == 1:
-            return x, self.identity
+            return lambda x: (x, self.identity)
         # The parts share U's basis, so x enters its coordinates once and
         # only the two factors leave them.
         basis = U.basis
         assert parts.u_minus.basis == parts.u_plus.basis == basis
-        y = _coords(basis, x)
-        if not U.contains_coordinates(y):
-            raise ContainmentError("split input must lie in U", x)
         # Read the coordinates by descending valuation (g's eigenbasis is
         # sorted already, g^-1's reversed), so that the contracting entries
         # sit strictly above the diagonal, and factor upper*lower in it.
-        u, low = ul_factor(y, sorted(range(self.n), key=lambda r: -vals[r]))
-        if not (parts.u_minus.contains_coordinates(u)
-                and parts.u_plus.contains_coordinates(low)):
-            raise FactorizationError(
-                "UL factors leave the tidy parts; U is not tidy above here",
-                witness=x,
-            )
-        return _from_coords(basis, u), _from_coords(basis, low)
+        order = sorted(range(self.n), key=lambda r: -vals[r])
+
+        def split(x):
+            y = _coords(basis, x)
+            if not U.contains_coordinates(y):
+                raise ContainmentError("split input must lie in U", x)
+            u, low = ul_factor(y, order)
+            if not (parts.u_minus.contains_coordinates(u)
+                    and parts.u_plus.contains_coordinates(low)):
+                raise FactorizationError(
+                    "UL factors leave the tidy parts; U is not tidy above here",
+                    witness=x,
+                )
+            return _from_coords(basis, u), _from_coords(basis, low)
+
+        return split
 
     def adjust_to_contraction(self, t, U, g, parts):
         """Split t = t' * v with v in U_0 and t' in con(g^-1) ^ U_+.
@@ -1012,6 +1023,10 @@ class LinearModel:
 
     def default_subgroup(self, g):
         return ShapeSubgroup(self.integral_basis(g)[0], iwahori_shape(self.n))
+
+    def default_u(self, g, U, two_sided):
+        """I + p^2 E_(n-1, 0) in the eigencoordinates of g."""
+        return self.unipotent(g, self.p ** 2)
 
     def scale_formula(self, g):
         """Closed-form scale p^(sum over pairs of max(0, v_i - v_j)) over

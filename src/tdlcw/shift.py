@@ -33,6 +33,7 @@ from tdlcw.kernel import (
     VectorWindow,
     WindowMismatchError,
     cached_attribute,
+    conjugate,
     power,
 )
 
@@ -251,11 +252,12 @@ class ShiftModel:
       `con_closure_image(g, K)`, `bco_image(g, K)`, `par_image(g, K)`,
       `rbco_image(g, v, K)`, `nub_image(g, K)`;
     - dynamics: `conj_open(U, g, i)`, `u_parts_symbolic(U, g)`,
-      `split(x, U, g, parts)`, `adjust_to_contraction(t, U, g, parts)`,
+      `splitter(U, g, parts)`, `adjust_to_contraction(t, U, g, parts)`,
       `tidy_candidates(g, K)`, `tidy_below_certificate(U, g, parts)`,
       `net_schedule(g, n_max)`;
     - defaults and syntax: `name`, `default_element()`,
-      `default_subgroup(g)`, `scale_formula(g)`, `parse_element(text)`,
+      `default_subgroup(g)`, `default_u(g, U, two_sided)` (the
+      conjugator's perturbation), `scale_formula(g)`, `parse_element(text)`,
       `format_element(x)`, `parse_subgroup(text, g)`, `format_subgroup(U)`.
     """
 
@@ -363,18 +365,24 @@ class ShiftModel:
         u_mm, u_pp = TranslateUnion(self.p, s_minus, -m), TranslateUnion(self.p, s_plus, m)
         return UParts(u_plus, u_minus, u_zero, u_mm, u_pp)
 
-    def split(self, x, U, g, parts):
-        """Factor x = w_minus * w_plus with the factors in U_-/U_+: w_minus
-        is x cleared on U_-'s vanish set."""
+    def splitter(self, U, g, parts):
+        """The split x = w_minus * w_plus of x in U, with the factors in
+        U_-/U_+, as a function of x: w_minus is x cleared on U_-'s vanish
+        set."""
         if g.shift == 0:
-            return x, self.identity
-        if x.shift != 0 or not U.contains(x):
-            raise ContainmentError("split input must lie in U", x)
-        w_minus = ShiftElement(cleared(x.lamp, parts.u_minus.vanish), 0)
-        w_plus = w_minus.inv().mul(x)
-        if not (parts.u_minus.contains(w_minus) and parts.u_plus.contains(w_plus)):
-            raise UnsupportedElementError("vanish-set split failed membership check")
-        return w_minus, w_plus
+            return lambda x: (x, self.identity)
+        u_minus, u_plus = parts.u_minus, parts.u_plus
+
+        def split(x):
+            if x.shift != 0 or not U.contains(x):
+                raise ContainmentError("split input must lie in U", x)
+            w_minus = ShiftElement(cleared(x.lamp, u_minus.vanish), 0)
+            w_plus = w_minus.inv().mul(x)
+            if not (u_minus.contains(w_minus) and u_plus.contains(w_plus)):
+                raise UnsupportedElementError("vanish-set split failed membership check")
+            return w_minus, w_plus
+
+        return split
 
     def adjust_to_contraction(self, t, U, g, parts):
         """(t, v, adjusted) with v = 1 split off: t is left as it is, and
@@ -441,6 +449,28 @@ class ShiftModel:
 
     def default_subgroup(self, g):
         return w_subgroup(self.p, 1)
+
+    def default_u(self, g, U, two_sided):
+        """The lamp nearest position 2, the right one of two equally near,
+        that lies in U, and in g^-1 U g for a two-sided trace; else the
+        lamp at 2, whose hypothesis check then names what fails.
+
+        Beyond `radius` of 2, a position and its translate by g's shift
+        both lie past the core of U's vanish set on one side, where
+        membership repeats with that side's tail period, so a lamp further
+        out that qualifies has one nearer that does.  A shift past
+        PART_SHIFT_CAP counts as the cap: the construction refuses it
+        anyway."""
+        vanish = U.vanish
+        radius = (max(abs(vanish.offset - 2), abs(vanish.end - 2))
+                  + max(len(vanish.left), len(vanish.right))
+                  + (min(abs(g.shift), PART_SHIFT_CAP) if two_sided else 0))
+        for d in range(radius + 1):
+            for i in (2 + d, 2 - d):
+                u = lamp_element(self.p, {i: 1})
+                if U.contains(u) and (not two_sided or U.contains(conjugate(g, u))):
+                    return u
+        return lamp_element(self.p, {2: 1})
 
     def scale_formula(self, g):
         """1: conjugation by any element preserves the lamp group, so every

@@ -8,9 +8,10 @@ an exact oracle to trajectories or window images.
 """
 
 from tdlcw.epseq import EPSeq
-from tdlcw.kernel import INF_LEVEL, conjugate, product_is
+from tdlcw.kernel import INF_LEVEL, conjugate, det, product_is
 from tdlcw.limits import HypothesisError
-from tdlcw.linear import FactorizationError, QMatrix, _from_coords, identity_matrix
+from tdlcw.linear import (INF, NEG_INF, FactorizationError, QMatrix, _from_coords, _vpi,
+                          identity_matrix)
 from tdlcw.shift import ShiftElement, lamp_element, shift_generator, shift_identity
 
 
@@ -68,11 +69,33 @@ def stage_conjugator(model, g, u, U, N, parts, powers):
         h = powers.gu[n].mul(t).mul(powers.g_inv[n])
         if not U.contains(t.inv().mul(h)):
             raise HypothesisError(f"certificate b_{n} escapes U")
-        _w_minus, w_plus = model.split(u.mul(h), U, g, parts)
+        _w_minus, w_plus = model.splitter(U, g, parts)(u.mul(h))
         t = t.mul(powers.g_inv[n].mul(w_plus.inv()).mul(powers.g[n]))
     if not parts.u_plus.contains(t):
         raise HypothesisError("constructed conjugator escapes U_+")
     return t
+
+
+def contains_coordinates(U, y):
+    """`ShapeSubgroup.contains_coordinates` with the unit-determinant test
+    on the full determinant of the rows: det(y) = det(rows) / d^n is a unit
+    iff p^(n vd) exactly divides det(rows), for vd the valuation of d."""
+    p, d = U.p, y.den
+    vd = _vpi(d, p)
+    unit = p ** (len(y.rows) * vd)
+    dt = det(y.rows)
+    if dt % unit or not dt % (unit * p):
+        return False
+    for r, (row, bounds) in enumerate(zip(y.rows, U.shape)):
+        for s, (e, bound) in enumerate(zip(row, bounds)):
+            if r == s:
+                e -= d
+            if bound == INF:
+                if e:
+                    return False
+            elif bound != NEG_INF and bound + vd > 0 and e % p ** (bound + vd):
+                return False
+    return True
 
 
 def _permuted(m, order):

@@ -468,9 +468,34 @@ def test_shift_past_the_part_cap_exits_2_before_forming_parts(command, m, capsys
     (["conjugator", "--U", "W:3"], "--U needs --model: a subgroup is read in one model"),
     # Met while a row is computed: bad input is not a row failure.
     (["conjugator", "--model", "shift", "--u", "lamp:0"], "u must lie in U"),
+    # No lamp lies in the trivial subgroup, so the default u cannot either.
+    (["conjugator", "--model", "shift", "--U", "W:all"], "u must lie in U"),
+    (["conjugator", "--model", "shift", "--U", "W:all", "--two-sided"], "u must lie in U"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_bad_input_exits_2(argv, message, capsys):
     assert run(argv, capsys) == (2, [], f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, u", [
+    ([], "lamp:2"),
+    (["--two-sided"], "lamp:2"),
+    (["--g", "shift:-2", "--U", "W:0"], "lamp:2"),
+    (["--U", "W:2"], "lamp:3"),
+    (["--U", "W:2", "--two-sided"], "lamp:3"),
+    (["--g", "shift:-2", "--U", "W:0", "--two-sided"], "lamp:3"),
+    (["--g", "shift:-1", "--U", "W:2", "--two-sided"], "lamp:4"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_default_shift_u_is_the_nearest_lamp_that_qualifies(argv, u, capsys):
+    code, rows, _ = run(["conjugator", "--model", "shift", *argv], capsys)
+    assert code == 0 and [row["params"]["u"] for row in rows] == [u]
+
+
+def test_default_shift_u_takes_the_right_lamp_of_two_and_may_lie_left():
+    model = shift.ShiftModel(2)
+    g = model.parse_element("shift:1")
+    for fin, i in [((2,), 3), ((2, 3), 1), ((1, 2, 3), 4)]:
+        U = shift.ShiftOpen(2, vanish_set(fin=fin))
+        assert model.default_u(g, U, False) == shift.lamp_element(2, {i: 1})
 
 
 @pytest.mark.parametrize("content, message", [
@@ -674,9 +699,14 @@ RANGE_COMMANDS = [
     # An 18-digit eigenvalue: its roots come from bisection.
     ["scale", "--model", "linear", "--g", "1000000000000000000,1;0,1"],
 ] + [
+    # The default u of the shift model, the lamp nearest 2 that qualifies:
+    # the lamp at 2 lies neither in W:2 nor, for shift:-2, in g^-1 W:0 g.
+    ["conjugator", "--model", "shift", "--U", "W:2"],
+    ["conjugator", "--model", "shift", "--g", "shift:-2", "--U", "W:0", "--two-sided"],
+] + [
     # Translates of W:k by g that leave gaps (2k + 1 < |m| <= 5): U_+ and
     # U_- vanish on periodic sets.  The lamp at 9 lies in U and g^-1 U g
-    # for every such g; the default lamp at 2 does not for shift:-2, W:0.
+    # for every such g.
     [*command, "--model", "shift", "--p", str(p), "--g", g, "--U", U]
     for p in (2, 3)
     for g, U in [("shift:2", "W:0"), ("lamp:0*shift:-3", "W:0"), ("shift:4", "W:1"),

@@ -271,6 +271,38 @@ def test_combine_reads_both_sequences_at_each_position(data):
     assert_canonical(union)
 
 
+@st.composite
+def finite_pairs(draw):
+    """(a, b) finitely supported over one p: b drawn on its own, or as -a
+    changed at a few positions, so that a + b cancels to zero, at either
+    end of the core, or inside it."""
+    p = draw(primes)
+    support = draw(st.dictionaries(st.integers(-8, 8), st.integers(1, p - 1), max_size=8))
+    if draw(st.booleans()):
+        other = draw(st.dictionaries(st.integers(-8, 8), st.integers(0, p - 1), max_size=8))
+    else:
+        changes = draw(st.dictionaries(st.integers(-9, 9), st.integers(0, p - 1), max_size=3))
+        other = {**{i: -d for i, d in support.items()}, **changes}
+    return EPSeq.from_support(p, support), EPSeq.from_support(p, other)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=finite_pairs())
+def test_finite_add_matches_combine(pair):
+    a, b = pair
+    assert a.add(b) == a.combine(b, int.__add__)
+
+
+def test_finite_add_cancels_to_zero_and_at_both_ends():
+    a = EPSeq.from_support(3, {0: 1, 2: 2, 5: 1})
+    b = EPSeq.from_support(3, {0: 2, 2: 2, 5: 2})
+    assert a.add(b) == EPSeq.from_support(3, {2: 1}) == a.combine(b, int.__add__)
+    assert a.add(a.neg()) == EPSeq.zero(3) == a.combine(a.neg(), int.__add__)
+    # p = 2: 1 + 1 reduces to 0.
+    c = EPSeq.from_support(2, {-1: 1, 4: 1})
+    assert c.add(EPSeq.from_support(2, {4: 1})) == EPSeq.from_support(2, {-1: 1})
+
+
 def test_primes_above_127_are_rejected():
     for make in (lambda: EPSeq.make(128, (0,), (1,), 0, (0,)),
                  lambda: EPSeq.zero(128),

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import oracles
 from oracles import is_subgroup, sample_con_elements, trajectory_contracts
@@ -219,6 +219,44 @@ class TestIntegerForm:
         assert x.mul(y).mul(y.inv()) == x
         assert x.mul(x.inv()) == identity_matrix(x.n, p)
         assert x.inv().mul(x).is_identity()
+
+
+@st.composite
+def coordinate_cases(draw):
+    """(U, y): U in the identity basis with a shape of small or no bounds,
+    and y with integer rows over d = p^a c, p not dividing c.  Entries are
+    often multiples of p, so that det(rows) often holds p more often than
+    p^(n vd) does, and p may divide d in lowest terms or not."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.sampled_from([2, 3]))
+    entry = st.builds(lambda a, e: a * p**e, st.integers(-4, 4), st.integers(0, 3))
+    rows = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    c = draw(st.sampled_from([1, 2, 3, 5, 7, 11]).filter(lambda c: c % p))
+    den = p ** draw(st.integers(0, 3)) * c
+    bound = st.sampled_from([-INF, -1, 0, 1, 2])
+    shape = tuple(tuple(draw(bound) for _ in range(n)) for _ in range(n))
+    return ShapeSubgroup(identity_matrix(n, p), shape), QMatrix(rows, den, p)
+
+
+def _unbounded(n, p, rows, den):
+    """(U, y) for the shape with no bounds: only the determinant decides."""
+    shape = tuple(tuple(-INF for _ in range(n)) for _ in range(n))
+    return ShapeSubgroup(identity_matrix(n, p), shape), QMatrix(rows, den, p)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=coordinate_cases())
+# det(rows) = p^(n vd) times a unit, and p^(n vd + 1) | det(rows), for p
+# dividing d and not.
+@example(case=_unbounded(2, 2, ((1, 0), (0, 4)), 2))
+@example(case=_unbounded(2, 2, ((1, 0), (0, 8)), 2))
+@example(case=_unbounded(2, 2, ((3, 0), (0, 1)), 1))
+@example(case=_unbounded(2, 2, ((2, 0), (0, 1)), 1))
+@example(case=_unbounded(3, 5, ((1, 0, 0), (0, 5, 0), (0, 0, 5)), 5))
+@example(case=_unbounded(3, 5, ((1, 0, 0), (0, 5, 0), (0, 0, 25)), 5))
+def test_residue_determinant_matches_the_full_one(case):
+    U, y = case
+    assert U.contains_coordinates(y) == oracles.contains_coordinates(U, y)
 
 
 @st.composite
@@ -727,7 +765,7 @@ class TestSplitAndParts:
         U = ShapeSubgroup(model.identity, iwahori_shape(2))
         parts = model.u_parts_symbolic(U, g)
         x = model.parse_element("1,2;1,1")
-        w_minus, w_plus = model.split(x, U, g, parts)
+        w_minus, w_plus = model.splitter(U, g, parts)(x)
         assert w_minus.mul(w_plus) == x
         assert parts.u_minus.contains(w_minus)
         assert parts.u_plus.contains(w_plus)

@@ -124,16 +124,25 @@ MUTANTS = [
      "dinv = pow(det(a), -1, m)",
      "dinv = det(a) % m"),
     ("stage-h-conjugated-backwards", "limits.py",
-     "h = g.mul(w_minus, g_inv)",
-     "h = g_inv.mul(w_minus, g)"),
+     "y = u.mul(g, w_minus, powers.g_inv[1])",
+     "y = u.mul(powers.g_inv[1], w_minus, g)"),
     ("stage-final-power-off-by-one", "limits.py",
-     "t = P.mul(powers.g[N])",
-     "t = P.mul(powers.g[N - 1])"),
+     "t = Q.inv().mul(powers.g[N])",
+     "t = Q.inv().mul(powers.g[N - 1])"),
     ("stage-escape-unmapped", "limits.py",
-     "        try:\n            w_minus, w_plus = model.split(u.mul(h), U, g, parts)\n"
+     "        try:\n            w_minus, w_plus = split(y)\n"
      "        except ContainmentError:\n"
      "            raise HypothesisError(f\"certificate b_{n} escapes U\") from None\n",
-     "        w_minus, w_plus = model.split(u.mul(h), U, g, parts)\n"),
+     "        w_minus, w_plus = split(y)\n"),
+    ("residue-det-not-exact", "linear.py",
+     "if dt % unit or not dt:",
+     "if dt % unit:"),
+    ("replay-e-step-g-power", "limits.py",
+     "gu_s, g_minus_s = (gu, g.inv()) if s > 0 else (gu.inv(), g)",
+     "gu_s, g_minus_s = (gu, g) if s > 0 else (gu.inv(), g)"),
+    ("finite-add-unreduced", "epseq.py",
+     'digits = total.to_bytes(hi - lo, "big").translate(_tables(self.p)[0])',
+     'digits = total.to_bytes(hi - lo, "big")'),
     ("mul-drops-first-den", "linear.py",
      "den = self.den\n        if len(self.rows) == 2:",
      "den = 1\n        if len(self.rows) == 2:"),
