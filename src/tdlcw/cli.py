@@ -362,7 +362,7 @@ def _check_tidy_identities(cfg):
 
             def above_below():
                 parts = tidy.u_parts(model, U, g)
-                above, _, _ = tidy.is_tidy_above(model, U, g, 3, parts=parts)
+                above = tidy.untidy_above_level(model, U, 3, parts) is None
                 below, witness = tidy.is_tidy_below(model, U, g, parts)
                 return [{"tidy_above": _verdict(above), "tidy_below": _verdict(below),
                          "witness": None if below is not False
@@ -568,11 +568,8 @@ def cmd_theorem_check(cfg, args):
 
 
 def _element_arg(model, args):
-    """--g (or --matrix), or the model's default element when neither is given."""
-    text = getattr(args, "g", None) or getattr(args, "matrix", None)
-    if text is None:
-        return model.default_element()
-    return model.parse_element(text)
+    """--g, or the model's default element when it is not given."""
+    return model.parse_element(args.g) if args.g else model.default_element()
 
 
 def _subgroup_arg(cfg, model, args, g):
@@ -601,7 +598,7 @@ def _add_settings(parser, command):
 #: subcommands in place of a function.
 COMMANDS = {
     "scale": ("scale of an element, two ways", cmd_scale,
-              [("--g", {}), ("--matrix", {})]),
+              [("--g", {})]),
     "tidy": ("tidying procedure diagnosis", cmd_tidy,
              [("--g", {}), ("--U", {"dest": "subgroup"})]),
     "con-test": ("contraction/parabolic membership", cmd_con_test,

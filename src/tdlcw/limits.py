@@ -172,8 +172,8 @@ def conjugator_forward(model, g, u, U, N, parts=None, powers=None):
         raise HypothesisError("u must lie in U")
     if parts is None:
         parts = tidy.u_parts(model, U, g)
-    verdict, k, _ = tidy.is_tidy_above(model, U, g, max(model.min_level, 1), parts)
-    if verdict is not True:
+    k = tidy.untidy_above_level(model, U, max(model.min_level, 1), parts)
+    if k is not None:
         raise HypothesisError(f"U is not tidy above for g (level {k})")
     if powers is None:
         powers = PowerTable.build(model, g, u, N)

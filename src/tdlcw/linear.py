@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import product
 
 from tdlcw.kernel import (
     DEFAULT_CAP,
@@ -477,7 +477,31 @@ class ShapeImage(Image):
     entrywise maximum of their shapes (see `_meet` for other bases); images
     in unrelated bases compare by `generators`.  Containment and equality
     compare orders, never shapes: different clamped shapes can give one
-    image (at p = 2 a level-0 diagonal entry is already 1 mod 2)."""
+    image (at p = 2 a level-0 diagonal entry is already 1 mod 2).
+
+    Every clamped shape m the package builds is group-valued: m_rt <= m_rs
+    + m_st for all r, s, t, so that its residues form a group.
+      - Parsed shapes pass `validate_shape`, which asks this of the shape
+        itself.  Clamping c(e) = max(0, min(K, e)) keeps the inequality:
+        c is monotone and c(a + b) <= c(a) + c(b), and where a sum is
+        inf - inf one of its terms is inf, clamped to K.
+      - The other built shapes are a constant e >= 0 off a set S of
+        entries and some h >= e on S, where every (r, t) in S has (r, s) or
+        (s, t) in S for each s: congruence (S empty), Iwahori (h = 1 on
+        r < t), con (h = inf where v_r <= v_t, e = 0), par (h = K where
+        v_r > v_t, e = 0) and rbco (h = K where v_r != v_t, e = min(v, K)),
+        for v the eigenvalue valuations.
+      - Translation by g^i adds (v_r - v_t) i = (v_r - v_s) i + (v_s - v_t) i
+        to entry (r, t).  Clamped, U_++ is K where v_r > v_t, 0 where
+        v_r < v_t and U's entry where they tie: if v_r > v_t, then v_r > v_s
+        or v_s > v_t, so one of m_rs, m_st is K; if they tie, an s off the
+        tie has v_r > v_s or v_s > v_t likewise.  U_-- is the mirror case,
+        and U_+, U_- and U_0 are entrywise maxima of U, U_++ and U_--.
+      - Entrywise maxima (intersections), projection (clamping again) and
+        the simultaneous permutation of rows and columns in `_meet` keep
+        the inequality.
+    `_shape_order` raises ValueError on a shape that is not group-valued.
+    """
 
     __slots__ = ("window", "clamped", "conj")
 
@@ -517,14 +541,11 @@ class ShapeImage(Image):
     @cached_attribute
     def generators(self):
         """b (I + p^e E_rs) b^-1 off the diagonal and b diag(u) b^-1 on it,
-        u over `_unit_generators(p, e)`, for each entry of level e < K.  They
-        generate the image when the shape is group-valued (m_rt <= m_rs +
-        m_st), as elementary and diagonal matrices generate GL_n of a local
-        ring; otherwise the image is given by its elements."""
+        u over `_unit_generators(p, e)`, for each entry of level e < K.  The
+        shape is group-valued, so they generate the image, as elementary and
+        diagonal matrices generate GL_n of a local ring."""
         w, c = self.window, self.clamped
         p, K, m, n = w.p, w.K, w.modulus, len(c)
-        if any(c[r][t] > c[r][s] + c[s][t] for r, s, t in product(range(n), repeat=3)):
-            return self.elements
         b, b_inv = self.conj or (w.identity,) * 2
         gens = []
         for r, s in product(range(n), repeat=2):
@@ -593,26 +614,33 @@ def _residues(clamped, p, K):
 
 @cache
 def _shape_order(clamped, p, K):
-    """The number of `_residues(clamped)`, in closed form where the
-    determinant condition splits; otherwise they are counted, under the cap.
-    Computed once per process for each (clamped, p, K)."""
+    """The number of `_residues(clamped)`, in closed form; computed once per
+    process for each (clamped, p, K).  Raises ValueError on a shape that is
+    not group-valued, whose residues no subgroup has (see `ShapeImage`).
+
+    At K >= 1 entry (r, s) of a residue c takes p^(K - m_rs) values.  Mod p
+    it is free where m_rs = 0 and is delta_rs elsewhere.  By the triangle
+    inequality the level-0 entries form a transitive relation, so the
+    indices with m_rr = 0 fall into blocks, r ~ s when m_rs = m_sr = 0, and
+    the level-0 entries between blocks order them: c mod p is block
+    triangular, with a free b x b matrix on each block of size b and 1 at
+    every other diagonal entry.  det(c) is a unit exactly when every
+    diagonal block is invertible, which holds for the share
+    |GL_b(F_p)| / p^(b^2) of the residues.
+    """
     n = len(clamped)
+    if any(clamped[r][t] > clamped[r][s] + clamped[s][t]
+           for r, s, t in product(range(n), repeat=3)):
+        raise ValueError(f"shape {clamped} is not group-valued")
     if K == 0:
         return 1
-    if all(e == 0 for row in clamped for e in row):
-        return MatrixWindow(n, p, K).order
-    if not _det_splits(clamped):
-        return sum(1 for _ in _residues(clamped, p, K))
-    return math.prod(p ** (K - e) if r != s or e >= 1 else p**K - p ** (K - 1)
-                     for r, row in enumerate(clamped) for s, e in enumerate(row))
-
-
-def _det_splits(clamped):
-    """True when every non-identity permutation crosses a level>=1 entry, so
-    the determinant is a unit exactly when all diagonal entries are."""
-    n = len(clamped)
-    return all(any(clamped[r][perm[r]] for r in range(n) if perm[r] != r)
-               for perm in permutations(range(n)) if perm != tuple(range(n)))
+    blocks = {frozenset(s for s in range(n) if clamped[r][s] == clamped[s][r] == 0)
+              for r in range(n) if clamped[r][r] == 0}
+    order = math.prod(p ** (K - e) for row in clamped for e in row)
+    for block in blocks:
+        # The block's own entries contribute p^(K b^2), so this divides.
+        order = order * MatrixWindow(len(block), p, 1).order // p ** len(block) ** 2
+    return order
 
 
 def project_matrix(x, K):

@@ -25,12 +25,12 @@ from tdlcw.shift import ShiftElement, shift_generator
 def tits_core_image(model, K, schedule):
     """Subgroup image generated by the con-closure images of the schedule:
     the largest of them when it holds all the others, else the closure of
-    their elements."""
+    their generators."""
     images = [model.con_closure_image(g, K) for g in schedule]
     top = max(images, key=lambda im: im.order, default=None)
     if top is not None and all(im <= top for im in images):
         return top
-    gens = set().union(*(im.elements for im in images))
+    gens = set().union(*(im.generators for im in images))
     return subgroup_closure(model.window(K), sorted(gens))
 
 

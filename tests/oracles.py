@@ -23,6 +23,24 @@ def is_subgroup(image):
         w.inv(a) in elems and all(w.mul(a, b) in elems for b in elems) for a in elems)
 
 
+def is_group_valued(m):
+    """m_rt <= m_rs + m_st for all r, s, t: the residues of a clamped shape
+    form a group."""
+    n = range(len(m))
+    return all(m[r][t] <= m[r][s] + m[s][t] for r in n for s in n for t in n)
+
+
+def triangle_closed(m):
+    """The largest shape entrywise <= m that is group-valued, as a tuple
+    of rows (shortest paths: m_rt lowered to m_rs + m_st)."""
+    m = [list(row) for row in m]
+    for s in range(len(m)):
+        for r in range(len(m)):
+            for t in range(len(m)):
+                m[r][t] = min(m[r][t], m[r][s] + m[s][t])
+    return tuple(map(tuple, m))
+
+
 def untidy_above_level(model, U, K, parts):
     """`tidy.untidy_above_level` level by level: the first k in
     min_level..K at which image_k(U_+) * image_k(U_-) is not image_k(U),

@@ -630,6 +630,19 @@ def test_18_digit_3x3_matrix_exits_at_once(middle, capsys):
     assert (code, rows) == (2, []) and err.startswith("error: ") and "eigen" in err
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_untidy_u_exits_at_once_with_its_level(p, capsys):
+    # The zero shape (all of GL_3(Z_p)) is not tidy above for diag(p^2, p, 1)
+    # at level 1; the verdict comes from orders, and no product set of
+    # GL_3(F_p)-sized images is formed.
+    argv = ["conjugator", "--model", "linear", "--n", "3", "--p", str(p),
+            "--U", "0,0,0;0,0,0;0,0,0"]
+    start = time.perf_counter()
+    code, rows, err = run(argv, capsys)
+    assert time.perf_counter() - start < 5
+    assert (code, rows, err) == (2, [], "error: U is not tidy above for g (level 1)\n")
+
+
 #: Commands run one after another in one process: a flag given to one
 #: (`--two-sided`, `--model`) must not leak into the next, which omits it.
 SEQUENCE = [
@@ -704,6 +717,12 @@ RANGE_COMMANDS = [
     ["conjugator", "--model", "shift", "--U", "W:2"],
     ["conjugator", "--model", "shift", "--g", "shift:-2", "--U", "W:0", "--two-sided"],
 ] + [
+    # A maximal parahoric U of GL_3 whose determinant does not split mod p:
+    # its orders have a closed form at every resolution.
+    ["tidy", "--model", "linear", "--n", "3", "--p", str(p),
+     "--g", f"{p * p},0,0;0,{p},0;0,0,1", "--U", "0,0,1;0,0,1;0,0,0", "--resolution", str(K)]
+    for p in (2, 3, 5) for K in (1, 3, 8)
+] + [
     # Translates of W:k by g that leave gaps (2k + 1 < |m| <= 5): U_+ and
     # U_- vanish on periodic sets.  The lamp at 9 lies in U and g^-1 U g
     # for every such g.
@@ -732,7 +751,7 @@ TEXTS = {
     None: ["bogus", "1/0,0;0,1", "1,0;0,0", "W:x", "lamp-ep:1", "0,-1;0,0"],
 }
 #: The flags each command takes besides the shared ones.
-COMMAND_FLAGS = {"scale": ["--g", "--matrix"], "tidy": ["--g", "--U"],
+COMMAND_FLAGS = {"scale": ["--g"], "tidy": ["--g", "--U"],
                  "con-test": ["--g", "--x"], "nub": ["--g"],
                  "conjugator": ["--g", "--u", "--U"], "experiment limits": [],
                  "theorem-check": []}

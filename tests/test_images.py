@@ -23,7 +23,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import vanish_set
+from oracles import is_group_valued, triangle_closed, vanish_set
 
 from tdlcw import backend, limits, linear, shift, tidy, verify
 from tdlcw.kernel import (
@@ -280,13 +280,37 @@ def test_upward_projection_is_rejected():
 
 @pytest.mark.parametrize("p, K", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_non_splitting_determinant_is_counted(p, K):
-    # Both off-diagonal entries free: the determinant condition does not
-    # split, so the order is counted over the residues, not read off.
-    shape = ((1, 0), (0, 1))
+    # Group-valued shapes whose determinant condition does not split: a
+    # block of indices r ~ s with m_rs = m_sr = 0 is a free 2x2 matrix mod
+    # p.  The zero 2x2 shape in a basis that is not monomial, against the
+    # oracle; 3x3 parahorics (blocks of sizes 2 and 1, with entries of
+    # level a >= 0 on one side between them and b >= 1 on the other),
+    # against a count of their residues.
+    shape = ((0, 0), (0, 0))
     image = ShapeSubgroup(QMatrix.make(BASES[3], p), shape).window_image(K)
     oracle = shape_oracle(BASES[3], shape, p, K)
     assert image.order == len(oracle) and materialized(image) == oracle
     assert all((c in image) == (c in oracle) for c in MatrixWindow(2, p, K).elements())
+    parahorics = [
+        tuple(tuple(0 if (r in block) == (s in block) else a if r in block else b
+                    for s in range(3)) for r in range(3))
+        for block in ({0, 1}, {1, 2}) for a in range(K + 1) for b in range(1, K + 1)]
+    parahorics = [c for c in parahorics
+                  if math.prod(p ** (K - e) for row in c for e in row) <= 2**16]
+    assert parahorics and all(map(is_group_valued, parahorics))
+    assert _shape_orders_against_counts(parahorics, p, K) == []
+
+
+def test_parabolic_order_is_an_index_past_the_count():
+    # Lower block triangular mod p with blocks of sizes 2 and 1: the index
+    # in GL_3(Z/p^K) is the number p^2 + p + 1 of lines in F_p^3.  Neither
+    # window here can be counted.
+    shape = ((0, 0, 1), (0, 0, 1), (0, 0, 0))
+    for p, K in [(7, 3), (5, 8)]:
+        with pytest.raises(ResolutionError):
+            linear._residues(shape, p, K)
+        order = MatrixWindow(3, p, K).order
+        assert linear._shape_order(shape, p, K) * (p * p + p + 1) == order
 
 
 # -- generators of shape images -----------------------------------------------
@@ -301,13 +325,9 @@ def group_shape_images(draw, window):
     """A shape image in a random basis whose clamped shape is group-valued:
     entries drawn in [0, K], then closed under m_rt <= m_rs + m_st."""
     n, p, K = window.n, window.p, window.K
-    m = [[draw(st.integers(0, K)) for _ in range(n)] for _ in range(n)]
-    for s in range(n):
-        for r in range(n):
-            for t in range(n):
-                m[r][t] = min(m[r][t], m[r][s] + m[s][t])
+    m = triangle_closed([[draw(st.integers(0, K)) for _ in range(n)] for _ in range(n)])
     if draw(st.integers(0, 4)) == 0:
-        return ShapeImage(window, tuple(map(tuple, m)), None)
+        return ShapeImage(window, m, None)
     # A unit-determinant basis: elementary row operations on a permutation.
     rows = [list(row) for row in draw(st.permutations(
         [tuple(int(i == j) for j in range(n)) for i in range(n)]))]
@@ -316,7 +336,7 @@ def group_shape_images(draw, window):
         if r != s:
             rows[r] = [x + a * y for x, y in zip(rows[r], rows[s])]
     b = window.encode(rows)
-    return ShapeImage(window, tuple(map(tuple, m)), (b, window.inv(b)))
+    return ShapeImage(window, m, (b, window.inv(b)))
 
 
 @st.composite
@@ -367,10 +387,14 @@ def test_unit_generators_generate_the_units(p):
         assert group == units
 
 
-def test_shape_that_is_not_a_group_gives_its_elements():
-    # m_00 = 1 > m_01 + m_10 = 0: the residues are not closed under products.
+def test_shape_that_is_not_a_group_raises():
+    # m_00 = 1 > m_01 + m_10 = 0: the residues are not closed under
+    # products, so no subgroup has them and the image has no order.
     image = ShapeImage(MatrixWindow(2, 3, 1), ((1, 0), (0, 1)), None)
-    assert image.generators == image.elements
+    with pytest.raises(ValueError, match="not group-valued"):
+        image.order
+    with pytest.raises(ValueError, match="not group-valued"):
+        image.elements
 
 
 # -- the enumeration cap -------------------------------------------------------
@@ -433,7 +457,11 @@ def _shape_orders_against_counts(shapes, p, K):
 @pytest.mark.parametrize("p, K", [(p, K) for p in (2, 3) for K in range(4)])
 def test_shape_order_counts_every_2x2_shape(p, K):
     shapes = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(K + 1), repeat=4)]
-    too_large = _shape_orders_against_counts(shapes, p, K)
+    for clamped in shapes:
+        if not is_group_valued(clamped):
+            with pytest.raises(ValueError, match="not group-valued"):
+                linear._shape_order(clamped, p, K)
+    too_large = _shape_orders_against_counts(filter(is_group_valued, shapes), p, K)
     # Only the full window GL_2(Z/27) is too large to count; it has
     # 27^4 (1 - 1/3)(1 - 1/9) elements.
     assert too_large == ([((0, 0), (0, 0))] if (p, K) == (3, 3) else [])
@@ -444,7 +472,7 @@ def test_shape_order_counts_every_2x2_shape(p, K):
 @pytest.mark.parametrize("p, K", [(2, 1), (2, 2), (3, 1)])
 def test_shape_order_counts_sampled_3x3_shapes(p, K):
     rng = random.Random(p * 10 + K)
-    shapes = [tuple(tuple(rng.randint(0, K) for _ in range(3)) for _ in range(3))
+    shapes = [triangle_closed([[rng.randint(0, K) for _ in range(3)] for _ in range(3)])
               for _ in range(40)]
     shapes = [c for c in shapes if math.prod(p ** (K - e) for row in c for e in row) <= 2**14]
     assert len(shapes) >= 10

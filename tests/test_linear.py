@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import oracles
-from oracles import is_subgroup, sample_con_elements, trajectory_contracts
+from oracles import (is_group_valued, is_subgroup, sample_con_elements, triangle_closed,
+                     trajectory_contracts)
 
 from tdlcw.kernel import INF_LEVEL, UnsupportedElementError, adjugate, conjugate, det
 from tdlcw.linear import (
@@ -671,6 +672,50 @@ class TestShapes:
         both = a.intersect(b)
         assert both <= a and both <= b
         assert model.filtration(2) <= model.filtration(1)
+
+
+@st.composite
+def validated_subgroups(draw):
+    """(model, g, U, K): g diagonal (valuations distinct, tied or all 0)
+    or upper triangular, U read by `parse_subgroup` from a shape drawn and
+    then lowered to satisfy the triangle inequality, K in 0..8."""
+    n, p = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3, 5]))
+    model = LinearModel(p, n)
+    if draw(st.booleans()):
+        vals = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        text = ";".join(",".join(str(p**v if r == s else 0) for s in range(n))
+                        for r, v in enumerate(vals))
+    else:
+        text = f"{p},1;0,1" if n == 2 else f"{p * p},1,0;0,{p},1;0,0,1"
+    entry = st.sampled_from([-1, 0, 1, 2, 3, INF])
+    m = triangle_closed([[draw(entry) for _ in range(n)] for _ in range(n)])
+    shape = ";".join(",".join("inf" if e == INF else str(e) for e in row) for row in m)
+    try:
+        g = model.parse_element(text)
+        U = model.parse_subgroup(shape, g)
+    except ValueError:
+        assume(False)
+    return model, g, U, draw(st.integers(0, 8))
+
+
+@settings(max_examples=120, deadline=None)
+@given(validated_subgroups())
+def test_every_built_shape_is_group_valued(case):
+    # The `ShapeImage` docstring proves this; `_shape_order` relies on it.
+    model, g, U, K = case
+    parts = model.u_parts_symbolic(U, g)
+    translates = [model.conj_open(U, g, i) for i in (-3, -1, 1, 2)]
+    subgroups = [U, parts.u_plus, parts.u_minus, parts.u_zero, parts.u_mm, parts.u_pp,
+                 *translates, *(U.intersect(V) for V in translates)]
+    images = [H.window_image(K) for H in subgroups] + [
+        model.con_closure_image(g, K), model.par_image(g, K), model.nub_image(g, K),
+        *(model.rbco_image(g, v, K) for v in (0, 1, K))]
+    images += [im.project(k) for im in images for k in {0, K // 2}]
+    images += [meet for a in images[:6] for b in images
+               if a.window == b.window and (meet := a._meet(b)) is not None]
+    for im in images:
+        assert is_group_valued(im.clamped), (im.clamped, K)
+        assert im.order >= 1
 
 
 class TestProjection:

@@ -152,6 +152,15 @@ MUTANTS = [
     ("ul-multiplier-wrong-pivot", "linear.py",
      "u[r][col] = e * (D // pivot)",
      "u[r][col] = e * (D // steps[0][1])"),
+    ("shape-blocks-one-sided", "linear.py",
+     "if clamped[r][s] == clamped[s][r] == 0)",
+     "if clamped[r][s] == 0)"),
+    ("shape-block-factor-unsquared", "linear.py",
+     "// p ** len(block) ** 2",
+     "// p ** len(block)"),
+    ("conjugator-tidy-level-vacuous", "limits.py",
+     "untidy_above_level(model, U, max(model.min_level, 1), parts)",
+     "untidy_above_level(model, U, max(model.min_level, 1) - 1, parts)"),
 ]
 
 
