@@ -1,8 +1,8 @@
-"""Brute-force oracles over a window group's own `mul` and `inv`.
+"""Enumerations over a window group's own `mul` and `inv`.
 
 Breadth-first `closure` builds matrix-window subgroups, `product_set` names
-the witness when a product check fails, and both serve as the oracles that
-the tests hold the structural shortcuts in `tdlcw.kernel` to.
+the witness when a product check fails, coset by coset, and both serve as
+oracles that the tests hold the structural shortcuts in `tdlcw.kernel` to.
 """
 
 from __future__ import annotations
@@ -39,6 +39,15 @@ def closure(window, gens, cap):
 
 
 def product_set(window, codes_a, codes_b):
-    """The set {a*b : a in A, b in B}."""
+    """The set {a*b : a in A, b in B}, for a subgroup B.
+
+    AB is the union of the cosets aB, and aB = a'B once a lies in a'B, so
+    a coset is formed only for an a not yet covered: |AB| products, not
+    |A||B|.
+    """
     mul = window.mul
-    return {mul(a, b) for a in codes_a for b in codes_b}
+    out = set()
+    for a in codes_a:
+        if a not in out:
+            out.update(mul(a, b) for b in codes_b)
+    return out

@@ -17,20 +17,14 @@ run's U-parts swapped and its tidy check (`conjugator_two_sided` proves
 both apply), and combines the results into r with the identity holding
 for |k| <= N.
 
-The one power a stage reads is g^N, from a `PowerTable`: the running
-products (gu)^k, (gu)^-k, g^k and g^-k for 0 <= k <= N, about 4N
-products, whose other entries the final certificates read.  Since
-g'u' = (gu)^-1, the backward stage reads the table with its columns
-swapped, and so gets (g^-1)^N.  The certificates b_k are kept and replay
-independently of the table: with e_k = x b_k, the identity at k says
-e_k = (gu)^k x g^-k, which holds for every |k| <= N exactly when b_0 = 1
-and e_{k+s} = (gu)^s e_k g^-s for s = +-1 (induction on |k|): per side
+A stage reads one power, g^N, from `model.power`.  The final
+certificates follow the recurrence b_0 = 1 and b_{k+s} = c^s b_k g^-s for
+s = +-1, with c = x^-1 (gu) x formed once per side, so no power of gu is
+formed.  They replay independently of it: with e_k = x b_k, the identity
+at k says e_k = (gu)^k x g^-k, which holds for every |k| <= N exactly
+when b_0 = 1 and e_{k+s} = (gu)^s e_k g^-s (induction on |k|): per side
 N + 1 products x b_k and N `mul` calls of two products each, none
-forming (gu)^k or x^-1.  The replay also evaluates the identity at
-k = +-N by square-and-multiply (`model.power`);
-the induction already implies it, so it catches no fault the induction
-misses, and it is kept only so that the benchmark's `*.power.*` metrics
-keep measuring `model.power`.
+forming c or x^-1.
 
 The transport of contraction groups along a conjugator t is decided on
 window images: t closure(con g) t^-1 and closure(con gu) are compared at
@@ -47,7 +41,7 @@ from fractions import Fraction
 
 from tdlcw import tidy
 from tdlcw.kernel import (INF_LEVEL, ContainmentError, InputError, TdlcwError, Value,
-                          WindowMismatchError, conjugate)
+                          WindowMismatchError)
 
 #: Top window level of the contraction-group and nub transports.
 TRANSPORT_K = 3
@@ -61,37 +55,6 @@ class TransportError(TdlcwError, RuntimeError):
     """A conjugated image differs from its target; the witness is the
     first level where the contraction-group images differ, or the two nub
     images as sorted lists of residues."""
-
-
-class PowerTable(Value):
-    """(gu)^k, (gu)^-k, g^k and g^-k for 0 <= k <= N, as running products."""
-
-    __slots__ = ("gu", "gu_inv", "g", "g_inv")
-
-    @classmethod
-    def build(cls, model, g, u, N):
-        def run(factor):
-            out = [model.identity]
-            for _ in range(N):
-                out.append(out[-1].mul(factor))
-            return tuple(out)
-
-        gu = g.mul(u)
-        return cls(run(gu), run(gu.inv()), run(g), run(g.inv()))
-
-    def backward(self):
-        """The table of g' = g^-1, u' = g u^-1 g^-1, where g'u' = (gu)^-1."""
-        return PowerTable(self.gu_inv, self.gu, self.g_inv, self.g)
-
-    def certificate(self, model, U, k, x, x_inv):
-        """b_k = x^-1 (gu)^k x g^-k for -N <= k <= N; raises
-        HypothesisError when b_k escapes U."""
-        gu_k, g_minus_k = ((self.gu[k], self.g_inv[k]) if k >= 0
-                           else (self.gu_inv[-k], self.g[-k]))
-        b = x_inv.mul(gu_k, x, g_minus_k)
-        if not U.contains(b):
-            raise HypothesisError(f"certificate b_{k} escapes U")
-        return b
 
 
 def _induction_holds(model, trace, x, certs, signs):
@@ -122,23 +85,6 @@ def _induction_holds(model, trace, x, certs, signs):
     return True
 
 
-def _replay(model, trace, x, certs, signs):
-    """The induction of `_induction_holds`, which decides the replay, plus
-    the identity itself at k = s N by square-and-multiply.
-
-    The closed-form check is implied by the induction and so catches no
-    fault of its own; it is kept only so that the benchmark's
-    `linear.power.*` and `shift.power.*` metrics keep measuring
-    `model.power`.
-    """
-    if not _induction_holds(model, trace, x, certs, signs):
-        return False
-    gu = trace.g.mul(trace.u)
-    return all(
-        model.power(gu, k).mul(x) == x.mul(certs[k], model.power(trace.g, k))
-        for k in (s * trace.horizon for s in signs))
-
-
 class ConjugatorTrace(Value):
     """Certificate of the forward construction; replayable independently.
     `certificates` is the tuple of b_k for k = 0..horizon."""
@@ -147,7 +93,7 @@ class ConjugatorTrace(Value):
 
     def replay(self, model):
         """Re-verify every certificate identity by exact multiplication."""
-        return _replay(model, self, self.t, dict(enumerate(self.certificates)), (1,))
+        return _induction_holds(model, self, self.t, dict(enumerate(self.certificates)), (1,))
 
 
 class TwoSidedTrace(Value):
@@ -158,35 +104,52 @@ class TwoSidedTrace(Value):
     __slots__ = ("g", "u", "U", "horizon", "forward", "r", "certificates")
 
     def replay(self, model):
-        return _replay(model, self, self.r, self.certificates, (1, -1))
+        return _induction_holds(model, self, self.r, self.certificates, (1, -1))
 
 
-def conjugator_forward(model, g, u, U, N, parts=None, powers=None):
+def conjugator_forward(model, g, u, U, N):
     """Stage-N conjugator for the perturbation g -> gu, with certificates.
 
     Checks the hypotheses, u in U and U tidy above for g, in that order.
-    `parts` are the U-parts of (U, g) and `powers` the `PowerTable` of
-    (g, u) through N, each built here when None.
     """
     if not U.contains(u):
         raise HypothesisError("u must lie in U")
-    if parts is None:
-        parts = tidy.u_parts(model, U, g)
+    return _forward(model, g, g.inv(), u, U, N, tidy.u_parts(model, U, g))[0]
+
+
+def _forward(model, g, g_inv, u, U, N, parts):
+    """The forward trace for (g, u) and its t^-1, for u in U and the
+    U-parts `parts` of (U, g); checks that U is tidy above for g."""
     k = tidy.untidy_above_level(model, U, max(model.min_level, 1), parts)
     if k is not None:
         raise HypothesisError(f"U is not tidy above for g (level {k})")
-    if powers is None:
-        powers = PowerTable.build(model, g, u, N)
-    t = _stage_conjugator(model, g, u, U, N, parts, powers)
+    t = _stage_conjugator(model, g, g_inv, u, U, N, parts)
     t_inv = t.inv()
-    certs = tuple(powers.certificate(model, U, k, t, t_inv) for k in range(N + 1))
-    return ConjugatorTrace(g, u, U, N, t, certs)
+    certs = _certificates(model, U, t_inv.mul(g, u, t), g_inv, N, 1)
+    return ConjugatorTrace(g, u, U, N, t, tuple(certs)), t_inv
 
 
-def _stage_conjugator(model, g, u, U, N, parts, powers):
+def _certificates(model, U, c_s, g_minus_s, N, s):
+    """[b_0, b_s, ..., b_sN] for the side s = +-1 of x, by b_0 = 1 and
+    b_{k+s} = c^s b_k g^-s, given c^s for c = x^-1 (gu) x and g^-s.
+
+    Then b_k = x^-1 (gu)^k x g^-k, by induction on |k|: x^-1 (gu)^s x
+    (x^-1 (gu)^k x g^-k) g^-s = x^-1 (gu)^(k+s) x g^-(k+s).  Raises
+    HypothesisError at the first b_k, from k = 0 outward, that escapes U.
+    """
+    out = [model.identity]
+    for k in range(s, s * (N + 1), s):
+        b = c_s.mul(out[-1], g_minus_s)
+        if not U.contains(b):
+            raise HypothesisError(f"certificate b_{k} escapes U")
+        out.append(b)
+    return out
+
+
+def _stage_conjugator(model, g, g_inv, u, U, N, parts):
     """The stage-N conjugator t in U_+ of the forward construction for
     (g, u), with the certificate of each step checked; the hypotheses and
-    the final certificates are the caller's.
+    the final certificates are the caller's, and so is g_inv = g^-1.
 
     Step n splits y_n = u h_n = w_- w_+ with h_n = (gu)^n t_n g^-n and sets
     t_{n+1} = t_n g^-n w_+^-1 g^n.  Three identities spare every power but
@@ -197,8 +160,8 @@ def _stage_conjugator(model, g, u, U, N, parts, powers):
        y_{n+1} = u g w_- g^-1.
     2. Q_n = g^n t_n^-1 has Q_0 = 1 and Q_{n+1} = g w_+ Q_n: invert
        t_{n+1} = t_n g^-n w_+^-1 g^n and multiply on the left by
-       g^(n+1).  So t^-1 = g^-N Q_N and t = Q_N^-1 g^N, with g^N read
-       from `powers`: the stage's one inverse.
+       g^(n+1).  So t = Q_N^-1 g^N, with g^N from `model.power`: the
+       stage's one inverse.
     3. u h_n lies in U iff b_n = t_n^-1 h_n does, as u is in U and t_n in
        U_+ <= U: the split's input check is the step certificate.
     The split is planned once for the stage, by `model.splitter`.
@@ -210,9 +173,9 @@ def _stage_conjugator(model, g, u, U, N, parts, powers):
             w_minus, w_plus = split(y)
         except ContainmentError:
             raise HypothesisError(f"certificate b_{n} escapes U") from None
-        y = u.mul(g, w_minus, powers.g_inv[1])
+        y = u.mul(g, w_minus, g_inv)
         Q = g.mul(w_plus, Q)
-    t = Q.inv().mul(powers.g[N])
+    t = Q.inv().mul(model.power(g, N))
     if not parts.u_plus.contains(t):
         raise HypothesisError("constructed conjugator escapes U_+")
     return t
@@ -222,9 +185,8 @@ def conjugator_two_sided(model, g, u, U, N):
     """Conjugator r with certificates on both sides of the horizon.
 
     Requires u in U and in g^-1 U g.  Runs the forward construction for
-    (g, u) and the stage for (g^-1, g u^-1 g^-1), both reading one
-    `PowerTable`, splits t^-1 s = w_- w_+ in U, and combines r = t w_- (so
-    that also r = s w_+^-1).
+    (g, u) and the stage for (g^-1, g u^-1 g^-1), splits t^-1 s = w_- w_+
+    in U, and combines r = t w_- (so that also r = s w_+^-1).
 
     The backward stage reuses the forward run's U-parts and tidy check.
     Conjugation by g^-1 expands what g contracts, so U_+(g^-1) = U_-(g),
@@ -235,8 +197,8 @@ def conjugator_two_sided(model, g, u, U, N):
     for g.  Its u' = g u^-1 g^-1, the inverse of the g u g^-1 the hypothesis
     check forms, lies in U as u is in g^-1 U g.  The identities 1-3 of
     `_stage_conjugator` hold for (g^-1, u'): y'_{n+1} = u' g^-1 w'_- g;
-    s = Q'_N^-1 (g^-1)^N, from the swapped table; and s_n lies in
-    U_+(g^-1) = U_-(g) <= U, so the split's input check is b'_n in U.
+    s = Q'_N^-1 (g^-1)^N; and s_n lies in U_+(g^-1) = U_-(g) <= U, so the
+    split's input check is b'_n in U.
 
     The backward stage checks its step certificates but forms no final
     certificates of its own, as r's imply them.  With
@@ -248,25 +210,26 @@ def conjugator_two_sided(model, g, u, U, N):
     whose last factor lies in g^k U_+ g^-k <= U_+ for k <= 0.  So b_k(r)
     lies in U exactly when b_k(s) does, and the k <= 0 certificates of r,
     checked first from k = 0 down, fail at the same |k| as s's would.
+    Those follow c^-1 = r^-1 (gu)^-1 r, where (gu)^-1 = g^-1 u'.
     """
     if not U.contains(u):
         raise HypothesisError("u must lie in U")
-    gug = conjugate(g, u)
+    g_inv = g.inv()
+    gug = g.mul(u, g_inv)
     if not U.contains(gug):
         raise HypothesisError("u must lie in g^-1 U g")
+    u_back = gug.inv()
     parts = tidy.u_parts(model, U, g)
-    powers = PowerTable.build(model, g, u, N)
-    forward = conjugator_forward(model, g, u, U, N, parts, powers)
+    forward, t_inv = _forward(model, g, g_inv, u, U, N, parts)
     backward = tidy.UParts(parts.u_minus, parts.u_plus, parts.u_zero, parts.u_pp, parts.u_mm)
-    s = _stage_conjugator(model, g.inv(), gug.inv(), U, N, backward, powers.backward())
-    t = forward.t
-    w_minus, _w_plus = model.splitter(U, g, parts)(t.inv().mul(s))
-    r = t.mul(w_minus)
+    s = _stage_conjugator(model, g_inv, g, u_back, U, N, backward)
+    w_minus, _w_plus = model.splitter(U, g, parts)(t_inv.mul(s))
+    r = forward.t.mul(w_minus)
     r_inv = r.inv()
     # k <= 0 first: an escape names the first failing k in this order.
-    below = [powers.certificate(model, U, -k, r, r_inv) for k in range(N + 1)]
-    above = [powers.certificate(model, U, k, r, r_inv) for k in range(1, N + 1)]
-    certs = dict(zip(range(-N, N + 1), below[::-1] + above))
+    below = _certificates(model, U, r_inv.mul(g_inv, u_back, r), g, N, -1)
+    above = _certificates(model, U, r_inv.mul(g, u, r), g_inv, N, 1)
+    certs = dict(zip(range(-N, N + 1), below[::-1] + above[1:]))
     return TwoSidedTrace(g, u, U, N, forward, r, certs)
 
 

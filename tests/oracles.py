@@ -77,21 +77,30 @@ def trajectory_contracts(model, g, x, K, N):
     return reached
 
 
-def stage_conjugator(model, g, u, U, N, parts, powers):
+def stage_conjugator(model, g, g_inv, u, U, N, parts):
     """`limits._stage_conjugator` step by step, as the construction states
-    it: each step forms h = (gu)^n t g^-n from the `PowerTable`, checks
-    that b_n = t^-1 h lies in U, splits u h = w_- w_+ and updates
-    t <- t g^-n w_+^-1 g^n."""
-    t = model.identity
+    it: each step forms h = (gu)^n t g^-n from running products of its
+    own, checks that b_n = t^-1 h lies in U, splits u h = w_- w_+ and
+    updates t <- t g^-n w_+^-1 g^n.  It inverts g itself; g_inv is the
+    stage's argument, unread here."""
+    gu, g_minus = g.mul(u), g.inv()
+    t = gu_n = g_n = g_minus_n = model.identity
     for n in range(N):
-        h = powers.gu[n].mul(t).mul(powers.g_inv[n])
+        h = gu_n.mul(t).mul(g_minus_n)
         if not U.contains(t.inv().mul(h)):
             raise HypothesisError(f"certificate b_{n} escapes U")
         _w_minus, w_plus = model.splitter(U, g, parts)(u.mul(h))
-        t = t.mul(powers.g_inv[n].mul(w_plus.inv()).mul(powers.g[n]))
+        t = t.mul(g_minus_n.mul(w_plus.inv()).mul(g_n))
+        gu_n, g_n, g_minus_n = gu.mul(gu_n), g.mul(g_n), g_minus.mul(g_minus_n)
     if not parts.u_plus.contains(t):
         raise HypothesisError("constructed conjugator escapes U_+")
     return t
+
+
+def product_set(window, codes_a, codes_b):
+    """`backend.product_set` by every pair: {a*b : a in A, b in B}, with
+    no assumption that B is a subgroup."""
+    return {window.mul(a, b) for a in codes_a for b in codes_b}
 
 
 def contains_coordinates(U, y):

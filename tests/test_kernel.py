@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import is_subgroup
+import oracles
 
 from tdlcw import backend
 from tdlcw.kernel import (
@@ -241,6 +242,32 @@ class TestProductSetEquals:
         small = subgroup_closure(vec, [unit(5, 0)])
         ok, witness = product_set_equals(a, a, small)
         assert not ok and witness not in small.elements
+
+    def test_product_set_forms_one_product_per_element(self, mat):
+        # B a subgroup, A a subgroup or any set of elements: a coset aB is
+        # formed only for an a outside the cosets before it.
+        import random
+
+        class Counting:
+            calls = 0
+
+            def mul(self, a, b):
+                self.calls += 1
+                return mat.mul(a, b)
+
+        rng = random.Random(3)
+        elems = list(mat.elements())
+        saved = 0
+        for _ in range(25):
+            b = subgroup_closure(mat, rng.sample(elems, rng.randrange(1, 3))).sorted_codes()
+            for a in (subgroup_closure(mat, rng.sample(elems, rng.randrange(1, 3))).sorted_codes(),
+                      rng.sample(elems, rng.randrange(1, 20))):
+                window = Counting()
+                prod = backend.product_set(window, a, b)
+                assert prod == oracles.product_set(mat, a, b)
+                assert window.calls == len(prod)
+                saved += len(prod) < len(a) * len(b)
+        assert saved
 
     def test_window_mismatch_rejected(self, vec, mat):
         with pytest.raises(WindowMismatchError):

@@ -103,33 +103,6 @@ def repeated(model, b, k):
     return out
 
 
-class TestPowerTable:
-    def test_columns_are_repeated_products(self, case):
-        model, g, u, _, _ = case
-        gu = g.mul(u)
-        table = limits.PowerTable.build(model, g, u, 9)
-        for column in (table.gu, table.gu_inv, table.g, table.g_inv):
-            assert len(column) == 10
-        for k in range(10):
-            assert table.gu[k] == repeated(model, gu, k)
-            assert table.gu_inv[k] == repeated(model, gu, -k)
-            assert table.g[k] == repeated(model, g, k)
-            assert table.g_inv[k] == repeated(model, g, -k)
-
-    def test_backward_columns_are_powers_of_the_inverses(self, case):
-        model, g, u, _, _ = case
-        gu_inv, g_inv = g.mul(u).inv(), g.inv()
-        u_back = conjugate(g, u.inv())
-        assert g_inv.mul(u_back) == gu_inv
-        back = limits.PowerTable.build(model, g, u, 9).backward()
-        assert back == limits.PowerTable.build(model, g_inv, u_back, 9)
-        for k in range(10):
-            assert back.gu[k] == repeated(model, gu_inv, k)
-            assert back.gu_inv[k] == repeated(model, gu_inv, -k)
-            assert back.g[k] == repeated(model, g_inv, k)
-            assert back.g_inv[k] == repeated(model, g_inv, -k)
-
-
 class TestCertificates:
     def test_power_is_the_repeated_product(self, case):
         model, g, u, _, _ = case
@@ -171,6 +144,20 @@ class TestCertificates:
         bad = replace(two, certificates=certs)
         assert not bad.replay(model)
 
+    def test_replay_detects_a_changed_last_certificate(self, case):
+        # The replay checks b_(+-N) only through the induction's last step.
+        model, g, u, U, v = case
+        trace = limits.conjugator_forward(model, g, u, U, 6)
+        certs = list(trace.certificates)
+        certs[6] = certs[6].mul(v)
+        assert U.contains(certs[6])
+        assert not replace(trace, certificates=tuple(certs)).replay(model)
+        two = limits.conjugator_two_sided(model, g, u, U, 5)
+        for k in (-5, 5):
+            certs = {**two.certificates, k: two.certificates[k].mul(v)}
+            assert U.contains(certs[k])
+            assert not replace(two, certificates=certs).replay(model)
+
     def test_replay_detects_a_changed_first_certificate(self, case):
         model, g, u, U, v = case
         trace = limits.conjugator_forward(model, g, u, U, 6)
@@ -183,8 +170,7 @@ class TestCertificates:
 
     def test_induction_needs_b0_to_be_one(self, case):
         # b'_k = c^k v g^-k obeys every step b'_{k+1} = c b'_k g^-1 and lies
-        # in U; only b'_0 = v != 1 is wrong.  (The closed-form check at k = N
-        # would also reject it, so the induction is tested alone.)
+        # in U; only b'_0 = v != 1 is wrong.
         model, g, u, U, v = case
         trace = limits.conjugator_forward(model, g, u, U, 6)
         t = trace.t
@@ -307,13 +293,10 @@ class TestCertificates:
         with pytest.raises(limits.HypothesisError, match=r"^certificate b_-6 escapes U$"):
             limits.conjugator_two_sided(model, g, u, U, N)
         assert len(built) == 2 and len(calls) == 2 * N + 1
-        s = built[1]
-        s_inv = s.inv()
-        powers = limits.PowerTable.build(model, g, u, N)
-        for k in range(0, -N, -1):
-            powers.certificate(model, U, k, s, s_inv)
-        with pytest.raises(limits.HypothesisError, match=r"^certificate b_-6 escapes U$"):
-            powers.certificate(model, U, -N, s, s_inv)
+        s, gu = built[1], g.mul(u)
+        escapes = [k for k in range(0, -N - 1, -1) if not U.contains(
+            s.inv().mul(repeated(model, gu, k)).mul(s).mul(repeated(model, g, -k)))]
+        assert escapes == [-N]
 
     def test_right_factors_in_u_plus_keep_k_below_zero_membership(self, case):
         # For k <= 0 and w in U_+, b_k(x w) lies in U exactly when b_k(x)
@@ -573,11 +556,11 @@ def _forward_and_backward_stages(N):
     u, U = model.unipotent(g, 4), model.default_subgroup(g)
     assert not U.basis.is_identity()
     parts = tidy.u_parts(model, U, g)
-    powers = limits.PowerTable.build(model, g, u, N)
     backward = tidy.UParts(parts.u_minus, parts.u_plus, parts.u_zero, parts.u_pp, parts.u_mm)
-    model.eigen_data(g.inv())  # computed here: the eigenbasis check changes coordinates
-    return model, ((g, u, U, N, parts, powers),
-                   (g.inv(), conjugate(g, u).inv(), U, N, backward, powers.backward()))
+    g_inv = g.inv()
+    model.eigen_data(g_inv)  # computed here: the eigenbasis check changes coordinates
+    return model, ((g, g_inv, u, U, N, parts),
+                   (g_inv, g, conjugate(g, u).inv(), U, N, backward))
 
 
 def test_split_changes_coordinates_once_in_and_once_per_factor(monkeypatch):
@@ -908,3 +891,46 @@ def test_a_stage_inverts_one_element(monkeypatch):
         calls[0] = 0
         limits._stage_conjugator(model, *stage)
         assert 1 <= calls[0] <= 2
+
+
+def _pinned_gl3_trace():
+    """(model, g, u, U) of the pinned two-sided GL_3 conjugator command."""
+    model = LinearModel(2, 3)
+    g = model.parse_element("4,0,0;0,2,0;0,0,1")
+    return (model, g, model.parse_element("-1,2,-2;-2,1,-2;4,-2,-1"),
+            model.default_subgroup(g))
+
+
+def test_a_two_sided_trace_inverts_six_elements(monkeypatch):
+    # g, g u g^-1, the Q_N of each stage, t and r: t^-1 serves both the
+    # forward certificates and the final split.  The trace runs once
+    # before counting, so U's basis inverse is already cached.
+    model, g, u, U = _pinned_gl3_trace()
+    limits.conjugator_two_sided(model, g, u, U, 24)
+    calls = [0]
+    inv = QMatrix.inv
+
+    def counted(self):
+        calls[0] += 1
+        return inv(self)
+
+    monkeypatch.setattr(QMatrix, "inv", counted)
+    limits.conjugator_two_sided(model, g, u, U, 24)
+    assert calls[0] == 6
+
+
+def test_power_forms_only_the_g_to_the_n_of_each_stage(monkeypatch):
+    model, g, u, U = _pinned_gl3_trace()
+    calls = []
+    power = LinearModel.power
+
+    def recorded(self, base, k):
+        calls.append((base, k))
+        return power(self, base, k)
+
+    monkeypatch.setattr(LinearModel, "power", recorded)
+    two = limits.conjugator_two_sided(model, g, u, U, 24)
+    assert calls == [(g, 24), (g.inv(), 24)]
+    calls.clear()
+    assert two.replay(model) and two.forward.replay(model)
+    assert calls == []

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import trajectory_contracts, vanish_set
 
-from tdlcw import backend, tidy
+from tdlcw import tidy
 from tdlcw.kernel import INF_LEVEL, UnsupportedElementError, conjugate
 from tdlcw.linear import LinearModel, ShapeSubgroup, iwahori_shape
 from tdlcw.epseq import EPSeq
@@ -70,7 +70,7 @@ class TestTidyAbove:
         g = linear.parse_element("2,0;0,1")
         for U in (linear.reference(), ShapeSubgroup(linear.identity, iwahori_shape(2))):
             parts = tidy.u_parts(linear, U, g)
-            expected = next((k for k in range(linear.min_level, K + 1) if backend.product_set(
+            expected = next((k for k in range(linear.min_level, K + 1) if oracles.product_set(
                 linear.window(k), parts.u_plus.window_image(k).elements,
                 parts.u_minus.window_image(k).elements) != set(U.window_image(k).elements)),
                 None)

@@ -38,9 +38,9 @@ MUTANTS = [
     ("swap-u-plus-u-minus", "shift.py",
      "return UParts(u_plus, u_minus, u_zero, u_mm, u_pp)",
      "return UParts(u_minus, u_plus, u_zero, u_mm, u_pp)"),
-    ("power-table-column", "limits.py",
-     "return PowerTable(self.gu_inv, self.gu, self.g_inv, self.g)",
-     "return PowerTable(self.gu_inv, self.gu, self.g, self.g_inv)"),
+    ("certificate-step-g-power", "limits.py",
+     "_certificates(model, U, t_inv.mul(g, u, t), g_inv, N, 1)",
+     "_certificates(model, U, t_inv.mul(g, u, t), g, N, 1)"),
     ("replay-b0-check", "limits.py",
      "or certs[0] != model.identity",
      "or certs[0] != certs[0]"),
@@ -124,11 +124,11 @@ MUTANTS = [
      "dinv = pow(det(a), -1, m)",
      "dinv = det(a) % m"),
     ("stage-h-conjugated-backwards", "limits.py",
-     "y = u.mul(g, w_minus, powers.g_inv[1])",
-     "y = u.mul(powers.g_inv[1], w_minus, g)"),
+     "y = u.mul(g, w_minus, g_inv)",
+     "y = u.mul(g_inv, w_minus, g)"),
     ("stage-final-power-off-by-one", "limits.py",
-     "t = Q.inv().mul(powers.g[N])",
-     "t = Q.inv().mul(powers.g[N - 1])"),
+     "t = Q.inv().mul(model.power(g, N))",
+     "t = Q.inv().mul(model.power(g, N - 1))"),
     ("stage-escape-unmapped", "limits.py",
      "        try:\n            w_minus, w_plus = split(y)\n"
      "        except ContainmentError:\n"
