@@ -269,6 +269,28 @@ class TestProductSetEquals:
                 saved += len(prod) < len(a) * len(b)
         assert saved
 
+    @pytest.mark.parametrize("window", ["vec", "mat"])
+    def test_verdict_and_witness_match_the_all_pairs_oracle(self, request, window):
+        # The witness is the least element of T outside AB, or else the
+        # least element of AB outside T, whichever way AB is enumerated.
+        import random
+
+        w = request.getfixturevalue(window)
+        rng = random.Random(5)
+        elems = list(w.elements())
+        verdicts = set()
+        for _ in range(40):
+            a, b, t = (subgroup_closure(w, rng.sample(elems, rng.randrange(0, 3)))
+                       for _ in range(3))
+            prod = oracles.product_set(w, a.elements, b.elements)
+            missing = sorted(c for c in t.elements if c not in prod)
+            extra = sorted(c for c in prod if c not in t.elements)
+            expected = (True, None) if not missing and not extra else (
+                False, (missing or extra)[0])
+            assert product_set_equals(a, b, t) == expected
+            verdicts.add(expected[0])
+        assert verdicts == {True, False}
+
     def test_window_mismatch_rejected(self, vec, mat):
         with pytest.raises(WindowMismatchError):
             product_set_equals(

@@ -126,6 +126,51 @@ class TestCertificates:
         for k, b in two.certificates.items():
             assert b == naive(two.r, k)
 
+    def test_certificates_match_naive_ones_or_escape_at_the_first_k(self, case):
+        # Any x, conjugator or not: _certificates either returns the naive
+        # b_k = x^-1 (gu)^k x g^-k for k = 0, s, ..., sN, or names the
+        # first of them, from k = 0 outward, that escapes U.
+        model, g, u, U, v = case
+        gu, N = g.mul(u), 8
+        r = limits.conjugator_two_sided(model, g, u, U, N).r
+        outcomes = set()
+        for x in (model.identity, v, u, v.mul(u), r):
+            x_inv = x.inv()
+            for s in (1, -1):
+                naive = [x_inv.mul(repeated(model, gu, k)).mul(x).mul(repeated(model, g, -k))
+                         for k in range(0, s * (N + 1), s)]
+                escapes = [s * j for j, b in enumerate(naive) if not U.contains(b)]
+                c_s = x_inv.mul(repeated(model, gu, s), x)
+                if escapes:
+                    with pytest.raises(limits.HypothesisError,
+                                       match=rf"^certificate b_{escapes[0]} escapes U$"):
+                        limits._certificates(model, U, c_s, repeated(model, g, -s), N, s)
+                else:
+                    assert limits._certificates(
+                        model, U, c_s, repeated(model, g, -s), N, s) == naive
+                outcomes.add(bool(escapes))
+        assert outcomes == {False, True}
+
+    def test_backward_stage_is_the_forward_construction_for_the_inverse(self, case):
+        # g' = g^-1 and u' = g u^-1 g^-1 have g' u' = (gu)^-1, and U is
+        # tidy above for g' with the forward U-parts swapped: the backward
+        # stage builds the conjugator that conjugator_forward builds for
+        # (g', u'), and it lies in U_-(g) = U_+(g').
+        model, g, u, U, _ = case
+        g_inv, u_back = g.inv(), conjugate(g, u.inv())
+        assert g_inv.mul(u_back) == g.mul(u).inv()
+        parts = tidy.u_parts(model, U, g)
+        swapped = tidy.UParts(parts.u_minus, parts.u_plus, parts.u_zero,
+                              parts.u_pp, parts.u_mm)
+        back = limits.conjugator_forward(model, g_inv, u_back, U, 5)
+        assert back.replay(model)
+        assert back.t == limits._stage_conjugator(model, g_inv, g, u_back, U, 5, swapped)
+        assert parts.u_minus.contains(back.t)
+        # r = t w_- = s w_+^-1 for the split t^-1 s = w_- w_+.
+        two = limits.conjugator_two_sided(model, g, u, U, 5)
+        assert parts.u_minus.contains(two.forward.t.inv().mul(two.r))
+        assert parts.u_plus.contains(two.r.inv().mul(back.t))
+
     def test_replay_detects_a_changed_forward_certificate(self, case):
         model, g, u, U, v = case
         trace = limits.conjugator_forward(model, g, u, U, 6)
