@@ -830,3 +830,51 @@ def _parse(parser, argv):
 @pytest.mark.parametrize("argv", PARSER_LINES, ids=" ".join)
 def test_command_parser_prints_and_parses_as_the_full_one(argv):
     assert _parse(cli.build_parser(argv[0]), argv) == _parse(cli.build_parser(), argv)
+
+
+def _stdout_grid():
+    """Command lines whose stdout, exit code and error text are pinned in
+    `stdout_grid.json`: each battery on each model, p and resolution; the
+    n = 3 transport rows; and each experiment command on each model and p."""
+    models = [[]] + [["--model", model, "--p", p]
+                     for model in ("shift", "linear") for p in ("2", "3", "5", "7")]
+    grid = []
+    for model in models:
+        grid += [["theorem-check", "--which", which, "--seed", "7", *model, *resolution]
+                 for which in [*cli.CHECKS, "all"]
+                 for resolution in ([], ["--resolution", "0"], ["--resolution", "8"])]
+        grid += [[*command, *model] for command in (
+            ["scale"], ["tidy"], ["con-test"], ["nub"], ["conjugator"],
+            ["conjugator", "--two-sided"], ["experiment", "limits"])]
+    for p in ("2", "3", "5", "7"):
+        grid.append(["theorem-check", "--which", "transport", "--seed", "7",
+                     "--model", "linear", "--n", "3", "--p", p])
+    grid += [["theorem-check", "--which", which, "--seed", "7", "--model", "linear",
+              "--n", "3"] for which in cli.CHECKS if which != "transport"]
+    return [" ".join(argv) for argv in grid]
+
+
+#: Per command line of `_stdout_grid`: [exit code, sha256 of stdout], or
+#: [2, the stderr text] for bad input.
+STDOUT_GRID = json.loads((Path(__file__).resolve().parent / "stdout_grid.json").read_text())
+
+
+def _run_in_process(command):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(command.split(" "))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_stdout_grid_covers_its_command_lines():
+    assert sorted(STDOUT_GRID) == sorted(_stdout_grid())
+
+
+@pytest.mark.parametrize("command", _stdout_grid())
+def test_stdout_grid_matches_pinned(command):
+    code, out, err = _run_in_process(command)
+    if code == 2:
+        assert (out, [code, err]) == ("", STDOUT_GRID[command])
+    else:
+        assert not err
+        assert [code, hashlib.sha256(out.encode("utf-8")).hexdigest()] == STDOUT_GRID[command]
