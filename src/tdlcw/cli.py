@@ -4,11 +4,18 @@ Every command emits JSON-lines rows (one JSON object per line) to stdout
 and, with --out, to a file.  All randomness flows from the single --seed,
 so identical configurations produce byte-identical output.
 
-Every row is computed by one runner, `_rows`: a library error
-(`kernel.TdlcwError`) fails its row with the error's message, kind and
-witness, and the other rows still run.  Exit status: 0 when every row
+Every command and every battery is a list of (model, params, compute)
+cases, run by one loop, `_run`.  Each row is computed by `_rows`: a library
+error (`kernel.TdlcwError`) fails its row with the error's message, kind
+and witness, and the other rows still run.  Exit status: 0 when every row
 passes, 1 when some row failed, 2 on bad input (`kernel.InputError`), with
 one "error: ..." line on stderr and nothing on stdout.
+
+The models give the cases of each `theorem-check` battery,
+`model.cases(battery, K)`: the elements, subgroups, levels and expected
+values of its rows.  This module holds each battery's compute, written
+once for every model.  A battery that `--which` names exits 2 when the
+models have no case for it; `--which all` skips it.
 
 Each shared setting is declared once, as a row of `SETTINGS`, which gives
 its `RunConfig` default, its check, its `--config` key and its flag.  A
@@ -23,18 +30,13 @@ import contextlib
 import json
 import random
 import sys
-from functools import cache
+from functools import cache, partial
 
 from tdlcw import limits, tidy, verify
 from tdlcw.epseq import EPSeq
-from tdlcw.kernel import InputError, TdlcwError, conjugate
-from tdlcw.linear import LinearModel, ShapeSubgroup, congruence_shape, iwahori_shape
-from tdlcw.shift import (
-    ShiftModel,
-    lamp_element,
-    shift_generator,
-    w_subgroup,
-)
+from tdlcw.kernel import InputError, TdlcwError
+from tdlcw.linear import LinearModel
+from tdlcw.shift import ShiftModel
 
 
 #: Each shared setting: (name, JSON type, default, allowed values), the
@@ -149,6 +151,19 @@ def _rows(key, name, model, params, compute):
                  "counterexample": witness, "pass": False}]
 
 
+def _run(key, name, cases):
+    """The rows of each (model, params, compute) case, in order: the one
+    loop that runs every command and battery."""
+    return [row for model, params, compute in cases
+            for row in _rows(key, name, model, params, compute)]
+
+
+def _per_model(cfg, name, case):
+    """The rows of the experiment command `name`: one case per battery
+    model, whose (params, compute) is `case(model)`."""
+    return _run("experiment", name, [(model, *case(model)) for model in battery_models(cfg)])
+
+
 # -- commands ---------------------------------------------------------------
 
 
@@ -157,8 +172,8 @@ def cmd_scale(cfg, args):
         # find_tidy forms a witness at every failing level; for 3x3 matrices
         # at p >= 5 those product sets are too large to form.
         raise InputError("scale of a 3x3 matrix needs p in {2, 3}")
-    rows = []
-    for model in battery_models(cfg):
+
+    def case(model):
         g = _element_arg(model, args)
 
         def scale():
@@ -167,14 +182,13 @@ def cmd_scale(cfg, args):
             agree = value == formula
             return [{"scale": value, "formula": formula, "agree": agree, "pass": agree}]
 
-        rows += _rows("experiment", "scale", model,
-                      {"g": model.format_element(g), "p": model.p}, scale)
-    return rows
+        return {"g": model.format_element(g), "p": model.p}, scale
+
+    return _per_model(cfg, "scale", case)
 
 
 def cmd_tidy(cfg, args):
-    rows = []
-    for model in battery_models(cfg):
+    def case(model):
         g = _element_arg(model, args)
         U = _subgroup_arg(cfg, model, args, g)
         K = cfg.resolution if cfg.resolution is not None else model.default_resolution
@@ -193,15 +207,14 @@ def cmd_tidy(cfg, args):
             return [{"k": k, "V": model.format_subgroup(V), "tidy_below": _verdict(below),
                      "witness": witness, "pass": ok}]
 
-        rows += _rows("experiment", "tidy", model,
-                      {"g": model.format_element(g), "U": model.format_subgroup(U),
-                       "resolution": K}, diagnose)
-    return rows
+        return ({"g": model.format_element(g), "U": model.format_subgroup(U), "resolution": K},
+                diagnose)
+
+    return _per_model(cfg, "tidy", case)
 
 
 def cmd_con_test(cfg, args):
-    rows = []
-    for model in battery_models(cfg):
+    def case(model):
         g = _element_arg(model, args)
         x = model.parse_element(args.x) if args.x else model.identity
 
@@ -212,30 +225,22 @@ def cmd_con_test(cfg, args):
                      # con(g) <= par(g): a contracted element has a bounded orbit.
                      "pass": not (in_con is True and in_par is False)}]
 
-        rows += _rows("experiment", "con-test", model,
-                      {"g": model.format_element(g), "x": model.format_element(x)},
-                      membership)
-    return rows
+        return {"g": model.format_element(g), "x": model.format_element(x)}, membership
+
+    return _per_model(cfg, "con-test", case)
 
 
 def cmd_nub(cfg, args):
-    rows = []
-    for model in battery_models(cfg):
+    def case(model):
         g = _element_arg(model, args)
         K = cfg.resolution if cfg.resolution is not None else model.default_resolution
+        return {"g": model.format_element(g), "resolution": K}, partial(_nub, cfg, model, g, K)
 
-        def nub():
-            image, report = tidy.nub_compute(model, g, K)
-            return [{"order": image.order, "characterizations": report, "pass": True}]
-
-        rows += _rows("experiment", "nub", model,
-                      {"g": model.format_element(g), "resolution": K}, nub)
-    return rows
+    return _per_model(cfg, "nub", case)
 
 
 def cmd_conjugator(cfg, args):
-    rows = []
-    for model in battery_models(cfg):
+    def case(model):
         g = _element_arg(model, args)
         U = _subgroup_arg(cfg, model, args, g)
         u = model.parse_element(args.u) if args.u else model.default_u(g, U, args.two_sided)
@@ -258,286 +263,148 @@ def cmd_conjugator(cfg, args):
             fields["pass"] = fields["replay"] and fields.get("replay_two_sided", True)
             return [fields]
 
-        rows += _rows("experiment", "conjugator", model,
-                      {"g": model.format_element(g), "u": model.format_element(u),
-                       "U": model.format_subgroup(U), "horizon": cfg.horizon},
-                      conjugator)
-    return rows
+        return ({"g": model.format_element(g), "u": model.format_element(u),
+                 "U": model.format_subgroup(U), "horizon": cfg.horizon}, conjugator)
 
-
-def _net_limits(cfg, n_max):
-    """Net-limit rows over the battery models; K 6 by default."""
-    K = cfg.resolution if cfg.resolution is not None else 6
-    rows = []
-    for model in battery_models(cfg):
-        g = model.default_element()
-        schedule = model.net_schedule(g, n_max)
-        rows += _rows("experiment", "net-limit", model, None,
-                      lambda: limits.net_experiment(model, g, schedule, K))
-    return rows
+    return _per_model(cfg, "conjugator", case)
 
 
 def cmd_experiment_limits(cfg, args):
-    return _net_limits(cfg, cfg.n_max)
+    return _per_model(cfg, "net-limit",
+                      lambda model: (None, partial(_net_limit, cfg, model, cfg.n_max)))
 
 
 # -- theorem-check batteries ------------------------------------------------
+#
+# Each model gives the cases of a battery, `model.cases(battery, K)`: the
+# rows' params and the data that the battery's compute takes.  A compute
+# is `compute(cfg, model, **data)`, written once for every model.
 
 
-def _check_scale(cfg):
-    cases = []
-    for model in battery_models(cfg):
-        if model.name == "shift":
-            battery = [(shift_generator(model.p, 1), 1),
-                       (model.identity, 1),
-                       (lamp_element(model.p, {0: 1}), 1)]
-        else:
-            p = model.p
-            battery = [
-                (model.parse_element(f"{p},0;0,1"), p),
-                (model.parse_element(f"{p},0;0,1/{p}"), p * p),
-                (model.identity, 1),
-            ]
-            c = model.parse_element("1,1;0,1")
-            gc = conjugate(c, model.parse_element(f"{p},0;0,1"))
-            battery.append((gc, p))
-        cases += [(model, g, expected, {"g": model.format_element(g), "p": model.p})
-                  for g, expected in battery]
-    if cfg.model in (None, "linear"):
-        model = LinearModel(2, 3)
-        g = model.parse_element("4,0,0;0,2,0;0,0,1")
-        cases.append((model, g, 16, {"g": model.format_element(g), "p": 2, "n": 3}))
-    rows = []
-    for model, g, expected, params in cases:
-
-        def scale():
-            value = tidy.scale_index(model, g)
-            formula = model.scale_formula(g)
-            return [{"scale": value, "expected": expected,
-                     "pass": value == expected == formula}]
-
-        rows += _rows("check", "scale", model, params, scale)
-    return rows
+def _scale(cfg, model, g, expected):
+    value = tidy.scale_index(model, g)
+    formula = model.scale_formula(g)
+    return [{"scale": value, "expected": expected, "pass": value == expected == formula}]
 
 
-def _check_tidy_identities(cfg):
-    rows = []
-    # Capped at 4 (2 for p > 2): rows print it, and pinned stdout hashes fix it.
-    K = min(cfg.resolution if cfg.resolution is not None else 4, 4)
-    for model in battery_models(cfg):
-        if model.name == "shift":
-            g = shift_generator(model.p, 1)
-            battery = [(w_subgroup(model.p, k), g) for k in range(3)]
-        else:
-            g = model.default_element()
-            battery = [(model.default_subgroup(g), g)]
-            c = model.parse_element("1,1;0,1")
-            gc = conjugate(c, g)
-            battery.append((model.default_subgroup(gc), gc))
-        k_top = K if model.p == 2 else min(K, 2)
-        for U, h in battery:
-
-            def identities():
-                report = tidy.tidy_identity_report(model, U, h, k_top)
-                return [{"levels": report["levels"], "pass": report["pass"]}]
-
-            rows += _rows("check", "tidy-identities", model,
-                          {"g": model.format_element(h), "U": model.format_subgroup(U),
-                           "resolution": k_top}, identities)
-        # The tidying procedure itself: smallest k making the intersection
-        # tidy above, with the failure witness at the coarser level.
-        if model.name == "linear":
-            U0 = ShapeSubgroup(model.eigen_data(g)[0], congruence_shape(model.n, 0))
-
-            def procedure():
-                V, k, _ = tidy.tidy_above_procedure(model, U0, g, cfg.max_k)
-                return [{"k": k, "V": model.format_subgroup(V),
-                         "pass": k == 1 and V.shape == iwahori_shape(model.n)}]
-
-            rows += _rows("check", "tidy-identities", model,
-                          {"g": model.format_element(g), "U": "level-0"}, procedure)
-            continue
-        for k in range(4):
-            U = w_subgroup(model.p, k)
-
-            def above_below():
-                parts = tidy.u_parts(model, U, g)
-                above = tidy.untidy_above_level(model, U, 3, parts) is None
-                below, witness = tidy.is_tidy_below(model, U, g, parts)
-                return [{"tidy_above": _verdict(above), "tidy_below": _verdict(below),
-                         "witness": None if below is not False
-                         else model.format_element(witness),
-                         "pass": above is True and below is False
-                         and witness is not None}]
-
-            rows += _rows("check", "tidy-identities", model,
-                          {"g": "shift:1", "U": f"W:{k}"}, above_below)
-    return rows
+def _tidy_identities(cfg, model, check, U, g, K=None, expected=None):
+    """The level identities of U at K; the tidying procedure from U, which
+    should end at `expected`, (k, V); or U tidy above at level K and not
+    below, with the witness."""
+    if check == "identities":
+        report = tidy.tidy_identity_report(model, U, g, K)
+        return [{"levels": report["levels"], "pass": report["pass"]}]
+    if check == "procedure":
+        V, k, _ = tidy.tidy_above_procedure(model, U, g, cfg.max_k)
+        return [{"k": k, "V": model.format_subgroup(V), "pass": (k, V) == expected}]
+    parts = tidy.u_parts(model, U, g)
+    above = tidy.untidy_above_level(model, U, K, parts) is None
+    below, witness = tidy.is_tidy_below(model, U, g, parts)
+    return [{"tidy_above": _verdict(above), "tidy_below": _verdict(below),
+             "witness": None if below is not False else model.format_element(witness),
+             "pass": above is True and below is False and witness is not None}]
 
 
-def _nub_battery(model):
-    if model.name == "shift":
-        p = model.p
-        return [shift_generator(p, 1), shift_generator(p, -1), shift_generator(p, 2),
-                shift_generator(p, 1).mul(lamp_element(p, {0: 1})),
-                lamp_element(p, {1: 1}), model.identity]
-    p = model.p
-    gs = [
-        model.parse_element(f"{p},0;0,1"),
-        model.parse_element(f"1,0;0,{p}"),
-        model.parse_element(f"{p},0;0,1/{p}"),
-        model.identity,
-        model.parse_element("0,1;-1,0"),
-    ]
-    c = model.parse_element("1,1;0,1")
-    gs.append(conjugate(c, model.parse_element(f"{p},0;0,1")))
-    return gs
+def _nub(cfg, model, g, K, full=None):
+    """The nub of g at K, whose order should be the full window's when
+    `full`, else 1; any order when `full` is None."""
+    image, report = tidy.nub_compute(model, g, K)
+    ok = full is None or image.order == (
+        model.reference().window_image(K).order if full else 1)
+    return [{"order": image.order, "characterizations": report,
+             "pass": all(report.values()) and ok}]
 
 
-def _check_nub(cfg):
-    rows = []
-    for model in battery_models(cfg):
-        # Capped: rows print their level, and pinned stdout hashes fix it.
-        K = min(cfg.resolution if cfg.resolution is not None else 4,
-                4 if model.name == "shift" else model.default_resolution)
-        for g in _nub_battery(model):
-
-            def nub():
-                image, report = tidy.nub_compute(model, g, K)
-                if model.name == "shift":
-                    expected_full = g.shift != 0
-                    full = image.order == model.reference().window_image(K).order
-                    ok = all(report.values()) and full == expected_full
-                else:
-                    ok = all(report.values()) and image.order == 1
-                return [{"order": image.order, "characterizations": report, "pass": ok}]
-
-            rows += _rows("check", "nub-characterizations", model,
-                          {"g": model.format_element(g), "resolution": K}, nub)
-    return rows
+def _transport(cfg, model, g, U, u, u2, U2):
+    trace = limits.conjugator_forward(model, g, u, U, cfg.horizon)
+    t, _, adjusted = model.adjust_to_contraction(trace.t, U, g, tidy.u_parts(model, U, g))
+    con_report = limits.con_transport_check(model, g, u, t)
+    # At most 10 stages: ample for TRANSPORT_K, the level the nub check reads.
+    two = limits.conjugator_two_sided(model, g, u2, U2, min(cfg.horizon, 10))
+    nub_report = limits.nub_transport_check(model, g, u2, two.r)
+    replay, two_sided_replay = trace.replay(model), two.replay(model)
+    return [{"replay": replay, "adjusted": adjusted,
+             "con_transport": con_report["pass"],
+             "two_sided_replay": two_sided_replay,
+             "nub_transport": nub_report["pass"],
+             "pass": all([replay, con_report["pass"], two_sided_replay,
+                          nub_report["pass"]])}]
 
 
-def _check_transport(cfg):
-    rows = []
-    for model in battery_models(cfg):
-        g = model.default_element()
-        U = model.default_subgroup(g)
-        if model.name == "shift":
-            u = lamp_element(model.p, {3: 1})
-            u2 = lamp_element(model.p, {4: 1})
-            U2 = w_subgroup(model.p, 2)
-        else:
-            u, u2 = model.unipotent(g, model.p), model.unipotent(g, model.p ** 2)
-            U2 = U
+def _normal_closure(cfg, model, samples, rng):
+    failures = 0
+    for _ in range(samples):
+        support = {i: rng.randrange(1, model.p) for i in range(-10, 11)
+                   if rng.random() < 0.3}
+        _, ok = verify.normal_closure_witness(EPSeq.from_support(model.p, support))
+        failures += 0 if ok else 1
+    return [{"failures": failures, "pass": failures == 0}]
 
-        def transport():
-            trace = limits.conjugator_forward(model, g, u, U, cfg.horizon)
-            t, _, adjusted = model.adjust_to_contraction(
-                trace.t, U, g, tidy.u_parts(model, U, g))
-            con_report = limits.con_transport_check(model, g, u, t)
-            # At most 10 stages: ample for TRANSPORT_K, the level the nub check reads.
-            two = limits.conjugator_two_sided(
-                model, g, u2, U2, min(cfg.horizon, 10))
-            nub_report = limits.nub_transport_check(model, g, u2, two.r)
-            replay, two_sided_replay = trace.replay(model), two.replay(model)
-            return [{"replay": replay, "adjusted": adjusted,
-                     "con_transport": con_report["pass"],
-                     "two_sided_replay": two_sided_replay,
-                     "nub_transport": nub_report["pass"],
-                     "pass": all([replay, con_report["pass"], two_sided_replay,
-                                  nub_report["pass"]])}]
 
-        rows += _rows("check", "transport", model,
-                      {"g": model.format_element(g), "u": model.format_element(u),
-                       "samples": cfg.samples}, transport)
-    return rows
+def _quotient_anisotropy(cfg, model, kind, schedule, K):
+    q = verify.QuotientDescriptor(model, kind)
+    normal = q.normal_check()
+    report = verify.quotient_anisotropy_check(q, schedule, K)
+    return [{"normal": normal["pass"], "core_in_n": report["core_in_n"],
+             "quotient_con_trivial": report["quotient_con_trivial"],
+             "pass": normal["pass"] and report["pass"]}]
+
+
+def _tits_core(cfg, model, K, schedule, holds=None):
+    """The Tits-core image at K: the full window image, or one that holds
+    the residues `holds`."""
+    image = verify.tits_core_image(model, K, schedule)
+    ok = (image == model.reference().window_image(K) if holds is None
+          else all(c in image for c in holds))
+    return [{"order": image.order, "pass": ok}]
+
+
+def _net_limit(cfg, model, n_max=8):
+    """Net-limit rows along the default element's schedule; K 6 by default."""
+    g = model.default_element()
+    schedule = model.net_schedule(g, n_max)
+    return limits.net_experiment(model, g, schedule,
+                                 cfg.resolution if cfg.resolution is not None else 6)
+
+
+def _table(cfg, battery):
+    """The (model, params, data) cases of a battery: each battery model's
+    own, then, when there are any, those each model family adds once per
+    run."""
+    K = cfg.resolution if cfg.resolution is not None else 4
+    models = battery_models(cfg)
+    cases = [case for model in models for case in model.cases(battery, K)]
+    families = {type(model): model for model in models}.values() if cases else ()
+    return cases + [case for model in families for case in model.family_cases(battery)]
+
+
+def _battery(battery, compute, key="check", name=None, echo=()):
+    """A battery's check: the rows of `compute` on each case of its table,
+    the settings `echo` names appended to the params."""
+    def check(cfg):
+        return _run(key, name or battery, [
+            (model, params and {**params, **{e: getattr(cfg, e) for e in echo}},
+             partial(compute, cfg, model, **data))
+            for model, params, data in _table(cfg, battery)])
+    return check
 
 
 def _check_normal_closure(cfg):
-    # The one battery that draws: its lamps come from the seed.
-    rng = random.Random(cfg.seed)
-    rows = []
-    for p in ((2, 3) if cfg.model in (None, "shift") else ()):
-
-        def closure_witnesses():
-            failures = 0
-            for _ in range(100):
-                support = {i: rng.randrange(1, p) for i in range(-10, 11)
-                           if rng.random() < 0.3}
-                b = EPSeq.from_support(p, support)
-                _, ok = verify.normal_closure_witness(b)
-                failures += 0 if ok else 1
-            return [{"failures": failures, "pass": failures == 0}]
-
-        rows += _rows("check", "normal-closure", ShiftModel(p),
-                      {"p": p, "samples": 100}, closure_witnesses)
-    return rows
-
-
-def _check_quotient_anisotropy(cfg):
-    if cfg.model == "linear":
-        return []
-    model = ShiftModel(2)
-    g = shift_generator(2, 1)
-    schedule = [g, g.inv(), g.mul(lamp_element(2, {0: 1}))]
-    rows = []
-    for kind in ("lamp", "trivial"):
-
-        def anisotropy():
-            q = verify.QuotientDescriptor(model, kind)
-            normal = q.normal_check()
-            report = verify.quotient_anisotropy_check(q, schedule, K=4)
-            return [{"normal": normal["pass"], "core_in_n": report["core_in_n"],
-                     "quotient_con_trivial": report["quotient_con_trivial"],
-                     "pass": normal["pass"] and report["pass"]}]
-
-        rows += _rows("check", "quotient-anisotropy", model,
-                      {"N": kind, "resolution": 4}, anisotropy)
-    return rows
-
-
-def _check_tits_core(cfg):
-    rows = []
-    for model in battery_models(cfg):
-        if model.name == "shift":
-            g = shift_generator(model.p, 1)
-            for K in range(4):
-
-                def core():
-                    image = verify.tits_core_image(model, K, [g, g.inv()])
-                    full = model.reference().window_image(K)
-                    return [{"order": image.order, "pass": image == full}]
-
-                rows += _rows("check", "tits-core", model, {"resolution": K}, core)
-            continue
-        p = model.p
-
-        def core():
-            schedule = [model.parse_element(f"{p},0;0,1"),
-                        model.parse_element(f"1,0;0,{p}")]
-            image = verify.tits_core_image(model, 1, schedule)
-            # SL_2(Z/p) is generated by these two elementary unipotents.
-            sl2 = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
-            return [{"order": image.order, "pass": all(c in image for c in sl2)}]
-
-        rows += _rows("check", "tits-core", model, {"p": p, "resolution": 1}, core)
-    return rows
-
-
-def _check_limits(cfg):
-    # A fixed schedule length: `n_max` sets that of `experiment limits`.
-    return _net_limits(cfg, 8)
+    # The one battery that draws: one stream from the seed, p = 2 first.
+    return _battery("normal-closure",
+                    partial(_normal_closure, rng=random.Random(cfg.seed)))(cfg)
 
 
 CHECKS = {
-    "scale": _check_scale,
-    "tidy-identities": _check_tidy_identities,
-    "nub-characterizations": _check_nub,
-    "transport": _check_transport,
+    "scale": _battery("scale", _scale),
+    "tidy-identities": _battery("tidy-identities", _tidy_identities),
+    "nub-characterizations": _battery("nub-characterizations", _nub),
+    "transport": _battery("transport", _transport, echo=("samples",)),
     "normal-closure": _check_normal_closure,
-    "quotient-anisotropy": _check_quotient_anisotropy,
-    "tits-core": _check_tits_core,
-    "limits": _check_limits,
+    "quotient-anisotropy": _battery("quotient-anisotropy", _quotient_anisotropy),
+    "tits-core": _battery("tits-core", _tits_core),
+    # A fixed schedule length: `n_max` sets that of `experiment limits`.
+    "limits": _battery("limits", _net_limit, "experiment", "net-limit"),
 }
 
 
@@ -546,22 +413,17 @@ def cmd_theorem_check(cfg, args):
     if which != "all" and which not in CHECKS:
         names = ", ".join(sorted(CHECKS) + ["all"])
         raise InputError(f"unknown check {which!r}; valid names: {names}")
-    if cfg.model == "linear" and which in ("normal-closure", "quotient-anisotropy"):
-        raise InputError(f"theorem-check --which {which} runs on the shift model only")
-    if cfg.model == "linear" and cfg.n == 3 and which != "transport":
-        # The other batteries' linear rows are written for 2x2 matrices.
-        raise InputError(f"theorem-check --which {which} runs the linear model at "
-                         "n = 2 only (at n = 3: --which transport)")
+    if which != "all" and not _table(cfg, which):
+        # `--which all` skips a battery with no case for the model.
+        names = ", ".join(name for name in CHECKS if _table(cfg, name))
+        raise InputError(f"theorem-check --which {which} has no case for --model "
+                         f"{cfg.model} --n {cfg.n}; batteries with cases: {names}")
     if (which in ("all", "transport") and cfg.model in (None, "linear")
             and cfg.horizon < limits.TRANSPORT_K - 1):
         # A linear stage-N conjugator fixes levels <= TRANSPORT_K from here on.
         raise InputError(f"theorem-check --which {which} needs --horizon >= "
                          f"{limits.TRANSPORT_K - 1} on the linear model")
-    rows = []
-    for name, fn in CHECKS.items():
-        if which in ("all", name):
-            rows.extend(fn(cfg))
-    return rows
+    return [row for name in CHECKS if which in ("all", name) for row in CHECKS[name](cfg)]
 
 
 # -- orchestration ----------------------------------------------------------

@@ -32,6 +32,7 @@ from tdlcw.kernel import (
     Value,
     adjugate,
     cached_attribute,
+    conjugate,
     det,
     mulmod,
     power,
@@ -1092,3 +1093,60 @@ class LinearModel:
     def format_subgroup(self, U):
         return ";".join(",".join("inf" if e == INF else str(int(e)) for e in row)
                         for row in U.shape)
+
+    # -- theorem-check tables -----------------------------------------------
+
+    def cases(self, battery, K):
+        """The cases of a `theorem-check` battery, as `ShiftModel.cases`
+        gives them.  At n = 3 only `transport` has cases."""
+        p, g, fmt = self.p, self.default_element(), self.format_element
+        U = self.default_subgroup(g)
+        if battery == "transport":
+            u = self.unipotent(g, p)
+            return [(self, {"g": fmt(g), "u": fmt(u)},
+                     {"g": g, "U": U, "u": u, "u2": self.unipotent(g, p * p), "U2": U})]
+        if self.n != 2:
+            return []
+        # g = diag(p, 1) and the elementary unipotents c = (1, 1; 0, 1) and
+        # e = (1, 0; 1, 1), which give the rotation w = (0, 1; -1, 0),
+        # h = w g w^-1 = diag(1, p) and the conjugate gc = c g c^-1.
+        c, e = self.unipotent(g.inv(), 1), self.unipotent(g, 1)
+        w = c.mul(e.inv(), c)
+        h, gc = conjugate(w, g), conjugate(c, g)
+        if battery == "scale":
+            return [(self, {"g": fmt(x), "p": p}, {"g": x, "expected": scale})
+                    for x, scale in ((g, p), (g.mul(h.inv()), p * p), (self.identity, 1),
+                                     (gc, p))]
+        if battery == "tidy-identities":
+            # The level identities of the Iwahori subgroups of g and gc, then
+            # the tidying procedure from GL_2(Z_p), which ends at k = 1 in
+            # the Iwahori subgroup.
+            k = min(K, 4 if p == 2 else 2)
+            U0 = ShapeSubgroup(self.eigen_data(g)[0], congruence_shape(2, 0))
+            return [(self, {"g": fmt(x), "U": self.format_subgroup(V), "resolution": k},
+                     {"check": "identities", "U": V, "g": x, "K": k})
+                    for x, V in ((g, U), (gc, self.default_subgroup(gc)))] + [
+                (self, {"g": fmt(g), "U": "level-0"},
+                 {"check": "procedure", "U": U0, "g": g,
+                  "expected": (1, ShapeSubgroup(U0.basis, iwahori_shape(2)))})]
+        if battery == "nub-characterizations":
+            # Every nub of GL_2(Q_p) is trivial.
+            k = min(K, self.default_resolution)
+            return [(self, {"g": fmt(x), "resolution": k}, {"g": x, "K": k, "full": False})
+                    for x in (g, h, g.mul(h.inv()), self.identity, w, gc)]
+        if battery == "tits-core":
+            # SL_2(Z/p) is generated by the residues of c and e.
+            return [(self, {"p": p, "resolution": 1},
+                     {"K": 1, "schedule": (g, h), "holds": (self.project(c, 1),
+                                                            self.project(e, 1))})]
+        return [(self, None, {})] if battery == "limits" else []
+
+    def family_cases(self, battery):
+        """Cases a run holds once for its linear models, after their own:
+        the scale of diag(4, 2, 1) in GL_3(Q_2)."""
+        if battery != "scale":
+            return []
+        model = LinearModel(2, 3)
+        g = model.default_element()
+        return [(model, {"g": model.format_element(g), "p": 2, "n": 3},
+                 {"g": g, "expected": 16})]

@@ -258,7 +258,8 @@ class ShiftModel:
     - defaults and syntax: `name`, `default_element()`,
       `default_subgroup(g)`, `default_u(g, U, two_sided)` (the
       conjugator's perturbation), `scale_formula(g)`, `parse_element(text)`,
-      `format_element(x)`, `parse_subgroup(text, g)`, `format_subgroup(U)`.
+      `format_element(x)`, `parse_subgroup(text, g)`, `format_subgroup(U)`;
+    - `theorem-check` tables: `cases(battery, K)`, `family_cases(battery)`.
     """
 
     name = "shift"
@@ -566,3 +567,57 @@ class ShiftModel:
             return f"vanish:{left},{fin},{v.end if v.right[0] else None}"
         left, core, right = ("".join(map(str, w)) for w in (v.left, v.core, v.right))
         return f"vanish-ep:{left}|{core}@{v.offset}|{right}"
+
+    # -- theorem-check tables -----------------------------------------------
+
+    def cases(self, battery, K):
+        """The cases of a `theorem-check` battery on this model, as
+        (model, params, data): the row's printed params, and the elements,
+        subgroups, levels and expected values its compute takes.  K is the
+        requested resolution, 4 by default; rows that print a level clamp it
+        as the pinned stdout fixes it."""
+        p, g, fmt = self.p, shift_generator(self.p, 1), self.format_element
+        lamp0 = lamp_element(p, {0: 1})
+        if battery == "scale":
+            # Conjugation preserves the lamp group: every element is uniscalar.
+            return [(self, {"g": fmt(x), "p": p}, {"g": x, "expected": 1})
+                    for x in (g, self.identity, lamp0)]
+        if battery == "tidy-identities":
+            # W(k) for the unit shift: the level identities, then tidy above
+            # at level 3 and never below, with the witness.
+            k = min(K, 4 if p == 2 else 2)
+            return [(self, {"g": fmt(g), "U": f"W:{i}", "resolution": k},
+                     {"check": "identities", "U": w_subgroup(p, i), "g": g, "K": k})
+                    for i in range(3)] + [
+                (self, {"g": fmt(g), "U": f"W:{i}"},
+                 {"check": "above-below", "U": w_subgroup(p, i), "g": g, "K": 3})
+                for i in range(4)]
+        if battery == "nub-characterizations":
+            # The nub is the whole lamp group when g shifts, else trivial.
+            k = min(K, 4)
+            return [(self, {"g": fmt(x), "resolution": k}, {"g": x, "K": k, "full": x.shift != 0})
+                    for x in (g, shift_generator(p, -1), shift_generator(p, 2), g.mul(lamp0),
+                              lamp_element(p, {1: 1}), self.identity)]
+        if battery == "transport":
+            u = lamp_element(p, {3: 1})
+            return [(self, {"g": fmt(g), "u": fmt(u)},
+                     {"g": g, "U": w_subgroup(p, 1), "u": u,
+                      "u2": lamp_element(p, {4: 1}), "U2": w_subgroup(p, 2)})]
+        if battery == "normal-closure":
+            # At p = 2 and 3 whatever this model's p: 100 lamps each.
+            return [(ShiftModel(q), {"p": q, "samples": 100}, {"samples": 100})
+                    for q in (2, 3)]
+        if battery == "quotient-anisotropy":
+            schedule = (g, g.inv(), g.mul(lamp0))
+            return [(self, {"N": kind, "resolution": 4},
+                     {"kind": kind, "schedule": schedule, "K": 4})
+                    for kind in ("lamp", "trivial")]
+        if battery == "tits-core":
+            # The con-closure of the shift is the full lamp window.
+            return [(self, {"resolution": k}, {"K": k, "schedule": (g, g.inv())})
+                    for k in range(4)]
+        return [(self, None, {})] if battery == "limits" else []
+
+    def family_cases(self, battery):
+        """Cases a run holds once for its shift models: none."""
+        return []

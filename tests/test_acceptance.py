@@ -212,9 +212,14 @@ def test_part_identities_hold_exactly():
 # -- 7: five nub characterizations agree on a battery of >= 6 elements -------
 
 
+def _nub_battery(model):
+    """The elements of the nub battery's table on the model."""
+    return [data["g"] for _, _, data in model.cases("nub-characterizations", 4)]
+
+
 def test_nub_characterizations_agree_across_battery():
     for model in (ShiftModel(2), LinearModel(2, 2), LinearModel(3, 2)):
-        battery = cli._nub_battery(model)
+        battery = _nub_battery(model)
         assert len(battery) >= 6
         K = 4 if model.name == "shift" else min(4, model.default_resolution)
         for g in battery:
@@ -327,7 +332,7 @@ def test_kernel_matches_exhaustive_enumeration(window):
 def test_chabauty_distance_is_an_ultrametric_on_the_battery():
     model = ShiftModel(2)
     approxes = []
-    for g in cli._nub_battery(model):
+    for g in _nub_battery(model):
         approxes.append(limits.con_closure_approx(model, g, 3))
         approxes.append(limits.nub_approx(model, g, 3))
     for a in approxes:

@@ -290,7 +290,7 @@ class TestChecksCanFail:
         # Conjugating by the wrong shift breaks the telescoping identity.
         monkeypatch.setattr(
             cli.verify, "shift_generator",
-            lambda p, m=1: cli.shift_generator(p, 2 * m),
+            lambda p, m=1: shift.shift_generator(p, 2 * m),
         )
         code, rows, _ = run(
             ["theorem-check", "--which", "normal-closure"], capsys
@@ -415,17 +415,22 @@ class TestFailedRows:
             cli.main(["scale", "--model", "shift"])
 
 
+#: The batteries with cases on the linear model at n = 2.
+LINEAR_BATTERIES = "scale, tidy-identities, nub-characterizations, transport, tits-core, limits"
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["theorem-check", "--model", "linear", "--n", "3"],
-     "theorem-check --which all runs the linear model at n = 2 only "
-     "(at n = 3: --which transport)"),
+    (["theorem-check", "--model", "linear", "--n", "3", "--horizon", "1"],
+     "theorem-check --which all needs --horizon >= 2 on the linear model"),
     (["theorem-check", "--which", "limits", "--model", "linear", "--n", "3"],
-     "theorem-check --which limits runs the linear model at n = 2 only "
-     "(at n = 3: --which transport)"),
+     "theorem-check --which limits has no case for --model linear --n 3; "
+     "batteries with cases: transport"),
     (["theorem-check", "--which", "normal-closure", "--model", "linear"],
-     "theorem-check --which normal-closure runs on the shift model only"),
+     "theorem-check --which normal-closure has no case for --model linear --n 2; "
+     f"batteries with cases: {LINEAR_BATTERIES}"),
     (["theorem-check", "--which", "quotient-anisotropy", "--model", "linear"],
-     "theorem-check --which quotient-anisotropy runs on the shift model only"),
+     "theorem-check --which quotient-anisotropy has no case for --model linear --n 2; "
+     f"batteries with cases: {LINEAR_BATTERIES}"),
     (["scale", "--model", "linear", "--n", "3", "--p", "5"],
      "scale of a 3x3 matrix needs p in {2, 3}"),
     (["theorem-check", "--which", "transport", "--horizon", "0"],
@@ -515,6 +520,23 @@ def test_transport_runs_at_n3(capsys):
     argv = ["theorem-check", "--which", "transport", "--model", "linear", "--n", "3"]
     code, rows, _ = run(argv, capsys)
     assert code == 0 and [row["params"]["g"] for row in rows] == ["4,0,0;0,2,0;0,0,1"]
+    # `--which all` skips the batteries with no case at n = 3.
+    assert run(["theorem-check", "--model", "linear", "--n", "3"], capsys) == (code, rows, "")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_quotient_anisotropy_runs_at_the_given_p(p, capsys, monkeypatch):
+    seen = []
+    real = cli.verify.quotient_anisotropy_check
+
+    def check(q, schedule, K):
+        seen.append((q.model.p, {g.p for g in schedule}))
+        return real(q, schedule, K)
+
+    monkeypatch.setattr(cli.verify, "quotient_anisotropy_check", check)
+    argv = ["theorem-check", "--which", "quotient-anisotropy", "--model", "shift", "--p", str(p)]
+    code, rows, _ = run(argv, capsys)
+    assert code == 0 and len(rows) == 2 and seen == [(p, {p})] * 2
 
 
 class TestScaleResolution:

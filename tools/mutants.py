@@ -161,6 +161,12 @@ MUTANTS = [
     ("conjugator-tidy-level-vacuous", "limits.py",
      "untidy_above_level(model, U, max(model.min_level, 1), parts)",
      "untidy_above_level(model, U, max(model.min_level, 1) - 1, parts)"),
+    ("battery-scale-expected", "linear.py",
+     "(g.mul(h.inv()), p * p)",
+     "(g.mul(h.inv()), p)"),
+    ("battery-missing-case-skipped", "cli.py",
+     "if which != \"all\" and not _table(cfg, which):",
+     "if False:"),
 ]
 
 
