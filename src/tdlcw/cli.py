@@ -379,20 +379,21 @@ def _table(cfg, battery):
 
 
 def _battery(battery, compute, key="check", name=None, echo=()):
-    """A battery's check: the rows of `compute` on each case of its table,
-    the settings `echo` names appended to the params."""
-    def check(cfg):
+    """A battery's check: the rows of `compute` on each case of its table
+    (built here unless given), the settings `echo` names appended to the
+    params."""
+    def check(cfg, table=None):
         return _run(key, name or battery, [
             (model, params and {**params, **{e: getattr(cfg, e) for e in echo}},
              partial(compute, cfg, model, **data))
-            for model, params, data in _table(cfg, battery)])
+            for model, params, data in (_table(cfg, battery) if table is None else table)])
     return check
 
 
-def _check_normal_closure(cfg):
+def _check_normal_closure(cfg, table=None):
     # The one battery that draws: one stream from the seed, p = 2 first.
     return _battery("normal-closure",
-                    partial(_normal_closure, rng=random.Random(cfg.seed)))(cfg)
+                    partial(_normal_closure, rng=random.Random(cfg.seed)))(cfg, table)
 
 
 CHECKS = {
@@ -413,7 +414,8 @@ def cmd_theorem_check(cfg, args):
     if which != "all" and which not in CHECKS:
         names = ", ".join(sorted(CHECKS) + ["all"])
         raise InputError(f"unknown check {which!r}; valid names: {names}")
-    if which != "all" and not _table(cfg, which):
+    tables = {name: _table(cfg, name) for name in CHECKS if which in ("all", name)}
+    if which != "all" and not tables[which]:
         # `--which all` skips a battery with no case for the model.
         names = ", ".join(name for name in CHECKS if _table(cfg, name))
         raise InputError(f"theorem-check --which {which} has no case for --model "
@@ -423,7 +425,7 @@ def cmd_theorem_check(cfg, args):
         # A linear stage-N conjugator fixes levels <= TRANSPORT_K from here on.
         raise InputError(f"theorem-check --which {which} needs --horizon >= "
                          f"{limits.TRANSPORT_K - 1} on the linear model")
-    return [row for name in CHECKS if which in ("all", name) for row in CHECKS[name](cfg)]
+    return [row for name, table in tables.items() for row in CHECKS[name](cfg, table)]
 
 
 # -- orchestration ----------------------------------------------------------
