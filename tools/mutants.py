@@ -165,7 +165,7 @@ MUTANTS = [
      "(g.mul(h.inv()), p * p)",
      "(g.mul(h.inv()), p)"),
     ("battery-missing-case-skipped", "cli.py",
-     "if which != \"all\" and not _table(cfg, which):",
+     "if which != \"all\" and not tables[which]:",
      "if False:"),
 ]
 
