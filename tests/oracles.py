@@ -23,6 +23,15 @@ def is_subgroup(image):
         w.inv(a) in elems and all(w.mul(a, b) in elems for b in elems) for a in elems)
 
 
+def laplace_det(rows):
+    """The determinant of a square matrix of any size, by cofactor
+    expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * laplace_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, a in enumerate(rows[0]))
+
+
 def is_group_valued(m):
     """m_rt <= m_rs + m_st for all r, s, t: the residues of a clamped shape
     form a group."""

@@ -349,6 +349,36 @@ class TestNewtonValuations:
         assert newton_valuations(g) == [2, 1, 0]
 
 
+@st.composite
+def charpoly_cases(draw, n):
+    """g with rational entries at n = 2 and 3, and with integer rows at
+    n = 4, where `QMatrix.make` and the unrolled `det` do not reach."""
+    if n < 4:
+        return draw(invertible(n))
+    entry = st.integers(-9, 9)
+    rows = draw(st.lists(st.tuples(entry, entry, entry, entry), min_size=4, max_size=4))
+    return QMatrix(tuple(rows), 1, draw(st.sampled_from([2, 3, 5])))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_charpoly_is_annihilating_with_trace_and_determinant(n, data):
+    # Cayley-Hamilton by exact Fraction products, and the two end
+    # coefficients against the trace and a cofactor determinant.
+    g = data.draw(charpoly_cases(n))
+    c, x = charpoly(g), g.entries
+    assert len(c) == n + 1 and c[n] == 1
+    assert c[n - 1] == -sum(x[i][i] for i in range(n))
+    assert c[0] == (-1) ** n * oracles.laplace_det(x)
+    total = [[Fraction(0)] * n for _ in range(n)]
+    power = [[Fraction(int(r == s)) for s in range(n)] for r in range(n)]
+    for ci in c:
+        total = [[t + ci * e for t, e in zip(trow, prow)] for trow, prow in zip(total, power)]
+        power = mat_mul(power, x)
+    assert all(e == 0 for row in total for e in row)
+
+
 class TestScaleFormula:
     def test_battery(self):
         assert LinearModel(2).scale_formula(QMatrix.make([[2, 0], [0, 1]], 2)) == 2
@@ -424,10 +454,11 @@ def fraction_eigenbasis(g):
 
 @st.composite
 def root_cases(draw):
-    """Coefficients, constant term first, of a rational quadratic or cubic
-    with a nonzero constant term: a product of linear factors with rational
-    roots, perhaps perturbed, or random coefficients."""
-    deg = draw(st.sampled_from([2, 3]))
+    """Coefficients, constant term first, of a rational polynomial of
+    degree 1 to 5 with a nonzero constant term: a product of linear
+    factors with rational roots, perhaps perturbed, or random
+    coefficients."""
+    deg = draw(st.integers(1, 5))
     if draw(st.booleans()):
         small = st.fractions(min_value=-40, max_value=40, max_denominator=9)
         coeffs = [Fraction(draw(st.integers(-9, 9).filter(bool)))]
@@ -456,7 +487,14 @@ def test_rational_roots_match_the_divisor_search(coeffs):
     ([2, 0, 1], []),
     # (x - 1)(x - 2)(x - 10^18): a divisor search would run to 10^9.
     ([-2 * 10**18, 2 + 3 * 10**18, -(10**18 + 3), 1], [1, 2, 10**18]),
-], ids=["double", "triple", "scaled", "three", "none", "18-digit"])
+    # (x - 1)(x - 2)(x - 3)(x - 10^18).
+    ([6 * 10**18, -(11 * 10**18 + 6), 6 * 10**18 + 11, -(10**18 + 6), 1],
+     [1, 2, 3, 10**18]),
+    ([1, 0, 0, 0, 1], []),
+    # (x^2 - 2)(x - 5)(x + 7).
+    ([70, -4, -37, 2, 1], [-7, 5]),
+], ids=["double", "triple", "scaled", "three", "none", "18-digit", "18-digit-quartic",
+        "quartic-none", "quartic-two"])
 def test_rational_roots_of_named_polynomials(coeffs, roots):
     assert _rational_roots([Fraction(c) for c in coeffs]) == roots
 
