@@ -16,11 +16,20 @@ questions are answered from coordinate sets and valuation shapes;
 `subgroup_closure` and the fallbacks between unlike images produce.  For
 subgroups A, B, T the product AB equals T exactly when A, B <= T and
 |A||B| = |T||A n B|; products are enumerated only to name a witness when
-that fails.  Each window carries its own group law.  `det` and `adjugate`
-are written once for 2x2 and 3x3 matrices over any commutative ring, and
-`mulmod` is the one matrix product mod p^K, for windows and images alike;
-`power` (square-and-multiply) and `conjugate` once for the elements of
-both models, which carry their own `mul` and `inv`.
+that fails.  Each window carries its own group law.  `mulmod` is the one
+matrix product mod p^K, for windows and images alike; `power`
+(square-and-multiply) and `conjugate` are written once for the elements
+of both models, which carry their own `mul` and `inv`.
+
+`det` and `adjugate`, over any commutative ring, are unrolled for 2x2 and
+3x3 matrices, the sizes the linear model takes; with `QMatrix.__init__`
+and `QMatrix.mul` in `linear` they are the only code that is not written
+for any n.  All four are unrolled because paired measurements showed
+that it pays.  Written for any n (Bareiss elimination, and cofactors by it), det
+and adjugate made one in-process pass of the seed-7 `theorem-check`
+commands at resolution 3 take 63-71 ms in place of 52-56 ms (min of 15
+passes, 4 alternating rounds, 2 CPUs, CPython 3.11.7): window inverses,
+shape membership and the residue filters call them on every element.
 
 Enumeration is bounded by one constant, `DEFAULT_CAP`: anything that would
 materialize more elements raises :class:`ResolutionError` instead.  Only
@@ -216,7 +225,11 @@ class Value:
 
 
 def det(rows):
-    """Determinant of a 2x2 or 3x3 matrix over any commutative ring."""
+    """Determinant of a 2x2 or 3x3 matrix over any commutative ring.
+
+    Unrolled for the two sizes, as measured in the module docstring: a
+    `theorem-check` pass calls it on every window inverse and every
+    residue a shape image filters."""
     if len(rows) == 2:
         (a, b), (c, d) = rows
         return a * d - b * c
@@ -225,7 +238,10 @@ def det(rows):
 
 
 def adjugate(rows):
-    """Adjugate of a 2x2 or 3x3 matrix: rows @ adjugate(rows) = det(rows) I."""
+    """Adjugate of a 2x2 or 3x3 matrix: rows @ adjugate(rows) = det(rows) I.
+
+    Unrolled for the two sizes, as `det` is and for the same measured
+    reason: every window inverse and `QMatrix.inv` reads it."""
     if len(rows) == 2:
         (a, b), (c, d) = rows
         return ((d, -b), (-c, a))
@@ -307,8 +323,12 @@ class VectorWindow(Value):
 
 
 class MatrixWindow(Value):
-    """GL_n(Z/p^K), n in {2, 3}; an element is its tuple of rows, each
-    entry reduced mod p^K."""
+    """GL_n(Z/p^K); an element is its tuple of rows, each entry reduced mod
+    p^K.  Its product, order and levels are written for any n; `inv` and
+    what tests invertibility (`det`, `encode`, `elements`) take n in {2, 3},
+    the sizes of the unrolled `det` and `adjugate`, which a `theorem-check`
+    pass calls on every window inverse and every element it lists (see the
+    module docstring for the measurement)."""
 
     __slots__ = ("n", "p", "K")
 

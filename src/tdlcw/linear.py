@@ -18,6 +18,7 @@ import math
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from operator import mul
 
 from tdlcw.kernel import (
     DEFAULT_CAP,
@@ -52,8 +53,15 @@ class FactorizationError(TdlcwError, ValueError):
 
 # -- exact rational matrices ------------------------------------------------
 
-_IDENTITY = {n: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-             for n in (2, 3)}
+
+@cache
+def elementary_rows(n, r=0, s=0, a=0):
+    """The integer rows of I + a E_rs, n x n; the identity by default.
+    Computed once per argument tuple: `QMatrix.is_identity` reads the
+    identity on every change of coordinates, and `elementary_rows(n)` is a
+    cache lookup by n alone."""
+    return tuple(tuple(int(i == j) + a * (i == r and j == s) for j in range(n))
+                 for i in range(n))
 
 
 def _vpi(m, p):
@@ -85,8 +93,12 @@ class QMatrix:
     __slots__ = ("rows", "den", "p")
 
     def __init__(self, rows, den, p):
+        """rows / den, reduced to lowest terms with den > 0.
+
+        Unrolled for n = 2 and n = 3, the sizes the model takes, as `mul`
+        is and for the measured reason given there: every product reduces
+        here once."""
         if den != 1:
-            # Unrolled for n = 2 and n = 3, the only sizes.
             if len(rows) == 2:
                 (a, b), (c, d) = rows
                 g = math.gcd(den, a, b, c, d)
@@ -153,6 +165,13 @@ class QMatrix:
         factor and reduced once, at the end.  Lowest terms are unique, so
         the result equals the chain of two-factor products; a chain costs
         one gcd and one round of exact divisions instead of one per factor.
+
+        Unrolled for n = 2 and n = 3, the sizes the model takes, because a
+        paired measurement showed that it pays: written for any n, with
+        `__init__`, it made one in-process pass of the seed-7 `conjugator`
+        commands take 28-30 ms in place of 19-21 ms, and a `theorem-check`
+        pass 63-65 ms in place of 52-56 ms (min of 15 passes, 4 alternating
+        rounds, 2 CPUs, CPython 3.11.7).
         """
         den = self.den
         if len(self.rows) == 2:
@@ -184,7 +203,7 @@ class QMatrix:
         return QMatrix(adj, det(self.rows), self.p)
 
     def is_identity(self):
-        return self.den == 1 and self.rows == _IDENTITY[len(self.rows)]
+        return self.den == 1 and self.rows == elementary_rows(len(self.rows))
 
     def is_p_integral(self):
         # In lowest terms, p | den leaves p in the denominator of some entry.
@@ -192,7 +211,7 @@ class QMatrix:
 
 
 def identity_matrix(n, p):
-    return QMatrix(_IDENTITY[n], 1, p)
+    return QMatrix(elementary_rows(n), 1, p)
 
 
 @cache
@@ -213,16 +232,23 @@ def _from_coords(basis, y):
 
 
 def charpoly(g):
-    """Monic characteristic polynomial of g, returned as [c_0, ..., c_n=1]."""
+    """Monic characteristic polynomial of g, returned as [c_0, ..., c_n=1].
+
+    Faddeev-LeVerrier on the integer rows A = den g: with B_1 = A and
+    B_(k+1) = A (B_k + a_(n-k) I), the characteristic polynomial sum a_i x^i
+    of A has a_(n-k) = -tr(B_k) / k, a division that is exact over Z.  Then
+    c_i = a_i / den^(n-i).
+    """
     a, n = g.rows, g.n
-    tr = sum(a[i][i] for i in range(n))
-    if n == 2:
-        coeffs = [det(a), -tr, 1]
-    else:
-        # c_1 is the sum of the principal 2x2 minors: the trace of the adjugate.
-        adj = adjugate(a)
-        coeffs = [-det(a), adj[0][0] + adj[1][1] + adj[2][2], -tr, 1]
-    return [Fraction(c, g.den ** (n - i)) for i, c in enumerate(coeffs)]
+    coeffs, b = [1], a
+    for k in range(1, n + 1):
+        c = -sum(b[i][i] for i in range(n)) // k
+        coeffs.append(c)
+        if k < n:
+            cols = tuple(zip(*b))
+            b = [[sum(map(mul, row, col)) + c * e for col, e in zip(cols, row)]
+                 for row in a]
+    return [Fraction(c, g.den ** (n - i)) for i, c in enumerate(reversed(coeffs))]
 
 
 def newton_valuations(g):
@@ -253,52 +279,61 @@ def newton_valuations(g):
     return sorted(vals, reverse=True)
 
 
+def _horner(q, y):
+    """The value at y of the polynomial q, constant term first."""
+    out = 0
+    for c in reversed(q):
+        out = out * y + c
+    return out
+
+
+def _root_cells(q):
+    """(cuts, tops) for an integer polynomial q of degree >= 1, constant
+    term first.  `cuts` ascends and holds, for every real root r of q, an
+    integer c with r - 1 <= c <= r.  `tops` holds, for each integer run on
+    which q is monotone and meets 0, the ceiling of its root there.
+
+    The cuts of q', found one degree down (none for a linear q), cut the
+    integers in [-B, B], B >= 1 + max |q_i / q_d| (Cauchy), into runs
+    [c + 1, c'] whose real span holds no root of q' (by Gauss-Lucas every
+    cut lies in [-B, B - 1]): q is monotone on each, meets 0 there iff its
+    ends differ in sign, and bisection finds the ceiling.  A root of q off
+    every run lies in some [c, c + 1], so the cuts of q' are cuts of q too.
+    """
+    cuts = _root_cells([i * c for i, c in enumerate(q)][1:])[0] if len(q) > 2 else []
+    bound = 1 - (-max(map(abs, q[:-1])) // abs(q[-1]))
+    ends = [-bound - 1, *cuts, bound]
+    tops = []
+    for lo, hi in zip(ends, ends[1:]):
+        lo += 1
+        a, b = _horner(q, lo), _horner(q, hi)
+        if a * b > 0:
+            continue
+        # The smallest y of the run with sign * q(y) >= 0.
+        sign = 1 if b >= a else -1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * _horner(q, mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        tops.append(lo)
+    return sorted({*cuts, *(top - 1 for top in tops)}), tops
+
+
 def _rational_roots(coeffs):
     """The distinct rational roots, ascending, of a rational polynomial of
-    degree 2 or 3, constant term first.
+    degree >= 1, constant term first.
 
     With integer coefficients a_i and lead = a_d, y = lead x makes it the
     monic integer q with q_i = a_i lead^(d-1-i), whose rational roots are
-    integers of absolute value at most 1 + max |q_i| (Cauchy).  The integer
-    floors of the real roots of q' cut that range into pieces on which q is
-    strictly monotone, and bisection finds each piece's root, if any.
+    integers: the tops of `_root_cells(q)` at which q vanishes.
     """
     denom = math.lcm(*(c.denominator for c in coeffs))
     a = [int(c * denom) for c in coeffs]
     deg, lead = len(a) - 1, a[-1]
     q = [c * lead ** (deg - 1 - i) for i, c in enumerate(a[:-1])] + [1]
-    if deg == 2:
-        cuts = [-q[1] // 2]
-    else:
-        # q' = 3y^2 + 2 q_2 y + q_1 has roots (-q_2 -+ sqrt(disc)) / 3.
-        disc = q[2] ** 2 - 3 * q[1]
-        s = math.isqrt(max(disc, 0))
-        cuts = [] if disc < 0 else [(-q[2] - s - (s * s < disc)) // 3, (-q[2] + s) // 3]
-
-    def value(y):
-        out = 0
-        for c in reversed(q):
-            out = out * y + c
-        return out
-
-    bound = 1 + max(map(abs, q[:-1]))
-    ends = [-bound - 1, *cuts, bound]
-    roots = []
-    for lo, hi in zip(ends, ends[1:]):
-        lo += 1
-        if lo > hi:
-            continue
-        # The smallest y of the piece with sign * q(y) >= 0 is its root, if any.
-        sign = 1 if value(hi) >= value(lo) else -1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sign * value(mid) >= 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        if value(lo) == 0:
-            roots.append(Fraction(lo, lead))
-    return sorted(roots)
+    return sorted(Fraction(y, lead) for y in _root_cells(q)[1] if not _horner(q, y))
 
 
 def eigenbasis(g):
@@ -554,8 +589,8 @@ class ShapeImage(Image):
             if e == K:
                 continue
             for a in _unit_generators(p, e) if r == s else (p**e,):
-                y = [list(row) for row in _IDENTITY[n]]
-                y[r][s] = a % m
+                # The identity with a at entry (r, s).
+                y = elementary_rows(n, r, s, a - (r == s))
                 gens.append(mulmod(mulmod(b, y, m), b_inv, m))
         return gens
 
@@ -1008,15 +1043,11 @@ class LinearModel:
         if self._invariant_case(U, g):
             return True, "U is invariant under conjugation by g"
         _, vals = self._require_aligned(U, g)
-        n = self.n
         meet = shape_entrywise_max(parts.u_mm.shape, U.shape)
-        for r in range(n):
-            for s in range(n):
-                if meet[r][s] < parts.u_minus.shape[r][s]:
-                    bound = int(max(0, meet[r][s]))
-                    y = [list(row) for row in _IDENTITY[n]]
-                    y[r][s] = self.p**bound
-                    return False, _from_coords(U.basis, QMatrix.make(y, self.p))
+        for r, s in product(range(self.n), repeat=2):
+            if meet[r][s] < parts.u_minus.shape[r][s]:
+                y = elementary_rows(self.n, r, s, self.p ** int(max(0, meet[r][s])))
+                return False, _from_coords(U.basis, QMatrix(y, 1, self.p))
         return True, "U_-- has closed shape form and meets U in U_-"
 
     def net_schedule(self, g, n_max):
@@ -1036,9 +1067,7 @@ class LinearModel:
             # v_0 - v_last levels finer than U_n's congruence depth, so that
             # the conjugate g u_n g^-1 (which loses that many levels) stays
             # in U_n and the two-sided construction applies at every stage.
-            y = [list(row) for row in _IDENTITY[n]]
-            y[n - 1][0] = self.p ** (k + vals[0] - vals[-1])
-            out.append((k, U, _from_coords(basis, QMatrix.make(y, self.p))))
+            out.append((k, U, self.unipotent(g, self.p ** (k + vals[0] - vals[-1]))))
         return out
 
     # -- defaults and syntax ------------------------------------------------
@@ -1067,11 +1096,10 @@ class LinearModel:
         return g.p ** int(exponent)
 
     def unipotent(self, g, scalar):
-        """I + scalar E_(n-1, 0), in the eigencoordinates of g."""
-        n = self.n
-        y = [list(row) for row in _IDENTITY[n]]
-        y[n - 1][0] = scalar
-        return _from_coords(self.eigen_data(g)[0], QMatrix.make(y, self.p))
+        """I + scalar E_(n-1, 0), in the eigencoordinates of g, for an
+        integer scalar."""
+        y = elementary_rows(self.n, self.n - 1, 0, scalar)
+        return _from_coords(self.eigen_data(g)[0], QMatrix(y, 1, self.p))
 
     def parse_element(self, text):
         return QMatrix.make(_parse_rows(text, Fraction, self.n, "matrix"), self.p)
@@ -1082,12 +1110,22 @@ class LinearModel:
         )
 
     def parse_subgroup(self, text, g):
-        """A valuation shape `m00,m01;m10,m11` (entry `inf` or `oo` pins a
-        coordinate), in the eigenbasis of g."""
+        """A valuation shape `m00,m01;m10,m11`, in the eigenbasis of g.
+
+        Its entries must be integers >= 0, so that U is a compact open
+        subgroup of GL_n(Z_p).  An entry `inf` (or `oo`) pins a coordinate,
+        so U is not open; with a negative entry U leaves GL_n(Z_p), and
+        every window image reads U intersected with GL_n(Z_p) in its place.  Both are read
+        and checked after `validate_shape`, so that a shape it rejects keeps
+        its message.
+        """
         def entry(part):
             return INF if part in ("inf", "oo") else int(part)
         shape = tuple(map(tuple, _parse_rows(text, entry, self.n, "shape")))
         validate_shape(shape)
+        if any(e < 0 or e == INF for row in shape for e in row):
+            raise InputError("shape entries must be integers >= 0, for a compact open "
+                             "U in GL_n(Z_p)")
         return ShapeSubgroup(self.integral_basis(g)[0], shape)
 
     def format_subgroup(self, U):
@@ -1122,13 +1160,13 @@ class LinearModel:
             # the tidying procedure from GL_2(Z_p), which ends at k = 1 in
             # the Iwahori subgroup.
             k = min(K, 4 if p == 2 else 2)
-            U0 = ShapeSubgroup(self.eigen_data(g)[0], congruence_shape(2, 0))
+            U0 = ShapeSubgroup(self.eigen_data(g)[0], congruence_shape(self.n, 0))
             return [(self, {"g": fmt(x), "U": self.format_subgroup(V), "resolution": k},
                      {"check": "identities", "U": V, "g": x, "K": k})
                     for x, V in ((g, U), (gc, self.default_subgroup(gc)))] + [
                 (self, {"g": fmt(g), "U": "level-0"},
                  {"check": "procedure", "U": U0, "g": g,
-                  "expected": (1, ShapeSubgroup(U0.basis, iwahori_shape(2)))})]
+                  "expected": (1, ShapeSubgroup(U0.basis, iwahori_shape(self.n)))})]
         if battery == "nub-characterizations":
             # Every nub of GL_2(Q_p) is trivial.
             k = min(K, self.default_resolution)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import vanish_set
 
 from tdlcw import cli, kernel, shift
+from tdlcw.linear import INF, ShapeSubgroup, validate_shape
 
 
 def run(argv, capsys):
@@ -108,7 +109,10 @@ class TestElementParsing:
         g = model.default_element()
         U = model.parse_subgroup("0,1;0,0", g)
         assert model.format_subgroup(U) == "0,1;0,0"
-        inf_shape = model.parse_subgroup("0,inf;inf,0", g)
+        # Shapes built inside the package keep their infinite entries.
+        shape = ((0, INF), (INF, 0))
+        validate_shape(shape)
+        inf_shape = ShapeSubgroup(model.integral_basis(g)[0], shape)
         assert model.format_subgroup(inf_shape) == "0,inf;inf,0"
 
     def test_bad_subgroup_text(self):
@@ -459,6 +463,9 @@ def test_shift_past_the_part_cap_exits_2_before_forming_parts(command, m, capsys
     assert run(argv, capsys) == (2, [], message)
 
 
+SHAPE_RANGE = "shape entries must be integers >= 0, for a compact open U in GL_n(Z_p)"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["tidy", "--model", "linear", "--U", "0,0"], "expected a 2x2 shape"),
     (["scale", "--model", "linear", "--g", "1/0,0;0,1"], "cannot parse matrix '1/0,0;0,1'"),
@@ -476,6 +483,14 @@ def test_shift_past_the_part_cap_exits_2_before_forming_parts(command, m, capsys
     # No lamp lies in the trivial subgroup, so the default u cannot either.
     (["conjugator", "--model", "shift", "--U", "W:all"], "u must lie in U"),
     (["conjugator", "--model", "shift", "--U", "W:all", "--two-sided"], "u must lie in U"),
+    # A user's U is a compact open subgroup of GL_n(Z_p): this one, a
+    # conjugate of GL_2(Z_2) by diag(1, 2), leaves GL_2(Z_2) ...
+    (["tidy", "--model", "linear", "--p", "2", "--g", "2,0;0,1", "--U", "0,-1;1,0",
+      "--resolution", "3"], SHAPE_RANGE),
+    # ... and this one is not open.
+    (["tidy", "--model", "linear", "--p", "3", "--g", "3,0;0,1", "--U", "1,inf;inf,2"],
+     SHAPE_RANGE),
+    (["conjugator", "--model", "linear", "--U", "0,oo;0,0"], SHAPE_RANGE),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_bad_input_exits_2(argv, message, capsys):
     assert run(argv, capsys) == (2, [], f"error: {message}\n")

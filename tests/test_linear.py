@@ -392,19 +392,30 @@ class TestScaleFormula:
 
 
 def _fraction_roots(coeffs):
-    """Reference rational roots: every a/b with a | c_0 and b | c_deg, tested
-    with Fraction powers."""
+    """Reference rational roots: every a/b in lowest terms with a | c_0 and
+    b | c_deg, for the integer coefficients c_i, tested as b^deg times the
+    value at a/b, in integers.  Divisors come from trial division, which
+    the smooth coefficients of products of small factors end early."""
     denom = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
-    lead, const = ints[-1], ints[0]
+    lead, const, deg = ints[-1], ints[0], len(ints) - 1
 
     def divisors(m):
-        m = abs(m)
-        return {e for d in range(1, math.isqrt(m) + 1) if m % d == 0 for e in (d, m // d)}
+        m, out, d = abs(m), [1], 2
+        while m > 1:
+            if d * d > m:
+                d = m
+            k = 0
+            while m % d == 0:
+                m //= d
+                k += 1
+            out = [e * d**i for e in out for i in range(k + 1)]
+            d += 1
+        return out
 
-    return sorted({cand for a in divisors(const) for b in divisors(lead)
-                   for cand in (Fraction(a, b), Fraction(-a, b))
-                   if sum(c * cand**i for i, c in enumerate(coeffs)) == 0})
+    return sorted({Fraction(x, b) for a in divisors(const) for b in divisors(lead)
+                   if math.gcd(a, b) == 1 for x in (a, -a)
+                   if sum(c * x**i * b**(deg - i) for i, c in enumerate(ints)) == 0})
 
 
 def _nullspace_vector(m):
@@ -715,8 +726,9 @@ class TestShapes:
 @st.composite
 def validated_subgroups(draw):
     """(model, g, U, K): g diagonal (valuations distinct, tied or all 0)
-    or upper triangular, U read by `parse_subgroup` from a shape drawn and
-    then lowered to satisfy the triangle inequality, K in 0..8."""
+    or upper triangular, U in g's eigenbasis with a shape drawn, lowered to
+    satisfy the triangle inequality and checked by `validate_shape`, K in
+    0..8.  Its entries may be -1 or inf, which `parse_subgroup` refuses."""
     n, p = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3, 5]))
     model = LinearModel(p, n)
     if draw(st.booleans()):
@@ -727,10 +739,10 @@ def validated_subgroups(draw):
         text = f"{p},1;0,1" if n == 2 else f"{p * p},1,0;0,{p},1;0,0,1"
     entry = st.sampled_from([-1, 0, 1, 2, 3, INF])
     m = triangle_closed([[draw(entry) for _ in range(n)] for _ in range(n)])
-    shape = ";".join(",".join("inf" if e == INF else str(e) for e in row) for row in m)
     try:
         g = model.parse_element(text)
-        U = model.parse_subgroup(shape, g)
+        validate_shape(m)
+        U = ShapeSubgroup(model.integral_basis(g)[0], m)
     except ValueError:
         assume(False)
     return model, g, U, draw(st.integers(0, 8))

@@ -80,6 +80,12 @@ MUTANTS = [
     ("qmatrix-den-sign", "linear.py",
      "            if den < 0:\n                g = -g\n",
      ""),
+    ("charpoly-coefficient-sign", "linear.py",
+     "coeffs.append(c)",
+     "coeffs.append(-c if k == n else c)"),
+    ("roots-without-derivative-cells", "linear.py",
+     "ends = [-bound - 1, *cuts, bound]",
+     "ends = [-bound - 1, bound]"),
     ("root-monic-scale", "linear.py",
      "c * lead ** (deg - 1 - i)",
      "c * lead ** (deg - i)"),
@@ -102,8 +108,8 @@ MUTANTS = [
      "max(0, -(-gap // abs(step)))",
      "max(0, gap // abs(step))"),
     ("shape-validated-at-parse", "linear.py",
-     "        validate_shape(shape)\n        return ShapeSubgroup(",
-     "        return ShapeSubgroup("),
+     "        validate_shape(shape)\n        if any(e < 0",
+     "        if any(e < 0"),
     ("tits-core-any", "verify.py",
      "all(im <= top",
      "any(im <= top"),
