@@ -23,8 +23,8 @@ of both models, which carry their own `mul` and `inv`.
 
 `det` and `adjugate`, over any commutative ring, are unrolled for 2x2 and
 3x3 matrices, the sizes the linear model takes; with `QMatrix.__init__`
-and `QMatrix.mul` in `linear` they are the only code that is not written
-for any n.  All four are unrolled because paired measurements showed
+and `QMatrix.mul` in `linear` they are the only arithmetic that is not
+written for any n.  All four are unrolled because paired measurements showed
 that it pays.  Written for any n (Bareiss elimination, and cofactors by it), det
 and adjugate made one in-process pass of the seed-7 `theorem-check`
 commands at resolution 3 take 63-71 ms in place of 52-56 ms (min of 15
